@@ -1,8 +1,11 @@
 """Integer rank certificates modulo large primes.
 
-Used only to screen randomized genericity trials: a rank computed mod p never
-exceeds the rational rank, so reaching the maximum possible rank is an exact
-proof.  Failing to reach it is treated as a failed trial; two independent
+A rank computed mod p never exceeds the rational rank, so reaching the
+maximum possible rank is an exact proof of full rank.  Failing to reach it
+proves nothing and only discards a random draw: the diagram test draws
+again, the representative search tries its next candidate.  The one verdict
+that rests on these failures is the diagram test's rejection when none of
+its `trials` draws passes the surjectivity certificate; two independent
 31-bit primes make a spurious failure astronomically unlikely, and the
 classification sweep is cross-checked against reference tables anyway.
 """

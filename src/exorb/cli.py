@@ -11,6 +11,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from dataclasses import dataclass
 
@@ -25,7 +26,7 @@ from .orbits import (
     find_representative,
 )
 from .reach import OrbitAnalysis, analyze
-from .refdata import EXCEPTIONAL, RefData, load_tables
+from .refdata import EXCEPTIONAL, REFDATA_ENV, RefData, load_tables
 from .roots import TypeRank
 
 __all__ = ["RunConfig", "run", "main"]
@@ -62,15 +63,17 @@ def _diagram_str(labels: tuple[int, ...]) -> str:
     return ",".join(str(v) for v in labels)
 
 
-def _tables_or_none(cfg: RunConfig) -> RefData | None:
+def _tables(cfg: RunConfig) -> RefData:
+    """The reference tables; a missing or malformed file is a usage error."""
     try:
         return load_tables(cfg.refdata_path)
-    except (OSError, ValueError, KeyError):
-        return None
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        where = cfg.refdata_path or os.environ.get(REFDATA_ENV) or "the bundled file"
+        raise UsageError(f"cannot load reference tables from {where}: {exc}") from None
 
 
-def _label_for(tables: RefData | None, t: TypeRank, labels: tuple[int, ...]) -> str | None:
-    if tables is None or str(t) not in EXCEPTIONAL:
+def _label_for(tables: RefData, t: TypeRank, labels: tuple[int, ...]) -> str | None:
+    if str(t) not in EXCEPTIONAL:
         return None
     try:
         return tables.lookup(t, labels).label
@@ -128,7 +131,7 @@ def _analysis_payload(
 
 def _cmd_classify(cfg: RunConfig) -> tuple[int, str]:
     L = build_lie_algebra(cfg.type)
-    tables = _tables_or_none(cfg)
+    tables = _tables(cfg)
     orbits = enumerate_orbits(L, seed=cfg.seed, trials=cfg.trials)
     rows = []
     payload_orbits = []
@@ -150,9 +153,10 @@ def _cmd_classify(cfg: RunConfig) -> tuple[int, str]:
     return EXIT_OK, _render_rows(cfg, ["label", "diagram", "dim_orbit"], rows, payload)
 
 
-def _resolve_orbit(cfg: RunConfig, L: LieAlgebra, tables: RefData | None) -> NilpotentOrbit:
+def _resolve_orbit(cfg: RunConfig, L: LieAlgebra, tables: RefData) -> NilpotentOrbit:
     selector = cfg.orbit
-    assert selector is not None
+    if not selector:
+        raise UsageError("analyze requires --orbit")
     if any(ch.isdigit() for ch in selector) and all(
         ch.isdigit() or ch in ", " for ch in selector
     ):
@@ -160,7 +164,7 @@ def _resolve_orbit(cfg: RunConfig, L: LieAlgebra, tables: RefData | None) -> Nil
         if len(d.labels) != L.rank:
             raise UsageError(f"diagram has {len(d.labels)} labels, expected {L.rank}")
     else:
-        if tables is None or str(cfg.type) not in EXCEPTIONAL:
+        if str(cfg.type) not in EXCEPTIONAL:
             raise UsageError("orbit labels need reference tables for this type")
         try:
             d = WeightedDynkinDiagram(tables.by_label(cfg.type, selector).diagram)
@@ -174,15 +178,13 @@ def _resolve_orbit(cfg: RunConfig, L: LieAlgebra, tables: RefData | None) -> Nil
 
 
 def _cmd_analyze(cfg: RunConfig) -> tuple[int, str]:
-    if not cfg.orbit:
-        raise UsageError("analyze requires --orbit")
     L = build_lie_algebra(cfg.type)
-    tables = _tables_or_none(cfg)
+    tables = _tables(cfg)
     o = _resolve_orbit(cfg, L, tables)
     a = analyze(L, o)
     label = _label_for(tables, cfg.type, o.diagram.labels)
     rigid = None
-    if tables is not None and str(cfg.type) in EXCEPTIONAL:
+    if str(cfg.type) in EXCEPTIONAL:
         try:
             rigid = tables.lookup(cfg.type, o.diagram.labels).rigid
         except ValueError:
@@ -216,7 +218,7 @@ def _sweep(cfg: RunConfig, L: LieAlgebra) -> list[OrbitAnalysis]:
 def _cmd_table(cfg: RunConfig) -> tuple[int, str]:
     if str(cfg.type) not in EXCEPTIONAL:
         raise UsageError("tables are defined for the exceptional types only")
-    tables = load_tables(cfg.refdata_path)
+    tables = _tables(cfg)
     L = build_lie_algebra(cfg.type)
     analyses = _sweep(cfg, L)
     rows = []
@@ -336,7 +338,7 @@ def _verify_type(cfg: RunConfig, tables: RefData, tname: str) -> tuple[int, list
 
 
 def _cmd_verify(cfg: RunConfig, type_names: list[str]) -> tuple[int, str]:
-    tables = load_tables(cfg.refdata_path)
+    tables = _tables(cfg)
     report_types = {}
     total_mismatches = 0
     for tname in type_names:
@@ -403,6 +405,8 @@ def _build_parser() -> _Parser:
 
 def run(cfg: RunConfig, type_names: list[str] | None = None) -> tuple[int, str]:
     """Execute one command; returns (exit status, rendered output)."""
+    if cfg.trials < 1:
+        raise UsageError("--trials must be a positive integer")
     if cfg.command == "classify":
         return _cmd_classify(cfg)
     if cfg.command == "analyze":

@@ -1,12 +1,11 @@
 """Nilpotent orbit machinery: gradings, diagram tests, representatives, triples.
 
 Orbits are identified by their weighted Dynkin diagram (labels in {0,1,2} on
-the simple roots).  A label vector is accepted when some element e of g(2)
-provably realizes it: ad e must map g(0) onto g(2), the centralizer must have
-the minimal dimension dim g(0) + dim g(1), and [e, f] = h must be solvable in
-g(-2), which constructs the defining triple outright.  Representatives are
-found among sparse sums of root vectors, falling back to seeded random
-coefficients.
+the simple roots).  A label vector is accepted when [e, f] = h is solvable in
+g(-2) for an element e in the open G(0)-orbit of g(2); the solution is the
+defining triple.  Representatives are found among sparse sums of root
+vectors, falling back to seeded random coefficients, and certified to have
+the minimal centralizer dimension dim g(0) + dim g(1).
 """
 
 from __future__ import annotations
@@ -20,7 +19,14 @@ from typing import Sequence
 import numpy as np
 
 from ._modp import has_full_rank
-from .algebra import Element, LieAlgebra, Subspace, bracket, centralizer
+from .algebra import (
+    Element,
+    LieAlgebra,
+    Subspace,
+    _scaled_support,
+    bracket,
+    centralizer,
+)
 from .linalg import RatMatrix, solve
 
 __all__ = [
@@ -29,6 +35,7 @@ __all__ = [
     "Sl2Triple",
     "Grading",
     "NilpotentOrbit",
+    "TripleInsolubleError",
     "characteristic_element",
     "grading_from_h",
     "dynkin_test",
@@ -96,6 +103,10 @@ class Grading:
         return {k: s.dim for k, s in sorted(self.pieces.items())}
 
 
+class TripleInsolubleError(RuntimeError):
+    """[e, f] = h has no solution f in g(-2)."""
+
+
 @dataclass(frozen=True)
 class NilpotentOrbit:
     diagram: WeightedDynkinDiagram
@@ -111,7 +122,8 @@ def characteristic_element(L: LieAlgebra, d: WeightedDynkinDiagram) -> Element:
     if len(d.labels) != L.rank:
         raise ValueError("diagram rank mismatch")
     coords = solve(RatMatrix(L.rs.cartan), [Fraction(v) for v in d.labels])
-    assert coords is not None  # the Cartan matrix is invertible
+    if coords is None:
+        raise RuntimeError(f"singular Cartan matrix for {L.rs.type_rank}")
     out = [Fraction(0)] * L.dim
     for j, c in enumerate(coords):
         out[2 * L.npos + j] = c
@@ -183,7 +195,7 @@ def _centralizer_dim_is_minimal(
     ad e maps g(k) into g(k+2); the kernel dimension is minimal exactly when
     every block has full rank, and ranks for k <= -2 mirror those for k >= 0,
     so only blocks at k >= -1 are tested.  Full rank mod p certifies full
-    rational rank, making acceptance exact.
+    rational rank, so an accepted representative is certified exactly.
     """
     for k in sorted(buckets):
         if k < -1:
@@ -216,14 +228,23 @@ def dynkin_test(
 ) -> bool:
     """Whether the label vector is the weighted Dynkin diagram of an orbit.
 
-    Tests `trials` seeded random elements e of g(2) and returns True on the
-    first that demonstrably realizes the labels: e must map g(0) onto g(2)
-    with centralizer of the minimal dimension dim g(0) + dim g(1), and the
-    defining equation [e, f] = h must have a solution f in g(-2) (solved
-    exactly; the resulting triple is the proof).  Surjectivity of ad e on
-    g(0) alone does not suffice: a one-dimensional g(2) always satisfies it,
-    yet may admit no triple.  The empty g(2) is accepted only for the
-    all-zero diagram (the zero orbit).
+    Exact necessary conditions come first: g(0) is at least as large as
+    g(2), the graded dimensions interlace, and dim g(1) is even (kappa(f,
+    [x, y]) is a nondegenerate symplectic form on g(1) for any triple).
+    Then seeded random elements e of g(2) are drawn until one passes the
+    mod-p certificate that ad e maps g(0) onto g(2), and the verdict is
+    whether [e, f] = h has a solution f in g(-2) for that one e:
+
+    - such an e lies in the unique open G(0)-orbit of g(2), and G(0) fixes h;
+    - any e' in an sl2-triple with this h has ad e' : g(0) -> g(2) onto, so
+      e' lies in the same orbit;
+    - so insolubility for this e rules out every e', and a solution is a
+      triple that proves the diagram.
+
+    Both verdicts are exact.  The one probabilistic verdict is a rejection
+    because none of `trials` draws passed the surjectivity certificate.
+    The empty g(2) is accepted only for the all-zero diagram (the zero
+    orbit).
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -236,21 +257,20 @@ def dynkin_test(
     g0 = buckets.get(0, [])
     if len(g0) < len(g2) or not _interlaced(buckets):
         return False
+    if len(buckets.get(1, ())) % 2:
+        return False
     blocks = np.stack([_block_matrix(L, {j: 1}, g0, g2) for j in g2])
-    h = characteristic_element(L, d)
     rng = random.Random(_derive_seed(seed, d.labels))
     for _ in range(trials):
-        supp = {j: rng.randint(1, TRIAL_COEFF_MAX) for j in g2}
-        coeffs = np.array([supp[j] for j in g2], dtype=np.int64)
-        if not has_full_rank(np.tensordot(coeffs, blocks, axes=1), len(g2)):
+        coeffs = [rng.randint(1, TRIAL_COEFF_MAX) for _ in g2]
+        ad_e = np.tensordot(np.array(coeffs, dtype=np.int64), blocks, axes=1)
+        if not has_full_rank(ad_e, len(g2)):
             continue
-        if not _centralizer_dim_is_minimal(L, supp, buckets):
-            continue
-        e = L.element({j: Fraction(c) for j, c in supp.items()})
+        e = L.element(dict(zip(g2, coeffs)))
         try:
-            complete_triple(L, h, e)
-        except RuntimeError:
-            continue
+            complete_triple(L, characteristic_element(L, d), e)
+        except TripleInsolubleError:
+            return False
         return True
     return False
 
@@ -298,26 +318,38 @@ def find_representative(
 
 
 def complete_triple(L: LieAlgebra, h: Element, e: Element) -> Sl2Triple:
-    """Solve [e, f] = h for f in g(-2) and return the verified triple."""
-    two_e = 2 * e
-    if bracket(L, h, e) != two_e:
+    """Solve [e, f] = h for f in g(-2) and return the verified triple.
+
+    e has ad h-weight 2, so [e, g(-2)] lies in g(0) and only the g(0) rows
+    of the system can be nonzero; they are built from the integer structure
+    constants.  Raises `TripleInsolubleError` when no f exists; a solution
+    that fails the check [e, f] = h is an internal error (`RuntimeError`).
+    """
+    # Integral values keep the weight sums out of Fraction arithmetic.
+    values = [v.numerator if v.denominator == 1 else v for v in L.cartan_values(h)]
+    weights = L.basis_weights(values)
+    supp, scale = _scaled_support(e.coeffs)
+    if any(weights[i] != 2 for i in supp):
         raise ValueError("[h, e] = 2e fails: not a weight-2 vector for h")
-    values = L.cartan_values(h)
-    neg2: list[int] = []
-    for i in range(2 * L.npos):
-        c = L._root_of_index[i]
-        if sum(m * v for m, v in zip(c, values)) == -2:
-            neg2.append(i)
-    cols = [bracket(L, e, L.basis_element(j)).coeffs for j in neg2]
-    system = RatMatrix([[col[i] for col in cols] for i in range(L.dim)], len(neg2))
-    sol = solve(system, h.coeffs)
+    g0 = [i for i, w in enumerate(weights) if w == 0]
+    neg2 = [j for j, w in enumerate(weights) if w == -2]
+    row_of = {i: r for r, i in enumerate(g0)}
+    system = [[0] * len(neg2) for _ in g0]
+    for k, c in supp.items():
+        adj = L._adj[k]
+        for col, j in enumerate(neg2):
+            for i, n in adj.get(j, ()):
+                system[row_of[i]][col] += c * n
+    # The system is [scale * e, f] = scale * h, with integer scale * e.
+    sol = solve(RatMatrix(system, len(neg2)), [scale * h.coeffs[i] for i in g0])
     if sol is None:
-        raise RuntimeError("no completion to a triple: invalid representative")
+        raise TripleInsolubleError("no completion to a triple: invalid representative")
     out = [Fraction(0)] * L.dim
     for j, c in zip(neg2, sol):
         out[j] = c
     f = Element(tuple(out))
-    if bracket(L, e, f) != h or bracket(L, h, f) != -2 * f:
+    # [h, f] = -2f holds by construction: f is supported on g(-2).
+    if bracket(L, e, f) != h:
         raise RuntimeError("triple relations failed verification")
     return Sl2Triple(e=e, h=h, f=f)
 

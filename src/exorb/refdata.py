@@ -56,7 +56,7 @@ class RefData:
     """Loaded reference tables with diagram-keyed access."""
 
     def __init__(self, doc: dict):
-        if doc.get("schema") != "exorb.orbit-tables/1":
+        if not isinstance(doc, dict) or doc.get("schema") != "exorb.orbit-tables/1":
             raise ValueError("unrecognized reference-table schema")
         self._by_type: dict[str, tuple[OrbitRecord, ...]] = {}
         self._by_diagram: dict[tuple[str, tuple[int, ...]], OrbitRecord] = {}

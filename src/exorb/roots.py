@@ -138,7 +138,8 @@ class RootSystem:
         self._sym = _symmetrizer(type_rank)
         for i in range(self.rank):
             for j in range(self.rank):
-                assert self._sym[j] * cartan[i][j] == self._sym[i] * cartan[j][i]
+                if self._sym[j] * cartan[i][j] != self._sym[i] * cartan[j][i]:
+                    raise RuntimeError(f"symmetrizer fails on {type_rank}")
 
         pos = self._generate_positive_roots()
         pos.sort(key=lambda c: (sum(c), c))
@@ -219,7 +220,8 @@ class RootSystem:
                 if nu not in self._pos_index:
                     return 0
                 val = Fraction(norms[nu] * npos[(nu, lam)], norms[mu])
-            assert val.denominator == 1
+            if val.denominator != 1:
+                raise RuntimeError(f"non-integral N({lam}, -{mu})")
             return int(val)
 
         for gamma in pos:
@@ -238,7 +240,8 @@ class RootSystem:
             npos[(a1, b1)] = n_extra
             npos[(b1, a1)] = -n_extra
             n_a1_gamma = -mixed(gamma, a1)  # N(-a1, gamma)
-            assert n_a1_gamma != 0
+            if n_a1_gamma == 0:
+                raise RuntimeError(f"zero N(-{a1}, {gamma}) for an extraspecial pair")
             for alpha, beta in summands[1:]:
                 # quadruple identity on (-a1, alpha, beta) with sum b1
                 term1 = term2 = 0
@@ -249,7 +252,8 @@ class RootSystem:
                 if d2 in self._pos_index:
                     term2 = -mixed(beta, a1) * npos[(alpha, d2)]
                 val = Fraction(term1 + term2, n_a1_gamma)
-                assert val.denominator == 1
+                if val.denominator != 1:
+                    raise RuntimeError(f"non-integral N({alpha}, {beta})")
                 npos[(alpha, beta)] = int(val)
                 npos[(beta, alpha)] = -int(val)
 
@@ -298,7 +302,8 @@ class RootSystem:
         out = []
         for i, m in enumerate(coeffs):
             val = Fraction(2 * m * self._sym[i], norm)
-            assert val.denominator == 1
+            if val.denominator != 1:
+                raise RuntimeError(f"non-integral coroot of {coeffs}")
             out.append(int(val))
         return tuple(out)
 

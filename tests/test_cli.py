@@ -1,5 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
+
+import exorb
 
 from exorb.cli import (
     EXIT_MISMATCH,
@@ -135,3 +141,38 @@ def test_analyze_e7_worked_example():
     assert doc["reachable"] is False
     assert doc["dim_ge"] == 35 and doc["dim_derived"] == 33
     assert doc["dim_ce"] == 2 and doc["ce_weights"] == [0, 2]
+
+
+def test_nonpositive_trials_is_a_usage_error(capsys):
+    assert main(["classify", "G2", "--trials", "0"]) == EXIT_USAGE
+    assert main(["analyze", "G2", "--orbit", "0,1", "--trials", "-1"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "usage error" in err and "--trials" in err
+
+
+def test_missing_refdata_is_a_usage_error(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    assert main(["verify", "G2", "--refdata", str(missing)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cannot load reference tables" in captured.err
+
+
+def test_malformed_refdata_is_a_usage_error(tmp_path, capsys):
+    malformed = tmp_path / "hostname"
+    malformed.write_text("build-host\n")
+    assert main(["classify", "G2", "--refdata", str(malformed)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cannot load reference tables" in captured.err
+
+
+def test_verify_output_is_unchanged_under_optimization():
+    env = dict(os.environ, PYTHONPATH=str(Path(exorb.__file__).parents[1]))
+    cmd = ["-m", "exorb", "verify", "G2", "--format", "json"]
+    plain = subprocess.run([sys.executable, *cmd], env=env, capture_output=True)
+    optimized = subprocess.run(
+        [sys.executable, "-O", *cmd], env=env, capture_output=True
+    )
+    assert plain.returncode == optimized.returncode == EXIT_OK
+    assert plain.stdout and optimized.stdout == plain.stdout

@@ -2,10 +2,12 @@ from fractions import Fraction
 
 import pytest
 
+from exorb import orbits
 from exorb.algebra import bracket, build_lie_algebra, centralizer
 from exorb.orbits import (
     Characteristic,
     NilpotentOrbit,
+    TripleInsolubleError,
     WeightedDynkinDiagram,
     characteristic_element,
     complete_triple,
@@ -15,6 +17,7 @@ from exorb.orbits import (
     grading_from_h,
     orbit_dimension,
 )
+from exorb.refdata import load_tables
 
 
 def _partitions(n, cap=None):
@@ -168,6 +171,76 @@ def test_complete_triple_rank_one_case():
     h = L.coroot_element((1,))
     t = complete_triple(L, h, e)
     assert t.f == L.root_vector((-1,))
+
+
+def test_complete_triple_reports_insolubility():
+    # No E6 orbit has this diagram, so [e, f] = h is insoluble for every e
+    # in g(2), although ad e maps g(0) onto g(2) for generic e.
+    L = build_lie_algebra("E6")
+    d = WeightedDynkinDiagram((0, 0, 0, 0, 0, 2))
+    weights = L.basis_weights(d.labels)
+    e = L.element({i: 1 for i, w in enumerate(weights) if w == 2})
+    with pytest.raises(TripleInsolubleError):
+        complete_triple(L, characteristic_element(L, d), e)
+
+
+def test_complete_triple_raises_on_failed_verification(monkeypatch):
+    L = build_lie_algebra("G2")
+    d = WeightedDynkinDiagram((2, 2))
+    e = find_representative(L, d)
+    h = characteristic_element(L, d)
+    monkeypatch.setattr(orbits, "bracket", lambda L, a, b: L.zero())
+    with pytest.raises(RuntimeError) as info:
+        complete_triple(L, h, e)
+    assert not isinstance(info.value, TripleInsolubleError)
+
+
+def test_dynkin_test_does_not_read_failed_verification_as_rejection(monkeypatch):
+    L = build_lie_algebra("G2")
+
+    def broken(L, h, e):
+        raise RuntimeError("triple relations failed verification")
+
+    monkeypatch.setattr(orbits, "complete_triple", broken)
+    with pytest.raises(RuntimeError):
+        dynkin_test(L, WeightedDynkinDiagram((2, 2)))
+
+
+def test_rejected_diagram_takes_one_triple_solve(monkeypatch):
+    L = build_lie_algebra("E6")
+    calls = []
+    real = orbits.complete_triple
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(orbits, "complete_triple", counting)
+    assert not dynkin_test(L, WeightedDynkinDiagram((0, 0, 0, 0, 0, 2)))
+    assert len(calls) == 1
+
+
+def test_odd_dim_g1_is_rejected_before_rank_work(monkeypatch):
+    L = build_lie_algebra("E6")
+    labels = (0, 0, 0, 0, 1, 1)
+    weights = L.basis_weights(labels)
+    assert sum(1 for w in weights if w == 1) % 2 == 1
+    assert sum(1 for w in weights if w == 0) >= sum(1 for w in weights if w == 2)
+
+    def no_rank_work(*args):
+        raise AssertionError("has_full_rank called")
+
+    monkeypatch.setattr(orbits, "has_full_rank", no_rank_work)
+    assert not dynkin_test(L, WeightedDynkinDiagram(labels))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_e6_sweep_finds_the_published_diagrams(seed):
+    L = build_lie_algebra("E6")
+    published = {rec.diagram for rec in load_tables().orbits("E6")}
+    assert len(published) == 20
+    found = {o.diagram.labels for o in enumerate_orbits(L, seed=seed)}
+    assert found == published
 
 
 def test_complete_triple_rejects_bad_pair():
