@@ -9,13 +9,14 @@ gradings) is exact.
 from __future__ import annotations
 
 from bisect import insort
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import lcm
 from typing import Iterable, Mapping, Sequence
 
-from .linalg import RatMatrix, _exact, member, rref, kernel
+from .linalg import RatMatrix, _exact, _kernel_rows, rref
 from .roots import Root, RootSystem, TypeRank, build_root_system
 
 __all__ = [
@@ -336,6 +337,8 @@ class _ModSpan:
         insort(self.order, piv)
 
 
+
+
 class _Echelon:
     """Accumulates a row span as sparse pivot-normalized rational rows.
 
@@ -378,28 +381,30 @@ class _Echelon:
         insort(self.order, p)
         return row
 
-    def insert(self, v: dict[int, int] | dict[int, Fraction]) -> bool:
-        """Reduce v into the span; returns True when the dimension grew."""
-        v = self.reduce({k: Fraction(x) for k, x in v.items()})
-        if not v:
-            return False
-        self._store(v)
-        return True
+    def canonical_rows(self) -> list[dict[int, Fraction]]:
+        """The rows in reduced echelon form, in increasing pivot order.
 
-    def contains(self, v: dict[int, int] | dict[int, Fraction]) -> bool:
-        return not self.reduce({k: Fraction(x) for k, x in v.items()})
-
-    def to_subspace(self, amb: "LieAlgebra") -> "Subspace":
-        return Subspace.from_rows(
-            amb, [_row_to_fractions(r, amb.dim) for r in self.rows.values()]
-        )
-
-    @classmethod
-    def from_matrix(cls, m: RatMatrix) -> "_Echelon":
-        ech = cls()
-        for row in m.data:
-            ech.insert({i: c for i, c in enumerate(row) if c})
-        return ech
+        A stored row is reduced against the rows stored before it but may
+        still have entries at later pivots.  Back-substitution from the last
+        pivot clears them; each row it subtracts is already reduced, so the
+        coefficient of every pivot is read off the unmodified row.
+        """
+        rows = self.rows
+        for p in reversed(self.order):
+            row = rows[p]
+            hits = [(q, row[q]) for q in row if q != p and q in rows]
+            if not hits:
+                continue
+            row = dict(row)
+            for q, c in hits:
+                for k, x in rows[q].items():
+                    nv = row.get(k, 0) - c * x
+                    if nv:
+                        row[k] = nv
+                    else:
+                        row.pop(k, None)
+            rows[p] = row
+        return [rows[p] for p in self.order]
 
 
 def _row_to_fractions(row: dict[int, Fraction], dim: int) -> list[Fraction]:
@@ -409,15 +414,72 @@ def _row_to_fractions(row: dict[int, Fraction], dim: int) -> list[Fraction]:
     return out
 
 
+# -- gradings ---------------------------------------------------------------
+
+
+def _grading(
+    L: LieAlgebra, weights: Sequence[int] | None
+) -> tuple[Sequence[int], dict[int, list[int]]]:
+    """The checked weights and the basis indices of each weight.
+
+    `None` is the trivial grading, every basis vector of weight 0.  Other
+    weights must grade the product: [g(i), g(j)] lies in g(i + j) for every
+    entry of the multiplication table.  `L.basis_weights(labels)` always does.
+    """
+    if weights is None:
+        weights = (0,) * L.dim
+    elif len(weights) != L.dim:
+        raise ValueError("weights have the wrong length")
+    else:
+        for i, row in enumerate(L._adj):
+            for j, hits in row.items():
+                for k, _ in hits:
+                    if weights[k] != weights[i] + weights[j]:
+                        raise ValueError("weights do not grade the algebra")
+    blocks: dict[int, list[int]] = {}
+    for i, w in enumerate(weights):
+        blocks.setdefault(w, []).append(i)
+    return weights, blocks
+
+
 # -- public types and operations --------------------------------------------
 
 
 @dataclass(frozen=True)
 class Subspace:
-    """A subspace of a fixed algebra, held as a canonical echelon basis."""
+    """A subspace of a fixed algebra, held as its canonical basis.
+
+    The basis is the reduced row-echelon form of the span (checked on
+    construction): rows sorted by pivot, each pivot entry 1, and every row 0
+    at the other rows' pivots.  A vector v then lies in the span exactly when
+    v equals the sum of v[p] * row_p over the pivots p, so membership needs
+    no elimination.
+
+    Block lemma: when the coordinates are split into disjoint blocks (the
+    weights of a grading) and a subspace is spanned by vectors each inside
+    one block, its canonical basis is the union of the blocks' canonical
+    bases, sorted by pivot.  So the canonical rows of a graded subspace are
+    homogeneous, and a row that mixes weights proves that a subspace is not
+    graded.
+    """
 
     amb: LieAlgebra
     basis: RatMatrix
+
+    def __post_init__(self) -> None:
+        if self.basis.cols != self.amb.dim:
+            raise ValueError("basis has the wrong number of columns")
+        at: dict[int, dict[int, Fraction]] = {}  # pivot -> sparse row
+        last = -1
+        for row in map(_sparse_row, self.basis.data):
+            p = min(row, default=-1)
+            if p <= last or row[p] != 1:
+                raise ValueError("basis is not in reduced row-echelon form")
+            at[p] = row
+            last = p
+        if any(k != p and k in at for p, row in at.items() for k in row):
+            raise ValueError("basis is not in reduced row-echelon form")
+        object.__setattr__(self, "_row_at", at)
 
     @classmethod
     def from_rows(cls, amb: LieAlgebra, rows: Iterable[Sequence[Fraction | int]]) -> "Subspace":
@@ -437,10 +499,46 @@ class Subspace:
         return self.basis.rows
 
     def contains(self, elt: Element) -> bool:
-        return member(elt.coeffs, self.basis)
+        if len(elt.coeffs) != self.amb.dim:
+            raise ValueError("vector has wrong length")
+        return self._has(_sparse_row(elt.coeffs))
+
+    def _has(self, v: Mapping[int, Fraction | int]) -> bool:
+        """Membership of a sparse vector, by the pivot-coefficient identity."""
+        residual = dict(v)
+        at = self._row_at
+        for p, c in v.items():
+            row = at.get(p)
+            if row is None:
+                continue
+            for k, x in row.items():
+                residual[k] = residual.get(k, 0) - c * x
+        return not any(residual.values())
 
     def basis_elements(self) -> list[Element]:
         return [Element(row) for row in self.basis.data]
+
+    def row_weights(self, weights: Sequence[int]) -> tuple[int, ...]:
+        """The weight of each canonical basis row under a grading.
+
+        Raises ValueError when a row mixes weights, which by the block lemma
+        means the subspace is not graded.
+        """
+        if len(weights) != self.amb.dim:
+            raise ValueError("weights have the wrong length")
+        out = []
+        for row in self._row_at.values():
+            ws = {weights[k] for k in row}
+            if len(ws) != 1:
+                raise ValueError("subspace is not graded by these weights")
+            out.append(ws.pop())
+        return tuple(out)
+
+
+def _subspace(L: LieAlgebra, rows: Iterable[dict[int, Fraction]]) -> Subspace:
+    """The subspace with these canonical rows, given in any order."""
+    ordered = sorted(rows, key=min)
+    return Subspace(L, RatMatrix([_row_to_fractions(r, L.dim) for r in ordered], L.dim))
 
 
 def bracket(L: LieAlgebra, a: Element, b: Element) -> Element:
@@ -469,81 +567,124 @@ def ad_matrix(L: LieAlgebra, a: Element) -> RatMatrix:
     return RatMatrix(rows, L.dim)
 
 
-def centralizer(L: LieAlgebra, a: Element) -> Subspace:
-    """The kernel of ad a, as a subspace of L."""
-    return Subspace(L, kernel(ad_matrix(L, a)))
+def centralizer(
+    L: LieAlgebra, a: Element, weights: Sequence[int] | None = None
+) -> Subspace:
+    """The kernel of ad a, as a subspace of L.
+
+    `weights` is a grading of L, such as `L.basis_weights(labels)`; without
+    it every basis vector has weight 0.  a must be homogeneous, of weight d
+    say (ValueError otherwise).  Then ad a maps g(k) into g(k + d), and the
+    kernel is the sum over k of the block kernels ker(ad a : g(k) -> g(k+d)),
+    each computed from the integer structure constants.  By the block lemma
+    (see `Subspace`) the union of the blocks' canonical kernels is the
+    canonical basis of the whole kernel, so the result does not depend on
+    the grading; a finer grading only makes the blocks smaller.
+    """
+    if len(a.coeffs) != L.dim:
+        raise ValueError("dimension mismatch")
+    weights, blocks = _grading(L, weights)
+    supp, _ = _scaled_support(a.coeffs)
+    degrees = {weights[i] for i in supp}
+    if len(degrees) > 1:
+        raise ValueError("element is not homogeneous for the grading")
+    d = degrees.pop() if degrees else 0
+    adj = L._adj
+    rows: list[dict[int, Fraction]] = []
+    for k, dom in blocks.items():
+        cod = blocks.get(k + d) if supp else None
+        if not cod:
+            rows.extend({j: Fraction(1)} for j in dom)
+            continue
+        pos = {c: r for r, c in enumerate(cod)}
+        m = [[0] * len(dom) for _ in cod]
+        for col, j in enumerate(dom):
+            for i, c in supp.items():
+                for t, n in adj[i].get(j, ()):
+                    m[pos[t]][col] += c * n
+        for v in _kernel_rows(m, len(dom)):
+            rows.append({dom[x]: y for x, y in v.items()})
+    return _subspace(L, rows)
 
 
-def derived_subalgebra(L: LieAlgebra, s: Subspace) -> Subspace:
+def derived_subalgebra(
+    L: LieAlgebra, s: Subspace, weights: Sequence[int] | None = None
+) -> Subspace:
     """Span of all pairwise brackets of a subalgebra's basis.
 
     Raises ValueError when some bracket of basis vectors falls outside s,
     i.e. when s is not actually closed under the product.
+
+    `weights` is a grading of L (see `centralizer`); s must be graded by it,
+    that is, its canonical rows homogeneous (ValueError otherwise).  The
+    bracket of rows of weights i and j has weight i + j, so it is reduced,
+    screened and checked against s only within weight i + j, where the
+    spans are smaller.  Every pair is still bracketed and checked, and the
+    result is the same canonical basis for every grading.
     """
     if s.amb is not L:
         raise ValueError("subspace belongs to a different algebra")
-    rows = [_sparse_row(r) for r in s.basis.data]
-    checker = _Echelon.from_matrix(s.basis)
-    acc = _Echelon()
+    weights, _ = _grading(L, weights)
+    row_w = s.row_weights(weights)
+    rows = list(s._row_at.values())
+    acc: dict[int, _Echelon] = defaultdict(_Echelon)
     adj = L._adj
     n = len(rows)
 
-    # Per-prime screens: a bracket whose image lies in the accumulated span
-    # mod every usable prime is skipped (it lies in s mod p as well, since
-    # the span sits inside s); a nonzero residual is an exact proof of
-    # novelty and routes the pair through the rational path.
+    # Per-prime screens, one span of s and one of the accumulated brackets
+    # per weight: a bracket whose image lies in the accumulated span mod
+    # every usable prime is skipped (it lies in s mod p as well, since the
+    # span sits inside s); a nonzero residual is an exact proof of novelty
+    # and routes the pair through the rational path.
     screens = []
     for p in _PRIMES:
-        sp, ap = _ModSpan(p), _ModSpan(p)
-        mod_rows = []
-        for r in rows:
-            sp.add(r)
-            mod_rows.append(sp.mod_row(r))
-        if sp.usable and all(mr is not None for mr in mod_rows):
-            screens.append((sp, ap, mod_rows))
+        sp: dict[int, _ModSpan] = defaultdict(partial(_ModSpan, p))
+        mod_rows = [sp[w].mod_row(r) for r, w in zip(rows, row_w)]
+        if any(mr is None for mr in mod_rows):
+            continue
+        for r, w in zip(rows, row_w):
+            sp[w].add(r)
+        screens.append((p, mod_rows, sp, defaultdict(partial(_ModSpan, p))))
 
-    def settle_exactly(ri: dict, rj: dict) -> None:
+    def settle_exactly(ri: dict, rj: dict, w: int) -> None:
         v = _bracket_supp(adj, ri, rj)
         if not v:
             return
-        residual = acc.reduce({k: Fraction(x) for k, x in v.items()})
+        residual = acc[w].reduce({k: Fraction(x) for k, x in v.items()})
         if not residual:
             return
-        if not checker.contains(dict(residual)):
+        if not s._has(residual):
             raise ValueError("subspace is not closed under the bracket")
-        stored = acc._store(residual)
-        for _, ap, _ in screens:
-            ap.add(stored)
+        stored = acc[w]._store(residual)
+        for _, _, _, ap in screens:
+            ap[w].add(stored)
 
     for i in range(n):
         ri = rows[i]
         for j in range(i + 1, n):
-            live = [entry for entry in screens if entry[0].usable and entry[1].usable]
-            if not live:
-                settle_exactly(ri, rows[j])
-                continue
-            novel = False
-            for sp, ap, mod_rows in live:
-                vb = _bracket_mod(adj, mod_rows[i], mod_rows[j], sp.p)
-                if not vb:
+            w = row_w[i] + row_w[j]
+            screened = novel = False
+            for p, mod_rows, sp, ap in screens:
+                if not ap[w].usable:
                     continue
-                if ap.reduce(dict(vb)):
-                    if sp.reduce(vb):
-                        # provably outside s; recompute exactly for the error
-                        ve = _bracket_supp(adj, ri, rows[j])
-                        if not checker.contains(ve):
-                            raise ValueError(
-                                "subspace is not closed under the bracket"
-                            )
+                screened = True
+                vb = _bracket_mod(adj, mod_rows[i], mod_rows[j], p)
+                if vb and ap[w].reduce(dict(vb)):
+                    # provably outside s; recompute exactly for the error
+                    if sp[w].reduce(vb) and not s._has(_bracket_supp(adj, ri, rows[j])):
+                        raise ValueError("subspace is not closed under the bracket")
                     novel = True
                     break
-            if novel:
-                settle_exactly(ri, rows[j])
-    return acc.to_subspace(L)
+            if novel or not screened:
+                settle_exactly(ri, rows[j], w)
+    return _subspace(L, (r for e in acc.values() for r in e.canonical_rows()))
 
 
 def subalgebra_closure(
-    L: LieAlgebra, gens: Sequence[Element], within: Subspace | None = None
+    L: LieAlgebra,
+    gens: Sequence[Element],
+    within: Subspace | None = None,
+    weights: Sequence[int] | None = None,
 ) -> Subspace:
     """Smallest bracket-closed subspace containing the generators.
 
@@ -551,22 +692,47 @@ def subalgebra_closure(
     generators (containment is checked here, closedness is the caller's
     contract); it then bounds the iteration, which stops as soon as the
     accumulated span fills it.
+
+    `weights` is a grading of L (see `centralizer`); the generators must be
+    homogeneous and `within` graded (ValueError otherwise).  The span is
+    then accumulated weight by weight, and a bracket [u, v] of weight i + j
+    is not formed when the span's part of that weight is already full: all
+    of g(i + j), or all of within's rows of that weight (none at all when
+    within has no such rows).  Under within's contract such a bracket lies
+    in the span already, so the result is the same for every grading.
     """
+    weights, blocks = _grading(L, weights)
+    if within is None:
+        cap = {w: len(idx) for w, idx in blocks.items()}
+        limit = L.dim
+    else:
+        cap = Counter(within.row_weights(weights))
+        limit = within.dim
+    queue: list[tuple[dict, int]] = []
     for g in gens:
         if len(g.coeffs) != L.dim:
             raise ValueError("dimension mismatch")
         if within is not None and not within.contains(g):
             raise ValueError("generator lies outside the enclosing subspace")
-    limit = within.dim if within is not None else L.dim
-    acc = _Echelon()
-    screens = [_ModSpan(p) for p in _PRIMES]
-    basis_rows: list[dict[int, Fraction]] = []
-    queue: list[dict] = [_sparse_row(g.coeffs) for g in gens]
+        v = _sparse_row(g.coeffs)
+        ws = {weights[k] for k in v}
+        if len(ws) > 1:
+            raise ValueError("generator is not homogeneous for the grading")
+        if ws:
+            queue.append((v, ws.pop()))
+    acc: dict[int, _Echelon] = defaultdict(_Echelon)
+    screens: dict[int, list[_ModSpan]] = defaultdict(
+        lambda: [_ModSpan(p) for p in _PRIMES]
+    )
+    basis_rows: list[tuple[dict[int, Fraction], int]] = []
+    found = 0
     adj = L._adj
     while queue:
-        v = queue.pop()
+        v, w = queue.pop()
+        if acc[w].dim >= cap.get(w, 0):
+            continue
         screened = False
-        for sp in screens:
+        for sp in screens[w]:
             if not sp.usable:
                 continue
             vm = sp.mod_row(v)
@@ -578,20 +744,23 @@ def subalgebra_closure(
         else:
             if screened:
                 continue  # in the span mod every usable prime
-        residual = acc.reduce({k: Fraction(x) for k, x in v.items()})
+        residual = acc[w].reduce({k: Fraction(x) for k, x in v.items()})
         if not residual:
             continue
-        row = acc._store(residual)
-        for sp in screens:
+        row = acc[w]._store(residual)
+        for sp in screens[w]:
             sp.add(row)
-        if acc.dim >= limit:
+        found += 1
+        if found >= limit:
             break
-        for u in basis_rows:
-            w = _bracket_supp(adj, u, row)
-            if w:
-                queue.append(w)
-        basis_rows.append(row)
-    return acc.to_subspace(L)
+        for u, a in basis_rows:
+            t = a + w
+            if acc[t].dim < cap.get(t, 0):
+                b = _bracket_supp(adj, u, row)
+                if b:
+                    queue.append((b, t))
+        basis_rows.append((row, w))
+    return _subspace(L, (r for e in acc.values() for r in e.canonical_rows()))
 
 
 def quotient_with_action(
@@ -599,52 +768,28 @@ def quotient_with_action(
 ) -> tuple[int, tuple[int, ...]]:
     """Dimension and h-eigenvalue multiset of the quotient s/t.
 
-    Both spaces must be stable under ad h (checked), t must sit inside s
-    (checked), and h must act with integer eigenvalues.  The multiset is
-    computed gradewise: the multiplicity of k is dim(s ∩ g(k)) - dim(t ∩ g(k)).
+    t must sit inside s, h must act with integer eigenvalues, and both
+    spaces must be stable under ad h (all checked).  The basis vectors are
+    ad h eigenvectors, so a subspace is ad h-stable exactly when it is
+    graded by their eigenvalues, that is, when every canonical row is
+    homogeneous (block lemma, see `Subspace`).  The multiplicity of k is
+    then dim(s ∩ g(k)) - dim(t ∩ g(k)), the number of canonical rows of
+    weight k in s minus that in t.
     """
     if s.amb is not L or t.amb is not L:
         raise ValueError("subspace belongs to a different algebra")
-    values = L.cartan_values(h)
-    s_check = _Echelon.from_matrix(s.basis)
-    for row in t.basis.data:
-        if not s_check.contains(_sparse_row(row)):
-            raise ValueError("t is not contained in s")
-    t_check = _Echelon.from_matrix(t.basis)
-    sh = _sparse_row(h.coeffs)
-    for space, checker in ((s, s_check), (t, t_check)):
-        for row in space.basis.data:
-            img = _bracket_supp(L._adj, sh, _sparse_row(row))
-            if img and not checker.contains(img):
-                raise ValueError("subspace is not stable under ad h")
-
-    weights: list[int] = []
-    for c in L._root_of_index:
-        w = sum(m * v for m, v in zip(c, values))
-        if w.denominator != 1:
-            raise ValueError("ad h does not act with integer eigenvalues")
-        weights.append(int(w))
-    weights.extend([0] * L.rank)
-
-    def graded_dims(space: Subspace) -> dict[int, int]:
-        buckets: dict[int, _Echelon] = {}
-        for row in space.basis.data:
-            parts: dict[int, dict[int, Fraction]] = {}
-            for i, v in _sparse_row(row).items():
-                parts.setdefault(weights[i], {})[i] = v
-            for w, comp in parts.items():
-                buckets.setdefault(w, _Echelon()).insert(comp)
-        return {w: e.dim for w, e in buckets.items()}
-
-    dims_s = graded_dims(s)
-    dims_t = graded_dims(t)
-    out: list[int] = []
-    for w in sorted(dims_s):
-        mult = dims_s[w] - dims_t.get(w, 0)
-        if mult < 0:
-            raise ValueError("inconsistent graded dimensions")
-        out.extend([w] * mult)
-    total = s.dim - t.dim
-    if len(out) != total:
-        raise ValueError("graded dimension mismatch")
-    return total, tuple(sorted(out))
+    weights = L.basis_weights(L.cartan_values(h))
+    if any(Fraction(w).denominator != 1 for w in weights):
+        raise ValueError("ad h does not act with integer eigenvalues")
+    weights = tuple(int(w) for w in weights)
+    if not all(s._has(row) for row in t._row_at.values()):
+        raise ValueError("t is not contained in s")
+    try:
+        mult = Counter(s.row_weights(weights))
+        mult.subtract(t.row_weights(weights))
+    except ValueError:
+        raise ValueError("subspace is not stable under ad h") from None
+    if any(m < 0 for m in mult.values()):
+        raise ValueError("inconsistent graded dimensions")
+    out = tuple(sorted(mult.elements()))
+    return len(out), out

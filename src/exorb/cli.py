@@ -13,6 +13,7 @@ import io
 import json
 import os
 import sys
+import traceback
 from dataclasses import dataclass
 
 from .algebra import LieAlgebra, build_lie_algebra
@@ -450,8 +451,9 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return EXIT_USAGE
-    except Exception as exc:  # pragma: no cover - defensive
-        sys.stderr.write(f"internal error: {exc}\n")
+    except Exception as exc:
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
+        traceback.print_exc(file=sys.stderr)
         return EXIT_INTERNAL
 
 

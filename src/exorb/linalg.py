@@ -156,19 +156,33 @@ def rank(m: RatMatrix) -> int:
     return len(rref(m)[1])
 
 
+def _kernel_rows(rows: list[list[int]], cols: int) -> list[dict[int, Fraction]]:
+    """Canonical basis of the null space of an integer matrix, as sparse rows.
+
+    The elimination runs with the columns in reverse order.  Then each pivot
+    row has entries only at its pivot and at free columns of smaller original
+    index, so the null vector of a free column f has its leading 1 at f and
+    zeros at every other free column: the vectors read off are already the
+    reduced row-echelon basis, in increasing pivot order.
+    """
+    reduced, pivots = _eliminate([row[::-1] for row in rows], cols)
+    pivot_set = set(pivots)
+    out = []
+    for t in range(cols - 1, -1, -1):
+        if t in pivot_set:
+            continue
+        v = {cols - 1 - t: Fraction(1)}
+        for row, c in zip(reduced, pivots):
+            if row[t]:
+                v[cols - 1 - c] = Fraction(-row[t], row[c])
+        out.append(v)
+    return out
+
+
 def kernel(m: RatMatrix) -> RatMatrix:
     """Canonical basis of the right null space."""
-    reduced, pivots = rref(m)
-    pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
-    rows = []
-    for f in free:
-        v = [Fraction(0)] * m.cols
-        v[f] = Fraction(1)
-        for r, c in enumerate(pivots):
-            v[c] = -reduced.data[r][f]
-        rows.append(v)
-    return rref(RatMatrix(rows, m.cols))[0]
+    rows = _kernel_rows(_int_rows(m), m.cols)
+    return RatMatrix([[v.get(c, 0) for c in range(m.cols)] for v in rows], m.cols)
 
 
 def solve(m: RatMatrix, rhs: Sequence[Fraction | int]) -> tuple[Fraction, ...] | None:

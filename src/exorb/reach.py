@@ -5,6 +5,11 @@ whether the representative lies in the derived subalgebra (reachable),
 whether the two coincide (strongly reachable), whether g(1)_e generates the
 nonnegative-weight part g(>=1)_e, and the dimension and h-weights of the
 quotient g_e/[g_e, g_e].
+
+All of these are graded by ad h, and every layer is passed the diagram's
+basis weights, so it works weight by weight on small blocks; the results
+are the same canonical bases as without a grading (the block lemma, see
+`algebra.Subspace`).
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .algebra import (
+    Element,
     LieAlgebra,
     Subspace,
     centralizer,
@@ -20,6 +26,7 @@ from .algebra import (
     quotient_with_action,
     subalgebra_closure,
 )
+from .linalg import RatMatrix
 from .orbits import NilpotentOrbit, WeightedDynkinDiagram, enumerate_orbits
 
 __all__ = [
@@ -44,38 +51,33 @@ class OrbitAnalysis:
     ce_weights: tuple[int, ...]
 
 
-def _graded_rows(L: LieAlgebra, space: Subspace, labels: tuple[int, ...]):
-    """Split a subspace with weight-homogeneous basis rows by weight."""
-    weights = L.basis_weights(labels)
-    out: dict[int, list] = {}
-    for row in space.basis.data:
-        ws = {weights[i] for i, c in enumerate(row) if c}
-        if len(ws) != 1:
-            raise ValueError("basis row mixes weights")
-        out.setdefault(ws.pop(), []).append(row)
-    return out
-
-
 def _analyze_full(
     L: LieAlgebra, o: NilpotentOrbit
 ) -> tuple[OrbitAnalysis, Subspace, Subspace]:
+    """The analysis, g_e and [g_e, g_e], all computed in the ad h grading.
+
+    e has ad h-weight 2, so every space here is graded by the basis weights
+    of the diagram and each layer works weight by weight (see
+    `centralizer`).  By the block lemma the canonical rows of g_e are
+    homogeneous, so g(>=1)_e and g_e(1) are read off them as they stand.
+    """
     e, h = o.triple.e, o.triple.h
-    ge = centralizer(L, e)
-    derived = derived_subalgebra(L, ge)
+    labels = o.diagram.labels
+    if L.cartan_values(h) != labels:
+        raise ValueError(f"h does not realize the diagram {o.diagram}")
+    weights = L.basis_weights(labels)
+    ge = centralizer(L, e, weights)
+    derived = derived_subalgebra(L, ge, weights)
     reachable = derived.contains(e)
     strongly = derived.dim == ge.dim
 
-    rows_by_weight = _graded_rows(L, ge, o.diagram.labels)
-    upper_rows = [r for w, rows in rows_by_weight.items() if w >= 1 for r in rows]
-    upper = Subspace.from_rows(L, upper_rows) if upper_rows else Subspace.zero(L)
-    if 1 in rows_by_weight:
-        gens = Subspace.from_rows(L, rows_by_weight[1]).basis_elements()
-    else:
-        gens = []
-    closure = subalgebra_closure(L, gens, within=upper)
+    graded = list(zip(ge.basis.data, ge.row_weights(weights)))
+    upper = Subspace(L, RatMatrix([r for r, w in graded if w >= 1], L.dim))
+    gens = [Element(r) for r, w in graded if w == 1]
+    closure = subalgebra_closure(L, gens, within=upper, weights=weights)
     panyushev = closure.dim == upper.dim
 
-    dim_ce, weights = quotient_with_action(L, ge, derived, h)
+    dim_ce, ce_weights = quotient_with_action(L, ge, derived, h)
     analysis = OrbitAnalysis(
         orbit=o,
         dim_ge=ge.dim,
@@ -84,13 +86,13 @@ def _analyze_full(
         strongly_reachable=strongly,
         panyushev_generated=panyushev,
         dim_ce=dim_ce,
-        ce_weights=weights,
+        ce_weights=ce_weights,
     )
     return analysis, ge, derived
 
 
 def analyze(L: LieAlgebra, o: NilpotentOrbit) -> OrbitAnalysis:
-    """Full exact report for one orbit."""
+    """Full exact report for one orbit, computed in its ad h grading."""
     return _analyze_full(L, o)[0]
 
 

@@ -15,7 +15,7 @@ from exorb.algebra import (
     quotient_with_action,
     subalgebra_closure,
 )
-from exorb.linalg import member, rank, rref
+from exorb.linalg import RatMatrix, member, rank, rref
 from exorb.orbits import characteristic_element, WeightedDynkinDiagram
 
 DIMS = {"G2": 14, "F4": 52, "E6": 78, "E7": 133, "E8": 248}
@@ -210,3 +210,117 @@ def test_subspace_basis_is_canonical():
     reduced, pivots = rref(c.basis)
     assert reduced == c.basis
     assert len(pivots) == c.dim == rank(c.basis)
+
+
+def test_contains_reduces_against_the_canonical_basis(monkeypatch):
+    import exorb.algebra
+    import exorb.linalg
+
+    L = build_lie_algebra("F4")
+    rng = random.Random(11)
+    e = L.root_vector(L.rs.positive_roots[-1])
+    s = centralizer(L, e)
+    inside = []
+    for _ in range(10):
+        v = L.zero()
+        for row in rng.sample(s.basis.data, 4):
+            v = v + Fraction(rng.randint(-5, 5), rng.randint(1, 3)) * Element(row)
+        inside.append(v)
+    probes = inside + [_random_element(L, rng, sparsity=3) for _ in range(30)]
+    expected = [member(v.coeffs, s.basis) for v in probes]
+    assert any(expected) and not all(expected)
+
+    calls = []
+
+    def counting_rref(m):
+        calls.append(m)
+        return rref(m)
+
+    monkeypatch.setattr(exorb.linalg, "rref", counting_rref)
+    monkeypatch.setattr(exorb.algebra, "rref", counting_rref)
+    assert [s.contains(v) for v in probes] == expected
+    assert calls == []
+
+
+def test_subspace_rejects_a_basis_that_is_not_canonical():
+    L = build_lie_algebra("A2")
+    x, y = sorted(
+        (L.root_vector((1, 0)).coeffs, L.root_vector((0, 1)).coeffs), reverse=True
+    )  # x has the smaller pivot
+    with pytest.raises(ValueError):
+        Subspace(L, RatMatrix([y, x], L.dim))  # pivots out of order
+    with pytest.raises(ValueError):
+        Subspace(L, RatMatrix([[2 * c for c in x]], L.dim))  # pivot entry 2
+    with pytest.raises(ValueError):
+        Subspace(L, RatMatrix([[a + b for a, b in zip(x, y)], y], L.dim))
+    assert Subspace(L, RatMatrix([x, y], L.dim)).dim == 2
+
+
+def _triple_orbits():
+    from exorb.orbits import (
+        NilpotentOrbit,
+        complete_triple,
+        enumerate_orbits,
+        find_representative,
+    )
+    from exorb.refdata import load_tables
+
+    for name in ("G2", "F4"):
+        L = build_lie_algebra(name)
+        for o in enumerate_orbits(L):
+            yield L, o
+    L = build_lie_algebra("E6")
+    tables = load_tables()
+    for label in ("A1", "2A2+A1", "D4(a1)", "E6"):
+        d = WeightedDynkinDiagram(tables.by_label("E6", label).diagram)
+        e = find_representative(L, d)
+        h = characteristic_element(L, d)
+        yield L, NilpotentOrbit(d, complete_triple(L, h, e))
+
+
+def test_graded_layers_agree_with_the_trivial_grading():
+    checked = 0
+    for L, o in _triple_orbits():
+        e, h = o.triple.e, o.triple.h
+        weights = L.basis_weights(o.diagram.labels)
+        ge = centralizer(L, e, weights)
+        assert ge.basis == centralizer(L, e).basis
+        derived = derived_subalgebra(L, ge, weights)
+        assert derived.basis == derived_subalgebra(L, ge).basis
+        if L.rank <= 4:  # independent oracle: rref of every pairwise bracket
+            basis = ge.basis_elements()
+            images = [L.zero().coeffs] + [
+                bracket(L, a, b).coeffs for a, b in combinations(basis, 2)
+            ]
+            assert derived == Subspace.from_rows(L, images)
+        graded = list(zip(ge.basis.data, ge.row_weights(weights)))
+        upper = Subspace.from_rows(L, [r for r, w in graded if w >= 1] or [L.zero().coeffs])
+        gens = [Element(r) for r, w in graded if w == 1]
+        closure = subalgebra_closure(L, gens, within=upper, weights=weights)
+        assert closure.dim == subalgebra_closure(L, gens, within=upper).dim
+        assert closure.dim == subalgebra_closure(L, gens).dim
+        assert quotient_with_action(L, ge, derived, h) == quotient_with_action(
+            L, centralizer(L, e), derived_subalgebra(L, ge), h
+        )
+        checked += 1
+    assert checked == 4 + 15 + 4
+
+
+def test_gradings_are_checked():
+    L = build_lie_algebra("G2")
+    weights = L.basis_weights((1, 0))
+    x = L.root_vector((1, 0))
+    y = L.root_vector((0, 1))
+    with pytest.raises(ValueError):
+        centralizer(L, x, weights[:-1])  # wrong length
+    with pytest.raises(ValueError):
+        centralizer(L, x, (1,) + weights[1:])  # not a grading of the product
+    with pytest.raises(ValueError):
+        centralizer(L, x + L.root_vector((-1, 0)), weights)  # mixes weights
+    mixed = Subspace.from_rows(L, [(x + y).coeffs])
+    with pytest.raises(ValueError):
+        derived_subalgebra(L, mixed, weights)  # s is not graded
+    with pytest.raises(ValueError):
+        subalgebra_closure(L, [x + y], weights=weights)  # generator mixes
+    assert subalgebra_closure(L, [x, y], weights=weights).dim == 6  # n+ of G2
+    assert centralizer(L, L.zero(), weights).dim == L.dim

@@ -7,7 +7,9 @@ from pathlib import Path
 
 import exorb
 
+from exorb import cli
 from exorb.cli import (
+    EXIT_INTERNAL,
     EXIT_MISMATCH,
     EXIT_OK,
     EXIT_USAGE,
@@ -176,3 +178,18 @@ def test_verify_output_is_unchanged_under_optimization():
     )
     assert plain.returncode == optimized.returncode == EXIT_OK
     assert plain.stdout and optimized.stdout == plain.stdout
+
+
+def test_internal_error_keeps_the_traceback(monkeypatch, capsys):
+    def broken(cfg, type_names=None):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "run", broken)
+    assert main(["classify", "G2"]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    first, *rest = captured.err.splitlines()
+    assert first == "internal error: RuntimeError: boom"
+    assert rest[0] == "Traceback (most recent call last):"
+    assert any("in broken" in line for line in rest)
+    assert rest[-1] == "RuntimeError: boom"

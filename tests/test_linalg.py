@@ -3,6 +3,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from exorb.linalg import RatMatrix, intersect, kernel, member, rank, rref, solve
 
@@ -172,3 +173,37 @@ def test_floats_are_rejected_everywhere():
         solve(m, [0.5])
     with pytest.raises(TypeError):
         member([0.5, 1], m)
+
+
+@st.composite
+def _block_rows(draw):
+    """Integer rows, each supported inside one of several disjoint blocks."""
+    cols = draw(st.integers(1, 12))
+    labels = draw(st.lists(st.integers(0, 3), min_size=cols, max_size=cols))
+    blocks = {}
+    for c, b in enumerate(labels):
+        blocks.setdefault(b, []).append(c)
+    rows = []
+    for idx in blocks.values():
+        for _ in range(draw(st.integers(0, len(idx) + 1))):
+            row = [0] * cols
+            for c in idx:
+                row[c] = draw(st.integers(-4, 4))
+            rows.append(row)
+    rows = draw(st.permutations(rows))
+    return cols, list(blocks.values()), rows
+
+
+@given(_block_rows())
+@settings(max_examples=200, deadline=None)
+def test_rref_of_block_rows_is_the_union_of_block_rrefs(case):
+    cols, blocks, rows = case
+    whole, pivots = rref(RatMatrix(rows, cols))
+    union = []
+    for idx in blocks:
+        part = [r for r in rows if any(r[c] for c in idx)]
+        reduced, block_pivots = rref(RatMatrix(part, cols))
+        union.extend(zip(block_pivots, reduced.data))
+    union.sort()
+    assert tuple(p for p, _ in union) == pivots
+    assert whole == RatMatrix([r for _, r in union], cols)

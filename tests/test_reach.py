@@ -76,15 +76,15 @@ def test_rigid_report_requires_complete_flags():
 
 def test_weight_one_piece_brackets_back_onto_itself():
     # [g(0)_e, g(1)_e] = g(1)_e for every nilpotent representative
-    from exorb.algebra import Subspace, bracket
-    from exorb.reach import _graded_rows
+    from exorb.algebra import Subspace, bracket, centralizer
 
     L = build_lie_algebra("F4")
     for o in enumerate_orbits(L):
-        from exorb.algebra import centralizer
-
+        weights = L.basis_weights(o.diagram.labels)
         ge = centralizer(L, o.triple.e)
-        rows = _graded_rows(L, ge, o.diagram.labels)
+        rows: dict[int, list] = {}
+        for row, w in zip(ge.basis.data, ge.row_weights(weights)):
+            rows.setdefault(w, []).append(row)
         if 1 not in rows:
             continue
         g1 = Subspace.from_rows(L, rows[1])
@@ -100,3 +100,21 @@ def test_weight_one_piece_brackets_back_onto_itself():
                     images.append(img.coeffs)
         span = Subspace.from_rows(L, images) if images else Subspace.zero(L)
         assert span.dim == g1.dim
+
+
+def test_analyses_from_two_threads_match_the_serial_ones():
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    L = build_lie_algebra("F4")
+    orbits = enumerate_orbits(L)
+    serial = [analyze(L, o) for o in orbits]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            threaded = list(pool.map(lambda o: analyze(L, o), orbits, timeout=300))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(threaded) == 15
+    assert threaded == serial
