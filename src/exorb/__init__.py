@@ -6,7 +6,6 @@ from .roots import (
     RootSystem,
     build_root_system,
     structure_constant,
-    dominant_weyl_representative,
 )
 from .linalg import RatMatrix, rref, rank, kernel, solve, intersect, member
 from .algebra import (
@@ -23,17 +22,13 @@ from .algebra import (
 )
 from .orbits import (
     WeightedDynkinDiagram,
-    Characteristic,
     Sl2Triple,
-    Grading,
     NilpotentOrbit,
     characteristic_element,
-    grading_from_h,
     dynkin_test,
     find_representative,
     complete_triple,
     enumerate_orbits,
-    orbit_dimension,
 )
 from .reach import OrbitAnalysis, analyze, reachable_table, rigid_discrepancy_report
 from .refdata import OrbitRecord, ExceptionRecord, load_tables, lookup, exceptions
@@ -46,7 +41,6 @@ __all__ = [
     "RootSystem",
     "build_root_system",
     "structure_constant",
-    "dominant_weyl_representative",
     "RatMatrix",
     "rref",
     "rank",
@@ -65,17 +59,13 @@ __all__ = [
     "subalgebra_closure",
     "quotient_with_action",
     "WeightedDynkinDiagram",
-    "Characteristic",
     "Sl2Triple",
-    "Grading",
     "NilpotentOrbit",
     "characteristic_element",
-    "grading_from_h",
     "dynkin_test",
     "find_representative",
     "complete_triple",
     "enumerate_orbits",
-    "orbit_dimension",
     "OrbitAnalysis",
     "analyze",
     "reachable_table",

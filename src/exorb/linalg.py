@@ -92,18 +92,20 @@ def _strip(row: list[int]) -> None:
                 row[i] = x // g
 
 
+def _int_row(entries: Sequence[Fraction | int]) -> list[int]:
+    """The entries times the lcm of their denominators, content stripped."""
+    scale = 1
+    for x in entries:
+        d = x.denominator
+        if d != 1:
+            scale = scale * d // gcd(scale, d)
+    ints = [x.numerator * (scale // x.denominator) for x in entries]
+    _strip(ints)
+    return ints
+
+
 def _int_rows(m: RatMatrix) -> list[list[int]]:
-    out = []
-    for row in m.data:
-        scale = 1
-        for x in row:
-            d = x.denominator
-            if d != 1:
-                scale = scale * d // gcd(scale, d)
-        ints = [int(x * scale) for x in row] if scale != 1 else [int(x) for x in row]
-        _strip(ints)
-        out.append(ints)
-    return out
+    return [_int_row(row) for row in m.data]
 
 
 def _eliminate(rows: list[list[int]], cols: int) -> tuple[list[list[int]], list[int]]:
@@ -186,18 +188,20 @@ def kernel(m: RatMatrix) -> RatMatrix:
 
 
 def solve(m: RatMatrix, rhs: Sequence[Fraction | int]) -> tuple[Fraction, ...] | None:
-    """One solution of m x = rhs, or None when the system is inconsistent."""
+    """One solution of m x = rhs, or None when the system is inconsistent.
+
+    The augmented system is eliminated once, as integer rows; x has its
+    pivot entries read off the reduced rows and zeros at the free columns.
+    """
     if len(rhs) != m.rows:
         raise ValueError("right-hand side has wrong length")
-    aug = RatMatrix(
-        [list(row) + [_exact(b)] for row, b in zip(m.data, rhs)], m.cols + 1
-    )
-    reduced, pivots = rref(aug)
-    if m.cols in pivots:
+    rows = [_int_row(row + (_exact(b),)) for row, b in zip(m.data, rhs)]
+    reduced, pivots = _eliminate(rows, m.cols + 1)
+    if pivots and pivots[-1] == m.cols:
         return None
     x = [Fraction(0)] * m.cols
-    for r, c in enumerate(pivots):
-        x[c] = reduced.data[r][m.cols]
+    for row, c in zip(reduced, pivots):
+        x[c] = Fraction(row[-1], row[c])
     return tuple(x)
 
 

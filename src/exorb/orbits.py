@@ -1,11 +1,20 @@
-"""Nilpotent orbit machinery: gradings, diagram tests, representatives, triples.
+"""Nilpotent orbit machinery: diagram tests, representatives, triples.
 
 Orbits are identified by their weighted Dynkin diagram (labels in {0,1,2} on
 the simple roots).  A label vector is accepted when [e, f] = h is solvable in
 g(-2) for an element e in the open G(0)-orbit of g(2); the solution is the
-defining triple.  Representatives are found among sparse sums of root
-vectors, falling back to seeded random coefficients, and certified to have
-the minimal centralizer dimension dim g(0) + dim g(1).
+defining triple.
+
+Representatives are sums of root vectors x_j with every coefficient 1, over
+linearly independent roots of g(2), the form of the standard tables.  The
+unit coefficients lose nothing: the maximal torus T lies in G(0) and scales
+each x_j by the character of its root, and over an algebraically closed
+field the characters of linearly independent roots take any nonzero values
+at once, so every sum with the same support and nonzero coefficients is
+T-conjugate to the unit sum and lies in the same G(0)-orbit.  Each representative is certified exactly to
+have the minimal centralizer dimension dim g(0) + dim g(1), i.e. to lie in
+the open G(0)-orbit of g(2); a seeded random fallback with small integer
+coefficients is kept for a search that runs out of root orders.
 """
 
 from __future__ import annotations
@@ -13,41 +22,30 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 from typing import Sequence
 
 import numpy as np
 
-from ._modp import has_full_rank
-from .algebra import (
-    Element,
-    LieAlgebra,
-    Subspace,
-    _scaled_support,
-    bracket,
-    centralizer,
-)
+from ._modp import PRIMES, has_full_rank, rank_mod
+from .algebra import Element, LieAlgebra, _scaled_support, bracket
 from .linalg import RatMatrix, solve
 
 __all__ = [
     "WeightedDynkinDiagram",
-    "Characteristic",
     "Sl2Triple",
-    "Grading",
     "NilpotentOrbit",
     "TripleInsolubleError",
     "characteristic_element",
-    "grading_from_h",
     "dynkin_test",
     "find_representative",
     "complete_triple",
     "enumerate_orbits",
-    "orbit_dimension",
 ]
 
 DEFAULT_TRIALS = 25
 TRIAL_COEFF_MAX = 10_000
-SUBSET_BUDGET = 200
+RESTART_BUDGET = 50
 RANDOM_BUDGET = 600
 RANDOM_COEFF_MAX = 10
 
@@ -77,30 +75,10 @@ class WeightedDynkinDiagram:
 
 
 @dataclass(frozen=True)
-class Characteristic:
-    """The dominant Cartan element realizing a diagram's labels."""
-
-    h: Element
-
-
-@dataclass(frozen=True)
 class Sl2Triple:
     e: Element
     h: Element
     f: Element
-
-
-@dataclass(frozen=True)
-class Grading:
-    """The eigenspace decomposition of the algebra under ad h."""
-
-    pieces: dict[int, Subspace]
-
-    def piece(self, k: int) -> Subspace | None:
-        return self.pieces.get(k)
-
-    def dims(self) -> dict[int, int]:
-        return {k: s.dim for k, s in sorted(self.pieces.items())}
 
 
 class TripleInsolubleError(RuntimeError):
@@ -130,30 +108,6 @@ def characteristic_element(L: LieAlgebra, d: WeightedDynkinDiagram) -> Element:
     return Element(tuple(out))
 
 
-def grading_from_h(L: LieAlgebra, h: Element) -> Grading:
-    """Eigenspace decomposition g = sum of g(k) for a Cartan element h."""
-    values = L.cartan_values(h)
-    buckets: dict[int, list[int]] = {}
-    for i in range(L.dim):
-        if i < 2 * L.npos:
-            c = L._root_of_index[i]
-            w = sum(m * v for m, v in zip(c, values))
-            if w.denominator != 1:
-                raise ValueError("ad h does not act with integer eigenvalues")
-            buckets.setdefault(int(w), []).append(i)
-        else:
-            buckets.setdefault(0, []).append(i)
-    pieces = {}
-    for k, idxs in buckets.items():
-        rows = []
-        for i in sorted(idxs):
-            row = [Fraction(0)] * L.dim
-            row[i] = Fraction(1)
-            rows.append(row)
-        pieces[k] = Subspace(L, RatMatrix(rows, L.dim))
-    return Grading(pieces)
-
-
 # -- internal weight bookkeeping --------------------------------------------
 
 
@@ -180,6 +134,45 @@ def _block_matrix(
                 for k, n in hits:
                     out[pos[k], col] += c * n
     return out
+
+
+def _g2_blocks(L: LieAlgebra, buckets: dict[int, list[int]]) -> np.ndarray:
+    """The blocks ad x_j : g(0) -> g(2), stacked in the order of g(2).
+
+    ad e restricted to g(0) is linear in e, so for e = sum c_j x_j over g(2)
+    it is the sum of c_j times these blocks.
+    """
+    g0, g2 = buckets.get(0, []), buckets[2]
+    return np.stack([_block_matrix(L, {j: 1}, g0, g2) for j in g2])
+
+
+def _rank_greedy_support(
+    L: LieAlgebra, g2: list[int], blocks: np.ndarray, order: list[int]
+) -> list[int] | None:
+    """Roots of g(2) picked along `order` until ad e maps g(0) onto g(2).
+
+    A root is kept when it is linearly independent of the roots kept so far
+    and raises the mod-p rank of the sum of their blocks.  Returns the kept
+    positions (into g2) once that rank is dim g(2), or None when the order
+    runs out first.  The mod-p ranks are lower bounds of the rational ones,
+    so a kept root is truly independent and the final rank truly full.
+    """
+    p = PRIMES[0]
+    kept: list[int] = []
+    reached = 0
+    for q in order:
+        trial = kept + [q]
+        roots = np.array([L._root_of_index[g2[t]] for t in trial], dtype=np.int64)
+        if rank_mod(roots, p) < len(trial):
+            continue
+        r = rank_mod(blocks[trial].sum(axis=0), p)
+        if r > reached:
+            kept, reached = trial, r
+            if reached == len(g2):
+                return kept
+            if len(kept) == L.rank:
+                return None
+    return None
 
 
 def _interlaced(buckets: dict[int, list[int]]) -> bool:
@@ -259,7 +252,7 @@ def dynkin_test(
         return False
     if len(buckets.get(1, ())) % 2:
         return False
-    blocks = np.stack([_block_matrix(L, {j: 1}, g0, g2) for j in g2])
+    blocks = _g2_blocks(L, buckets)
     rng = random.Random(_derive_seed(seed, d.labels))
     for _ in range(trials):
         coeffs = [rng.randint(1, TRIAL_COEFF_MAX) for _ in g2]
@@ -280,15 +273,28 @@ def find_representative(
 ) -> Element:
     """A representative e in g(2) with dim g_e = dim g(0) + dim g(1).
 
-    Tries sums of basis root vectors over small subsets first (unit
-    coefficients, sizes 1..5 in deterministic order), then seeded random
-    small-integer combinations.  Deterministic for a fixed seed.
+    e is a sum of root vectors of g(2) with every coefficient 1, over at most
+    rank linearly independent roots, picked by a rank-greedy walk: along an
+    order of the roots of g(2), a root is kept when it is independent of the
+    kept ones and raises the mod-p rank of ad e : g(0) -> g(2).  The first
+    order is the basis order, the next ones are seeded shuffles.  Once that
+    rank reaches dim g(2), e is accepted only if every block of ad e passes
+    the centralizer certificate; else the walk restarts with the next order.
+
+    Restricting to unit coefficients loses nothing, because the torus scales
+    each root vector by its own character and the characters of independent
+    roots are independent: any nonzero coefficients on the same support give
+    a G(0)-conjugate of e.  An accepted e is exact, not probable: a rank mod
+    p never exceeds the rational rank, so full rank mod p proves full
+    rational rank.  After `RESTART_BUDGET` orders the search falls back to
+    seeded random combinations with coefficients in [1, RANDOM_COEFF_MAX],
+    certified the same way.  Deterministic for a fixed seed.
     """
     if len(d.labels) != L.rank:
         raise ValueError("diagram rank mismatch")
     if d.is_zero():
         return L.zero()
-    weights, buckets = _weight_layout(L, d.labels)
+    _, buckets = _weight_layout(L, d.labels)
     g2 = buckets.get(2, [])
     if not g2 or not _interlaced(buckets):
         raise ValueError(f"not a weighted Dynkin diagram: {d}")
@@ -296,17 +302,15 @@ def find_representative(
     def accepted(supp: dict[int, int]) -> bool:
         return _centralizer_dim_is_minimal(L, supp, buckets)
 
-    tried = 0
-    for size in range(1, min(5, len(g2)) + 1):
-        if tried >= SUBSET_BUDGET:
-            break
-        for subset in combinations(g2, size):
-            supp = {j: 1 for j in subset}
-            if accepted(supp):
-                return L.element({j: Fraction(1) for j in subset})
-            tried += 1
-            if tried >= SUBSET_BUDGET:
-                break
+    blocks = _g2_blocks(L, buckets)
+    order = list(range(len(g2)))
+    shuffler = random.Random(_derive_seed(seed, d.labels) + 2)
+    for attempt in range(RESTART_BUDGET):
+        if attempt:
+            shuffler.shuffle(order)
+        kept = _rank_greedy_support(L, g2, blocks, order)
+        if kept is not None and accepted({g2[q]: 1 for q in kept}):
+            return L.element({g2[q]: Fraction(1) for q in kept})
     rng = random.Random(_derive_seed(seed, d.labels) + 1)
     for _ in range(RANDOM_BUDGET):
         supp = {j: rng.randint(1, RANDOM_COEFF_MAX) for j in g2}
@@ -378,7 +382,3 @@ def enumerate_orbits(
     found.sort(key=lambda item: (item[0], item[1]))
     return [o for _, _, o in found]
 
-
-def orbit_dimension(L: LieAlgebra, o: NilpotentOrbit) -> int:
-    """dim G.e = dim g - dim g_e."""
-    return L.dim - centralizer(L, o.triple.e).dim

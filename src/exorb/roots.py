@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
 
 __all__ = [
     "TypeRank",
@@ -18,7 +17,6 @@ __all__ = [
     "RootSystem",
     "build_root_system",
     "structure_constant",
-    "dominant_weyl_representative",
 ]
 
 _E_CHAIN = ((0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7))
@@ -348,24 +346,3 @@ def structure_constant(rs: RootSystem, a: Root, b: Root) -> int:
         raise ValueError("opposite roots: the bracket lies in the Cartan subalgebra")
     return rs.structconsts.get((a.coeffs, b.coeffs), 0)
 
-
-def dominant_weyl_representative(
-    rs: RootSystem, h_coords: Sequence[Fraction | int]
-) -> tuple[Fraction, ...]:
-    """Dominant Weyl-chamber representative of a Cartan element.
-
-    `h_coords` are coordinates over the simple coroots; the result is the
-    unique conjugate with all simple-root values nonnegative, reached by
-    repeated simple reflections (each one strictly reduces the negativity).
-    """
-    if len(h_coords) != rs.rank:
-        raise ValueError("coordinate vector has wrong length")
-    c = [Fraction(x) for x in h_coords]
-    while True:
-        for i in range(rs.rank):
-            v = sum(c[j] * rs.cartan[i][j] for j in range(rs.rank))
-            if v < 0:
-                c[i] -= v
-                break
-        else:
-            return tuple(c)

@@ -111,6 +111,32 @@ def test_solve_rejects_bad_shape():
         solve(RatMatrix([[1, 2]]), [1, 2])
 
 
+@st.composite
+def _systems(draw):
+    rows, cols = draw(st.integers(0, 5)), draw(st.integers(1, 5))
+    # Zeros are drawn often, so that rank-deficient and inconsistent
+    # systems are common.
+    entry = st.one_of(
+        st.just(Fraction(0)),
+        st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    )
+    m = [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+    rhs = [draw(st.one_of(entry, st.integers(-3, 3))) for _ in range(rows)]
+    return RatMatrix(m, cols), rhs
+
+
+@given(_systems())
+@settings(max_examples=200, deadline=None)
+def test_solve_solves_exactly_or_reports_inconsistency(case):
+    m, rhs = case
+    x = solve(m, rhs)
+    augmented = RatMatrix([row + (b,) for row, b in zip(m.data, rhs)], m.cols + 1)
+    assert (x is None) == (rank(augmented) > rank(m))
+    if x is not None:
+        assert len(x) == m.cols
+        assert all(sum(a * v for a, v in zip(row, x)) == b for row, b in zip(m.data, rhs))
+
+
 def test_intersect_dimension_formula_and_symmetry():
     rng = random.Random(10)
     for _ in range(30):

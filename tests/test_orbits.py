@@ -3,9 +3,14 @@ from fractions import Fraction
 import pytest
 
 from exorb import orbits
-from exorb.algebra import bracket, build_lie_algebra, centralizer
+from exorb.algebra import (
+    Subspace,
+    bracket,
+    build_lie_algebra,
+    centralizer,
+    quotient_with_action,
+)
 from exorb.orbits import (
-    Characteristic,
     NilpotentOrbit,
     TripleInsolubleError,
     WeightedDynkinDiagram,
@@ -14,9 +19,8 @@ from exorb.orbits import (
     dynkin_test,
     enumerate_orbits,
     find_representative,
-    grading_from_h,
-    orbit_dimension,
 )
+from exorb.linalg import RatMatrix, rank
 from exorb.refdata import load_tables
 
 
@@ -68,45 +72,42 @@ def test_characteristic_realizes_labels():
     d = WeightedDynkinDiagram((0, 1, 0, 1))
     h = characteristic_element(L, d)
     assert L.cartan_values(h) == tuple(Fraction(v) for v in d.labels)
-    assert Characteristic(h).h == h
+
+
+def _weight_dims(weights):
+    dims = {}
+    for w in weights:
+        dims[w] = dims.get(w, 0) + 1
+    return dims
 
 
 def test_grading_zero_element_is_single_piece():
     L = build_lie_algebra("G2")
-    g = grading_from_h(L, L.zero())
-    assert set(g.pieces) == {0}
-    assert g.pieces[0].dim == L.dim
+    assert _weight_dims(L.basis_weights((0, 0))) == {0: L.dim}
 
 
 def test_grading_dimensions_are_symmetric():
     L = build_lie_algebra("G2")
-    h = characteristic_element(L, WeightedDynkinDiagram((1, 0)))
-    g = grading_from_h(L, h)
-    dims = g.dims()
+    dims = _weight_dims(L.basis_weights((1, 0)))
     assert sum(dims.values()) == L.dim
     assert all(dims[k] == dims[-k] for k in dims)
 
 
 def test_grading_pieces_multiply_compatibly():
     L = build_lie_algebra("G2")
-    h = characteristic_element(L, WeightedDynkinDiagram((0, 2)))
-    g = grading_from_h(L, h)
-    for j, sj in g.pieces.items():
-        for k, sk in g.pieces.items():
-            target = g.piece(j + k)
-            for a in sj.basis_elements()[:3]:
-                for b in sk.basis_elements()[:3]:
-                    img = bracket(L, a, b)
-                    if img.is_zero():
-                        continue
-                    assert target is not None and target.contains(img)
+    weights = L.basis_weights((0, 2))
+    for i in range(L.dim):
+        for j in range(L.dim):
+            img = bracket(L, L.basis_element(i), L.basis_element(j))
+            assert all(weights[k] == weights[i] + weights[j] for k in img.support())
 
 
 def test_grading_rejects_non_integral_action():
     L = build_lie_algebra("G2")
     h = Fraction(1, 2) * L.cartan_element(0)
-    with pytest.raises(ValueError):
-        grading_from_h(L, h)
+    whole = Subspace.from_rows(L, [L.basis_element(i).coeffs for i in range(L.dim)])
+    with pytest.raises(ValueError, match="integer eigenvalues"):
+        quotient_with_action(L, whole, whole, h)
 
 
 def test_dynkin_test_validation_and_edge_cases():
@@ -163,6 +164,49 @@ def test_representative_lives_in_weight_two_space():
     g0 = sum(1 for w in weights if w == 0)
     g1 = sum(1 for w in weights if w == 1)
     assert centralizer(L, e).dim == g0 + g1
+
+
+def _minimal_centralizer_dim(weights):
+    return sum(1 for w in weights if w in (0, 1))
+
+
+@pytest.mark.parametrize("name", ["G2", "F4", "E6", "E7", "E8"])
+def test_representatives_are_unit_sums_over_independent_roots(name):
+    L = build_lie_algebra(name)
+    seeds = (1,) if name == "E8" else (1, 2, 3)
+    for rec in load_tables().orbits(name):
+        d = WeightedDynkinDiagram(rec.diagram)
+        weights = L.basis_weights(d.labels)
+        for seed in seeds:
+            e = find_representative(L, d, seed=seed)
+            supp = e.support()
+            assert supp and all(weights[i] == 2 for i in supp)
+            assert all(e.coeffs[i] == 1 for i in supp)
+            assert len(supp) <= L.rank
+            roots = RatMatrix([L._root_of_index[i] for i in supp])
+            assert rank(roots) == len(supp)
+            assert centralizer(L, e).dim == _minimal_centralizer_dim(weights)
+
+
+@pytest.mark.parametrize("name", ["F4", "E6"])
+def test_same_seed_gives_the_same_representative(name):
+    L = build_lie_algebra(name)
+    for rec in load_tables().orbits(name):
+        d = WeightedDynkinDiagram(rec.diagram)
+        assert find_representative(L, d, seed=5) == find_representative(L, d, seed=5)
+
+
+def test_random_fallback_certifies_every_f4_representative(monkeypatch):
+    monkeypatch.setattr(orbits, "RESTART_BUDGET", 0)
+    L = build_lie_algebra("F4")
+    for rec in load_tables().orbits("F4"):
+        d = WeightedDynkinDiagram(rec.diagram)
+        weights = L.basis_weights(d.labels)
+        e = find_representative(L, d)
+        # The fallback puts a coefficient on every root vector of g(2).
+        assert set(e.support()) == {i for i, w in enumerate(weights) if w == 2}
+        assert all(1 <= e.coeffs[i] <= orbits.RANDOM_COEFF_MAX for i in e.support())
+        assert centralizer(L, e).dim == _minimal_centralizer_dim(weights)
 
 
 def test_complete_triple_rank_one_case():
@@ -252,12 +296,8 @@ def test_complete_triple_rejects_bad_pair():
 
 def test_orbit_dimension_zero_orbit_and_parity():
     L = build_lie_algebra("G2")
-    zero = NilpotentOrbit(
-        WeightedDynkinDiagram((0, 0)),
-        complete_triple(L, L.zero(), L.zero()),
-    )
-    assert orbit_dimension(L, zero) == 0
-    dims = [orbit_dimension(L, o) for o in enumerate_orbits(L)]
+    assert L.dim - centralizer(L, L.zero()).dim == 0
+    dims = [L.dim - centralizer(L, o.triple.e).dim for o in enumerate_orbits(L)]
     assert dims == [6, 8, 10, 12]
     assert all(d % 2 == 0 and d > 0 for d in dims)
 
@@ -302,7 +342,9 @@ def test_rank_one_classification():
 def test_e7_grading_cross_check():
     # dim g_e = dim g(0) + dim g(1) = 35 for the 35/33 example orbit
     L = build_lie_algebra("E7")
-    h = characteristic_element(L, WeightedDynkinDiagram((0, 0, 0, 1, 0, 1, 0)))
-    dims = grading_from_h(L, h).dims()
+    labels = (0, 0, 0, 1, 0, 1, 0)
+    h = characteristic_element(L, WeightedDynkinDiagram(labels))
+    assert L.basis_weights(L.cartan_values(h)) == L.basis_weights(labels)
+    dims = _weight_dims(L.basis_weights(labels))
     assert dims[0] + dims[1] == 35
     assert sum(dims.values()) == L.dim

@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -7,7 +6,6 @@ from exorb.roots import (
     Root,
     TypeRank,
     build_root_system,
-    dominant_weyl_representative,
     structure_constant,
 )
 
@@ -136,72 +134,6 @@ def test_root_negation_and_height():
     assert r.height == 3
     rs = build_root_system("A3")
     assert all(r.height == 1 for r in rs.positive_roots[:3])
-
-
-# -- Weyl dominance ----------------------------------------------------------
-
-
-def _values(rs, coords):
-    return [
-        sum(coords[j] * rs.cartan[i][j] for j in range(rs.rank))
-        for i in range(rs.rank)
-    ]
-
-
-def _full_weyl_orbit(rs, coords):
-    """Closure of a coordinate vector under all simple reflections."""
-    seen = {tuple(coords)}
-    frontier = [tuple(coords)]
-    while frontier:
-        nxt = []
-        for c in frontier:
-            vals = _values(rs, c)
-            for i in range(rs.rank):
-                image = list(c)
-                image[i] -= vals[i]
-                t = tuple(image)
-                if t not in seen:
-                    seen.add(t)
-                    nxt.append(t)
-        frontier = nxt
-    return seen
-
-
-def test_dominant_of_dominant_is_identity():
-    rs = build_root_system("G2")
-    c = (Fraction(2), Fraction(3))
-    assert dominant_weyl_representative(rs, c) == c
-
-
-def test_dominant_output_is_dominant_for_negated_regular():
-    for name in ("A2", "B2", "G2"):
-        rs = build_root_system(name)
-        regular = dominant_weyl_representative(rs, (7, 11))
-        out = dominant_weyl_representative(rs, tuple(-x for x in regular))
-        assert all(v >= 0 for v in _values(rs, out))
-        if name in ("B2", "G2"):  # -1 is the longest element here
-            assert out == regular
-
-
-@pytest.mark.parametrize("name,order", [("A2", 6), ("B2", 8), ("G2", 12)])
-def test_dominance_agrees_with_full_orbit_enumeration(name, order):
-    rs = build_root_system(name)
-    rng = random.Random(5)
-    for _ in range(25):
-        c = (rng.randint(-9, 9), rng.randint(-9, 9))
-        orbit = _full_weyl_orbit(rs, c)
-        assert len(orbit) <= order
-        dominant = [o for o in orbit if all(v >= 0 for v in _values(rs, o))]
-        rep = dominant_weyl_representative(rs, c)
-        assert tuple(rep) in {tuple(map(Fraction, d)) for d in dominant}
-        if all(v != 0 for v in _values(rs, c)):
-            assert len(dominant) == 1
-
-
-def test_dominance_rejects_wrong_length():
-    rs = build_root_system("A2")
-    with pytest.raises(ValueError):
-        dominant_weyl_representative(rs, (1, 2, 3))
 
 
 def test_cartan_matrix_values():
