@@ -12,10 +12,11 @@ from bisect import insort
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from math import lcm
 from typing import Iterable, Mapping, Sequence
 
+from ._modp import PRIMES
 from .linalg import RatMatrix, _exact, _kernel_rows, rref
 from .roots import Root, RootSystem, TypeRank, build_root_system
 
@@ -82,6 +83,7 @@ class LieAlgebra:
         signed: list[tuple[int, ...]] = pos + [tuple(-x for x in c) for c in pos]
         self._root_of_index = signed
         self._index_of_root = {c: i for i, c in enumerate(signed)}
+        self._root_columns = tuple(zip(*signed))
 
         adj: list[dict[int, tuple[tuple[int, int], ...]]] = [
             {} for _ in range(self.dim)
@@ -141,13 +143,6 @@ class LieAlgebra:
             raise ValueError("dimension mismatch")
         return Element(tuple(_exact(c) for c in entries))
 
-    def basis_name(self, i: int) -> str:
-        if i < self.npos:
-            return f"x{self._root_of_index[i]}"
-        if i < 2 * self.npos:
-            return f"y{self._root_of_index[i - self.npos]}"
-        return f"h{i - self._hbase + 1}"
-
     def cartan_values(self, elt: Element) -> tuple[Fraction, ...]:
         """Values of the simple roots on a Cartan element."""
         if any(elt.coeffs[i] for i in range(self._hbase)):
@@ -162,9 +157,10 @@ class LieAlgebra:
         """Eigenvalue of each basis vector under the characteristic of `labels`."""
         if len(labels) != self.rank:
             raise ValueError("label vector has wrong length")
-        out = []
-        for c in self._root_of_index:
-            out.append(sum(m * d for m, d in zip(c, labels)))
+        out = [0] * len(self._root_of_index)
+        for column, d in zip(self._root_columns, labels):
+            if d:
+                out = [w + d * m for w, m in zip(out, column)]
         return tuple(out) + (0,) * self.rank
 
     def __repr__(self) -> str:
@@ -228,9 +224,6 @@ def _bracket_supp(
     if sign < 0:
         return {k: -v for k, v in out.items()}
     return out
-
-
-_PRIMES = (2147483629, 2147483587)
 
 
 def _bracket_mod(
@@ -337,8 +330,6 @@ class _ModSpan:
         insort(self.order, piv)
 
 
-
-
 class _Echelon:
     """Accumulates a row span as sparse pivot-normalized rational rows.
 
@@ -407,13 +398,6 @@ class _Echelon:
         return [rows[p] for p in self.order]
 
 
-def _row_to_fractions(row: dict[int, Fraction], dim: int) -> list[Fraction]:
-    out = [Fraction(0)] * dim
-    for k, v in row.items():
-        out[k] = v
-    return out
-
-
 # -- gradings ---------------------------------------------------------------
 
 
@@ -424,18 +408,25 @@ def _grading(
 
     `None` is the trivial grading, every basis vector of weight 0.  Other
     weights must grade the product: [g(i), g(j)] lies in g(i + j) for every
-    entry of the multiplication table.  `L.basis_weights(labels)` always does.
+    entry of the multiplication table.  In a simple algebra that holds
+    exactly when the weights are `L.basis_weights(v)` for v their values at
+    the simple root vectors, a check of cost O(dim * rank).  Such weights
+    vanish on the Cartan part and are linear in the root, so they grade the
+    product.  Conversely, [h_j, x_{alpha_j}] = 2 x_{alpha_j} forces weight
+    0 on h_j; a positive root a that is not simple is b + alpha_i for a
+    positive root b with N_{b,alpha_i} != 0, so by induction on the height
+    x_a has weight sum(m_i v_i) for a = sum(m_i alpha_i); and [x_a, y_a] is
+    a nonzero coroot, of weight 0, so y_a has the opposite weight.
     """
     if weights is None:
         weights = (0,) * L.dim
     elif len(weights) != L.dim:
         raise ValueError("weights have the wrong length")
     else:
-        for i, row in enumerate(L._adj):
-            for j, hits in row.items():
-                for k, _ in hits:
-                    if weights[k] != weights[i] + weights[j]:
-                        raise ValueError("weights do not grade the algebra")
+        simple = [tuple(int(i == j) for j in range(L.rank)) for i in range(L.rank)]
+        values = [weights[L._index_of_root[a]] for a in simple]
+        if tuple(weights) != L.basis_weights(values):
+            raise ValueError("weights do not grade the algebra")
     blocks: dict[int, list[int]] = {}
     for i, w in enumerate(weights):
         blocks.setdefault(w, []).append(i)
@@ -445,7 +436,6 @@ def _grading(
 # -- public types and operations --------------------------------------------
 
 
-@dataclass(frozen=True)
 class Subspace:
     """A subspace of a fixed algebra, held as its canonical basis.
 
@@ -455,6 +445,11 @@ class Subspace:
     v equals the sum of v[p] * row_p over the pivots p, so membership needs
     no elimination.
 
+    The rows are stored sparse, as {index: nonzero entry} dicts keyed by
+    their pivot.  The basis may be given as such rows or as a `RatMatrix`,
+    converted at the boundary; both run the same check.  The dense `basis`
+    matrix is a view built on first use.
+
     Block lemma: when the coordinates are split into disjoint blocks (the
     weights of a grading) and a subspace is spanned by vectors each inside
     one block, its canonical basis is the union of the blocks' canonical
@@ -463,23 +458,33 @@ class Subspace:
     graded.
     """
 
-    amb: LieAlgebra
-    basis: RatMatrix
-
-    def __post_init__(self) -> None:
-        if self.basis.cols != self.amb.dim:
-            raise ValueError("basis has the wrong number of columns")
-        at: dict[int, dict[int, Fraction]] = {}  # pivot -> sparse row
+    def __init__(self, amb: LieAlgebra, basis: RatMatrix | Iterable[Mapping[int, Fraction]]):
+        if isinstance(basis, RatMatrix):
+            if basis.cols != amb.dim:
+                raise ValueError("basis has the wrong number of columns")
+            basis = map(_sparse_row, basis.data)
+        at: dict[int, Mapping[int, Fraction]] = {}  # pivot -> sparse row
         last = -1
-        for row in map(_sparse_row, self.basis.data):
+        for row in basis:
             p = min(row, default=-1)
-            if p <= last or row[p] != 1:
+            if p <= last or row[p] != 1 or not all(row.values()) or max(row) >= amb.dim:
                 raise ValueError("basis is not in reduced row-echelon form")
             at[p] = row
             last = p
         if any(k != p and k in at for p, row in at.items() for k in row):
             raise ValueError("basis is not in reduced row-echelon form")
-        object.__setattr__(self, "_row_at", at)
+        self.__dict__.update(amb=amb, _row_at=at)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("Subspace is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Subspace):
+            return NotImplemented
+        return self.amb is other.amb and self._row_at == other._row_at
+
+    def __hash__(self) -> int:
+        return hash((self.amb, self.basis))
 
     @classmethod
     def from_rows(cls, amb: LieAlgebra, rows: Iterable[Sequence[Fraction | int]]) -> "Subspace":
@@ -488,15 +493,21 @@ class Subspace:
 
     @classmethod
     def full(cls, amb: LieAlgebra) -> "Subspace":
-        return cls(amb, RatMatrix.identity(amb.dim))
+        return cls(amb, ({i: Fraction(1)} for i in range(amb.dim)))
 
     @classmethod
     def zero(cls, amb: LieAlgebra) -> "Subspace":
-        return cls(amb, RatMatrix([], amb.dim))
+        return cls(amb, ())
+
+    @cached_property
+    def basis(self) -> RatMatrix:
+        """The canonical basis as a dense matrix, one row per pivot."""
+        n = self.amb.dim
+        return RatMatrix([[r.get(k, 0) for k in range(n)] for r in self._row_at.values()], n)
 
     @property
     def dim(self) -> int:
-        return self.basis.rows
+        return len(self._row_at)
 
     def contains(self, elt: Element) -> bool:
         if len(elt.coeffs) != self.amb.dim:
@@ -533,12 +544,6 @@ class Subspace:
                 raise ValueError("subspace is not graded by these weights")
             out.append(ws.pop())
         return tuple(out)
-
-
-def _subspace(L: LieAlgebra, rows: Iterable[dict[int, Fraction]]) -> Subspace:
-    """The subspace with these canonical rows, given in any order."""
-    ordered = sorted(rows, key=min)
-    return Subspace(L, RatMatrix([_row_to_fractions(r, L.dim) for r in ordered], L.dim))
 
 
 def bracket(L: LieAlgebra, a: Element, b: Element) -> Element:
@@ -604,7 +609,7 @@ def centralizer(
                     m[pos[t]][col] += c * n
         for v in _kernel_rows(m, len(dom)):
             rows.append({dom[x]: y for x, y in v.items()})
-    return _subspace(L, rows)
+    return Subspace(L, sorted(rows, key=min))
 
 
 def derived_subalgebra(
@@ -637,7 +642,7 @@ def derived_subalgebra(
     # span sits inside s); a nonzero residual is an exact proof of novelty
     # and routes the pair through the rational path.
     screens = []
-    for p in _PRIMES:
+    for p in PRIMES:
         sp: dict[int, _ModSpan] = defaultdict(partial(_ModSpan, p))
         mod_rows = [sp[w].mod_row(r) for r, w in zip(rows, row_w)]
         if any(mr is None for mr in mod_rows):
@@ -677,7 +682,7 @@ def derived_subalgebra(
                     break
             if novel or not screened:
                 settle_exactly(ri, rows[j], w)
-    return _subspace(L, (r for e in acc.values() for r in e.canonical_rows()))
+    return Subspace(L, sorted((r for e in acc.values() for r in e.canonical_rows()), key=min))
 
 
 def subalgebra_closure(
@@ -701,6 +706,23 @@ def subalgebra_closure(
     within has no such rows).  Under within's contract such a bracket lies
     in the span already, so the result is the same for every grading.
     """
+    rows = []
+    for g in gens:
+        if len(g.coeffs) != L.dim:
+            raise ValueError("dimension mismatch")
+        if within is not None and not within.contains(g):
+            raise ValueError("generator lies outside the enclosing subspace")
+        rows.append(_sparse_row(g.coeffs))
+    return _closure(L, rows, within, weights)
+
+
+def _closure(
+    L: LieAlgebra,
+    gens: Iterable[Mapping[int, Fraction]],
+    within: Subspace | None,
+    weights: Sequence[int] | None,
+) -> Subspace:
+    """`subalgebra_closure` of sparse generators, which must lie in `within`."""
     weights, blocks = _grading(L, weights)
     if within is None:
         cap = {w: len(idx) for w, idx in blocks.items()}
@@ -708,13 +730,8 @@ def subalgebra_closure(
     else:
         cap = Counter(within.row_weights(weights))
         limit = within.dim
-    queue: list[tuple[dict, int]] = []
-    for g in gens:
-        if len(g.coeffs) != L.dim:
-            raise ValueError("dimension mismatch")
-        if within is not None and not within.contains(g):
-            raise ValueError("generator lies outside the enclosing subspace")
-        v = _sparse_row(g.coeffs)
+    queue: list[tuple[Mapping, int]] = []
+    for v in gens:
         ws = {weights[k] for k in v}
         if len(ws) > 1:
             raise ValueError("generator is not homogeneous for the grading")
@@ -722,7 +739,7 @@ def subalgebra_closure(
             queue.append((v, ws.pop()))
     acc: dict[int, _Echelon] = defaultdict(_Echelon)
     screens: dict[int, list[_ModSpan]] = defaultdict(
-        lambda: [_ModSpan(p) for p in _PRIMES]
+        lambda: [_ModSpan(p) for p in PRIMES]
     )
     basis_rows: list[tuple[dict[int, Fraction], int]] = []
     found = 0
@@ -760,7 +777,7 @@ def subalgebra_closure(
                 if b:
                     queue.append((b, t))
         basis_rows.append((row, w))
-    return _subspace(L, (r for e in acc.values() for r in e.canonical_rows()))
+    return Subspace(L, sorted((r for e in acc.values() for r in e.canonical_rows()), key=min))
 
 
 def quotient_with_action(

@@ -62,9 +62,6 @@ class RatMatrix:
     def data(self) -> tuple[tuple[Fraction, ...], ...]:
         return self._rows
 
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        return self._rows[i]
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, RatMatrix)
@@ -102,10 +99,6 @@ def _int_row(entries: Sequence[Fraction | int]) -> list[int]:
     ints = [x.numerator * (scale // x.denominator) for x in entries]
     _strip(ints)
     return ints
-
-
-def _int_rows(m: RatMatrix) -> list[list[int]]:
-    return [_int_row(row) for row in m.data]
 
 
 def _eliminate(rows: list[list[int]], cols: int) -> tuple[list[list[int]], list[int]]:
@@ -146,7 +139,7 @@ def rref(m: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
     The row space is preserved; pivot entries are normalized to 1, so the
     result is the canonical basis of the row space.
     """
-    rows, pivots = _eliminate(_int_rows(m), m.cols)
+    rows, pivots = _eliminate([_int_row(r) for r in m.data], m.cols)
     out = []
     for row, c in zip(rows, pivots):
         p = row[c]
@@ -183,23 +176,27 @@ def _kernel_rows(rows: list[list[int]], cols: int) -> list[dict[int, Fraction]]:
 
 def kernel(m: RatMatrix) -> RatMatrix:
     """Canonical basis of the right null space."""
-    rows = _kernel_rows(_int_rows(m), m.cols)
+    rows = _kernel_rows([_int_row(r) for r in m.data], m.cols)
     return RatMatrix([[v.get(c, 0) for c in range(m.cols)] for v in rows], m.cols)
 
 
 def solve(m: RatMatrix, rhs: Sequence[Fraction | int]) -> tuple[Fraction, ...] | None:
-    """One solution of m x = rhs, or None when the system is inconsistent.
-
-    The augmented system is eliminated once, as integer rows; x has its
-    pivot entries read off the reduced rows and zeros at the free columns.
-    """
+    """One solution of m x = rhs, or None when the system is inconsistent."""
     if len(rhs) != m.rows:
         raise ValueError("right-hand side has wrong length")
-    rows = [_int_row(row + (_exact(b),)) for row, b in zip(m.data, rhs)]
-    reduced, pivots = _eliminate(rows, m.cols + 1)
-    if pivots and pivots[-1] == m.cols:
+    return _solve_rows([row + (_exact(b),) for row, b in zip(m.data, rhs)], m.cols)
+
+
+def _solve_rows(rows: Iterable[Sequence[Fraction | int]], cols: int) -> tuple[Fraction, ...] | None:
+    """`solve` for the integer or rational augmented rows (a_1..a_cols, b).
+
+    The rows are eliminated once, as integer rows; x has its pivot entries
+    read off the reduced rows and zeros at the free columns.
+    """
+    reduced, pivots = _eliminate([_int_row(row) for row in rows], cols + 1)
+    if pivots and pivots[-1] == cols:
         return None
-    x = [Fraction(0)] * m.cols
+    x = [Fraction(0)] * cols
     for row, c in zip(reduced, pivots):
         x[c] = Fraction(row[-1], row[c])
     return tuple(x)
@@ -228,16 +225,7 @@ def intersect(a: RatMatrix, b: RatMatrix) -> RatMatrix:
 
 
 def member(v: Sequence[Fraction | int], basis: RatMatrix) -> bool:
-    """Whether v lies in the row space of `basis`."""
+    """Whether v lies in the row space of `basis`: adding it keeps the rank."""
     if len(v) != basis.cols:
         raise ValueError("vector has wrong length")
-    reduced, pivots = rref(basis)
-    vec = [_exact(x) for x in v]
-    for r, c in enumerate(pivots):
-        f = vec[c]
-        if f:
-            row = reduced.data[r]
-            for j in range(c, basis.cols):
-                if row[j]:
-                    vec[j] -= f * row[j]
-    return not any(vec)
+    return rank(RatMatrix((*basis.data, v), basis.cols)) == rank(basis)

@@ -29,7 +29,7 @@ import numpy as np
 
 from ._modp import PRIMES, has_full_rank, rank_mod
 from .algebra import Element, LieAlgebra, _scaled_support, bracket
-from .linalg import RatMatrix, solve
+from .linalg import _solve_rows
 
 __all__ = [
     "WeightedDynkinDiagram",
@@ -99,7 +99,7 @@ def characteristic_element(L: LieAlgebra, d: WeightedDynkinDiagram) -> Element:
     """The Cartan element h with alpha_i(h) = labels[i]."""
     if len(d.labels) != L.rank:
         raise ValueError("diagram rank mismatch")
-    coords = solve(RatMatrix(L.rs.cartan), [Fraction(v) for v in d.labels])
+    coords = _solve_rows([(*row, v) for row, v in zip(L.rs.cartan, d.labels)], L.rank)
     if coords is None:
         raise RuntimeError(f"singular Cartan matrix for {L.rs.type_rank}")
     out = [Fraction(0)] * L.dim
@@ -338,14 +338,14 @@ def complete_triple(L: LieAlgebra, h: Element, e: Element) -> Sl2Triple:
     g0 = [i for i, w in enumerate(weights) if w == 0]
     neg2 = [j for j, w in enumerate(weights) if w == -2]
     row_of = {i: r for r, i in enumerate(g0)}
-    system = [[0] * len(neg2) for _ in g0]
+    # [scale * e, f] = scale * h, with integer scale * e, as augmented rows
+    system = [[0] * len(neg2) + [scale * h.coeffs[i]] for i in g0]
     for k, c in supp.items():
         adj = L._adj[k]
         for col, j in enumerate(neg2):
             for i, n in adj.get(j, ()):
                 system[row_of[i]][col] += c * n
-    # The system is [scale * e, f] = scale * h, with integer scale * e.
-    sol = solve(RatMatrix(system, len(neg2)), [scale * h.coeffs[i] for i in g0])
+    sol = _solve_rows(system, len(neg2))
     if sol is None:
         raise TripleInsolubleError("no completion to a triple: invalid representative")
     out = [Fraction(0)] * L.dim

@@ -284,9 +284,6 @@ class RootSystem:
     def is_root(self, coeffs: tuple[int, ...]) -> bool:
         return coeffs in self._rootset
 
-    def positive_index(self, coeffs: tuple[int, ...]) -> int:
-        return self._pos_index[coeffs]
-
     def norm(self, coeffs: tuple[int, ...]) -> int:
         return self._norms[coeffs]
 

@@ -256,6 +256,46 @@ def test_subspace_rejects_a_basis_that_is_not_canonical():
     assert Subspace(L, RatMatrix([x, y], L.dim)).dim == 2
 
 
+def _sparse(coeffs):
+    return {i: c for i, c in enumerate(coeffs) if c}
+
+
+def test_sparse_rows_are_checked_like_the_matrix():
+    L = build_lie_algebra("A2")
+    x, y = sorted(
+        (_sparse(L.root_vector((1, 0)).coeffs), _sparse(L.root_vector((0, 1)).coeffs)),
+        key=min,
+    )  # x has the smaller pivot
+    with pytest.raises(ValueError):
+        Subspace(L, [y, x])  # pivots out of order
+    with pytest.raises(ValueError):
+        Subspace(L, [{k: 2 * c for k, c in x.items()}])  # pivot entry 2
+    with pytest.raises(ValueError):
+        Subspace(L, [{**x, **y}, y])  # x + y is not 0 at y's pivot
+    with pytest.raises(ValueError):
+        Subspace(L, [{**x, L.dim: Fraction(1)}])  # index outside the algebra
+    with pytest.raises(ValueError):
+        Subspace(L, [{**x, min(y): Fraction(0)}])  # a stored zero entry
+    assert Subspace(L, [x, y]).dim == 2
+
+
+def test_sparse_and_matrix_bases_agree():
+    L = build_lie_algebra("F4")
+    e = L.root_vector(L.rs.positive_roots[-1])
+    c = centralizer(L, e, L.basis_weights((1, 0, 0, 0)))
+    rows = [_sparse(row) for row in c.basis.data]
+    sparse, dense = Subspace(L, rows), Subspace(L, RatMatrix(c.basis.data, L.dim))
+    assert sparse == dense == c
+    assert hash(sparse) == hash(dense) == hash(c)
+    assert sparse.basis == dense.basis and sparse.dim == dense.dim
+    assert sparse != Subspace(L, rows[1:])
+    assert sparse != Subspace(build_lie_algebra("E6"), rows)
+    assert Subspace.full(L) == Subspace(L, RatMatrix.identity(L.dim))
+    assert Subspace.zero(L) == Subspace(L, RatMatrix([], L.dim))
+    with pytest.raises(AttributeError):
+        sparse.amb = build_lie_algebra("E6")
+
+
 def _triple_orbits():
     from exorb.orbits import (
         NilpotentOrbit,
@@ -315,6 +355,14 @@ def test_gradings_are_checked():
         centralizer(L, x, weights[:-1])  # wrong length
     with pytest.raises(ValueError):
         centralizer(L, x, (1,) + weights[1:])  # not a grading of the product
+    h1 = L.dim - L.rank
+    with pytest.raises(ValueError):
+        centralizer(L, x, weights[:h1] + (1,) + weights[h1 + 1 :])  # nonzero at h_1
+    top = L._index_of_root[L.rs.positive_roots[-1].coeffs]
+    bumped = list(weights)
+    bumped[top] += 1
+    with pytest.raises(ValueError):
+        centralizer(L, x, bumped)  # changed at a root that is not simple
     with pytest.raises(ValueError):
         centralizer(L, x + L.root_vector((-1, 0)), weights)  # mixes weights
     mixed = Subspace.from_rows(L, [(x + y).coeffs])

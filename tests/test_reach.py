@@ -1,7 +1,15 @@
 import pytest
 
 from exorb.algebra import build_lie_algebra
-from exorb.orbits import enumerate_orbits
+from exorb.linalg import RatMatrix
+from exorb.orbits import (
+    NilpotentOrbit,
+    WeightedDynkinDiagram,
+    characteristic_element,
+    complete_triple,
+    enumerate_orbits,
+    find_representative,
+)
 from exorb.reach import analyze, reachable_table, rigid_discrepancy_report
 from exorb.refdata import load_tables
 
@@ -118,3 +126,27 @@ def test_analyses_from_two_threads_match_the_serial_ones():
         sys.setswitchinterval(interval)
     assert len(threaded) == 15
     assert threaded == serial
+
+
+def test_analyze_builds_no_dense_matrix(monkeypatch):
+    F4 = build_lie_algebra("F4")
+    orbits = [(F4, o) for o in enumerate_orbits(F4)]
+    L = build_lie_algebra("E6")
+    d = WeightedDynkinDiagram(load_tables().by_label("E6", "2A2+A1").diagram)
+    triple = complete_triple(L, characteristic_element(L, d), find_representative(L, d))
+    orbits.append((L, NilpotentOrbit(d, triple)))
+
+    built = []
+    init = RatMatrix.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(RatMatrix, "__init__", counting_init)
+    RatMatrix([[1]])
+    assert len(built) == 1  # the count sees every construction
+    built.clear()
+    for L, o in orbits:
+        analyze(L, o)
+    assert len(orbits) == 16 and built == []
