@@ -14,7 +14,6 @@ from .algebra import (
     Subspace,
     build_lie_algebra,
     bracket,
-    ad_matrix,
     centralizer,
     derived_subalgebra,
     subalgebra_closure,
@@ -30,7 +29,7 @@ from .orbits import (
     complete_triple,
     enumerate_orbits,
 )
-from .reach import OrbitAnalysis, analyze, reachable_table, rigid_discrepancy_report
+from .reach import OrbitAnalysis, analyze, rigid_discrepancy_report
 from .refdata import OrbitRecord, ExceptionRecord, load_tables, lookup, exceptions
 
 __version__ = "0.1.0"
@@ -53,7 +52,6 @@ __all__ = [
     "Subspace",
     "build_lie_algebra",
     "bracket",
-    "ad_matrix",
     "centralizer",
     "derived_subalgebra",
     "subalgebra_closure",
@@ -68,7 +66,6 @@ __all__ = [
     "enumerate_orbits",
     "OrbitAnalysis",
     "analyze",
-    "reachable_table",
     "rigid_discrepancy_report",
     "OrbitRecord",
     "ExceptionRecord",

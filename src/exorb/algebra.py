@@ -12,11 +12,10 @@ from bisect import insort
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 from math import lcm
 from typing import Iterable, Mapping, Sequence
 
-from ._modp import PRIMES
 from .linalg import RatMatrix, _exact, _kernel_rows, rref
 from .roots import Root, RootSystem, TypeRank, build_root_system
 
@@ -26,7 +25,6 @@ __all__ = [
     "Subspace",
     "build_lie_algebra",
     "bracket",
-    "ad_matrix",
     "centralizer",
     "derived_subalgebra",
     "subalgebra_closure",
@@ -181,13 +179,22 @@ def build_lie_algebra(t: TypeRank | str) -> LieAlgebra:
 # -- sparse integer plumbing ------------------------------------------------
 
 
-def _scaled_support(coeffs: Sequence[Fraction]) -> tuple[dict[int, int], int]:
-    """(integer support, denominator) with coeffs == support / denominator."""
-    scale = 1
-    for c in coeffs:
-        if c:
-            scale = lcm(scale, c.denominator)
-    return {i: int(c * scale) for i, c in enumerate(coeffs) if c}, scale
+def _scaled_support(
+    coeffs: Sequence[Fraction] | Mapping[int, Fraction],
+) -> tuple[dict[int, int], int]:
+    """(integer support, denominator) with coeffs == support / denominator.
+
+    `coeffs` is a dense vector or a sparse row {index: entry}.
+    """
+    items = coeffs.items() if isinstance(coeffs, Mapping) else enumerate(coeffs)
+    row = {i: c for i, c in items if c}
+    scale = lcm(*(c.denominator for c in row.values()))
+    return {i: c.numerator * (scale // c.denominator) for i, c in row.items()}, scale
+
+
+def _entry(x: Fraction) -> Fraction | int:
+    """x as an int when it is integral, which keeps its arithmetic on ints."""
+    return x.numerator if x.denominator == 1 else x
 
 
 def _sparse_row(coeffs: Sequence[Fraction]) -> dict[int, Fraction]:
@@ -226,129 +233,26 @@ def _bracket_supp(
     return out
 
 
-def _bracket_mod(
-    adj: list[dict[int, tuple[tuple[int, int], ...]]],
-    sa: dict[int, int],
-    sb: dict[int, int],
-    p: int,
-) -> dict[int, int]:
-    out: dict[int, int] = {}
-    if len(sa) > len(sb):
-        sa, sb = sb, sa
-        sign = -1
-    else:
-        sign = 1
-    get = out.get
-    for i, ca in sa.items():
-        row = adj[i]
-        if not row:
-            continue
-        for j, cb in sb.items():
-            hits = row.get(j)
-            if hits:
-                f = ca * cb
-                for k, n in hits:
-                    v = (get(k, 0) + f * n) % p
-                    if v:
-                        out[k] = v
-                    elif k in out:
-                        del out[k]
-    if sign < 0:
-        return {k: p - v for k, v in out.items()}
-    return out
-
-
-class _ModSpan:
-    """A row span tracked modulo a fixed prime.
-
-    Built from exact rows whose coordinates over the span's pivot columns
-    are the vector's own pivot entries (pivot-normalized rows), so a nonzero
-    residual here proves non-membership over the rationals.  A zero residual
-    is only probable membership.
-    """
-
-    __slots__ = ("p", "rows", "order", "usable", "_inv")
-
-    def __init__(self, p: int):
-        self.p = p
-        self.rows: dict[int, dict[int, int]] = {}
-        self.order: list[int] = []
-        self.usable = True
-        self._inv: dict[int, int] = {}
-
-    def mod_row(self, row: dict[int, Fraction] | dict[int, int]) -> dict[int, int] | None:
-        """Image of a rational row mod p, or None when a denominator hits p."""
-        p = self.p
-        inv = self._inv
-        out: dict[int, int] = {}
-        for k, x in row.items():
-            num = x.numerator
-            den = x.denominator
-            if den == 1:
-                v = num % p
-            else:
-                iv = inv.get(den)
-                if iv is None:
-                    if den % p == 0:
-                        return None
-                    iv = pow(den, -1, p)
-                    inv[den] = iv
-                v = num * iv % p
-            if v:
-                out[k] = v
-        return out
-
-    def reduce(self, v: dict[int, int]) -> dict[int, int]:
-        p = self.p
-        rows = self.rows
-        for piv in self.order:
-            c = v.get(piv)
-            if not c:
-                continue
-            row = rows[piv]
-            for k, x in row.items():
-                nv = (v.get(k, 0) - c * x) % p
-                if nv:
-                    v[k] = nv
-                elif k in v:
-                    del v[k]
-        return v
-
-    def add(self, exact_row: dict[int, Fraction] | dict[int, int]) -> None:
-        if not self.usable:
-            return
-        vec = self.mod_row(exact_row)
-        if vec is None:
-            self.usable = False
-            return
-        v = self.reduce(vec)
-        if not v:
-            return
-        piv = min(v)
-        ivp = pow(v[piv], -1, self.p)
-        self.rows[piv] = {k: x * ivp % self.p for k, x in v.items()}
-        insort(self.order, piv)
-
-
 class _Echelon:
     """Accumulates a row span as sparse pivot-normalized rational rows.
 
     Rows are keyed by their leading index and carry a 1 there, so reducing a
     vector never rescales it; entry sizes stay at the subspace's intrinsic
-    rational complexity instead of compounding.
+    rational complexity instead of compounding.  Vectors may hold ints or
+    Fractions; the integral entries of stored rows are ints.
     """
 
     __slots__ = ("rows", "order")
 
     def __init__(self) -> None:
-        self.rows: dict[int, dict[int, Fraction]] = {}
+        self.rows: dict[int, dict[int, Fraction | int]] = {}
         self.order: list[int] = []
 
     @property
     def dim(self) -> int:
         return len(self.order)
 
-    def reduce(self, v: dict[int, Fraction]) -> dict[int, Fraction]:
+    def reduce(self, v: dict[int, Fraction | int]) -> dict[int, Fraction | int]:
         """Fully reduce v (destructively) against the stored rows."""
         rows = self.rows
         for p in self.order:
@@ -364,10 +268,10 @@ class _Echelon:
                     del v[k]
         return v
 
-    def _store(self, v: dict[int, Fraction]) -> dict[int, Fraction]:
+    def _store(self, v: dict[int, Fraction | int]) -> dict[int, Fraction | int]:
         p = min(v)
-        piv = v[p]
-        row = {k: x / piv for k, x in v.items()}
+        piv = Fraction(v[p])
+        row = {k: _entry(x / piv) for k, x in v.items()}
         self.rows[p] = row
         insort(self.order, p)
         return row
@@ -439,16 +343,17 @@ def _grading(
 class Subspace:
     """A subspace of a fixed algebra, held as its canonical basis.
 
-    The basis is the reduced row-echelon form of the span (checked on
-    construction): rows sorted by pivot, each pivot entry 1, and every row 0
-    at the other rows' pivots.  A vector v then lies in the span exactly when
-    v equals the sum of v[p] * row_p over the pivots p, so membership needs
-    no elimination.
+    The basis is the reduced row-echelon form of the span, checked exactly
+    on construction: rows sorted by pivot, each pivot entry 1, and every row
+    0 at the other rows' pivots.  A vector v then lies in the span exactly
+    when v equals the sum of v[p] * row_p over the pivots p, so membership
+    is an exact identity that needs no elimination.
 
     The rows are stored sparse, as {index: nonzero entry} dicts keyed by
-    their pivot.  The basis may be given as such rows or as a `RatMatrix`,
-    converted at the boundary; both run the same check.  The dense `basis`
-    matrix is a view built on first use.
+    their pivot, with integral entries held as ints.  The basis may be given
+    as such rows or as a `RatMatrix`, converted at the boundary; both run
+    the same check.  Equality and the hash are taken on the rows; the dense
+    `basis` matrix is a view built on first use.
 
     Block lemma: when the coordinates are split into disjoint blocks (the
     weights of a grading) and a subspace is spanned by vectors each inside
@@ -463,13 +368,13 @@ class Subspace:
             if basis.cols != amb.dim:
                 raise ValueError("basis has the wrong number of columns")
             basis = map(_sparse_row, basis.data)
-        at: dict[int, Mapping[int, Fraction]] = {}  # pivot -> sparse row
+        at: dict[int, dict[int, Fraction | int]] = {}  # pivot -> sparse row
         last = -1
         for row in basis:
             p = min(row, default=-1)
             if p <= last or row[p] != 1 or not all(row.values()) or max(row) >= amb.dim:
                 raise ValueError("basis is not in reduced row-echelon form")
-            at[p] = row
+            at[p] = {k: _entry(x) for k, x in row.items()}
             last = p
         if any(k != p and k in at for p, row in at.items() for k in row):
             raise ValueError("basis is not in reduced row-echelon form")
@@ -484,7 +389,8 @@ class Subspace:
         return self.amb is other.amb and self._row_at == other._row_at
 
     def __hash__(self) -> int:
-        return hash((self.amb, self.basis))
+        rows = tuple(frozenset(row.items()) for row in self._row_at.values())
+        return hash((self.amb, rows))
 
     @classmethod
     def from_rows(cls, amb: LieAlgebra, rows: Iterable[Sequence[Fraction | int]]) -> "Subspace":
@@ -560,18 +466,6 @@ def bracket(L: LieAlgebra, a: Element, b: Element) -> Element:
     return Element(tuple(out))
 
 
-def ad_matrix(L: LieAlgebra, a: Element) -> RatMatrix:
-    """Matrix of x -> [a, x]; column j holds the image of basis vector j."""
-    sa, da = _scaled_support(a.coeffs)
-    cols: list[dict[int, int]] = [
-        _bracket_supp(L._adj, sa, {j: 1}) for j in range(L.dim)
-    ]
-    rows = []
-    for i in range(L.dim):
-        rows.append([Fraction(col.get(i, 0), da) for col in cols])
-    return RatMatrix(rows, L.dim)
-
-
 def centralizer(
     L: LieAlgebra, a: Element, weights: Sequence[int] | None = None
 ) -> Subspace:
@@ -622,66 +516,36 @@ def derived_subalgebra(
 
     `weights` is a grading of L (see `centralizer`); s must be graded by it,
     that is, its canonical rows homogeneous (ValueError otherwise).  The
-    bracket of rows of weights i and j has weight i + j, so it is reduced,
-    screened and checked against s only within weight i + j, where the
-    spans are smaller.  Every pair is still bracketed and checked, and the
-    result is the same canonical basis for every grading.
+    bracket of rows of weights i and j has weight i + j, so it is settled
+    within weight i + j alone.  Each canonical row is bracketed as its
+    integer multiple, which changes no span.  While the span accumulated in
+    weight w has fewer rows than s(w), a bracket is reduced exactly against
+    it, and a nonzero residual is checked to lie in s and stored.  Once it
+    has as many rows it equals s(w), and a bracket is only checked to lie in
+    s.  Every pair is bracketed and checked exactly, and the result is the
+    same canonical basis for every grading.
     """
     if s.amb is not L:
         raise ValueError("subspace belongs to a different algebra")
     weights, _ = _grading(L, weights)
     row_w = s.row_weights(weights)
-    rows = list(s._row_at.values())
+    rows = [_scaled_support(r)[0] for r in s._row_at.values()]
+    cap = Counter(row_w)
     acc: dict[int, _Echelon] = defaultdict(_Echelon)
     adj = L._adj
-    n = len(rows)
-
-    # Per-prime screens, one span of s and one of the accumulated brackets
-    # per weight: a bracket whose image lies in the accumulated span mod
-    # every usable prime is skipped (it lies in s mod p as well, since the
-    # span sits inside s); a nonzero residual is an exact proof of novelty
-    # and routes the pair through the rational path.
-    screens = []
-    for p in PRIMES:
-        sp: dict[int, _ModSpan] = defaultdict(partial(_ModSpan, p))
-        mod_rows = [sp[w].mod_row(r) for r, w in zip(rows, row_w)]
-        if any(mr is None for mr in mod_rows):
-            continue
-        for r, w in zip(rows, row_w):
-            sp[w].add(r)
-        screens.append((p, mod_rows, sp, defaultdict(partial(_ModSpan, p))))
-
-    def settle_exactly(ri: dict, rj: dict, w: int) -> None:
-        v = _bracket_supp(adj, ri, rj)
-        if not v:
-            return
-        residual = acc[w].reduce({k: Fraction(x) for k, x in v.items()})
-        if not residual:
-            return
-        if not s._has(residual):
-            raise ValueError("subspace is not closed under the bracket")
-        stored = acc[w]._store(residual)
-        for _, _, _, ap in screens:
-            ap[w].add(stored)
-
-    for i in range(n):
-        ri = rows[i]
-        for j in range(i + 1, n):
-            w = row_w[i] + row_w[j]
-            screened = novel = False
-            for p, mod_rows, sp, ap in screens:
-                if not ap[w].usable:
-                    continue
-                screened = True
-                vb = _bracket_mod(adj, mod_rows[i], mod_rows[j], p)
-                if vb and ap[w].reduce(dict(vb)):
-                    # provably outside s; recompute exactly for the error
-                    if sp[w].reduce(vb) and not s._has(_bracket_supp(adj, ri, rows[j])):
-                        raise ValueError("subspace is not closed under the bracket")
-                    novel = True
-                    break
-            if novel or not screened:
-                settle_exactly(ri, rows[j], w)
+    for i, (ri, wi) in enumerate(zip(rows, row_w)):
+        for rj, wj in zip(rows[i + 1 :], row_w[i + 1 :]):
+            v = _bracket_supp(adj, ri, rj)
+            span = acc[wi + wj]
+            filling = span.dim < cap[wi + wj]
+            if filling:
+                v = span.reduce(v)
+            if not v:
+                continue
+            if not s._has(v):
+                raise ValueError("subspace is not closed under the bracket")
+            if filling:
+                span._store(v)
     return Subspace(L, sorted((r for e in acc.values() for r in e.canonical_rows()), key=min))
 
 
@@ -700,11 +564,13 @@ def subalgebra_closure(
 
     `weights` is a grading of L (see `centralizer`); the generators must be
     homogeneous and `within` graded (ValueError otherwise).  The span is
-    then accumulated weight by weight, and a bracket [u, v] of weight i + j
-    is not formed when the span's part of that weight is already full: all
-    of g(i + j), or all of within's rows of that weight (none at all when
-    within has no such rows).  Under within's contract such a bracket lies
-    in the span already, so the result is the same for every grading.
+    accumulated weight by weight: each generator and each bracket of two
+    accumulated rows is reduced exactly against the span's part of its
+    weight, and a nonzero residual is stored.  Once the part of weight t is
+    full, that is all of g(t) or all of within's rows of weight t (none at
+    all when within has no such rows), brackets of weight t are neither
+    formed nor reduced: under within's contract they lie in the span
+    already.  So the result is the same for every grading.
     """
     rows = []
     for g in gens:
@@ -722,7 +588,11 @@ def _closure(
     within: Subspace | None,
     weights: Sequence[int] | None,
 ) -> Subspace:
-    """`subalgebra_closure` of sparse generators, which must lie in `within`."""
+    """`subalgebra_closure` of sparse generators, which must lie in `within`.
+
+    Stored rows are bracketed as their integer multiples (see
+    `derived_subalgebra`).
+    """
     weights, blocks = _grading(L, weights)
     if within is None:
         cap = {w: len(idx) for w, idx in blocks.items()}
@@ -730,43 +600,25 @@ def _closure(
     else:
         cap = Counter(within.row_weights(weights))
         limit = within.dim
-    queue: list[tuple[Mapping, int]] = []
+    queue: list[tuple[dict, int]] = []
     for v in gens:
         ws = {weights[k] for k in v}
         if len(ws) > 1:
             raise ValueError("generator is not homogeneous for the grading")
         if ws:
-            queue.append((v, ws.pop()))
+            queue.append((dict(v), ws.pop()))
     acc: dict[int, _Echelon] = defaultdict(_Echelon)
-    screens: dict[int, list[_ModSpan]] = defaultdict(
-        lambda: [_ModSpan(p) for p in PRIMES]
-    )
-    basis_rows: list[tuple[dict[int, Fraction], int]] = []
+    basis_rows: list[tuple[dict[int, int], int]] = []
     found = 0
     adj = L._adj
     while queue:
         v, w = queue.pop()
         if acc[w].dim >= cap.get(w, 0):
             continue
-        screened = False
-        for sp in screens[w]:
-            if not sp.usable:
-                continue
-            vm = sp.mod_row(v)
-            if vm is None:
-                continue
-            screened = True
-            if sp.reduce(vm):
-                break  # provably novel
-        else:
-            if screened:
-                continue  # in the span mod every usable prime
-        residual = acc[w].reduce({k: Fraction(x) for k, x in v.items()})
+        residual = acc[w].reduce(v)
         if not residual:
             continue
-        row = acc[w]._store(residual)
-        for sp in screens[w]:
-            sp.add(row)
+        row = _scaled_support(acc[w]._store(residual))[0]
         found += 1
         if found >= limit:
             break

@@ -161,7 +161,12 @@ def _resolve_orbit(cfg: RunConfig, L: LieAlgebra, tables: RefData) -> NilpotentO
     if any(ch.isdigit() for ch in selector) and all(
         ch.isdigit() or ch in ", " for ch in selector
     ):
-        d = WeightedDynkinDiagram.from_string(selector)
+        try:
+            d = WeightedDynkinDiagram.from_string(selector)
+        except ValueError:
+            raise UsageError(
+                f"bad diagram {selector!r}: expected {L.rank} labels in {{0, 1, 2}}"
+            ) from None
         if len(d.labels) != L.rank:
             raise UsageError(f"diagram has {len(d.labels)} labels, expected {L.rank}")
     else:

@@ -11,10 +11,11 @@ unit coefficients lose nothing: the maximal torus T lies in G(0) and scales
 each x_j by the character of its root, and over an algebraically closed
 field the characters of linearly independent roots take any nonzero values
 at once, so every sum with the same support and nonzero coefficients is
-T-conjugate to the unit sum and lies in the same G(0)-orbit.  Each representative is certified exactly to
-have the minimal centralizer dimension dim g(0) + dim g(1), i.e. to lie in
-the open G(0)-orbit of g(2); a seeded random fallback with small integer
-coefficients is kept for a search that runs out of root orders.
+T-conjugate to the unit sum and lies in the same G(0)-orbit.  Each
+representative is certified exactly to have the minimal centralizer
+dimension dim g(0) + dim g(1), i.e. to lie in the open G(0)-orbit of g(2); a
+seeded random fallback with small integer coefficients is kept for a search
+that runs out of root orders.
 """
 
 from __future__ import annotations

@@ -30,7 +30,6 @@ from .orbits import NilpotentOrbit, WeightedDynkinDiagram, enumerate_orbits
 __all__ = [
     "OrbitAnalysis",
     "analyze",
-    "reachable_table",
     "rigid_discrepancy_report",
 ]
 
@@ -91,18 +90,6 @@ def _analyze_full(
 def analyze(L: LieAlgebra, o: NilpotentOrbit) -> OrbitAnalysis:
     """Full exact report for one orbit, computed in its ad h grading."""
     return _analyze_full(L, o)[0]
-
-
-def reachable_table(
-    L: LieAlgebra, seed: int = 1
-) -> list[tuple[WeightedDynkinDiagram, bool, bool]]:
-    """(diagram, reachable, strongly_reachable) for the reachable orbits only."""
-    out = []
-    for o in enumerate_orbits(L, seed=seed):
-        a = analyze(L, o)
-        if a.reachable:
-            out.append((o.diagram, a.reachable, a.strongly_reachable))
-    return out
 
 
 def rigid_discrepancy_report(

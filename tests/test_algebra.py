@@ -7,7 +7,6 @@ import pytest
 from exorb.algebra import (
     Element,
     Subspace,
-    ad_matrix,
     bracket,
     build_lie_algebra,
     centralizer,
@@ -88,16 +87,6 @@ def test_bracket_rejects_dimension_mismatch():
         bracket(L, L.zero(), other.zero())
 
 
-def test_ad_matrix_columns_are_bracket_images():
-    L = build_lie_algebra("A2")
-    rng = random.Random(3)
-    a = _random_element(L, rng)
-    m = ad_matrix(L, a)
-    for j in range(L.dim):
-        img = bracket(L, a, L.basis_element(j))
-        assert tuple(m.data[i][j] for i in range(L.dim)) == img.coeffs
-
-
 def test_centralizer_of_zero_is_everything():
     L = build_lie_algebra("G2")
     assert centralizer(L, L.zero()).dim == L.dim
@@ -149,6 +138,29 @@ def test_derived_subalgebra_rejects_non_subalgebra():
     )
     with pytest.raises(ValueError):
         derived_subalgebra(L, s)
+
+
+def test_derived_subalgebra_checks_brackets_into_full_weights():
+    # s = <x_b, x_{a+b}, y_b, h_b> for the simple roots a, b of A2, graded by
+    # the labels (1, 1).  In pivot order the pair (x_b, h_b) comes before
+    # (x_{a+b}, y_b); its bracket fills the weight-1 part <x_b>, and the
+    # later bracket, a multiple of x_a, lands in that full weight outside s.
+    L = build_lie_algebra("A2")
+    weights = L.basis_weights((1, 1))
+    xb, xab, yb, hb = (
+        L.root_vector((0, 1)),
+        L.root_vector((1, 1)),
+        L.root_vector((0, -1)),
+        L.coroot_element((0, 1)),
+    )
+    s = Subspace.from_rows(L, [v.coeffs for v in (xb, xab, yb, hb)])
+    assert s.row_weights(weights).count(1) == 1
+    fill, escape = bracket(L, xb, hb), bracket(L, xab, yb)
+    assert not fill.is_zero() and s.contains(fill)
+    assert {weights[i] for i in escape.support()} == {1}
+    assert not s.contains(escape)
+    with pytest.raises(ValueError, match="not closed"):
+        derived_subalgebra(L, s, weights)
 
 
 def test_closure_of_nothing_is_zero():

@@ -63,6 +63,8 @@ def test_analyze_rejects_bad_orbits():
     assert main(["analyze", "G2", "--orbit", "1,1"]) == EXIT_USAGE
     assert main(["analyze", "G2", "--orbit", "0,1,0"]) == EXIT_USAGE
     assert main(["analyze", "G2", "--orbit", "NoSuchOrbit"]) == EXIT_USAGE
+    for selector in ("1,", "1,,0", "3,0"):
+        assert main(["analyze", "G2", "--orbit", selector]) == EXIT_USAGE
 
 
 def test_usage_errors():

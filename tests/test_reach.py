@@ -10,7 +10,7 @@ from exorb.orbits import (
     enumerate_orbits,
     find_representative,
 )
-from exorb.reach import analyze, reachable_table, rigid_discrepancy_report
+from exorb.reach import analyze, rigid_discrepancy_report
 from exorb.refdata import load_tables
 
 # diagram -> (dim_ge, dim_derived, reachable, strong, dim_ce, weights)
@@ -47,21 +47,6 @@ def test_f4_spot_values():
     assert not a.reachable
     b = analyze(L, by_diagram[(0, 2, 0, 0)])
     assert b.dim_ce == 6 and b.ce_weights == (2,) * 6
-
-
-def test_reachable_tables_small_types():
-    G2 = build_lie_algebra("G2")
-    table = reachable_table(G2)
-    assert [(d.labels, r, s) for d, r, s in table] == [((0, 1), True, True)]
-    F4 = build_lie_algebra("F4")
-    table = reachable_table(F4)
-    assert [d.labels for d, _, _ in table] == [
-        (1, 0, 0, 0),
-        (0, 0, 0, 1),
-        (0, 1, 0, 0),
-        (0, 0, 1, 0),
-    ]
-    assert all(r and s for _, r, s in table)
 
 
 def test_rigid_discrepancy_reports():
