@@ -3,11 +3,11 @@
 A rank computed mod p never exceeds the rational rank, so reaching the
 maximum possible rank is an exact proof of full rank.  Failing to reach it
 proves nothing and only discards a random draw: the diagram test draws
-again, the representative search tries its next candidate.  The one verdict
-that rests on these failures is the diagram test's rejection when none of
-its `trials` draws passes the surjectivity certificate; two independent
-31-bit primes make a spurious failure astronomically unlikely, and the
-classification sweep is cross-checked against reference tables anyway.
+again.  The one verdict that rests on these failures is the diagram test's
+rejection when none of its `trials` draws passes the surjectivity
+certificate; two independent 31-bit primes make a spurious failure
+astronomically unlikely, and the classification sweep is cross-checked
+against reference tables anyway.
 """
 
 from __future__ import annotations

@@ -18,13 +18,11 @@ from dataclasses import dataclass
 
 from .algebra import LieAlgebra, build_lie_algebra
 from .orbits import (
+    DEFAULT_TRIALS,
     NilpotentOrbit,
     WeightedDynkinDiagram,
-    complete_triple,
-    characteristic_element,
-    dynkin_test,
+    _orbit,
     enumerate_orbits,
-    find_representative,
 )
 from .reach import OrbitAnalysis, analyze
 from .refdata import EXCEPTIONAL, REFDATA_ENV, RefData, load_tables
@@ -51,7 +49,7 @@ class RunConfig:
     orbit: str | None = None
     seed: int = 1
     format: str = "text"
-    trials: int = 25
+    trials: int = DEFAULT_TRIALS
     kind: str = "quotient"
     refdata_path: str | None = None
 
@@ -176,11 +174,10 @@ def _resolve_orbit(cfg: RunConfig, L: LieAlgebra, tables: RefData) -> NilpotentO
             d = WeightedDynkinDiagram(tables.by_label(cfg.type, selector).diagram)
         except ValueError as exc:
             raise UsageError(str(exc)) from None
-    if not dynkin_test(L, d, trials=cfg.trials, seed=cfg.seed):
+    o = _orbit(L, d, cfg.trials, cfg.seed)
+    if o is None:
         raise UsageError(f"not a weighted Dynkin diagram for {cfg.type}: {d}")
-    e = find_representative(L, d, seed=cfg.seed)
-    h = characteristic_element(L, d)
-    return NilpotentOrbit(d, complete_triple(L, h, e))
+    return o
 
 
 def _cmd_analyze(cfg: RunConfig) -> tuple[int, str]:
@@ -196,23 +193,24 @@ def _cmd_analyze(cfg: RunConfig) -> tuple[int, str]:
         except ValueError:
             rigid = None
     payload = _analysis_payload(cfg.type, L, a, label, rigid)
-    if cfg.format == "json":
-        return EXIT_OK, _canonical_json(payload)
-    lines = [
-        f"type               {payload['type']}",
-        f"label              {label or '-'}",
-        f"diagram            {_diagram_str(o.diagram.labels)}",
-        f"dim_orbit          {payload['dim_orbit']}",
-        f"dim_ge             {a.dim_ge}",
-        f"dim_derived        {a.dim_derived}",
-        f"reachable          {a.reachable}",
-        f"strongly_reachable {a.strongly_reachable}",
-        f"panyushev          {a.panyushev_generated}",
-        f"dim_ce             {a.dim_ce}",
-        f"ce_weights         {','.join(map(str, a.ce_weights)) or '-'}",
-        f"rigid              {'-' if rigid is None else rigid}",
+    fields = [
+        ("type", payload["type"]),
+        ("label", label or "-"),
+        ("diagram", _diagram_str(o.diagram.labels)),
+        ("dim_orbit", payload["dim_orbit"]),
+        ("dim_ge", a.dim_ge),
+        ("dim_derived", a.dim_derived),
+        ("reachable", a.reachable),
+        ("strongly_reachable", a.strongly_reachable),
+        ("panyushev", a.panyushev_generated),
+        ("dim_ce", a.dim_ce),
+        ("ce_weights", ",".join(map(str, a.ce_weights)) or "-"),
+        ("rigid", "-" if rigid is None else rigid),
     ]
-    return EXIT_OK, "\n".join(lines) + "\n"
+    if cfg.format == "text":
+        return EXIT_OK, "".join(f"{k:<18} {v}\n" for k, v in fields)
+    header = [k for k, _ in fields]
+    return EXIT_OK, _render_rows(cfg, header, [[str(v) for _, v in fields]], payload)
 
 
 def _sweep(cfg: RunConfig, L: LieAlgebra) -> list[OrbitAnalysis]:
@@ -389,11 +387,10 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="exorb", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, with_trials: bool = True) -> None:
+    def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("type", help="simple type, e.g. G2, F4, E6, E7, E8, A2")
         p.add_argument("--seed", type=int, default=1)
-        if with_trials:
-            p.add_argument("--trials", type=int, default=25)
+        p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
         p.add_argument("--format", choices=FORMATS, default="text")
         p.add_argument("--refdata", default=None, help="path to reference tables")
 
@@ -446,7 +443,7 @@ def main(argv: list[str] | None = None) -> int:
             orbit=getattr(ns, "orbit", None),
             seed=ns.seed,
             format=ns.format,
-            trials=getattr(ns, "trials", 25),
+            trials=ns.trials,
             kind=getattr(ns, "kind", "quotient"),
             refdata_path=ns.refdata,
         )

@@ -1,26 +1,33 @@
 """Nilpotent orbit machinery: diagram tests, representatives, triples.
 
 Orbits are identified by their weighted Dynkin diagram (labels in {0,1,2} on
-the simple roots).  A label vector is accepted when [e, f] = h is solvable in
-g(-2) for an element e in the open G(0)-orbit of g(2); the solution is the
-defining triple.
+the simple roots).  Every label vector goes through one search, and its one
+certificate is the sl2-triple with the characteristic h of the labels:
 
-Representatives are sums of root vectors x_j with every coefficient 1, over
-linearly independent roots of g(2), the form of the standard tables.  The
-unit coefficients lose nothing: the maximal torus T lies in G(0) and scales
-each x_j by the character of its root, and over an algebraically closed
-field the characters of linearly independent roots take any nonzero values
-at once, so every sum with the same support and nonzero coefficients is
-T-conjugate to the unit sum and lies in the same G(0)-orbit.  Each
-representative is certified exactly to have the minimal centralizer
-dimension dim g(0) + dim g(1), i.e. to lie in the open G(0)-orbit of g(2); a
-seeded random fallback with small integer coefficients is kept for a search
-that runs out of root orders.
+- the size filters reject label vectors whose graded dimensions no triple
+  allows;
+- seeded random draws e in g(2) run until ad e maps g(0) onto g(2), which
+  puts e in the open G(0)-orbit of g(2); [e, f] = h solved for that e
+  decides the label vector exactly, a solution proving the diagram;
+- a rank-greedy walk over the roots of g(2) finds the representative, and
+  its solved triple is the orbit's triple.
+
+A solved triple gives dim g_e = dim g(0) + dim g(1) by sl2 theory, so the
+triple certifies the representative too.  Representatives are sums of root
+vectors x_j with every coefficient 1, over linearly independent roots of
+g(2), the form of the standard tables.  The unit coefficients lose nothing:
+the maximal torus T lies in G(0) and scales each x_j by the character of its
+root, and over an algebraically closed field the characters of linearly
+independent roots take any nonzero values at once, so every sum with the
+same support and nonzero coefficients is T-conjugate to the unit sum and
+lies in the same G(0)-orbit.  When the walk runs out of root orders, the
+decisive draw is the representative.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
@@ -47,8 +54,6 @@ __all__ = [
 DEFAULT_TRIALS = 25
 TRIAL_COEFF_MAX = 10_000
 RESTART_BUDGET = 50
-RANDOM_BUDGET = 600
-RANDOM_COEFF_MAX = 10
 
 
 @dataclass(frozen=True)
@@ -109,99 +114,34 @@ def characteristic_element(L: LieAlgebra, d: WeightedDynkinDiagram) -> Element:
     return Element(tuple(out))
 
 
-# -- internal weight bookkeeping --------------------------------------------
+# -- the search behind every label vector ------------------------------------
 
 
-def _weight_layout(L: LieAlgebra, labels: Sequence[int]):
-    """Basis indices of each graded piece under the given labels."""
-    weights = L.basis_weights(labels)
-    buckets: dict[int, list[int]] = {}
-    for i, w in enumerate(weights):
-        buckets.setdefault(w, []).append(i)
-    return weights, buckets
+def _layout(L: LieAlgebra, d: WeightedDynkinDiagram):
+    """(h, g(2), blocks of ad : g(0) -> g(2)), or None when sizes rule out d.
 
-
-def _block_matrix(
-    L: LieAlgebra, supp: dict[int, int], domain: list[int], codomain: list[int]
-) -> np.ndarray:
-    """Integer matrix of ad(e) restricted to one graded piece."""
-    pos = {b: r for r, b in enumerate(codomain)}
-    out = np.zeros((len(codomain), len(domain)), dtype=np.int64)
-    adj = L._adj
-    for col, j in enumerate(domain):
-        for i, c in supp.items():
-            hits = adj[i].get(j)
-            if hits:
-                for k, n in hits:
-                    out[pos[k], col] += c * n
-    return out
-
-
-def _g2_blocks(L: LieAlgebra, buckets: dict[int, list[int]]) -> np.ndarray:
-    """The blocks ad x_j : g(0) -> g(2), stacked in the order of g(2).
-
-    ad e restricted to g(0) is linear in e, so for e = sum c_j x_j over g(2)
-    it is the sum of c_j times these blocks.
+    For a triple with characteristic h, g is a sum of sl2-modules, so
+    dim g(k) >= dim g(k+2) for k >= 0, and dim g(1) is even (kappa(f, [x, y])
+    is a nondegenerate symplectic form on g(1)); a nonzero d also needs g(2)
+    nonzero.  These filters read only the sizes, so the index lists and the
+    blocks are built only for the label vectors that pass.  ad e on g(0) is
+    linear in e: for e = sum c_j x_j over g(2) it is sum c_j blocks[j].
     """
-    g0, g2 = buckets.get(0, []), buckets[2]
-    return np.stack([_block_matrix(L, {j: 1}, g0, g2) for j in g2])
-
-
-def _rank_greedy_support(
-    L: LieAlgebra, g2: list[int], blocks: np.ndarray, order: list[int]
-) -> list[int] | None:
-    """Roots of g(2) picked along `order` until ad e maps g(0) onto g(2).
-
-    A root is kept when it is linearly independent of the roots kept so far
-    and raises the mod-p rank of the sum of their blocks.  Returns the kept
-    positions (into g2) once that rank is dim g(2), or None when the order
-    runs out first.  The mod-p ranks are lower bounds of the rational ones,
-    so a kept root is truly independent and the final rank truly full.
-    """
-    p = PRIMES[0]
-    kept: list[int] = []
-    reached = 0
-    for q in order:
-        trial = kept + [q]
-        roots = np.array([L._root_of_index[g2[t]] for t in trial], dtype=np.int64)
-        if rank_mod(roots, p) < len(trial):
-            continue
-        r = rank_mod(blocks[trial].sum(axis=0), p)
-        if r > reached:
-            kept, reached = trial, r
-            if reached == len(g2):
-                return kept
-            if len(kept) == L.rank:
-                return None
-    return None
-
-
-def _interlaced(buckets: dict[int, list[int]]) -> bool:
-    ks = [k for k in buckets if k >= 0]
-    return all(len(buckets.get(k, ())) >= len(buckets.get(k + 2, ())) for k in ks)
-
-
-def _centralizer_dim_is_minimal(
-    L: LieAlgebra, supp: dict[int, int], buckets: dict[int, list[int]]
-) -> bool:
-    """Certify dim ker(ad e) == dim g(0) + dim g(1) for e in g(2).
-
-    ad e maps g(k) into g(k+2); the kernel dimension is minimal exactly when
-    every block has full rank, and ranks for k <= -2 mirror those for k >= 0,
-    so only blocks at k >= -1 are tested.  Full rank mod p certifies full
-    rational rank, so an accepted representative is certified exactly.
-    """
-    for k in sorted(buckets):
-        if k < -1:
-            continue
-        codomain = buckets.get(k + 2)
-        if not codomain:
-            continue
-        domain = buckets[k]
-        target = len(domain) if k == -1 else len(codomain)
-        if not has_full_rank(_block_matrix(L, supp, domain, codomain), target):
-            return False
-    return True
+    weights = L.basis_weights(d.labels)
+    sizes = Counter(weights)
+    if not sizes[2] or sizes[1] % 2:
+        return None
+    if any(sizes[k] < sizes[k + 2] for k in sizes if k >= 0):
+        return None
+    g0 = [i for i, w in enumerate(weights) if w == 0]
+    g2 = [i for i, w in enumerate(weights) if w == 2]
+    pos = {b: r for r, b in enumerate(g2)}
+    blocks = np.zeros((len(g2), len(g2), len(g0)), dtype=np.int64)
+    for t, j in enumerate(g2):
+        for col, i in enumerate(g0):
+            for k, n in L._adj[j].get(i, ()):
+                blocks[t, pos[k], col] += n
+    return characteristic_element(L, d), g2, blocks
 
 
 def _derive_seed(seed: int, labels: Sequence[int]) -> int:
@@ -209,6 +149,91 @@ def _derive_seed(seed: int, labels: Sequence[int]) -> int:
     for v in labels:
         out = out * 3 + v
     return out
+
+
+def _decide(
+    L: LieAlgebra, d: WeightedDynkinDiagram, layout, trials: int, seed: int
+) -> Sl2Triple | None:
+    """The triple of the first surjective draw, or None when d is rejected.
+
+    Seeded random e in g(2) with coefficients in [1, TRIAL_COEFF_MAX] are
+    drawn until one passes the mod-p certificate that ad e maps g(0) onto
+    g(2), and that e alone is solved.  None means its triple is insoluble
+    (exact) or no draw among `trials` was surjective (probable).
+    """
+    h, g2, blocks = layout
+    rng = random.Random(_derive_seed(seed, d.labels))
+    for _ in range(trials):
+        coeffs = [rng.randint(1, TRIAL_COEFF_MAX) for _ in g2]
+        ad_e = np.tensordot(np.array(coeffs, dtype=np.int64), blocks, axes=1)
+        if has_full_rank(ad_e, len(g2)):
+            try:
+                return complete_triple(L, h, L.element(dict(zip(g2, coeffs))))
+            except TripleInsolubleError:
+                return None
+    return None
+
+
+def _represent(
+    L: LieAlgebra, d: WeightedDynkinDiagram, layout, seed: int
+) -> Sl2Triple | None:
+    """The triple of the first unit e a rank-greedy walk makes surjective.
+
+    Along an order of the roots of g(2), a root is kept when it is linearly
+    independent of the kept ones and raises the mod-p rank of ad e : g(0) ->
+    g(2) for e the unit sum over them; mod-p ranks are lower bounds of the
+    rational ones, so a rank of dim g(2) is exact.  The first order is the
+    basis order, the next ones are seeded shuffles, up to `RESTART_BUDGET`
+    orders; None when all of them run out.  Raises `TripleInsolubleError`
+    when the surjective e has no triple, which proves d is no diagram.
+    """
+    h, g2, blocks = layout
+    p = PRIMES[0]
+    order = list(range(len(g2)))
+    shuffler = random.Random(_derive_seed(seed, d.labels) + 2)
+    for attempt in range(RESTART_BUDGET):
+        if attempt:
+            shuffler.shuffle(order)
+        kept: list[int] = []
+        reached = 0
+        for q in order:
+            trial = kept + [q]
+            roots = np.array([L._root_of_index[g2[t]] for t in trial], dtype=np.int64)
+            if rank_mod(roots, p) < len(trial):
+                continue
+            r = rank_mod(blocks[trial].sum(axis=0), p)
+            if r > reached:
+                kept, reached = trial, r
+                if reached == len(g2):
+                    e = L.element({g2[t]: Fraction(1) for t in kept})
+                    return complete_triple(L, h, e)
+                if len(kept) == L.rank:
+                    break
+    return None
+
+
+def _orbit(
+    L: LieAlgebra, d: WeightedDynkinDiagram, trials: int, seed: int
+) -> NilpotentOrbit | None:
+    """The orbit with weighted Dynkin diagram d, or None when d is rejected.
+
+    The decisive draw proves d; the orbit's triple is the rank-greedy
+    representative's, or the decisive one when the walk runs out of orders.
+    """
+    if d.is_zero():
+        h = characteristic_element(L, d)
+        return NilpotentOrbit(d, complete_triple(L, h, L.zero()))
+    layout = _layout(L, d)
+    decisive = _decide(L, d, layout, trials, seed) if layout else None
+    if decisive is None:
+        return None
+    try:
+        triple = _represent(L, d, layout, seed)
+    except TripleInsolubleError as exc:
+        raise RuntimeError(
+            f"representative of proven diagram {d} has no triple"
+        ) from exc
+    return NilpotentOrbit(d, triple or decisive)
 
 
 # -- operations --------------------------------------------------------------
@@ -222,12 +247,9 @@ def dynkin_test(
 ) -> bool:
     """Whether the label vector is the weighted Dynkin diagram of an orbit.
 
-    Exact necessary conditions come first: g(0) is at least as large as
-    g(2), the graded dimensions interlace, and dim g(1) is even (kappa(f,
-    [x, y]) is a nondegenerate symplectic form on g(1) for any triple).
-    Then seeded random elements e of g(2) are drawn until one passes the
-    mod-p certificate that ad e maps g(0) onto g(2), and the verdict is
-    whether [e, f] = h has a solution f in g(-2) for that one e:
+    After the size filters (see `_layout`), seeded random e in g(2) are
+    drawn until ad e maps g(0) onto g(2), and the verdict is whether
+    [e, f] = h has a solution f in g(-2) for that one e:
 
     - such an e lies in the unique open G(0)-orbit of g(2), and G(0) fixes h;
     - any e' in an sl2-triple with this h has ad e' : g(0) -> g(2) onto, so
@@ -235,91 +257,52 @@ def dynkin_test(
     - so insolubility for this e rules out every e', and a solution is a
       triple that proves the diagram.
 
-    Both verdicts are exact.  The one probabilistic verdict is a rejection
-    because none of `trials` draws passed the surjectivity certificate.
-    The empty g(2) is accepted only for the all-zero diagram (the zero
-    orbit).
+    The triple is the one certificate, and both of its verdicts are exact.
+    The one probabilistic verdict is a rejection because none of `trials`
+    draws was surjective.  The empty g(2) is accepted only for the all-zero
+    diagram (the zero orbit).
     """
     if trials < 1:
         raise ValueError("trials must be positive")
     if len(d.labels) != L.rank:
         raise ValueError("diagram rank mismatch")
-    weights, buckets = _weight_layout(L, d.labels)
-    g2 = buckets.get(2, [])
-    if not g2:
-        return d.is_zero()
-    g0 = buckets.get(0, [])
-    if len(g0) < len(g2) or not _interlaced(buckets):
-        return False
-    if len(buckets.get(1, ())) % 2:
-        return False
-    blocks = _g2_blocks(L, buckets)
-    rng = random.Random(_derive_seed(seed, d.labels))
-    for _ in range(trials):
-        coeffs = [rng.randint(1, TRIAL_COEFF_MAX) for _ in g2]
-        ad_e = np.tensordot(np.array(coeffs, dtype=np.int64), blocks, axes=1)
-        if not has_full_rank(ad_e, len(g2)):
-            continue
-        e = L.element(dict(zip(g2, coeffs)))
-        try:
-            complete_triple(L, characteristic_element(L, d), e)
-        except TripleInsolubleError:
-            return False
+    if d.is_zero():
         return True
-    return False
+    layout = _layout(L, d)
+    return layout is not None and _decide(L, d, layout, trials, seed) is not None
 
 
 def find_representative(
     L: LieAlgebra, d: WeightedDynkinDiagram, seed: int = 1
 ) -> Element:
-    """A representative e in g(2) with dim g_e = dim g(0) + dim g(1).
+    """The orbit's representative: a unit sum of root vectors of g(2).
 
-    e is a sum of root vectors of g(2) with every coefficient 1, over at most
-    rank linearly independent roots, picked by a rank-greedy walk: along an
-    order of the roots of g(2), a root is kept when it is independent of the
-    kept ones and raises the mod-p rank of ad e : g(0) -> g(2).  The first
-    order is the basis order, the next ones are seeded shuffles.  Once that
-    rank reaches dim g(2), e is accepted only if every block of ad e passes
-    the centralizer certificate; else the walk restarts with the next order.
-
-    Restricting to unit coefficients loses nothing, because the torus scales
-    each root vector by its own character and the characters of independent
-    roots are independent: any nonzero coefficients on the same support give
-    a G(0)-conjugate of e.  An accepted e is exact, not probable: a rank mod
-    p never exceeds the rational rank, so full rank mod p proves full
-    rational rank.  After `RESTART_BUDGET` orders the search falls back to
-    seeded random combinations with coefficients in [1, RANDOM_COEFF_MAX],
-    certified the same way.  Deterministic for a fixed seed.
+    The rank-greedy walk (see `_represent`) picks at most rank linearly
+    independent roots of g(2) whose unit sum e has ad e : g(0) -> g(2)
+    onto, and e is certified by solving its triple.  Unit coefficients lose
+    nothing: the torus scales each root vector by its own character, and
+    the characters of independent roots are independent, so any nonzero
+    coefficients on the same support give a G(0)-conjugate of e.  When the
+    walk runs out of orders, e is the diagram test's decisive draw.
+    `ValueError` when d is not a weighted Dynkin diagram: proved by an
+    insoluble triple, or probable when no draw is surjective.
+    Deterministic for a fixed seed.
     """
     if len(d.labels) != L.rank:
         raise ValueError("diagram rank mismatch")
     if d.is_zero():
         return L.zero()
-    _, buckets = _weight_layout(L, d.labels)
-    g2 = buckets.get(2, [])
-    if not g2 or not _interlaced(buckets):
-        raise ValueError(f"not a weighted Dynkin diagram: {d}")
-
-    def accepted(supp: dict[int, int]) -> bool:
-        return _centralizer_dim_is_minimal(L, supp, buckets)
-
-    blocks = _g2_blocks(L, buckets)
-    order = list(range(len(g2)))
-    shuffler = random.Random(_derive_seed(seed, d.labels) + 2)
-    for attempt in range(RESTART_BUDGET):
-        if attempt:
-            shuffler.shuffle(order)
-        kept = _rank_greedy_support(L, g2, blocks, order)
-        if kept is not None and accepted({g2[q]: 1 for q in kept}):
-            return L.element({g2[q]: Fraction(1) for q in kept})
-    rng = random.Random(_derive_seed(seed, d.labels) + 1)
-    for _ in range(RANDOM_BUDGET):
-        supp = {j: rng.randint(1, RANDOM_COEFF_MAX) for j in g2}
-        if accepted(supp):
-            return L.element({j: Fraction(c) for j, c in supp.items()})
-    raise RuntimeError(
-        f"representative search exhausted for diagram {d} of {L.rs.type_rank}"
-    )
+    layout = _layout(L, d)
+    if layout is not None:
+        try:
+            triple = _represent(L, d, layout, seed) or _decide(
+                L, d, layout, DEFAULT_TRIALS, seed
+            )
+        except TripleInsolubleError:
+            triple = None
+        if triple is not None:
+            return triple.e
+    raise ValueError(f"not a weighted Dynkin diagram: {d}")
 
 
 def complete_triple(L: LieAlgebra, h: Element, e: Element) -> Sl2Triple:
@@ -364,22 +347,18 @@ def enumerate_orbits(
 ) -> list[NilpotentOrbit]:
     """All nonzero nilpotent orbits, sorted by (orbit dimension, labels).
 
-    Sweeps the 3^rank label vectors, keeps those passing the diagram test,
-    and constructs a representative with its verified triple for each.
+    Sweeps the 3^rank label vectors with one search each: the size filters,
+    the decisive draw whose triple proves the diagram, and the rank-greedy
+    representative with its triple.
     """
     found: list[tuple[int, tuple[int, ...], NilpotentOrbit]] = []
     for labels in product((0, 1, 2), repeat=L.rank):
         if not any(labels):
             continue
-        d = WeightedDynkinDiagram(labels)
-        if not dynkin_test(L, d, trials=trials, seed=seed):
-            continue
-        e = find_representative(L, d, seed=seed)
-        h = characteristic_element(L, d)
-        triple = complete_triple(L, h, e)
-        _, buckets = _weight_layout(L, labels)
-        dim_orbit = L.dim - len(buckets.get(0, ())) - len(buckets.get(1, ()))
-        found.append((dim_orbit, labels, NilpotentOrbit(d, triple)))
+        o = _orbit(L, WeightedDynkinDiagram(labels), trials, seed)
+        if o is not None:
+            weights = L.basis_weights(labels)
+            dim_orbit = L.dim - sum(1 for w in weights if w in (0, 1))
+            found.append((dim_orbit, labels, o))
     found.sort(key=lambda item: (item[0], item[1]))
     return [o for _, _, o in found]
-

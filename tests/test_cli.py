@@ -17,6 +17,9 @@ from exorb.cli import (
     main,
     run,
 )
+from exorb.algebra import build_lie_algebra
+from exorb.orbits import enumerate_orbits
+from exorb.refdata import load_tables
 from exorb.roots import TypeRank
 
 
@@ -57,6 +60,24 @@ def test_analyze_by_diagram_and_label():
     doc = json.loads(out)
     assert doc["dim_ce"] == 3 and doc["ce_weights"] == [2, 2, 2]
     assert doc["reachable"] is False and doc["rigid"] is False
+
+
+def test_analyze_csv_is_one_header_and_one_row():
+    status, out = run(_cfg("analyze", orbit="G2", format="csv"))
+    assert status == EXIT_OK
+    assert out.splitlines() == [
+        "type,label,diagram,dim_orbit,dim_ge,dim_derived,reachable,"
+        "strongly_reachable,panyushev,dim_ce,ce_weights,rigid",
+        'G2,G2,"2,2",12,2,0,False,False,False,2,"2,10",False',
+    ]
+
+
+def test_resolved_orbits_have_the_sweep_triples():
+    L = build_lie_algebra("F4")
+    tables = load_tables()
+    for o in enumerate_orbits(L):
+        cfg = _cfg("analyze", "F4", orbit=",".join(map(str, o.diagram.labels)))
+        assert cli._resolve_orbit(cfg, L, tables).triple == o.triple
 
 
 def test_analyze_rejects_bad_orbits():

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -205,8 +206,20 @@ def test_random_fallback_certifies_every_f4_representative(monkeypatch):
         e = find_representative(L, d)
         # The fallback puts a coefficient on every root vector of g(2).
         assert set(e.support()) == {i for i, w in enumerate(weights) if w == 2}
-        assert all(1 <= e.coeffs[i] <= orbits.RANDOM_COEFF_MAX for i in e.support())
+        assert all(1 <= e.coeffs[i] <= orbits.TRIAL_COEFF_MAX for i in e.support())
         assert centralizer(L, e).dim == _minimal_centralizer_dim(weights)
+
+
+@pytest.mark.parametrize("name", ["F4", "E6"])
+def test_find_representative_rejects_every_untabulated_label_vector(name):
+    # E6 (0,0,0,0,0,2) and others pass the size filters and have a
+    # surjective unit e, whose insoluble triple proves they are no diagram.
+    L = build_lie_algebra(name)
+    published = {rec.diagram for rec in load_tables().orbits(name)}
+    for labels in product((0, 1, 2), repeat=L.rank):
+        if any(labels) and labels not in published:
+            with pytest.raises(ValueError, match="not a weighted Dynkin diagram"):
+                find_representative(L, WeightedDynkinDiagram(labels))
 
 
 def test_complete_triple_rank_one_case():
@@ -248,6 +261,16 @@ def test_dynkin_test_does_not_read_failed_verification_as_rejection(monkeypatch)
     monkeypatch.setattr(orbits, "complete_triple", broken)
     with pytest.raises(RuntimeError):
         dynkin_test(L, WeightedDynkinDiagram((2, 2)))
+
+
+def test_sweep_does_not_read_an_insoluble_representative_as_rejection(monkeypatch):
+    def insoluble(*args):
+        raise TripleInsolubleError("no completion to a triple")
+
+    monkeypatch.setattr(orbits, "_represent", insoluble)
+    with pytest.raises(RuntimeError) as info:
+        enumerate_orbits(build_lie_algebra("G2"))
+    assert not isinstance(info.value, TripleInsolubleError)
 
 
 def test_rejected_diagram_takes_one_triple_solve(monkeypatch):
