@@ -1,9 +1,13 @@
 """Integer rank certificates modulo large primes.
 
 A rank computed mod p never exceeds the rational rank, so reaching the
-maximum possible rank is an exact proof of full rank.  Failing to reach it
-proves nothing and only discards a random draw: the diagram test draws
-again.  The one verdict that rests on these failures is the diagram test's
+maximum possible rank is an exact proof of full rank.  The same bound makes
+one rank an exact proof of insolubility: for A x = b with n unknowns,
+rank_Q [A | b] >= rank_p [A | b] > n >= rank_Q A means b is not in the
+column space of A over Q.  The diagram test rejects most label vectors
+that pass its size filters this way.  Failing to reach a rank proves
+nothing and only discards a random draw: the diagram test draws again.
+The one verdict that rests on these failures is the diagram test's
 rejection when none of its `trials` draws passes the surjectivity
 certificate; two independent 31-bit primes make a spurious failure
 astronomically unlikely, and the classification sweep is cross-checked

@@ -7,10 +7,11 @@ certificate is the sl2-triple with the characteristic h of the labels:
 - the size filters reject label vectors whose graded dimensions no triple
   allows;
 - seeded random draws e in g(2) run until ad e maps g(0) onto g(2), which
-  puts e in the open G(0)-orbit of g(2); [e, f] = h solved for that e
-  decides the label vector exactly, a solution proving the diagram;
+  puts e in the open G(0)-orbit of g(2); whether [e, f] = h is soluble for
+  that e decides the label vector, and one rank mod p of the augmented
+  system proves most insoluble ones without an exact solve;
 - a rank-greedy walk over the roots of g(2) finds the representative, and
-  its solved triple is the orbit's triple.
+  its triple, solved exactly, proves the diagram and is the orbit's triple.
 
 A solved triple gives dim g_e = dim g(0) + dim g(1) by sl2 theory, so the
 triple certifies the representative too.  Representatives are sums of root
@@ -31,7 +32,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -117,15 +118,33 @@ def characteristic_element(L: LieAlgebra, d: WeightedDynkinDiagram) -> Element:
 # -- the search behind every label vector ------------------------------------
 
 
-def _layout(L: LieAlgebra, d: WeightedDynkinDiagram):
-    """(h, g(2), blocks of ad : g(0) -> g(2)), or None when sizes rule out d.
+class _Layout(NamedTuple):
+    """The graded pieces of one label vector that the search works in.
+
+    `blocks[j]` is ad x_j : g(0) -> g(2) and `down[j]` is ad x_j : g(-2) ->
+    g(0), for the root vectors x_j of g(2); `hcol` is h on g(0) with its
+    denominators cleared, mod PRIMES[0].
+    """
+
+    h: Element
+    g0: list[int]
+    g2: list[int]
+    neg2: list[int]
+    blocks: np.ndarray
+    down: np.ndarray
+    hcol: np.ndarray
+
+
+def _layout(L: LieAlgebra, d: WeightedDynkinDiagram) -> _Layout | None:
+    """The graded pieces of d, or None when sizes rule out d.
 
     For a triple with characteristic h, g is a sum of sl2-modules, so
     dim g(k) >= dim g(k+2) for k >= 0, and dim g(1) is even (kappa(f, [x, y])
     is a nondegenerate symplectic form on g(1)); a nonzero d also needs g(2)
     nonzero.  These filters read only the sizes, so the index lists and the
-    blocks are built only for the label vectors that pass.  ad e on g(0) is
-    linear in e: for e = sum c_j x_j over g(2) it is sum c_j blocks[j].
+    blocks are built only for the label vectors that pass.  ad e is linear
+    in e: for e = sum c_j x_j over g(2) it is sum c_j blocks[j] on g(0) and
+    sum c_j down[j] on g(-2).
     """
     weights = L.basis_weights(d.labels)
     sizes = Counter(weights)
@@ -135,13 +154,23 @@ def _layout(L: LieAlgebra, d: WeightedDynkinDiagram):
         return None
     g0 = [i for i, w in enumerate(weights) if w == 0]
     g2 = [i for i, w in enumerate(weights) if w == 2]
+    neg2 = [i for i, w in enumerate(weights) if w == -2]
     pos = {b: r for r, b in enumerate(g2)}
+    row_of = {i: r for r, i in enumerate(g0)}
     blocks = np.zeros((len(g2), len(g2), len(g0)), dtype=np.int64)
+    down = np.zeros((len(g2), len(g0), len(neg2)), dtype=np.int64)
     for t, j in enumerate(g2):
+        adj = L._adj[j]
         for col, i in enumerate(g0):
-            for k, n in L._adj[j].get(i, ()):
+            for k, n in adj.get(i, ()):
                 blocks[t, pos[k], col] += n
-    return characteristic_element(L, d), g2, blocks
+        for col, i in enumerate(neg2):
+            for k, n in adj.get(i, ()):
+                down[t, row_of[k], col] += n
+    h = characteristic_element(L, d)
+    scaled, _ = _scaled_support(h.coeffs)
+    hcol = np.array([scaled.get(i, 0) % PRIMES[0] for i in g0], dtype=np.int64)
+    return _Layout(h, g0, g2, neg2, blocks, down, hcol)
 
 
 def _derive_seed(seed: int, labels: Sequence[int]) -> int:
@@ -151,65 +180,98 @@ def _derive_seed(seed: int, labels: Sequence[int]) -> int:
     return out
 
 
+def _insoluble_mod_p(layout: _Layout, coeffs: np.ndarray) -> bool:
+    """Whether rank_p [A | h] > dim g(-2) for A = ad e : g(-2) -> g(0).
+
+    e = sum coeffs[j] x_j.  A rank mod p never exceeds the rational one, so
+    then rank_Q [A | h] > dim g(-2) >= rank_Q A, and [e, f] = h is insoluble
+    over Q.  False proves nothing.
+    """
+    a = np.tensordot(coeffs, layout.down, axes=1)
+    augmented = np.column_stack([a, layout.hcol])
+    return rank_mod(augmented, PRIMES[0]) > len(layout.neg2)
+
+
 def _decide(
-    L: LieAlgebra, d: WeightedDynkinDiagram, layout, trials: int, seed: int
-) -> Sl2Triple | None:
-    """The triple of the first surjective draw, or None when d is rejected.
+    L: LieAlgebra, d: WeightedDynkinDiagram, layout: _Layout, trials: int, seed: int
+) -> Element | None:
+    """The first surjective draw, or None when d is rejected.
 
     Seeded random e in g(2) with coefficients in [1, TRIAL_COEFF_MAX] are
     drawn until one passes the mod-p certificate that ad e maps g(0) onto
-    g(2), and that e alone is solved.  None means its triple is insoluble
-    (exact) or no draw among `trials` was surjective (probable).
+    g(2).  None means that e's triple is insoluble, proved by one mod-p rank
+    (exact, see `_insoluble_mod_p`), or no draw among `trials` was
+    surjective (probable).  A returned e still needs its exact triple.
     """
-    h, g2, blocks = layout
     rng = random.Random(_derive_seed(seed, d.labels))
     for _ in range(trials):
-        coeffs = [rng.randint(1, TRIAL_COEFF_MAX) for _ in g2]
-        ad_e = np.tensordot(np.array(coeffs, dtype=np.int64), blocks, axes=1)
-        if has_full_rank(ad_e, len(g2)):
-            try:
-                return complete_triple(L, h, L.element(dict(zip(g2, coeffs))))
-            except TripleInsolubleError:
+        coeffs = [rng.randint(1, TRIAL_COEFF_MAX) for _ in layout.g2]
+        c = np.array(coeffs, dtype=np.int64)
+        if has_full_rank(np.tensordot(c, layout.blocks, axes=1), len(layout.g2)):
+            if _insoluble_mod_p(layout, c):
                 return None
+            return L.element(dict(zip(layout.g2, coeffs)))
     return None
 
 
+def _reduced(echelon: list[tuple[int, list[int]]], v: Sequence[int]) -> list[int]:
+    """v reduced against the (pivot, row) echelon, fraction-free in ints."""
+    out = list(v)
+    for c, row in echelon:
+        f = out[c]
+        if f:
+            p = row[c]
+            out = [p * a - f * b for a, b in zip(out, row)]
+    return out
+
+
 def _represent(
-    L: LieAlgebra, d: WeightedDynkinDiagram, layout, seed: int
+    L: LieAlgebra, d: WeightedDynkinDiagram, layout: _Layout, seed: int
 ) -> Sl2Triple | None:
     """The triple of the first unit e a rank-greedy walk makes surjective.
 
     Along an order of the roots of g(2), a root is kept when it is linearly
-    independent of the kept ones and raises the mod-p rank of ad e : g(0) ->
-    g(2) for e the unit sum over them; mod-p ranks are lower bounds of the
+    independent of the kept ones (an exact reduction of its coordinates
+    against their echelon) and raises the mod-p rank of ad e : g(0) -> g(2)
+    for e the unit sum over them; mod-p ranks are lower bounds of the
     rational ones, so a rank of dim g(2) is exact.  The first order is the
     basis order, the next ones are seeded shuffles, up to `RESTART_BUDGET`
     orders; None when all of them run out.  Raises `TripleInsolubleError`
     when the surjective e has no triple, which proves d is no diagram.
     """
-    h, g2, blocks = layout
-    p = PRIMES[0]
+    g2, blocks = layout.g2, layout.blocks
+    roots = [L._root_of_index[i] for i in g2]
     order = list(range(len(g2)))
     shuffler = random.Random(_derive_seed(seed, d.labels) + 2)
     for attempt in range(RESTART_BUDGET):
         if attempt:
             shuffler.shuffle(order)
         kept: list[int] = []
+        echelon: list[tuple[int, list[int]]] = []
         reached = 0
         for q in order:
-            trial = kept + [q]
-            roots = np.array([L._root_of_index[g2[t]] for t in trial], dtype=np.int64)
-            if rank_mod(roots, p) < len(trial):
+            v = _reduced(echelon, roots[q])
+            if not any(v):
                 continue
-            r = rank_mod(blocks[trial].sum(axis=0), p)
+            r = rank_mod(blocks[kept + [q]].sum(axis=0), PRIMES[0])
             if r > reached:
-                kept, reached = trial, r
+                kept.append(q)
+                echelon.append((next(c for c, x in enumerate(v) if x), v))
+                reached = r
                 if reached == len(g2):
                     e = L.element({g2[t]: Fraction(1) for t in kept})
-                    return complete_triple(L, h, e)
+                    return _triple(L, layout.h, layout.g0, layout.neg2, e)
                 if len(kept) == L.rank:
                     break
     return None
+
+
+def _settle(L: LieAlgebra, layout: _Layout, e: Element) -> Sl2Triple | None:
+    """The triple of e, or None when [e, f] = h is insoluble."""
+    try:
+        return _triple(L, layout.h, layout.g0, layout.neg2, e)
+    except TripleInsolubleError:
+        return None
 
 
 def _orbit(
@@ -217,23 +279,29 @@ def _orbit(
 ) -> NilpotentOrbit | None:
     """The orbit with weighted Dynkin diagram d, or None when d is rejected.
 
-    The decisive draw proves d; the orbit's triple is the rank-greedy
-    representative's, or the decisive one when the walk runs out of orders.
+    The orbit's triple is the rank-greedy representative's, or the decisive
+    draw's when the walk runs out of orders; either exact solve proves d.
+    Both e lie in the open G(0)-orbit of g(2), so when the representative's
+    triple is insoluble, the draw's exact solve settles d.
     """
     if d.is_zero():
         h = characteristic_element(L, d)
         return NilpotentOrbit(d, complete_triple(L, h, L.zero()))
     layout = _layout(L, d)
-    decisive = _decide(L, d, layout, trials, seed) if layout else None
-    if decisive is None:
+    e = _decide(L, d, layout, trials, seed) if layout else None
+    if e is None:
         return None
     try:
         triple = _represent(L, d, layout, seed)
     except TripleInsolubleError as exc:
+        if _settle(L, layout, e) is None:
+            return None
         raise RuntimeError(
-            f"representative of proven diagram {d} has no triple"
+            f"diagram {d}: the decisive draw has a triple, the representative none"
         ) from exc
-    return NilpotentOrbit(d, triple or decisive)
+    if triple is None:
+        triple = _settle(L, layout, e)
+    return None if triple is None else NilpotentOrbit(d, triple)
 
 
 # -- operations --------------------------------------------------------------
@@ -257,6 +325,9 @@ def dynkin_test(
     - so insolubility for this e rules out every e', and a solution is a
       triple that proves the diagram.
 
+    Insolubility is first tried with one rank mod p of the augmented system
+    (see `_insoluble_mod_p`), which rejects most label vectors past the size
+    filters without an exact solve; the other draws get one exact solve.
     The triple is the one certificate, and both of its verdicts are exact.
     The one probabilistic verdict is a rejection because none of `trials`
     draws was surjective.  The empty g(2) is accepted only for the all-zero
@@ -269,7 +340,8 @@ def dynkin_test(
     if d.is_zero():
         return True
     layout = _layout(L, d)
-    return layout is not None and _decide(L, d, layout, trials, seed) is not None
+    e = _decide(L, d, layout, trials, seed) if layout else None
+    return e is not None and _settle(L, layout, e) is not None
 
 
 def find_representative(
@@ -295,11 +367,13 @@ def find_representative(
     layout = _layout(L, d)
     if layout is not None:
         try:
-            triple = _represent(L, d, layout, seed) or _decide(
-                L, d, layout, DEFAULT_TRIALS, seed
-            )
+            triple = _represent(L, d, layout, seed)
         except TripleInsolubleError:
             triple = None
+        else:
+            if triple is None:
+                e = _decide(L, d, layout, DEFAULT_TRIALS, seed)
+                triple = None if e is None else _settle(L, layout, e)
         if triple is not None:
             return triple.e
     raise ValueError(f"not a weighted Dynkin diagram: {d}")
@@ -308,19 +382,30 @@ def find_representative(
 def complete_triple(L: LieAlgebra, h: Element, e: Element) -> Sl2Triple:
     """Solve [e, f] = h for f in g(-2) and return the verified triple.
 
-    e has ad h-weight 2, so [e, g(-2)] lies in g(0) and only the g(0) rows
-    of the system can be nonzero; they are built from the integer structure
-    constants.  Raises `TripleInsolubleError` when no f exists; a solution
-    that fails the check [e, f] = h is an internal error (`RuntimeError`).
+    The grading is read off h.  Raises `ValueError` when e is not in g(2),
+    `TripleInsolubleError` when no f exists; a solution that fails the check
+    [e, f] = h is an internal error (`RuntimeError`).
     """
     # Integral values keep the weight sums out of Fraction arithmetic.
     values = [v.numerator if v.denominator == 1 else v for v in L.cartan_values(h)]
     weights = L.basis_weights(values)
-    supp, scale = _scaled_support(e.coeffs)
-    if any(weights[i] != 2 for i in supp):
+    if any(weights[i] != 2 for i in e.support()):
         raise ValueError("[h, e] = 2e fails: not a weight-2 vector for h")
     g0 = [i for i, w in enumerate(weights) if w == 0]
     neg2 = [j for j, w in enumerate(weights) if w == -2]
+    return _triple(L, h, g0, neg2, e)
+
+
+def _triple(
+    L: LieAlgebra, h: Element, g0: list[int], neg2: list[int], e: Element
+) -> Sl2Triple:
+    """`complete_triple` for e in g(2), given the indices of g(0) and g(-2).
+
+    e has ad h-weight 2, so [e, g(-2)] lies in g(0) and only the g(0) rows
+    of the system can be nonzero; they are built from the integer structure
+    constants.
+    """
+    supp, scale = _scaled_support(e.coeffs)
     row_of = {i: r for r, i in enumerate(g0)}
     # [scale * e, f] = scale * h, with integer scale * e, as augmented rows
     system = [[0] * len(neg2) + [scale * h.coeffs[i]] for i in g0]
@@ -348,9 +433,12 @@ def enumerate_orbits(
     """All nonzero nilpotent orbits, sorted by (orbit dimension, labels).
 
     Sweeps the 3^rank label vectors with one search each: the size filters,
-    the decisive draw whose triple proves the diagram, and the rank-greedy
-    representative with its triple.
+    the decisive draw, which one rank mod p rejects when its triple is
+    insoluble, and the rank-greedy representative, whose exact triple proves
+    the diagram.  `ValueError` unless `trials` is positive.
     """
+    if trials < 1:
+        raise ValueError("trials must be positive")
     found: list[tuple[int, tuple[int, ...], NilpotentOrbit]] = []
     for labels in product((0, 1, 2), repeat=L.rank):
         if not any(labels):

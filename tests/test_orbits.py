@@ -1,6 +1,7 @@
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 
 from exorb import orbits
@@ -254,11 +255,7 @@ def test_complete_triple_raises_on_failed_verification(monkeypatch):
 
 def test_dynkin_test_does_not_read_failed_verification_as_rejection(monkeypatch):
     L = build_lie_algebra("G2")
-
-    def broken(L, h, e):
-        raise RuntimeError("triple relations failed verification")
-
-    monkeypatch.setattr(orbits, "complete_triple", broken)
+    monkeypatch.setattr(orbits, "bracket", lambda L, a, b: L.zero())
     with pytest.raises(RuntimeError):
         dynkin_test(L, WeightedDynkinDiagram((2, 2)))
 
@@ -273,18 +270,55 @@ def test_sweep_does_not_read_an_insoluble_representative_as_rejection(monkeypatc
     assert not isinstance(info.value, TripleInsolubleError)
 
 
-def test_rejected_diagram_takes_one_triple_solve(monkeypatch):
+def test_rejected_diagram_takes_no_exact_triple_solve(monkeypatch):
     L = build_lie_algebra("E6")
     calls = []
-    real = orbits.complete_triple
+    real = orbits._triple
 
     def counting(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(orbits, "complete_triple", counting)
+    monkeypatch.setattr(orbits, "_triple", counting)
     assert not dynkin_test(L, WeightedDynkinDiagram((0, 0, 0, 0, 0, 2)))
-    assert len(calls) == 1
+    assert len(calls) == 0
+
+
+@pytest.mark.parametrize("name", ["F4", "E6"])
+def test_mod_p_verdict_is_the_exact_verdict(name, monkeypatch):
+    # The decisive draw of every label vector past the size filters: one
+    # rank mod p rejects it exactly when its triple is insoluble over Q.
+    L = build_lie_algebra(name)
+    real = orbits._insoluble_mod_p
+    draws = 0
+    for labels in product((0, 1, 2), repeat=L.rank):
+        d = WeightedDynkinDiagram(labels)
+        layout = orbits._layout(L, d) if any(labels) else None
+        if layout is None:
+            continue
+        with monkeypatch.context() as m:
+            m.setattr(orbits, "_insoluble_mod_p", lambda *args: False)
+            e = orbits._decide(L, d, layout, orbits.DEFAULT_TRIALS, 1)
+        assert e is not None
+        coeffs = np.array([int(e.coeffs[i]) for i in layout.g2], dtype=np.int64)
+        insoluble = orbits._settle(L, layout, e) is None
+        assert real(layout, coeffs) == insoluble, labels
+        draws += 1
+    assert draws == {"F4": 20, "E6": 139}[name]
+
+
+def test_acceptance_rests_on_exact_triples(monkeypatch):
+    monkeypatch.setattr(orbits, "_insoluble_mod_p", lambda *args: False)
+    L = build_lie_algebra("F4")
+    published = sorted(rec.diagram for rec in load_tables().orbits("F4"))
+    assert len(published) == 15
+    assert sorted(o.diagram.labels for o in enumerate_orbits(L)) == published
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+def test_enumerate_orbits_rejects_non_positive_trials(trials):
+    with pytest.raises(ValueError, match="trials must be positive"):
+        enumerate_orbits(build_lie_algebra("G2"), trials=trials)
 
 
 def test_odd_dim_g1_is_rejected_before_rank_work(monkeypatch):
