@@ -5,8 +5,13 @@ maximum possible rank is an exact proof of full rank.  The same bound makes
 one rank an exact proof of insolubility: for A x = b with n unknowns,
 rank_Q [A | b] >= rank_p [A | b] > n >= rank_Q A means b is not in the
 column space of A over Q.  The diagram test rejects most label vectors
-that pass its size filters this way.  Failing to reach a rank proves
-nothing and only discards a random draw: the diagram test draws again.
+that pass its size filters this way, with A = ad e : g(-2) -> g(0) and
+b = h.  That one rank also certifies its draw: rank_p [A | b] > n needs
+rank_p A = n, so A has full rank over Q.  The Killing form pairs g(k) with
+g(-k) nondegenerately and makes ad e skew-adjoint, kappa([e, y], x) =
+-kappa(y, [e, x]), so ad e : g(0) -> g(2) has the same rank and is onto.
+Failing to reach a rank proves nothing and only discards a random draw:
+the diagram test draws again.
 The one verdict that rests on these failures is the diagram test's
 rejection when none of its `trials` draws passes the surjectivity
 certificate; two independent 31-bit primes make a spurious failure

@@ -22,6 +22,7 @@ from .orbits import (
     NilpotentOrbit,
     WeightedDynkinDiagram,
     _orbit,
+    _orbit_dim,
     enumerate_orbits,
 )
 from .reach import OrbitAnalysis, analyze
@@ -78,11 +79,6 @@ def _label_for(tables: RefData, t: TypeRank, labels: tuple[int, ...]) -> str | N
         return tables.lookup(t, labels).label
     except ValueError:
         return None
-
-
-def _orbit_dim(L: LieAlgebra, labels: tuple[int, ...]) -> int:
-    weights = L.basis_weights(labels)
-    return L.dim - sum(1 for w in weights if w in (0, 1))
 
 
 def _render_rows(cfg: RunConfig, header: list[str], rows: list[list[str]], payload) -> str:

@@ -8,8 +8,12 @@ certificate is the sl2-triple with the characteristic h of the labels:
   allows;
 - seeded random draws e in g(2) run until ad e maps g(0) onto g(2), which
   puts e in the open G(0)-orbit of g(2); whether [e, f] = h is soluble for
-  that e decides the label vector, and one rank mod p of the augmented
-  system proves most insoluble ones without an exact solve;
+  that e decides the label vector.  Both questions are read off
+  A = ad e : g(-2) -> g(0): the Killing form pairs g(k) with g(-k) and
+  kappa([e, y], x) = -kappa(y, [e, x]), so A has the rank of ad e on g(0).
+  One rank mod p of the augmented system [A | h] above dim g(-2) both
+  certifies the draw and proves its triple insoluble, which rejects most
+  label vectors without an exact solve;
 - a rank-greedy walk over the roots of g(2) finds the representative, and
   its triple, solved exactly, proves the diagram and is the orbit's triple.
 
@@ -28,10 +32,11 @@ decisive draw is the representative.
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
+from math import lcm
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -106,71 +111,110 @@ def characteristic_element(L: LieAlgebra, d: WeightedDynkinDiagram) -> Element:
     """The Cartan element h with alpha_i(h) = labels[i]."""
     if len(d.labels) != L.rank:
         raise ValueError("diagram rank mismatch")
-    coords = _solve_rows([(*row, v) for row, v in zip(L.rs.cartan, d.labels)], L.rank)
-    if coords is None:
-        raise RuntimeError(f"singular Cartan matrix for {L.rs.type_rank}")
+    rows, den = _cartan_inverse(L)
     out = [Fraction(0)] * L.dim
-    for j, c in enumerate(coords):
-        out[2 * L.npos + j] = c
+    for j, row in enumerate(rows):
+        out[2 * L.npos + j] = Fraction(sum(a * v for a, v in zip(row, d.labels)), den)
     return Element(tuple(out))
+
+
+@lru_cache(maxsize=None)
+def _cartan_inverse(L: LieAlgebra) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(rows, den) with integer rows: the inverse of the Cartan matrix is rows / den."""
+    columns = []
+    for i in range(L.rank):
+        unit = [int(i == k) for k in range(L.rank)]
+        col = _solve_rows([(*row, v) for row, v in zip(L.rs.cartan, unit)], L.rank)
+        if col is None:
+            raise RuntimeError(f"singular Cartan matrix for {L.rs.type_rank}")
+        columns.append(col)
+    den = lcm(*(c.denominator for col in columns for c in col))
+    rows = tuple(tuple(int(c * den) for c in row) for row in zip(*columns))
+    return rows, den
+
+
+@lru_cache(maxsize=None)
+def _positive_roots(L: LieAlgebra) -> np.ndarray:
+    """The simple-root coordinates of the positive roots, one row each."""
+    return np.array(L._root_of_index[: L.npos], dtype=np.int64)
+
+
+def _graded(L: LieAlgebra, labels: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The weight of each positive root x_a, and dim g(k) for k = 0, 1, ...
+
+    The weight of x_a is the sum of a's coordinates times the labels, x_{-a}
+    has the opposite one, and g(0) also holds the Cartan subalgebra; g(-k)
+    has the dimension of g(k).  The sizes run at least up to k = 2.
+    """
+    weights = _positive_roots(L) @ np.asarray(labels, dtype=np.int64)
+    sizes = np.bincount(weights, minlength=3)
+    sizes[0] = 2 * sizes[0] + L.rank
+    return weights, sizes
+
+
+def _orbit_dim(L: LieAlgebra, labels: Sequence[int]) -> int:
+    """The orbit's dimension dim L - dim g_e, with dim g_e = dim g(0) + dim g(1)."""
+    sizes = _graded(L, labels)[1]
+    return L.dim - int(sizes[0]) - int(sizes[1])
 
 
 # -- the search behind every label vector ------------------------------------
 
 
 class _Layout(NamedTuple):
-    """The graded pieces of one label vector that the search works in.
+    """The graded pieces of one label vector that the draws work in.
 
-    `blocks[j]` is ad x_j : g(0) -> g(2) and `down[j]` is ad x_j : g(-2) ->
-    g(0), for the root vectors x_j of g(2); `hcol` is h on g(0) with its
-    denominators cleared, mod PRIMES[0].
+    `down[j]` is ad x_j : g(-2) -> g(0) for the root vectors x_j of g(2);
+    `hcol` is h on g(0) with its denominators cleared, mod PRIMES[0].
     """
 
     h: Element
     g0: list[int]
     g2: list[int]
     neg2: list[int]
-    blocks: np.ndarray
     down: np.ndarray
     hcol: np.ndarray
 
 
-def _layout(L: LieAlgebra, d: WeightedDynkinDiagram) -> _Layout | None:
-    """The graded pieces of d, or None when sizes rule out d.
-
-    For a triple with characteristic h, g is a sum of sl2-modules, so
-    dim g(k) >= dim g(k+2) for k >= 0, and dim g(1) is even (kappa(f, [x, y])
-    is a nondegenerate symplectic form on g(1)); a nonzero d also needs g(2)
-    nonzero.  These filters read only the sizes, so the index lists and the
-    blocks are built only for the label vectors that pass.  ad e is linear
-    in e: for e = sum c_j x_j over g(2) it is sum c_j blocks[j] on g(0) and
-    sum c_j down[j] on g(-2).
-    """
-    weights = L.basis_weights(d.labels)
-    sizes = Counter(weights)
-    if not sizes[2] or sizes[1] % 2:
-        return None
-    if any(sizes[k] < sizes[k + 2] for k in sizes if k >= 0):
-        return None
-    g0 = [i for i, w in enumerate(weights) if w == 0]
-    g2 = [i for i, w in enumerate(weights) if w == 2]
-    neg2 = [i for i, w in enumerate(weights) if w == -2]
-    pos = {b: r for r, b in enumerate(g2)}
-    row_of = {i: r for r, i in enumerate(g0)}
-    blocks = np.zeros((len(g2), len(g2), len(g0)), dtype=np.int64)
-    down = np.zeros((len(g2), len(g0), len(neg2)), dtype=np.int64)
+def _ad_blocks(
+    L: LieAlgebra, g2: Sequence[int], src: Sequence[int], dst: Sequence[int]
+) -> np.ndarray:
+    """ad x_j : span(src) -> span(dst) for each x_j of g2, as integer blocks."""
+    row_of = {i: r for r, i in enumerate(dst)}
+    out = np.zeros((len(g2), len(dst), len(src)), dtype=np.int64)
     for t, j in enumerate(g2):
         adj = L._adj[j]
-        for col, i in enumerate(g0):
+        for col, i in enumerate(src):
             for k, n in adj.get(i, ()):
-                blocks[t, pos[k], col] += n
-        for col, i in enumerate(neg2):
-            for k, n in adj.get(i, ()):
-                down[t, row_of[k], col] += n
+                out[t, row_of[k], col] += n
+    return out
+
+
+def _layout(L: LieAlgebra, d: WeightedDynkinDiagram) -> _Layout | None:
+    """The graded pieces of d that the draws read, or None when sizes rule out d.
+
+    For a triple with characteristic h, g is a sum of sl2-modules, so
+    dim g(k) >= dim g(k+2) for every k >= 0, also where dim g(k) = 0, and
+    dim g(1) is even (kappa(f, [x, y]) is a nondegenerate symplectic form on
+    g(1)); a nonzero d also needs g(2) nonzero.  These filters read only the
+    sizes from `_graded`, so the index lists and the blocks are built only
+    for the label vectors that pass.  The draws need only A = ad e :
+    g(-2) -> g(0), which is linear in e: for e = sum c_j x_j over g(2) it is
+    sum c_j down[j].  Its rank settles both questions of a draw (see
+    `_decide`), so the blocks of ad e : g(0) -> g(2) are left to the walk.
+    """
+    weights, sizes = _graded(L, d.labels)
+    if not sizes[2] or sizes[1] % 2 or np.any(sizes[:-2] < sizes[2:]):
+        return None
+    npos = L.npos
+    zero = np.flatnonzero(weights == 0).tolist()
+    g2 = np.flatnonzero(weights == 2).tolist()
+    g0 = zero + [npos + i for i in zero] + list(range(2 * npos, L.dim))
+    neg2 = [npos + i for i in g2]
     h = characteristic_element(L, d)
     scaled, _ = _scaled_support(h.coeffs)
     hcol = np.array([scaled.get(i, 0) % PRIMES[0] for i in g0], dtype=np.int64)
-    return _Layout(h, g0, g2, neg2, blocks, down, hcol)
+    return _Layout(h, g0, g2, neg2, _ad_blocks(L, g2, neg2, g0), hcol)
 
 
 def _derive_seed(seed: int, labels: Sequence[int]) -> int:
@@ -181,11 +225,13 @@ def _derive_seed(seed: int, labels: Sequence[int]) -> int:
 
 
 def _insoluble_mod_p(layout: _Layout, coeffs: np.ndarray) -> bool:
-    """Whether rank_p [A | h] > dim g(-2) for A = ad e : g(-2) -> g(0).
+    """Whether rank_p [A | h] > n = dim g(-2) for A = ad e : g(-2) -> g(0).
 
     e = sum coeffs[j] x_j.  A rank mod p never exceeds the rational one, so
-    then rank_Q [A | h] > dim g(-2) >= rank_Q A, and [e, f] = h is insoluble
-    over Q.  False proves nothing.
+    then rank_Q [A | h] > n >= rank_Q A, and [e, f] = h is insoluble over Q.
+    The same rank certifies the draw: rank_p [A | h] > n needs rank_p A = n,
+    so rank_Q A = n, and ad e maps g(0) onto g(2) (see `_decide`).  False
+    proves nothing.
     """
     a = np.tensordot(coeffs, layout.down, axes=1)
     augmented = np.column_stack([a, layout.hcol])
@@ -198,18 +244,24 @@ def _decide(
     """The first surjective draw, or None when d is rejected.
 
     Seeded random e in g(2) with coefficients in [1, TRIAL_COEFF_MAX] are
-    drawn until one passes the mod-p certificate that ad e maps g(0) onto
-    g(2).  None means that e's triple is insoluble, proved by one mod-p rank
-    (exact, see `_insoluble_mod_p`), or no draw among `trials` was
+    drawn until ad e maps g(0) onto g(2).  That is read off A = ad e :
+    g(-2) -> g(0) alone.  The Killing form pairs g(k) with g(-k)
+    nondegenerately and kappa([e, y], x) = -kappa(y, [e, x]), so A is the
+    transpose of B = ad e : g(0) -> g(2) up to these pairings, and
+    rank_Q A = rank_Q B; B is onto exactly when A has rank n = dim g(-2).
+    Each draw first gets the one rank mod p of `_insoluble_mod_p`: above n,
+    it certifies the draw and proves its triple insoluble, which rejects d.
+    Otherwise `has_full_rank(A, n)` certifies the draw.  None means a
+    rejection by that rank (exact), or that no draw among `trials` was
     surjective (probable).  A returned e still needs its exact triple.
     """
     rng = random.Random(_derive_seed(seed, d.labels))
     for _ in range(trials):
         coeffs = [rng.randint(1, TRIAL_COEFF_MAX) for _ in layout.g2]
         c = np.array(coeffs, dtype=np.int64)
-        if has_full_rank(np.tensordot(c, layout.blocks, axes=1), len(layout.g2)):
-            if _insoluble_mod_p(layout, c):
-                return None
+        if _insoluble_mod_p(layout, c):
+            return None
+        if has_full_rank(np.tensordot(c, layout.down, axes=1), len(layout.neg2)):
             return L.element(dict(zip(layout.g2, coeffs)))
     return None
 
@@ -237,9 +289,12 @@ def _represent(
     rational ones, so a rank of dim g(2) is exact.  The first order is the
     basis order, the next ones are seeded shuffles, up to `RESTART_BUDGET`
     orders; None when all of them run out.  Raises `TripleInsolubleError`
-    when the surjective e has no triple, which proves d is no diagram.
+    when the surjective e has no triple, which proves d is no diagram.  The
+    blocks of ad x_j : g(0) -> g(2) are built here, so only for the label
+    vectors that reach the walk.
     """
-    g2, blocks = layout.g2, layout.blocks
+    g2 = layout.g2
+    blocks = _ad_blocks(L, g2, layout.g0, g2)
     roots = [L._root_of_index[i] for i in g2]
     order = list(range(len(g2)))
     shuffler = random.Random(_derive_seed(seed, d.labels) + 2)
@@ -325,9 +380,10 @@ def dynkin_test(
     - so insolubility for this e rules out every e', and a solution is a
       triple that proves the diagram.
 
-    Insolubility is first tried with one rank mod p of the augmented system
-    (see `_insoluble_mod_p`), which rejects most label vectors past the size
-    filters without an exact solve; the other draws get one exact solve.
+    Each draw first gets one rank mod p of the augmented system (see
+    `_insoluble_mod_p` and `_decide`), which both certifies the draw and
+    proves its triple insoluble for most label vectors past the size
+    filters, without an exact solve; the other decisive draws get one.
     The triple is the one certificate, and both of its verdicts are exact.
     The one probabilistic verdict is a rejection because none of `trials`
     draws was surjective.  The empty g(2) is accepted only for the all-zero
@@ -445,8 +501,6 @@ def enumerate_orbits(
             continue
         o = _orbit(L, WeightedDynkinDiagram(labels), trials, seed)
         if o is not None:
-            weights = L.basis_weights(labels)
-            dim_orbit = L.dim - sum(1 for w in weights if w in (0, 1))
-            found.append((dim_orbit, labels, o))
+            found.append((_orbit_dim(L, labels), labels, o))
     found.sort(key=lambda item: (item[0], item[1]))
     return [o for _, _, o in found]

@@ -5,6 +5,8 @@ import sys
 from importlib import resources
 from pathlib import Path
 
+import pytest
+
 import exorb
 
 from exorb import cli
@@ -19,6 +21,7 @@ from exorb.cli import (
 )
 from exorb.algebra import build_lie_algebra
 from exorb.orbits import enumerate_orbits
+from exorb.reach import analyze
 from exorb.refdata import load_tables
 from exorb.roots import TypeRank
 
@@ -39,6 +42,18 @@ def test_classify_text_and_json():
     assert doc["schema"] == "exorb.classify/1"
     assert doc["orbit_count"] == 4
     assert [o["dim_orbit"] for o in doc["orbits"]] == [6, 8, 10, 12]
+
+
+@pytest.mark.parametrize("name", ["G2", "F4", "E6"])
+def test_classify_orbit_dimensions_are_dim_minus_dim_ge(name):
+    L = build_lie_algebra(name)
+    status, out = run(_cfg("classify", name, format="json"))
+    assert status == EXIT_OK
+    dims = {tuple(o["diagram"]): o["dim_orbit"] for o in json.loads(out)["orbits"]}
+    orbits = enumerate_orbits(L)
+    assert len(dims) == len(orbits)
+    for o in orbits:
+        assert dims[o.diagram.labels] == L.dim - analyze(L, o).dim_ge
 
 
 def test_classify_works_without_reference_labels():

@@ -22,7 +22,8 @@ from exorb.orbits import (
     enumerate_orbits,
     find_representative,
 )
-from exorb.linalg import RatMatrix, rank
+from exorb._modp import PRIMES, rank_mod
+from exorb.linalg import RatMatrix, _solve_rows, rank
 from exorb.refdata import load_tables
 
 
@@ -304,7 +305,28 @@ def test_mod_p_verdict_is_the_exact_verdict(name, monkeypatch):
         insoluble = orbits._settle(L, layout, e) is None
         assert real(layout, coeffs) == insoluble, labels
         draws += 1
-    assert draws == {"F4": 20, "E6": 139}[name]
+    assert draws == {"F4": 20, "E6": 137}[name]
+
+
+@pytest.mark.parametrize("name", ["F4", "E6"])
+def test_ad_e_has_one_rank_on_g_minus_2_and_on_g0(name, monkeypatch):
+    # kappa([e, y], x) = -kappa(y, [e, x]) makes ad e : g(-2) -> g(0) the
+    # transpose of ad e : g(0) -> g(2) up to the Killing pairings, so every
+    # decisive draw has the same rank on both, at both primes.
+    L = build_lie_algebra(name)
+    monkeypatch.setattr(orbits, "_insoluble_mod_p", lambda *args: False)
+    for labels in product((0, 1, 2), repeat=L.rank):
+        d = WeightedDynkinDiagram(labels)
+        layout = orbits._layout(L, d) if any(labels) else None
+        if layout is None:
+            continue
+        e = orbits._decide(L, d, layout, orbits.DEFAULT_TRIALS, 1)
+        coeffs = np.array([int(e.coeffs[i]) for i in layout.g2], dtype=np.int64)
+        down = np.tensordot(coeffs, layout.down, axes=1)
+        up_blocks = orbits._ad_blocks(L, layout.g2, layout.g0, layout.g2)
+        up = np.tensordot(coeffs, up_blocks, axes=1)
+        for p in PRIMES:
+            assert rank_mod(down, p) == rank_mod(up, p) == len(layout.g2), labels
 
 
 def test_acceptance_rests_on_exact_triples(monkeypatch):
@@ -329,10 +351,43 @@ def test_odd_dim_g1_is_rejected_before_rank_work(monkeypatch):
     assert sum(1 for w in weights if w == 0) >= sum(1 for w in weights if w == 2)
 
     def no_rank_work(*args):
-        raise AssertionError("has_full_rank called")
+        raise AssertionError("rank work done")
 
     monkeypatch.setattr(orbits, "has_full_rank", no_rank_work)
+    monkeypatch.setattr(orbits, "rank_mod", no_rank_work)
     assert not dynkin_test(L, WeightedDynkinDiagram(labels))
+
+
+@pytest.mark.parametrize("name", ["F4", "E6", "E7"])
+def test_layout_is_none_exactly_when_the_sizes_break_a_filter(name):
+    # Sizes counted from basis_weights, with every k >= 0 checked: E6
+    # (1,1,2,1,0,2) has dim g(9) = 0 < dim g(11) = 1.
+    L = build_lie_algebra(name)
+    for labels in product((0, 1, 2), repeat=L.rank):
+        weights = L.basis_weights(labels)
+        sizes = _weight_dims(weights)
+        dims = [sizes.get(k, 0) for k in range(max(weights) + 3)]
+        broken = (
+            not dims[2]
+            or dims[1] % 2
+            or any(dims[k] < dims[k + 2] for k in range(len(dims) - 2))
+        )
+        layout = orbits._layout(L, WeightedDynkinDiagram(labels))
+        assert (layout is None) == broken, labels
+        if layout is not None:
+            assert layout.g0 == [i for i, w in enumerate(weights) if w == 0]
+            assert layout.g2 == [i for i, w in enumerate(weights) if w == 2]
+            assert layout.neg2 == [i for i, w in enumerate(weights) if w == -2]
+
+
+@pytest.mark.parametrize("name", ["G2", "F4", "E6"])
+def test_characteristic_element_is_the_cartan_solve(name):
+    L = build_lie_algebra(name)
+    for labels in product((0, 1, 2), repeat=L.rank):
+        coords = _solve_rows([(*row, v) for row, v in zip(L.rs.cartan, labels)], L.rank)
+        h = characteristic_element(L, WeightedDynkinDiagram(labels))
+        assert h.coeffs[2 * L.npos :] == coords
+        assert not any(h.coeffs[: 2 * L.npos])
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
