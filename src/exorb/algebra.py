@@ -517,17 +517,21 @@ def derived_subalgebra(
     `weights` is a grading of L (see `centralizer`); s must be graded by it,
     that is, its canonical rows homogeneous (ValueError otherwise).  The
     bracket of rows of weights i and j has weight i + j, so it is settled
-    within weight i + j alone.  Each canonical row is bracketed as its
-    integer multiple, which changes no span.  While the span accumulated in
-    weight w has fewer rows than s(w), a bracket is reduced exactly against
-    it, and a nonzero residual is checked to lie in s and stored.  Once it
-    has as many rows it equals s(w), and a bracket is only checked to lie in
-    s.  Every pair is bracketed and checked exactly, and the result is the
-    same canonical basis for every grading.
+    within weight i + j alone.  A pair is skipped exactly when i + j is not
+    the weight of any basis vector of L: then g(i + j) = 0, so the bracket
+    is zero, lies in s and adds nothing.  Every other pair is bracketed,
+    also when s has no rows of weight i + j.  Each canonical row is
+    bracketed as its integer multiple, which changes no span.  While the
+    span accumulated in weight w has fewer rows than s(w), a bracket is
+    reduced exactly against it, and a nonzero residual is checked to lie in
+    s and stored.  Once it has as many rows it equals s(w), and a bracket is
+    only checked to lie in s.  So every bracket that can be nonzero is
+    checked exactly, and the result is the same canonical basis for every
+    grading.
     """
     if s.amb is not L:
         raise ValueError("subspace belongs to a different algebra")
-    weights, _ = _grading(L, weights)
+    weights, blocks = _grading(L, weights)
     row_w = s.row_weights(weights)
     rows = [_scaled_support(r)[0] for r in s._row_at.values()]
     cap = Counter(row_w)
@@ -535,6 +539,8 @@ def derived_subalgebra(
     adj = L._adj
     for i, (ri, wi) in enumerate(zip(rows, row_w)):
         for rj, wj in zip(rows[i + 1 :], row_w[i + 1 :]):
+            if wi + wj not in blocks:
+                continue
             v = _bracket_supp(adj, ri, rj)
             span = acc[wi + wj]
             filling = span.dim < cap[wi + wj]
@@ -647,10 +653,12 @@ def quotient_with_action(
     """
     if s.amb is not L or t.amb is not L:
         raise ValueError("subspace belongs to a different algebra")
-    weights = L.basis_weights(L.cartan_values(h))
-    if any(Fraction(w).denominator != 1 for w in weights):
+    values = L.cartan_values(h)
+    # The simple roots' values are among the eigenvalues and determine the
+    # rest, so integral values mean integer eigenvalues, summed as ints.
+    if any(v.denominator != 1 for v in values):
         raise ValueError("ad h does not act with integer eigenvalues")
-    weights = tuple(int(w) for w in weights)
+    weights = L.basis_weights([v.numerator for v in values])
     if not all(s._has(row) for row in t._row_at.values()):
         raise ValueError("t is not contained in s")
     try:

@@ -6,25 +6,37 @@ whether the two coincide (strongly reachable), whether g(1)_e generates the
 nonnegative-weight part g(>=1)_e, and the dimension and h-weights of the
 quotient g_e/[g_e, g_e].
 
-All of these are graded by ad h, and every layer is passed the diagram's
-basis weights, so it works weight by weight on small blocks; the results
-are the same canonical bases as without a grading (the block lemma, see
-`algebra.Subspace`).
+All of these are graded by ad h, and by a finer grading too.  Let
+phi_1..phi_m be integer linear forms on the root lattice spanning those
+that vanish on the roots in the support of e.  They are cocharacters of
+the subtorus S of the maximal torus T on which those roots are trivial,
+and S fixes e and h: the Cartan elements h_k with alpha(h_k) = phi_k(alpha)
+commute with h and kill e, so each ad h_k preserves g_e, [g_e, g_e] and
+the closure of g(1)_e.  Each of these spaces is therefore graded by
+(alpha(h), phi_1(alpha), ..., phi_m(alpha)), which is linear in the root
+alpha, so folded into one integer it is a grading of L (see
+`_torus_weights`).  Every layer is passed these basis weights and works
+weight by weight on small blocks, and brackets that the grading forces to
+zero are never formed.  The results are the same canonical bases as
+without a grading (the block lemma, see `algebra.Subspace`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .algebra import (
+    Element,
     LieAlgebra,
     Subspace,
     _closure,
+    _scaled_support,
     centralizer,
     derived_subalgebra,
     quotient_with_action,
 )
+from .linalg import _kernel_rows
 from .orbits import NilpotentOrbit, WeightedDynkinDiagram, enumerate_orbits
 
 __all__ = [
@@ -48,27 +60,56 @@ class OrbitAnalysis:
     ce_weights: tuple[int, ...]
 
 
+def _torus_weights(L: LieAlgebra, e: Element, labels: Sequence[int]) -> tuple[int, ...]:
+    """Basis weights of the grading by ad h and the subtorus that fixes e.
+
+    phi_1..phi_m are the integer annihilator of the support roots of e (the
+    Cartan part of e, of weight 0 under every grading, imposes nothing).
+    Each simple root gets the digits (labels, phi_1, ..., phi_m) folded in
+    one base, above 4 times the largest absolute digit over the roots, so
+    two weights, or two sums of two weights, are equal exactly when their
+    digits are.  Each root of e in g(2) has weight 2 * base^m.  For e = 0
+    this is the full root grading; when the support spans the root lattice,
+    the ad h grading.
+    """
+    support = [list(L._root_of_index[i]) for i in e.support() if i < L._hbase]
+    digits = [list(labels)]
+    for v in _kernel_rows(support, L.rank):
+        phi = _scaled_support(v)[0]
+        digits.append([phi.get(i, 0) for i in range(L.rank)])
+    base = 4 * max(abs(w) for phi in digits for w in L.basis_weights(phi)) + 1
+    values = [0] * L.rank
+    for phi in digits:
+        values = [base * v + x for v, x in zip(values, phi)]
+    return L.basis_weights(values)
+
+
 def _analyze_full(
     L: LieAlgebra, o: NilpotentOrbit
 ) -> tuple[OrbitAnalysis, Subspace, Subspace]:
-    """The analysis, g_e and [g_e, g_e], all computed in the ad h grading.
+    """The analysis, g_e and [g_e, g_e], computed in the torus grading.
 
-    e has ad h-weight 2, so every space here is graded by the basis weights
-    of the diagram and each layer works weight by weight (see
+    The subtorus of T on which the roots of e are trivial fixes e and h, and
+    its weights are linear in the root, so g_e, [g_e, g_e] and the closure
+    of g(1)_e are graded by its characters and by ad h at once.  Each layer
+    works weight by weight in the grading of `_torus_weights` (see
     `centralizer`).  By the block lemma the canonical rows of g_e are
-    homogeneous, so g(>=1)_e and g_e(1) are read off them as they stand.
+    homogeneous in it, hence in the coarser ad h grading too, so g(>=1)_e
+    and g_e(1) are read off them as they stand with the diagram's basis
+    weights, and every canonical basis is the one that the ad h grading
+    alone gives.
     """
     e, h = o.triple.e, o.triple.h
     labels = o.diagram.labels
     if L.cartan_values(h) != labels:
         raise ValueError(f"h does not realize the diagram {o.diagram}")
-    weights = L.basis_weights(labels)
+    weights = _torus_weights(L, e, labels)
     ge = centralizer(L, e, weights)
     derived = derived_subalgebra(L, ge, weights)
     reachable = derived.contains(e)
     strongly = derived.dim == ge.dim
 
-    graded = list(zip(ge._row_at.values(), ge.row_weights(weights)))
+    graded = list(zip(ge._row_at.values(), ge.row_weights(L.basis_weights(labels))))
     upper = Subspace(L, [r for r, w in graded if w >= 1])
     closure = _closure(L, [r for r, w in graded if w == 1], upper, weights)
     panyushev = closure.dim == upper.dim
@@ -88,7 +129,7 @@ def _analyze_full(
 
 
 def analyze(L: LieAlgebra, o: NilpotentOrbit) -> OrbitAnalysis:
-    """Full exact report for one orbit, computed in its ad h grading."""
+    """Full exact report for one orbit, computed in its torus grading."""
     return _analyze_full(L, o)[0]
 
 

@@ -163,6 +163,50 @@ def test_derived_subalgebra_checks_brackets_into_full_weights():
         derived_subalgebra(L, s, weights)
 
 
+def test_derived_subalgebra_checks_brackets_into_weights_that_s_lacks():
+    # s = <x_a, x_b> in A2, graded by the labels (1, 1).  s has no row of
+    # weight 2, but L has, x_{a+b}: the bracket of the pair is formed and
+    # escapes s.
+    L = build_lie_algebra("A2")
+    weights = L.basis_weights((1, 1))
+    s = Subspace.from_rows(
+        L, [L.root_vector((1, 0)).coeffs, L.root_vector((0, 1)).coeffs]
+    )
+    assert s.row_weights(weights) == (1, 1) and 2 in weights
+    with pytest.raises(ValueError, match="not closed"):
+        derived_subalgebra(L, s, weights)
+
+
+def test_derived_subalgebra_brackets_every_pair_that_can_be_nonzero(monkeypatch):
+    # A pair is skipped exactly when its weight sum is no weight of L, in
+    # the ad h grading and in the finer torus grading of the analyses.
+    import exorb.algebra
+    from exorb.reach import _torus_weights
+
+    kernel = exorb.algebra._bracket_supp
+    formed = []
+
+    def counting(adj, a, b):
+        formed.append((a, b))
+        return kernel(adj, a, b)
+
+    monkeypatch.setattr(exorb.algebra, "_bracket_supp", counting)
+    skipped = 0
+    for L, o in _triple_orbits():
+        e, labels = o.triple.e, o.diagram.labels
+        for weights in (L.basis_weights(labels), _torus_weights(L, e, labels)):
+            ge = centralizer(L, e, weights)
+            row_w = ge.row_weights(weights)
+            present = set(weights)
+            sums = [a + b for a, b in combinations(row_w, 2)]
+            formed.clear()
+            derived_subalgebra(L, ge, weights)
+            assert all(weights[min(a)] + weights[min(b)] in present for a, b in formed)
+            assert len(formed) == sum(t in present for t in sums)
+            skipped += len(sums) - len(formed)
+    assert skipped > 0
+
+
 def test_closure_of_nothing_is_zero():
     L = build_lie_algebra("A2")
     assert subalgebra_closure(L, []).dim == 0
@@ -202,6 +246,21 @@ def test_quotient_with_action_trivial_and_errors():
     x = L.root_vector((1, 0))
     with pytest.raises(ValueError):
         quotient_with_action(L, s, t, x)  # not a Cartan element
+
+
+def test_quotient_with_action_reads_the_values_on_the_simple_roots():
+    L = build_lie_algebra("A2")
+    full, zero = Subspace.full(L), Subspace.zero(L)
+    # (2 h_1 + h_2) / 3 has coordinates in thirds but values (1, 0).
+    h = Fraction(2, 3) * L.cartan_element(0) + Fraction(1, 3) * L.cartan_element(1)
+    assert L.cartan_values(h) == (1, 0)
+    assert quotient_with_action(L, full, zero, h) == (8, (-1, -1, 0, 0, 0, 0, 1, 1))
+    # (h_1 + h_2) / 2 has values (1/2, 1/2): the highest root has weight 1,
+    # the simple roots 1/2.
+    half = Fraction(1, 2) * (L.cartan_element(0) + L.cartan_element(1))
+    assert L.cartan_values(half) == (Fraction(1, 2), Fraction(1, 2))
+    with pytest.raises(ValueError, match="integer eigenvalues"):
+        quotient_with_action(L, full, zero, half)
 
 
 def test_quotient_rejects_unstable_spaces():

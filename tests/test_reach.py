@@ -1,6 +1,14 @@
 import pytest
 
-from exorb.algebra import build_lie_algebra
+from exorb import orbits as orbits_module
+from exorb.algebra import (
+    Subspace,
+    _closure,
+    build_lie_algebra,
+    centralizer,
+    derived_subalgebra,
+    quotient_with_action,
+)
 from exorb.linalg import RatMatrix
 from exorb.orbits import (
     NilpotentOrbit,
@@ -10,7 +18,13 @@ from exorb.orbits import (
     enumerate_orbits,
     find_representative,
 )
-from exorb.reach import analyze, rigid_discrepancy_report
+from exorb.reach import (
+    OrbitAnalysis,
+    _analyze_full,
+    _torus_weights,
+    analyze,
+    rigid_discrepancy_report,
+)
 from exorb.refdata import load_tables
 
 # diagram -> (dim_ge, dim_derived, reachable, strong, dim_ce, weights)
@@ -135,3 +149,80 @@ def test_analyze_builds_no_dense_matrix(monkeypatch):
     for L, o in orbits:
         analyze(L, o)
     assert len(orbits) == 16 and built == []
+
+
+def _layers(L, o, weights):
+    """g_e, [g_e, g_e], g(>=1)_e and the closure of g_e(1), run in `weights`.
+
+    g(>=1)_e and g_e(1) are chosen by the ad h weights, as in the analyses.
+    """
+    ge = centralizer(L, o.triple.e, weights)
+    derived = derived_subalgebra(L, ge, weights)
+    hweights = L.basis_weights(o.diagram.labels)
+    graded = list(zip(ge._row_at.values(), ge.row_weights(hweights)))
+    upper = Subspace(L, [r for r, w in graded if w >= 1])
+    closure = _closure(L, [r for r, w in graded if w == 1], upper, weights)
+    return ge, derived, upper, closure
+
+
+def _assert_torus_grading_changes_nothing(L, o):
+    """The layers and `_analyze_full` in the torus grading equal the ad h ones."""
+    torus = _torus_weights(L, o.triple.e, o.diagram.labels)
+    adh = L.basis_weights(o.diagram.labels)
+    ge, derived, upper, closure = layers = _layers(L, o, adh)
+    assert _layers(L, o, torus) == layers
+    dim_ce, ce_weights = quotient_with_action(L, ge, derived, o.triple.h)
+    analysis = OrbitAnalysis(
+        orbit=o,
+        dim_ge=ge.dim,
+        dim_derived=derived.dim,
+        reachable=derived.contains(o.triple.e),
+        strongly_reachable=derived.dim == ge.dim,
+        panyushev_generated=closure.dim == upper.dim,
+        dim_ce=dim_ce,
+        ce_weights=ce_weights,
+    )
+    assert _analyze_full(L, o) == (analysis, ge, derived)
+    return torus, adh
+
+
+def test_torus_graded_analyses_equal_the_ad_h_graded_ones():
+    cases = []
+    for name in ("G2", "F4"):
+        L = build_lie_algebra(name)
+        cases += [(L, o) for o in enumerate_orbits(L)]
+    L = build_lie_algebra("E6")
+    for label in ("A1", "2A2+A1", "D4(a1)", "E6"):
+        d = WeightedDynkinDiagram(load_tables().by_label("E6", label).diagram)
+        triple = complete_triple(L, characteristic_element(L, d), find_representative(L, d))
+        cases.append((L, NilpotentOrbit(d, triple)))
+    finer = 0
+    for L, o in cases:
+        torus, adh = _assert_torus_grading_changes_nothing(L, o)
+        finer += len(set(torus)) > len(set(adh))
+    assert len(cases) == 4 + 15 + 4 and finer > 0
+
+
+@pytest.mark.parametrize("name", ["G2", "F4", "E6", "E7", "E8"])
+def test_zero_orbit_is_analysed_in_the_root_grading(name):
+    L = build_lie_algebra(name)
+    d = WeightedDynkinDiagram((0,) * L.rank)
+    o = NilpotentOrbit(d, complete_triple(L, characteristic_element(L, d), L.zero()))
+    torus, _ = _assert_torus_grading_changes_nothing(L, o)
+    roots = torus[: 2 * L.npos]
+    assert len(set(roots)) == len(roots) and 0 not in roots
+    a = analyze(L, o)
+    assert a.dim_ge == a.dim_derived == L.dim and a.strongly_reachable
+
+
+def test_dense_fallback_analyses_equal_the_ad_h_graded_ones(monkeypatch):
+    # Without restarts the walk gives up at once and every F4 orbit takes
+    # the decisive draw, dense over g(2), as its representative; its roots
+    # may span the root lattice, leaving only the ad h grading.
+    monkeypatch.setattr(orbits_module, "RESTART_BUDGET", 0)
+    L = build_lie_algebra("F4")
+    coarse = 0
+    for o in enumerate_orbits(L):
+        torus, adh = _assert_torus_grading_changes_nothing(L, o)
+        coarse += len(set(torus)) == len(set(adh))
+    assert coarse > 0
