@@ -41,7 +41,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ._modp import PRIMES, has_full_rank, rank_mod
+from ._modp import PRIMES, has_full_rank, pivot_columns, sparse_rank_mod
 from .algebra import Element, LieAlgebra, _scaled_support, bracket
 from .linalg import _solve_rows
 
@@ -224,18 +224,19 @@ def _derive_seed(seed: int, labels: Sequence[int]) -> int:
     return out
 
 
-def _insoluble_mod_p(layout: _Layout, coeffs: np.ndarray) -> bool:
-    """Whether rank_p [A | h] > n = dim g(-2) for A = ad e : g(-2) -> g(0).
+def _ranks_mod_p(layout: _Layout, a: np.ndarray) -> tuple[int, int]:
+    """rank_p A and rank_p [A | h] at PRIMES[0], for A = ad e : g(-2) -> g(0).
 
-    e = sum coeffs[j] x_j.  A rank mod p never exceeds the rational one, so
-    then rank_Q [A | h] > n >= rank_Q A, and [e, f] = h is insoluble over Q.
-    The same rank certifies the draw: rank_p [A | h] > n needs rank_p A = n,
-    so rank_Q A = n, and ad e maps g(0) onto g(2) (see `_decide`).  False
-    proves nothing.
+    Both come from one elimination of [A | h]: its columns are eliminated
+    in order, so the pivots among A's n = dim g(-2) columns give rank_p A.
+    A rank mod p never exceeds the rational one, so rank_p A = n proves
+    rank_Q A = n, which certifies the draw (see `_decide`), and
+    rank_p [A | h] > n proves rank_Q [A | h] > n >= rank_Q A: then
+    [e, f] = h is insoluble over Q.
     """
-    a = np.tensordot(coeffs, layout.down, axes=1)
-    augmented = np.column_stack([a, layout.hcol])
-    return rank_mod(augmented, PRIMES[0]) > len(layout.neg2)
+    n = a.shape[1]
+    pivots = pivot_columns(np.column_stack([a, layout.hcol]), PRIMES[0])
+    return len(pivots) - (n in pivots), len(pivots)
 
 
 def _decide(
@@ -249,19 +250,23 @@ def _decide(
     nondegenerately and kappa([e, y], x) = -kappa(y, [e, x]), so A is the
     transpose of B = ad e : g(0) -> g(2) up to these pairings, and
     rank_Q A = rank_Q B; B is onto exactly when A has rank n = dim g(-2).
-    Each draw first gets the one rank mod p of `_insoluble_mod_p`: above n,
-    it certifies the draw and proves its triple insoluble, which rejects d.
-    Otherwise `has_full_rank(A, n)` certifies the draw.  None means a
-    rejection by that rank (exact), or that no draw among `trials` was
-    surjective (probable).  A returned e still needs its exact triple.
+    Each draw gets one elimination mod p of [A | h] (`_ranks_mod_p`): a
+    rank of [A | h] above n proves its triple insoluble, which rejects d,
+    and a rank of A equal to n certifies the draw.  Only when the rank of A
+    falls short is A handed to `has_full_rank`, which also tries the second
+    prime.  None means a rejection by that rank (exact), or that no draw
+    among `trials` was surjective (probable).  A returned e still needs its
+    exact triple.
     """
+    n = len(layout.neg2)
     rng = random.Random(_derive_seed(seed, d.labels))
     for _ in range(trials):
         coeffs = [rng.randint(1, TRIAL_COEFF_MAX) for _ in layout.g2]
-        c = np.array(coeffs, dtype=np.int64)
-        if _insoluble_mod_p(layout, c):
+        a = np.tensordot(np.array(coeffs, dtype=np.int64), layout.down, axes=1)
+        rank_a, rank_ah = _ranks_mod_p(layout, a)
+        if rank_ah > n:
             return None
-        if has_full_rank(np.tensordot(c, layout.down, axes=1), len(layout.neg2)):
+        if rank_a == n or has_full_rank(a, n):
             return L.element(dict(zip(layout.g2, coeffs)))
     return None
 
@@ -289,12 +294,21 @@ def _represent(
     rational ones, so a rank of dim g(2) is exact.  The first order is the
     basis order, the next ones are seeded shuffles, up to `RESTART_BUDGET`
     orders; None when all of them run out.  Raises `TripleInsolubleError`
-    when the surjective e has no triple, which proves d is no diagram.  The
-    blocks of ad x_j : g(0) -> g(2) are built here, so only for the label
-    vectors that reach the walk.
+    when the surjective e has no triple, which proves d is no diagram.
+
+    The walk's matrices are sparse: ad x_j sends x_b in g(0) to a multiple
+    of x_{j+b} and a Cartan vector to a multiple of x_j, so each of their
+    columns has at most one nonzero.  The columns of every ad x_j are read
+    off the structure constants once per label vector, the walk keeps their
+    sum over the kept roots, and each candidate's sum is ranked by sparse
+    elimination mod `PRIMES[0]` (`sparse_rank_mod`).  The draws' matrices
+    are dense, and numpy eliminates those faster (`_decide`).
     """
     g2 = layout.g2
-    blocks = _ad_blocks(L, g2, layout.g0, g2)
+    # the nonzero entries (column i, row k, value n) of each ad x_j
+    up = [
+        [(i, k, n) for i in layout.g0 for k, n in L._adj[j].get(i, ())] for j in g2
+    ]
     roots = [L._root_of_index[i] for i in g2]
     order = list(range(len(g2)))
     shuffler = random.Random(_derive_seed(seed, d.labels) + 2)
@@ -303,15 +317,23 @@ def _represent(
             shuffler.shuffle(order)
         kept: list[int] = []
         echelon: list[tuple[int, list[int]]] = []
+        # column i of ad e : g(0) -> g(2) for e the sum over kept, as {k: entry}
+        total: dict[int, dict[int, int]] = {}
         reached = 0
         for q in order:
             v = _reduced(echelon, roots[q])
             if not any(v):
                 continue
-            r = rank_mod(blocks[kept + [q]].sum(axis=0), PRIMES[0])
+            candidate = dict(total)
+            for i, k, n in up[q]:
+                column = dict(total.get(i, ()))
+                column[k] = column.get(k, 0) + n
+                candidate[i] = column
+            r = sparse_rank_mod(candidate.values(), PRIMES[0])
             if r > reached:
                 kept.append(q)
                 echelon.append((next(c for c, x in enumerate(v) if x), v))
+                total = candidate
                 reached = r
                 if reached == len(g2):
                     e = L.element({g2[t]: Fraction(1) for t in kept})
@@ -380,8 +402,8 @@ def dynkin_test(
     - so insolubility for this e rules out every e', and a solution is a
       triple that proves the diagram.
 
-    Each draw first gets one rank mod p of the augmented system (see
-    `_insoluble_mod_p` and `_decide`), which both certifies the draw and
+    Each draw first gets one elimination mod p of the augmented system (see
+    `_ranks_mod_p` and `_decide`), which both certifies the draw and
     proves its triple insoluble for most label vectors past the size
     filters, without an exact solve; the other decisive draws get one.
     The triple is the one certificate, and both of its verdicts are exact.

@@ -1,10 +1,13 @@
+import hashlib
+import json
+import sys
 from fractions import Fraction
 from itertools import product
 
 import numpy as np
 import pytest
 
-from exorb import orbits
+from exorb import _modp, orbits
 from exorb.algebra import (
     Subspace,
     bracket,
@@ -285,12 +288,21 @@ def test_rejected_diagram_takes_no_exact_triple_solve(monkeypatch):
     assert len(calls) == 0
 
 
+def _no_mod_p_rejection(monkeypatch):
+    """Give every draw rank_p [A | h] = rank_p A, so no draw is rejected mod p."""
+    real = orbits._ranks_mod_p
+    monkeypatch.setattr(
+        orbits, "_ranks_mod_p", lambda layout, a: (real(layout, a)[0],) * 2
+    )
+
+
 @pytest.mark.parametrize("name", ["F4", "E6"])
 def test_mod_p_verdict_is_the_exact_verdict(name, monkeypatch):
     # The decisive draw of every label vector past the size filters: one
     # rank mod p rejects it exactly when its triple is insoluble over Q.
+    # Both ranks come from one elimination and equal the separate ones.
     L = build_lie_algebra(name)
-    real = orbits._insoluble_mod_p
+    real = orbits._ranks_mod_p
     draws = 0
     for labels in product((0, 1, 2), repeat=L.rank):
         d = WeightedDynkinDiagram(labels)
@@ -298,12 +310,20 @@ def test_mod_p_verdict_is_the_exact_verdict(name, monkeypatch):
         if layout is None:
             continue
         with monkeypatch.context() as m:
-            m.setattr(orbits, "_insoluble_mod_p", lambda *args: False)
+            _no_mod_p_rejection(m)
             e = orbits._decide(L, d, layout, orbits.DEFAULT_TRIALS, 1)
         assert e is not None
         coeffs = np.array([int(e.coeffs[i]) for i in layout.g2], dtype=np.int64)
+        a = np.tensordot(coeffs, layout.down, axes=1)
+        augmented = np.column_stack([a, layout.hcol])
+        rank_a, rank_ah = real(layout, a)
+        assert (rank_a, rank_ah) == (
+            rank_mod(a, PRIMES[0]),
+            rank_mod(augmented, PRIMES[0]),
+        )
+        assert rank_a == len(layout.neg2)
         insoluble = orbits._settle(L, layout, e) is None
-        assert real(layout, coeffs) == insoluble, labels
+        assert (rank_ah > rank_a) == insoluble, labels
         draws += 1
     assert draws == {"F4": 20, "E6": 137}[name]
 
@@ -314,7 +334,7 @@ def test_ad_e_has_one_rank_on_g_minus_2_and_on_g0(name, monkeypatch):
     # transpose of ad e : g(0) -> g(2) up to the Killing pairings, so every
     # decisive draw has the same rank on both, at both primes.
     L = build_lie_algebra(name)
-    monkeypatch.setattr(orbits, "_insoluble_mod_p", lambda *args: False)
+    _no_mod_p_rejection(monkeypatch)
     for labels in product((0, 1, 2), repeat=L.rank):
         d = WeightedDynkinDiagram(labels)
         layout = orbits._layout(L, d) if any(labels) else None
@@ -330,11 +350,84 @@ def test_ad_e_has_one_rank_on_g_minus_2_and_on_g0(name, monkeypatch):
 
 
 def test_acceptance_rests_on_exact_triples(monkeypatch):
-    monkeypatch.setattr(orbits, "_insoluble_mod_p", lambda *args: False)
+    _no_mod_p_rejection(monkeypatch)
     L = build_lie_algebra("F4")
     published = sorted(rec.diagram for rec in load_tables().orbits("F4"))
     assert len(published) == 15
     assert sorted(o.diagram.labels for o in enumerate_orbits(L)) == published
+
+
+# First 16 hex digits of the sha256 of every orbit's labels, e and f.
+SWEEP_DIGESTS = {
+    ("G2", 1): "f2c24547f4f8e995",
+    ("F4", 1): "74eb4a3b2f71adf9",
+    ("E6", 1): "ed65f3422d708d84",
+    ("E7", 1): "36b524980fa3d24b",
+    ("E8", 1): "a88ccdc67a17ed31",
+    ("G2", 2): "8e1fb60e8b7c522a",
+    ("F4", 2): "cd3beae654307725",
+    ("E6", 2): "a353045f8e99af65",
+    ("E7", 2): "d451714dab0b448b",
+    ("E8", 2): "076fa0ddf50b072b",
+}
+
+
+@pytest.mark.parametrize("name, seed", sorted(SWEEP_DIGESTS))
+def test_sweep_output_is_pinned(name, seed):
+    # The representatives come from the rank-greedy walk; any change to the
+    # roots it visits or keeps changes e and f.
+    rows = [
+        [
+            list(o.diagram.labels),
+            [[i, str(o.triple.e.coeffs[i])] for i in o.triple.e.support()],
+            [[i, str(o.triple.f.coeffs[i])] for i in o.triple.f.support()],
+        ]
+        for o in enumerate_orbits(build_lie_algebra(name), seed=seed)
+    ]
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()[:16]
+    assert digest == SWEEP_DIGESTS[name, seed]
+
+
+@pytest.mark.parametrize("name", ["F4", "E6"])
+def test_walk_ranks_are_the_dense_ranks_of_the_summed_blocks(name, monkeypatch):
+    # Every rank the walk takes, of ad e : g(0) -> g(2) for e the unit sum
+    # over the kept roots and the candidate, equals the dense rank of the
+    # same sum of `_ad_blocks`; the walk itself takes no dense rank.
+    L = build_lie_algebra(name)
+    real = orbits.sparse_rank_mod
+    taken = []
+
+    def sparse_rank(rows, p):
+        # the kept roots and the candidate q are read off the walk's frame
+        walk = sys._getframe(1).f_locals
+        r = real(rows, p)
+        taken.append((walk["layout"], walk["kept"] + [walk["q"]], p, r))
+        return r
+
+    def no_dense_rank(*args):
+        raise AssertionError("dense rank in the walk")
+
+    real_represent = orbits._represent
+
+    def represent(*args):
+        with monkeypatch.context() as m:
+            m.setattr(_modp, "pivot_columns", no_dense_rank)
+            m.setattr(orbits, "pivot_columns", no_dense_rank)
+            m.setattr(orbits, "has_full_rank", no_dense_rank)
+            return real_represent(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(orbits, "sparse_rank_mod", sparse_rank)
+        m.setattr(orbits, "_represent", represent)
+        assert len(enumerate_orbits(L)) == {"F4": 15, "E6": 20}[name]
+    assert len(taken) == {"F4": 106, "E6": 227}[name]
+    blocks = {}
+    for layout, roots, p, r in taken:
+        g2 = tuple(layout.g2)
+        if g2 not in blocks:
+            blocks[g2] = orbits._ad_blocks(L, layout.g2, layout.g0, layout.g2)
+        assert p == PRIMES[0]
+        assert r == rank_mod(blocks[g2][roots].sum(axis=0), p), (g2, roots)
 
 
 @pytest.mark.parametrize("trials", [0, -1])
@@ -354,7 +447,8 @@ def test_odd_dim_g1_is_rejected_before_rank_work(monkeypatch):
         raise AssertionError("rank work done")
 
     monkeypatch.setattr(orbits, "has_full_rank", no_rank_work)
-    monkeypatch.setattr(orbits, "rank_mod", no_rank_work)
+    monkeypatch.setattr(orbits, "pivot_columns", no_rank_work)
+    monkeypatch.setattr(orbits, "sparse_rank_mod", no_rank_work)
     assert not dynkin_test(L, WeightedDynkinDiagram(labels))
 
 
