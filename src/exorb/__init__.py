@@ -24,6 +24,7 @@ from .orbits import (
     Sl2Triple,
     NilpotentOrbit,
     characteristic_element,
+    orbit,
     dynkin_test,
     find_representative,
     complete_triple,
@@ -60,6 +61,7 @@ __all__ = [
     "Sl2Triple",
     "NilpotentOrbit",
     "characteristic_element",
+    "orbit",
     "dynkin_test",
     "find_representative",
     "complete_triple",

@@ -12,12 +12,8 @@ proves that A has full rank over Q.  The Killing form pairs g(k) with
 g(-k) nondegenerately and makes ad e skew-adjoint, kappa([e, y], x) =
 -kappa(y, [e, x]), so ad e : g(0) -> g(2) has the same rank and is onto.
 Failing to reach a rank proves nothing and only discards a random draw:
-the diagram test draws again.
-The one verdict that rests on these failures is the diagram test's
-rejection when none of its `trials` draws passes the surjectivity
-certificate; two independent 31-bit primes make a spurious failure
-astronomically unlikely, and the classification sweep is cross-checked
-against reference tables anyway.
+the diagram test draws again, and when none of its `trials` draws reaches
+the rank it raises instead of deciding, so no verdict rests on a failure.
 
 There are two elimination kernels.  The draws' matrices are dense (e has
 a random coefficient on every root vector of g(2)), and `pivot_columns`
@@ -105,6 +101,7 @@ def sparse_rank_mod(rows: Iterable[Mapping[int, int]], p: int) -> int:
     return len(pivots)
 
 
+# Only the benchmark's tracer still names this; the diagram search does not call it.
 def has_full_rank(matrix: np.ndarray, target: int) -> bool:
     """True iff the rational rank provably equals `target` (the maximum)."""
     if target == 0:

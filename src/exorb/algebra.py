@@ -268,7 +268,8 @@ class _Echelon:
                     del v[k]
         return v
 
-    def _store(self, v: dict[int, Fraction | int]) -> dict[int, Fraction | int]:
+    def store(self, v: dict[int, Fraction | int]) -> dict[int, Fraction | int]:
+        """Keep a reduced nonzero v, scaled to 1 at its leading index."""
         p = min(v)
         piv = Fraction(v[p])
         row = {k: _entry(x / piv) for k, x in v.items()}
@@ -551,7 +552,7 @@ def derived_subalgebra(
             if not s._has(v):
                 raise ValueError("subspace is not closed under the bracket")
             if filling:
-                span._store(v)
+                span.store(v)
     return Subspace(L, sorted((r for e in acc.values() for r in e.canonical_rows()), key=min))
 
 
@@ -624,7 +625,7 @@ def _closure(
         residual = acc[w].reduce(v)
         if not residual:
             continue
-        row = _scaled_support(acc[w]._store(residual))[0]
+        row = _scaled_support(acc[w].store(residual))[0]
         found += 1
         if found >= limit:
             break

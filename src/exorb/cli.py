@@ -21,9 +21,9 @@ from .orbits import (
     DEFAULT_TRIALS,
     NilpotentOrbit,
     WeightedDynkinDiagram,
-    _orbit,
     _orbit_dim,
     enumerate_orbits,
+    orbit,
 )
 from .reach import OrbitAnalysis, analyze
 from .refdata import EXCEPTIONAL, REFDATA_ENV, RefData, load_tables
@@ -170,7 +170,7 @@ def _resolve_orbit(cfg: RunConfig, L: LieAlgebra, tables: RefData) -> NilpotentO
             d = WeightedDynkinDiagram(tables.by_label(cfg.type, selector).diagram)
         except ValueError as exc:
             raise UsageError(str(exc)) from None
-    o = _orbit(L, d, cfg.trials, cfg.seed)
+    o = orbit(L, d, cfg.seed, cfg.trials)
     if o is None:
         raise UsageError(f"not a weighted Dynkin diagram for {cfg.type}: {d}")
     return o
@@ -209,10 +209,8 @@ def _cmd_analyze(cfg: RunConfig) -> tuple[int, str]:
     return EXIT_OK, _render_rows(cfg, header, [[str(v) for _, v in fields]], payload)
 
 
-def _sweep(cfg: RunConfig, L: LieAlgebra) -> list[OrbitAnalysis]:
-    return [
-        analyze(L, o) for o in enumerate_orbits(L, seed=cfg.seed, trials=cfg.trials)
-    ]
+def _sweep(L: LieAlgebra, seed: int, trials: int) -> list[OrbitAnalysis]:
+    return [analyze(L, o) for o in enumerate_orbits(L, seed=seed, trials=trials)]
 
 
 def _cmd_table(cfg: RunConfig) -> tuple[int, str]:
@@ -220,7 +218,7 @@ def _cmd_table(cfg: RunConfig) -> tuple[int, str]:
         raise UsageError("tables are defined for the exceptional types only")
     tables = _tables(cfg)
     L = build_lie_algebra(cfg.type)
-    analyses = _sweep(cfg, L)
+    analyses = _sweep(L, cfg.seed, cfg.trials)
     rows = []
     payload_rows = []
     if cfg.kind == "reachable":
@@ -282,16 +280,7 @@ def _verify_type(cfg: RunConfig, tables: RefData, tname: str) -> tuple[int, list
     L = build_lie_algebra(tname)
     records = {rec.diagram: rec for rec in tables.orbits(tname)}
     analyses = {
-        a.orbit.diagram.labels: a
-        for a in _sweep(
-            RunConfig(
-                command="verify",
-                type=TypeRank.from_string(tname),
-                seed=cfg.seed,
-                trials=cfg.trials,
-            ),
-            L,
-        )
+        a.orbit.diagram.labels: a for a in _sweep(L, cfg.seed, cfg.trials)
     }
     mismatches: list[dict] = []
 
@@ -386,7 +375,12 @@ def _build_parser() -> _Parser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("type", help="simple type, e.g. G2, F4, E6, E7, E8, A2")
         p.add_argument("--seed", type=int, default=1)
-        p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
+        p.add_argument(
+            "--trials",
+            type=int,
+            default=DEFAULT_TRIALS,
+            help="draws per label vector before the search gives up with exit 3",
+        )
         p.add_argument("--format", choices=FORMATS, default="text")
         p.add_argument("--refdata", default=None, help="path to reference tables")
 

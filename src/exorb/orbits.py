@@ -32,7 +32,7 @@ decisive draw is the representative.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -41,8 +41,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ._modp import PRIMES, has_full_rank, pivot_columns, sparse_rank_mod
-from .algebra import Element, LieAlgebra, _scaled_support, bracket
+from ._modp import PRIMES, pivot_columns, sparse_rank_mod
+from .algebra import Element, LieAlgebra, _Echelon, _scaled_support, bracket
 from .linalg import _solve_rows
 
 __all__ = [
@@ -51,6 +51,7 @@ __all__ = [
     "NilpotentOrbit",
     "TripleInsolubleError",
     "characteristic_element",
+    "orbit",
     "dynkin_test",
     "find_representative",
     "complete_triple",
@@ -101,10 +102,6 @@ class TripleInsolubleError(RuntimeError):
 class NilpotentOrbit:
     diagram: WeightedDynkinDiagram
     triple: Sl2Triple
-    label: str | None = None
-
-    def with_label(self, label: str) -> "NilpotentOrbit":
-        return replace(self, label=label)
 
 
 def characteristic_element(L: LieAlgebra, d: WeightedDynkinDiagram) -> Element:
@@ -242,7 +239,7 @@ def _ranks_mod_p(layout: _Layout, a: np.ndarray) -> tuple[int, int]:
 def _decide(
     L: LieAlgebra, d: WeightedDynkinDiagram, layout: _Layout, trials: int, seed: int
 ) -> Element | None:
-    """The first surjective draw, or None when d is rejected.
+    """The first surjective draw, or None when a draw proves d is rejected.
 
     Seeded random e in g(2) with coefficients in [1, TRIAL_COEFF_MAX] are
     drawn until ad e maps g(0) onto g(2).  That is read off A = ad e :
@@ -252,11 +249,15 @@ def _decide(
     rank_Q A = rank_Q B; B is onto exactly when A has rank n = dim g(-2).
     Each draw gets one elimination mod p of [A | h] (`_ranks_mod_p`): a
     rank of [A | h] above n proves its triple insoluble, which rejects d,
-    and a rank of A equal to n certifies the draw.  Only when the rank of A
-    falls short is A handed to `has_full_rank`, which also tries the second
-    prime.  None means a rejection by that rank (exact), or that no draw
-    among `trials` was surjective (probable).  A returned e still needs its
-    exact triple.
+    and a rank of A equal to n certifies the draw; otherwise the next draw
+    is taken.  A returned e still needs its exact triple.
+
+    When no draw among `trials` reaches rank n, this raises `RuntimeError`
+    naming d instead of deciding.  That is not expected: for a true diagram
+    the draws that fall short are common zeros mod p of the n x n minors of
+    A, polynomials of degree n in the coefficients of e, so once one minor
+    is nonzero mod p the Schwartz-Zippel lemma bounds the chance that a
+    draw falls short by n / TRIAL_COEFF_MAX = dim g(2) / 10^4.
     """
     n = len(layout.neg2)
     rng = random.Random(_derive_seed(seed, d.labels))
@@ -266,20 +267,9 @@ def _decide(
         rank_a, rank_ah = _ranks_mod_p(layout, a)
         if rank_ah > n:
             return None
-        if rank_a == n or has_full_rank(a, n):
+        if rank_a == n:
             return L.element(dict(zip(layout.g2, coeffs)))
-    return None
-
-
-def _reduced(echelon: list[tuple[int, list[int]]], v: Sequence[int]) -> list[int]:
-    """v reduced against the (pivot, row) echelon, fraction-free in ints."""
-    out = list(v)
-    for c, row in echelon:
-        f = out[c]
-        if f:
-            p = row[c]
-            out = [p * a - f * b for a, b in zip(out, row)]
-    return out
+    raise RuntimeError(f"diagram {d}: no surjective draw among {trials}")
 
 
 def _represent(
@@ -309,20 +299,20 @@ def _represent(
     up = [
         [(i, k, n) for i in layout.g0 for k, n in L._adj[j].get(i, ())] for j in g2
     ]
-    roots = [L._root_of_index[i] for i in g2]
+    roots = [{c: x for c, x in enumerate(L._root_of_index[i]) if x} for i in g2]
     order = list(range(len(g2)))
     shuffler = random.Random(_derive_seed(seed, d.labels) + 2)
     for attempt in range(RESTART_BUDGET):
         if attempt:
             shuffler.shuffle(order)
         kept: list[int] = []
-        echelon: list[tuple[int, list[int]]] = []
+        echelon = _Echelon()
         # column i of ad e : g(0) -> g(2) for e the sum over kept, as {k: entry}
         total: dict[int, dict[int, int]] = {}
         reached = 0
         for q in order:
-            v = _reduced(echelon, roots[q])
-            if not any(v):
+            v = echelon.reduce(dict(roots[q]))
+            if not v:
                 continue
             candidate = dict(total)
             for i, k, n in up[q]:
@@ -332,7 +322,7 @@ def _represent(
             r = sparse_rank_mod(candidate.values(), PRIMES[0])
             if r > reached:
                 kept.append(q)
-                echelon.append((next(c for c, x in enumerate(v) if x), v))
+                echelon.store(v)
                 total = candidate
                 reached = r
                 if reached == len(g2):
@@ -351,16 +341,31 @@ def _settle(L: LieAlgebra, layout: _Layout, e: Element) -> Sl2Triple | None:
         return None
 
 
-def _orbit(
-    L: LieAlgebra, d: WeightedDynkinDiagram, trials: int, seed: int
+def orbit(
+    L: LieAlgebra,
+    d: WeightedDynkinDiagram,
+    seed: int = 1,
+    trials: int = DEFAULT_TRIALS,
 ) -> NilpotentOrbit | None:
-    """The orbit with weighted Dynkin diagram d, or None when d is rejected.
+    """The orbit with weighted Dynkin diagram d, or None when d is no diagram.
 
-    The orbit's triple is the rank-greedy representative's, or the decisive
-    draw's when the walk runs out of orders; either exact solve proves d.
-    Both e lie in the open G(0)-orbit of g(2), so when the representative's
-    triple is insoluble, the draw's exact solve settles d.
+    The one search per label vector: the size filters (`_layout`), the
+    draws (`_decide`), whose one rank mod p rejects most false diagrams,
+    and the rank-greedy representative (`_represent`), whose exact triple
+    proves d and is the orbit's triple.  When the walk runs out of orders,
+    the decisive draw's triple is.  Both e lie in the open G(0)-orbit of
+    g(2), as does every e' in a triple with this h (ad e' : g(0) -> g(2) is
+    onto), so one e's triple decides d; when the representative's triple is
+    insoluble, the draw's exact solve settles d.  Every verdict is exact.
+
+    `ValueError` unless `trials` is positive and d has one label per simple
+    root; `RuntimeError` naming d when none of `trials` draws is surjective.
+    Deterministic for a fixed seed.
     """
+    if trials < 1:
+        raise ValueError("trials must be positive")
+    if len(d.labels) != L.rank:
+        raise ValueError("diagram rank mismatch")
     if d.is_zero():
         h = characteristic_element(L, d)
         return NilpotentOrbit(d, complete_triple(L, h, L.zero()))
@@ -390,71 +395,18 @@ def dynkin_test(
     trials: int = DEFAULT_TRIALS,
     seed: int = 1,
 ) -> bool:
-    """Whether the label vector is the weighted Dynkin diagram of an orbit.
-
-    After the size filters (see `_layout`), seeded random e in g(2) are
-    drawn until ad e maps g(0) onto g(2), and the verdict is whether
-    [e, f] = h has a solution f in g(-2) for that one e:
-
-    - such an e lies in the unique open G(0)-orbit of g(2), and G(0) fixes h;
-    - any e' in an sl2-triple with this h has ad e' : g(0) -> g(2) onto, so
-      e' lies in the same orbit;
-    - so insolubility for this e rules out every e', and a solution is a
-      triple that proves the diagram.
-
-    Each draw first gets one elimination mod p of the augmented system (see
-    `_ranks_mod_p` and `_decide`), which both certifies the draw and
-    proves its triple insoluble for most label vectors past the size
-    filters, without an exact solve; the other decisive draws get one.
-    The triple is the one certificate, and both of its verdicts are exact.
-    The one probabilistic verdict is a rejection because none of `trials`
-    draws was surjective.  The empty g(2) is accepted only for the all-zero
-    diagram (the zero orbit).
-    """
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    if len(d.labels) != L.rank:
-        raise ValueError("diagram rank mismatch")
-    if d.is_zero():
-        return True
-    layout = _layout(L, d)
-    e = _decide(L, d, layout, trials, seed) if layout else None
-    return e is not None and _settle(L, layout, e) is not None
+    """Whether d is the weighted Dynkin diagram of an orbit (see `orbit`)."""
+    return orbit(L, d, seed, trials) is not None
 
 
 def find_representative(
     L: LieAlgebra, d: WeightedDynkinDiagram, seed: int = 1
 ) -> Element:
-    """The orbit's representative: a unit sum of root vectors of g(2).
-
-    The rank-greedy walk (see `_represent`) picks at most rank linearly
-    independent roots of g(2) whose unit sum e has ad e : g(0) -> g(2)
-    onto, and e is certified by solving its triple.  Unit coefficients lose
-    nothing: the torus scales each root vector by its own character, and
-    the characters of independent roots are independent, so any nonzero
-    coefficients on the same support give a G(0)-conjugate of e.  When the
-    walk runs out of orders, e is the diagram test's decisive draw.
-    `ValueError` when d is not a weighted Dynkin diagram: proved by an
-    insoluble triple, or probable when no draw is surjective.
-    Deterministic for a fixed seed.
-    """
-    if len(d.labels) != L.rank:
-        raise ValueError("diagram rank mismatch")
-    if d.is_zero():
-        return L.zero()
-    layout = _layout(L, d)
-    if layout is not None:
-        try:
-            triple = _represent(L, d, layout, seed)
-        except TripleInsolubleError:
-            triple = None
-        else:
-            if triple is None:
-                e = _decide(L, d, layout, DEFAULT_TRIALS, seed)
-                triple = None if e is None else _settle(L, layout, e)
-        if triple is not None:
-            return triple.e
-    raise ValueError(f"not a weighted Dynkin diagram: {d}")
+    """The representative e of `orbit`; `ValueError` when d is no diagram."""
+    o = orbit(L, d, seed)
+    if o is None:
+        raise ValueError(f"not a weighted Dynkin diagram: {d}")
+    return o.triple.e
 
 
 def complete_triple(L: LieAlgebra, h: Element, e: Element) -> Sl2Triple:
@@ -513,15 +465,14 @@ def enumerate_orbits(
     Sweeps the 3^rank label vectors with one search each: the size filters,
     the decisive draw, which one rank mod p rejects when its triple is
     insoluble, and the rank-greedy representative, whose exact triple proves
-    the diagram.  `ValueError` unless `trials` is positive.
+    the diagram (see `orbit`).  `ValueError` unless `trials` is positive;
+    `RuntimeError` naming the label vector whose draws all fall short.
     """
-    if trials < 1:
-        raise ValueError("trials must be positive")
     found: list[tuple[int, tuple[int, ...], NilpotentOrbit]] = []
     for labels in product((0, 1, 2), repeat=L.rank):
         if not any(labels):
             continue
-        o = _orbit(L, WeightedDynkinDiagram(labels), trials, seed)
+        o = orbit(L, WeightedDynkinDiagram(labels), seed, trials)
         if o is not None:
             found.append((_orbit_dim(L, labels), labels, o))
     found.sort(key=lambda item: (item[0], item[1]))

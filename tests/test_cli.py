@@ -231,3 +231,16 @@ def test_internal_error_keeps_the_traceback(monkeypatch, capsys):
     assert rest[0] == "Traceback (most recent call last):"
     assert any("in broken" in line for line in rest)
     assert rest[-1] == "RuntimeError: boom"
+
+
+def test_exhausted_draws_exit_3_naming_the_label_vector(monkeypatch, capsys):
+    from exorb import orbits
+
+    # Every draw falls one short of full rank, so no label vector settles.
+    monkeypatch.setattr(orbits, "_ranks_mod_p", lambda layout, a: (a.shape[1] - 1,) * 2)
+    assert main(["classify", "G2", "--trials", "2"]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    first = captured.err.splitlines()[0]
+    assert first.startswith("internal error: RuntimeError: diagram ")
+    assert first.endswith(": no surjective draw among 2")

@@ -24,6 +24,7 @@ from exorb.orbits import (
     dynkin_test,
     enumerate_orbits,
     find_representative,
+    orbit,
 )
 from exorb._modp import PRIMES, rank_mod
 from exorb.linalg import RatMatrix, _solve_rows, rank
@@ -120,6 +121,8 @@ def test_dynkin_test_validation_and_edge_cases():
     L = build_lie_algebra("G2")
     with pytest.raises(ValueError):
         dynkin_test(L, WeightedDynkinDiagram((0, 1)), trials=0)
+    with pytest.raises(ValueError, match="rank mismatch"):
+        dynkin_test(L, WeightedDynkinDiagram((0, 2, 0)))
     assert dynkin_test(L, WeightedDynkinDiagram((0, 0)))
     assert not dynkin_test(L, WeightedDynkinDiagram((1, 1)))
     assert not dynkin_test(L, WeightedDynkinDiagram((2, 0)))
@@ -184,7 +187,7 @@ def test_representatives_are_unit_sums_over_independent_roots(name):
         d = WeightedDynkinDiagram(rec.diagram)
         weights = L.basis_weights(d.labels)
         for seed in seeds:
-            e = find_representative(L, d, seed=seed)
+            e = orbit(L, d, seed=seed).triple.e
             supp = e.support()
             assert supp and all(weights[i] == 2 for i in supp)
             assert all(e.coeffs[i] == 1 for i in supp)
@@ -199,7 +202,7 @@ def test_same_seed_gives_the_same_representative(name):
     L = build_lie_algebra(name)
     for rec in load_tables().orbits(name):
         d = WeightedDynkinDiagram(rec.diagram)
-        assert find_representative(L, d, seed=5) == find_representative(L, d, seed=5)
+        assert orbit(L, d, seed=5).triple.e == orbit(L, d, seed=5).triple.e
 
 
 def test_random_fallback_certifies_every_f4_representative(monkeypatch):
@@ -208,7 +211,7 @@ def test_random_fallback_certifies_every_f4_representative(monkeypatch):
     for rec in load_tables().orbits("F4"):
         d = WeightedDynkinDiagram(rec.diagram)
         weights = L.basis_weights(d.labels)
-        e = find_representative(L, d)
+        e = orbit(L, d).triple.e
         # The fallback puts a coefficient on every root vector of g(2).
         assert set(e.support()) == {i for i, w in enumerate(weights) if w == 2}
         assert all(1 <= e.coeffs[i] <= orbits.TRIAL_COEFF_MAX for i in e.support())
@@ -216,15 +219,43 @@ def test_random_fallback_certifies_every_f4_representative(monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["F4", "E6"])
-def test_find_representative_rejects_every_untabulated_label_vector(name):
+def test_orbit_rejects_every_untabulated_label_vector(name):
     # E6 (0,0,0,0,0,2) and others pass the size filters and have a
     # surjective unit e, whose insoluble triple proves they are no diagram.
     L = build_lie_algebra(name)
     published = {rec.diagram for rec in load_tables().orbits(name)}
     for labels in product((0, 1, 2), repeat=L.rank):
         if any(labels) and labels not in published:
+            assert orbit(L, WeightedDynkinDiagram(labels)) is None, labels
+
+
+@pytest.mark.parametrize("name", ["F4", "E6"])
+def test_wrappers_agree_with_orbit(name):
+    # dynkin_test and find_representative are single calls to orbit.
+    L = build_lie_algebra(name)
+    for labels in product((0, 1, 2), repeat=L.rank):
+        d = WeightedDynkinDiagram(labels)
+        o = orbit(L, d)
+        assert dynkin_test(L, d) == (o is not None), labels
+        if o is None:
             with pytest.raises(ValueError, match="not a weighted Dynkin diagram"):
-                find_representative(L, WeightedDynkinDiagram(labels))
+                find_representative(L, d)
+        else:
+            assert find_representative(L, d) == o.triple.e, labels
+
+
+def test_exhausted_draws_raise_naming_the_label_vector(monkeypatch):
+    # Every draw has rank_p A = rank_p [A | h] = n - 1, so none settles;
+    # running out of draws is an error, never a rejection.
+    monkeypatch.setattr(orbits, "_ranks_mod_p", lambda layout, a: (a.shape[1] - 1,) * 2)
+    L = build_lie_algebra("G2")
+    d = WeightedDynkinDiagram((0, 2))
+    with pytest.raises(RuntimeError, match="diagram 0,2: no surjective draw among 3"):
+        orbit(L, d, trials=3)
+    with pytest.raises(RuntimeError, match="no surjective draw among 25"):
+        dynkin_test(L, d)
+    with pytest.raises(RuntimeError, match=r"diagram \d,\d: no surjective draw"):
+        enumerate_orbits(L)
 
 
 def test_complete_triple_rank_one_case():
@@ -284,7 +315,7 @@ def test_rejected_diagram_takes_no_exact_triple_solve(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(orbits, "_triple", counting)
-    assert not dynkin_test(L, WeightedDynkinDiagram((0, 0, 0, 0, 0, 2)))
+    assert orbit(L, WeightedDynkinDiagram((0, 0, 0, 0, 0, 2))) is None
     assert len(calls) == 0
 
 
@@ -413,7 +444,6 @@ def test_walk_ranks_are_the_dense_ranks_of_the_summed_blocks(name, monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(_modp, "pivot_columns", no_dense_rank)
             m.setattr(orbits, "pivot_columns", no_dense_rank)
-            m.setattr(orbits, "has_full_rank", no_dense_rank)
             return real_represent(*args)
 
     with monkeypatch.context() as m:
@@ -446,10 +476,9 @@ def test_odd_dim_g1_is_rejected_before_rank_work(monkeypatch):
     def no_rank_work(*args):
         raise AssertionError("rank work done")
 
-    monkeypatch.setattr(orbits, "has_full_rank", no_rank_work)
     monkeypatch.setattr(orbits, "pivot_columns", no_rank_work)
     monkeypatch.setattr(orbits, "sparse_rank_mod", no_rank_work)
-    assert not dynkin_test(L, WeightedDynkinDiagram(labels))
+    assert orbit(L, WeightedDynkinDiagram(labels)) is None
 
 
 @pytest.mark.parametrize("name", ["F4", "E6", "E7"])
@@ -515,14 +544,6 @@ def test_enumeration_is_deterministic():
     assert [o.diagram for o in a] == [o.diagram for o in b]
     assert [o.triple.e for o in a] == [o.triple.e for o in b]
     assert [o.triple.f for o in a] == [o.triple.f for o in b]
-
-
-def test_orbit_label_attachment():
-    L = build_lie_algebra("G2")
-    o = enumerate_orbits(L)[0]
-    assert o.label is None
-    named = o.with_label("minimal")
-    assert named.label == "minimal" and named.diagram == o.diagram
 
 
 def test_e8_minimal_diagram_is_accepted():
