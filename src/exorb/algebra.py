@@ -13,7 +13,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 from .linalg import RatMatrix, _exact, _kernel_rows, rref
@@ -142,13 +142,16 @@ class LieAlgebra:
         return Element(tuple(_exact(c) for c in entries))
 
     def cartan_values(self, elt: Element) -> tuple[Fraction, ...]:
-        """Values of the simple roots on a Cartan element."""
+        """Values of the simple roots on a Cartan element.
+
+        Summed in integers over the common denominator of the coefficients.
+        """
         if any(elt.coeffs[i] for i in range(self._hbase)):
             raise ValueError("element is not in the Cartan subalgebra")
-        c = elt.coeffs[self._hbase :]
+        c, scale = _scaled_support(elt.coeffs[self._hbase :])
         return tuple(
-            sum(c[j] * self.rs.cartan[i][j] for j in range(self.rank))
-            for i in range(self.rank)
+            Fraction(sum(x * row[j] for j, x in c.items()), scale)
+            for row in self.rs.cartan
         )
 
     def basis_weights(self, labels: Sequence[int]) -> tuple[int, ...]:
@@ -233,74 +236,94 @@ def _bracket_supp(
     return out
 
 
-class _Echelon:
-    """Accumulates a row span as sparse pivot-normalized rational rows.
+def _clear(v: dict[int, int], row: dict[int, int], p: int) -> None:
+    """Clear v's nonzero entry at p with a row of leading index p, in integers.
 
-    Rows are keyed by their leading index and carry a 1 there, so reducing a
-    vector never rescales it; entry sizes stay at the subspace's intrinsic
-    rational complexity instead of compounding.  Vectors may hold ints or
-    Fractions; the integral entries of stored rows are ints.
+    v becomes (a/g) v - (c/g) row for a = row[p], c = v[p] and g = gcd(a, c),
+    so it is scaled only where a does not divide c.
+    """
+    a, c = row[p], v[p]
+    g = gcd(a, c)
+    if g != a:
+        m = a // g
+        for k in v:
+            v[k] *= m
+    c //= g
+    for k, x in row.items():
+        nv = v.get(k, 0) - c * x
+        if nv:
+            v[k] = nv
+        else:
+            del v[k]
+
+
+class _Echelon:
+    """Accumulates a row span as sparse primitive integer rows.
+
+    Rows are keyed by their leading index, where their entry is positive,
+    and carry no common factor.  Reducing an integer vector stays
+    fraction-free, in the spirit of Bareiss (Math. Comp. 22, 1968): where a
+    row's leading entry a does not divide the vector's entry c, the vector
+    is first scaled by a / gcd(a, c) (see `_clear`).  So a residual is a
+    positive integer multiple of the rational residual, which is all that
+    callers read: whether it is zero, its span and its membership in a
+    subspace.  No `Fraction` arises until `canonical_rows`.
     """
 
     __slots__ = ("rows", "order")
 
     def __init__(self) -> None:
-        self.rows: dict[int, dict[int, Fraction | int]] = {}
+        self.rows: dict[int, dict[int, int]] = {}
         self.order: list[int] = []
 
     @property
     def dim(self) -> int:
         return len(self.order)
 
-    def reduce(self, v: dict[int, Fraction | int]) -> dict[int, Fraction | int]:
-        """Fully reduce v (destructively) against the stored rows."""
+    def reduce(self, v: dict[int, int]) -> dict[int, int]:
+        """Fully reduce the integer vector v (destructively) against the rows."""
         rows = self.rows
         for p in self.order:
-            c = v.get(p)
-            if not c:
-                continue
-            row = rows[p]
-            for k, x in row.items():
-                nv = v.get(k, 0) - c * x
-                if nv:
-                    v[k] = nv
-                elif k in v:
-                    del v[k]
+            if p in v:
+                _clear(v, rows[p], p)
         return v
 
-    def store(self, v: dict[int, Fraction | int]) -> dict[int, Fraction | int]:
-        """Keep a reduced nonzero v, scaled to 1 at its leading index."""
+    def store(self, v: dict[int, int]) -> dict[int, int]:
+        """Keep a reduced nonzero v, stripped of its content, leading entry > 0."""
         p = min(v)
-        piv = Fraction(v[p])
-        row = {k: _entry(x / piv) for k, x in v.items()}
+        g = gcd(*v.values())
+        if v[p] < 0:
+            g = -g
+        row = {k: x // g for k, x in v.items()}
         self.rows[p] = row
         insort(self.order, p)
         return row
 
-    def canonical_rows(self) -> list[dict[int, Fraction]]:
+    def canonical_rows(self) -> list[dict[int, Fraction | int]]:
         """The rows in reduced echelon form, in increasing pivot order.
 
         A stored row is reduced against the rows stored before it but may
         still have entries at later pivots.  Back-substitution from the last
-        pivot clears them; each row it subtracts is already reduced, so the
-        coefficient of every pivot is read off the unmodified row.
+        pivot clears them in integers; each row it subtracts is already
+        reduced, so clearing one pivot only scales the row's entries at the
+        others.  Only the emitted rows are divided by their pivot entry.
         """
         rows = self.rows
         for p in reversed(self.order):
             row = rows[p]
-            hits = [(q, row[q]) for q in row if q != p and q in rows]
+            hits = [q for q in row if q != p and q in rows]
             if not hits:
                 continue
             row = dict(row)
-            for q, c in hits:
-                for k, x in rows[q].items():
-                    nv = row.get(k, 0) - c * x
-                    if nv:
-                        row[k] = nv
-                    else:
-                        row.pop(k, None)
-            rows[p] = row
-        return [rows[p] for p in self.order]
+            for q in hits:
+                _clear(row, rows[q], q)
+            g = gcd(*row.values())
+            rows[p] = {k: x // g for k, x in row.items()}
+        out = []
+        for p in self.order:
+            row, a = rows[p], rows[p][p]
+            out.append(row if a == 1 else {k: Fraction(x, a) for k, x in row.items()})
+        return out
 
 
 # -- gradings ---------------------------------------------------------------
@@ -517,18 +540,20 @@ def derived_subalgebra(
 
     `weights` is a grading of L (see `centralizer`); s must be graded by it,
     that is, its canonical rows homogeneous (ValueError otherwise).  The
-    bracket of rows of weights i and j has weight i + j, so it is settled
-    within weight i + j alone.  A pair is skipped exactly when i + j is not
-    the weight of any basis vector of L: then g(i + j) = 0, so the bracket
-    is zero, lies in s and adds nothing.  Every other pair is bracketed,
-    also when s has no rows of weight i + j.  Each canonical row is
-    bracketed as its integer multiple, which changes no span.  While the
-    span accumulated in weight w has fewer rows than s(w), a bracket is
-    reduced exactly against it, and a nonzero residual is checked to lie in
-    s and stored.  Once it has as many rows it equals s(w), and a bracket is
-    only checked to lie in s.  So every bracket that can be nonzero is
-    checked exactly, and the result is the same canonical basis for every
-    grading.
+    bracket of rows of weights i and j lies in g(i + j), since the weights
+    grade the product, so it is settled within weight t = i + j alone.  A
+    pair is skipped when t is not the weight of any basis vector of L: then
+    g(t) = 0, so the bracket is zero, lies in s and adds nothing.  Each
+    canonical row is bracketed as its integer multiple, which changes no
+    span.  While the span accumulated in weight t has fewer rows than s(t),
+    a bracket is reduced exactly against it and a nonzero residual is
+    stored; once it has as many rows it equals s(t).  Where s(t) = g(t),
+    every bracket of weight t lies in s, so checking it proves nothing:
+    those brackets are formed only while the span of weight t fills, and
+    are not checked.  Every other bracket is formed and checked to
+    lie in s, also when s has no rows of weight t.  So every bracket that
+    the grading does not already place in s is checked exactly, and the
+    result is the same canonical basis for every grading.
     """
     if s.amb is not L:
         raise ValueError("subspace belongs to a different algebra")
@@ -536,20 +561,24 @@ def derived_subalgebra(
     row_w = s.row_weights(weights)
     rows = [_scaled_support(r)[0] for r in s._row_at.values()]
     cap = Counter(row_w)
+    whole = {t for t, n in cap.items() if n == len(blocks[t])}  # s(t) = g(t)
     acc: dict[int, _Echelon] = defaultdict(_Echelon)
     adj = L._adj
     for i, (ri, wi) in enumerate(zip(rows, row_w)):
         for rj, wj in zip(rows[i + 1 :], row_w[i + 1 :]):
-            if wi + wj not in blocks:
+            t = wi + wj
+            if t not in blocks:
+                continue
+            span = acc[t]
+            filling = span.dim < cap[t]
+            if not filling and t in whole:
                 continue
             v = _bracket_supp(adj, ri, rj)
-            span = acc[wi + wj]
-            filling = span.dim < cap[wi + wj]
             if filling:
                 v = span.reduce(v)
             if not v:
                 continue
-            if not s._has(v):
+            if t not in whole and not s._has(v):
                 raise ValueError("subspace is not closed under the bracket")
             if filling:
                 span.store(v)
@@ -597,8 +626,9 @@ def _closure(
 ) -> Subspace:
     """`subalgebra_closure` of sparse generators, which must lie in `within`.
 
-    Stored rows are bracketed as their integer multiples (see
-    `derived_subalgebra`).
+    The generators are scaled to integers once, which changes no span; the
+    rows the echelon stores are integer rows too, and are bracketed as they
+    stand.
     """
     weights, blocks = _grading(L, weights)
     if within is None:
@@ -613,7 +643,7 @@ def _closure(
         if len(ws) > 1:
             raise ValueError("generator is not homogeneous for the grading")
         if ws:
-            queue.append((dict(v), ws.pop()))
+            queue.append((_scaled_support(v)[0], ws.pop()))
     acc: dict[int, _Echelon] = defaultdict(_Echelon)
     basis_rows: list[tuple[dict[int, int], int]] = []
     found = 0
@@ -625,7 +655,7 @@ def _closure(
         residual = acc[w].reduce(v)
         if not residual:
             continue
-        row = _scaled_support(acc[w].store(residual))[0]
+        row = acc[w].store(residual)
         found += 1
         if found >= limit:
             break

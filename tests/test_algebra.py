@@ -1,10 +1,14 @@
 import random
+from collections import Counter, defaultdict
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from exorb.algebra import (
+    _Echelon,
     Element,
     Subspace,
     bracket,
@@ -178,33 +182,87 @@ def test_derived_subalgebra_checks_brackets_into_weights_that_s_lacks():
 
 
 def test_derived_subalgebra_brackets_every_pair_that_can_be_nonzero(monkeypatch):
-    # A pair is skipped exactly when its weight sum is no weight of L, in
-    # the ad h grading and in the finer torus grading of the analyses.
+    # In the ad h grading and in the finer torus grading of the analyses, a
+    # pair of weight sum t is skipped exactly when t is no weight of L, or
+    # when s(t) = g(t) and the brackets formed into t already span s(t).
+    # Every pair into a weight with s(t) != g(t) is formed, also where s has
+    # no row of weight t.
     import exorb.algebra
     from exorb.reach import _torus_weights
 
     kernel = exorb.algebra._bracket_supp
-    formed = []
+    formed = {}
 
-    def counting(adj, a, b):
-        formed.append((a, b))
-        return kernel(adj, a, b)
+    def recording(adj, a, b):
+        v = kernel(adj, a, b)
+        formed[min(a), min(b)] = dict(v)
+        return v
 
-    monkeypatch.setattr(exorb.algebra, "_bracket_supp", counting)
-    skipped = 0
+    def span_dim(vectors):
+        return rank(RatMatrix([[v.get(k, 0) for k in range(L.dim)] for v in vectors], L.dim))
+
+    monkeypatch.setattr(exorb.algebra, "_bracket_supp", recording)
+    skipped = whole_skipped = 0
     for L, o in _triple_orbits():
         e, labels = o.triple.e, o.diagram.labels
         for weights in (L.basis_weights(labels), _torus_weights(L, e, labels)):
             ge = centralizer(L, e, weights)
             row_w = ge.row_weights(weights)
-            present = set(weights)
-            sums = [a + b for a, b in combinations(row_w, 2)]
+            cap, size = Counter(row_w), Counter(weights)
+            into = defaultdict(list)  # t -> the pairs of weight sum t, in loop order
+            for (p, a), (q, b) in combinations(zip(ge._row_at, row_w), 2):
+                into[a + b].append((p, q))
             formed.clear()
             derived_subalgebra(L, ge, weights)
-            assert all(weights[min(a)] + weights[min(b)] in present for a, b in formed)
-            assert len(formed) == sum(t in present for t in sums)
-            skipped += len(sums) - len(formed)
-    assert skipped > 0
+            for t, pairs in into.items():
+                made = [pair for pair in pairs if pair in formed]
+                if t not in size:
+                    assert not made
+                elif cap[t] < size[t]:
+                    assert made == pairs
+                else:
+                    k = len(made)
+                    assert made == pairs[:k] and k > 0
+                    images = [formed[pair] for pair in made]
+                    assert span_dim(images[:-1]) < cap[t]
+                    assert k == len(pairs) or span_dim(images) == cap[t]
+                    whole_skipped += len(pairs) - k
+                skipped += len(pairs) - len(made)
+    assert whole_skipped > 0 and skipped > whole_skipped
+
+
+@st.composite
+def _echelon_cases(draw):
+    cols = draw(st.integers(1, 7))
+    entry = st.integers(-9, 9)
+    rows = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), max_size=6))
+    v = draw(st.lists(entry, min_size=cols, max_size=cols))
+    if rows and draw(st.booleans()):  # an integer combination of the rows
+        coeffs = draw(st.lists(entry, min_size=len(rows), max_size=len(rows)))
+        v = [sum(c * r[k] for c, r in zip(coeffs, rows)) for k in range(cols)]
+    return cols, rows, v
+
+
+@given(_echelon_cases())
+@settings(max_examples=300, deadline=None)
+def test_echelon_is_the_rref_and_reduces_exactly_the_span(case):
+    # Integer rows with negative and non-unit leading entries, stored
+    # fraction-free as primitive rows: the canonical rows are the RREF of
+    # the rows, and a vector reduces to nothing exactly when it lies in
+    # their span.
+    cols, rows, v = case
+    span = _Echelon()
+    for r in rows:
+        residual = span.reduce({k: x for k, x in enumerate(r) if x})
+        if residual:
+            stored = span.store(residual)
+            assert stored[min(stored)] > 0 and gcd(*stored.values()) == 1
+    basis = rref(RatMatrix(rows, cols))[0]
+    assert [[r.get(k, 0) for k in range(cols)] for r in span.canonical_rows()] == [
+        list(r) for r in basis.data
+    ]
+    assert span.canonical_rows() == span.canonical_rows()
+    assert (not span.reduce({k: x for k, x in enumerate(v) if x})) == member(v, basis)
 
 
 def test_closure_of_nothing_is_zero():
@@ -261,6 +319,23 @@ def test_quotient_with_action_reads_the_values_on_the_simple_roots():
     assert L.cartan_values(half) == (Fraction(1, 2), Fraction(1, 2))
     with pytest.raises(ValueError, match="integer eigenvalues"):
         quotient_with_action(L, full, zero, half)
+
+
+@pytest.mark.parametrize("name", ["G2", "F4", "E7"])
+def test_cartan_values_are_the_fraction_sums(name):
+    # The integer sum over one denominator equals the sum of Fractions.
+    L = build_lie_algebra(name)
+    rng = random.Random(7)
+    for _ in range(50):
+        c = [Fraction(rng.randint(-20, 20), rng.randint(1, 12)) for _ in range(L.rank)]
+        c[rng.randrange(L.rank)] = Fraction(0)
+        h = L.element({L.dim - L.rank + j: x for j, x in enumerate(c)})
+        assert L.cartan_values(h) == tuple(
+            sum(c[j] * L.rs.cartan[i][j] for j in range(L.rank)) for i in range(L.rank)
+        )
+    assert L.cartan_values(L.zero()) == (0,) * L.rank
+    with pytest.raises(ValueError, match="not in the Cartan subalgebra"):
+        L.cartan_values(L.cartan_element(0) + L.root_vector(L.rs.positive_roots[0]))
 
 
 def test_quotient_rejects_unstable_spaces():

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from exorb import orbits as orbits_module
@@ -226,3 +229,32 @@ def test_dense_fallback_analyses_equal_the_ad_h_graded_ones(monkeypatch):
         torus, adh = _assert_torus_grading_changes_nothing(L, o)
         coarse += len(set(torus)) == len(set(adh))
     assert coarse > 0
+
+
+# First 16 hex digits of the sha256 of every orbit's labels, the canonical
+# rows of g_e and of [g_e, g_e], and its analysis.
+ANALYSIS_DIGESTS = {
+    ("G2", 1): "ad5649602e27c682",
+    ("F4", 1): "095c2423cd471b80",
+    ("E6", 1): "8e6a04f804d907ae",
+    ("E7", 1): "fa98d52b132a4fc8",
+    ("E8", 1): "81a8361423d68dbd",
+}
+
+
+@pytest.mark.parametrize("name, seed", sorted(ANALYSIS_DIGESTS))
+def test_analysis_output_is_pinned(name, seed):
+    # Any change to the echelon arithmetic or to the brackets formed that
+    # changed a canonical basis, or a bit of an analysis, changes the digest.
+    def rows(s):
+        return [[[k, str(x)] for k, x in sorted(r.items())] for r in s._row_at.values()]
+
+    L = build_lie_algebra(name)
+    out = []
+    for o in enumerate_orbits(L, seed=seed):
+        a, ge, derived = _analyze_full(L, o)
+        flags = [a.dim_ge, a.dim_derived, a.reachable, a.strongly_reachable]
+        flags += [a.panyushev_generated, a.dim_ce, list(a.ce_weights)]
+        out.append([list(o.diagram.labels), rows(ge), rows(derived), flags])
+    digest = hashlib.sha256(json.dumps(out).encode()).hexdigest()[:16]
+    assert digest == ANALYSIS_DIGESTS[name, seed]
