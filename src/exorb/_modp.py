@@ -16,8 +16,10 @@ the diagram test draws again, and when none of its `trials` draws reaches
 the rank it raises instead of deciding, so no verdict rests on a failure.
 
 There are two elimination kernels.  The draws' matrices are dense (e has
-a random coefficient on every root vector of g(2)), and `pivot_columns`
-eliminates them with numpy.  The rank-greedy walk's matrices, ad e :
+a random coefficient on every root vector of g(2), and the search scatters
+them from integer index arrays of the structure constants), and
+`pivot_columns` eliminates them with numpy, one outer-product update of
+the remaining columns per pivot.  The rank-greedy walk's matrices, ad e :
 g(0) -> g(2) for a sum e of a few root vectors, are sparse: each column of
 ad x_j has at most one nonzero, and on E8 they average about 51 nonzeros
 over 29 x 38 entries.  `sparse_rank_mod` eliminates them as dict rows in
@@ -47,28 +49,22 @@ def pivot_columns(matrix: np.ndarray, p: int) -> list[int]:
     columns count the rank of those k columns.
     """
     m = np.mod(matrix, p).astype(np.int64, copy=False)
-    nrows, ncols = m.shape
     pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
+    for c in range(m.shape[1]):
+        if len(pivots) == m.shape[0]:
             break
-        col = m[r:, c]
-        nz = np.nonzero(col)[0]
-        if nz.size == 0:
+        col = m[:, c]
+        nz = col.nonzero()[0]
+        if not nz.size:
             continue
-        i = r + int(nz[0])
-        if i != r:
-            m[[r, i]] = m[[i, r]]
-        inv = pow(int(m[r, c]), -1, p)
-        m[r] = (m[r] * inv) % p
-        rest = m[r + 1 :]
-        factors = rest[:, c]
-        nzr = np.nonzero(factors)[0]
-        if nzr.size:
-            rest[nzr] = (rest[nzr] - np.outer(factors[nzr], m[r])) % p
+        i = int(nz[0])
+        row = m[i, c:] * pow(int(m[i, c]), -1, p) % p
+        # One update of the remaining columns clears column c, the pivot row
+        # included; entries below p < 2^31 keep the products inside int64.
+        block = m[:, c:]
+        block -= np.multiply.outer(col, row)
+        block %= p
         pivots.append(c)
-        r += 1
     return pivots
 
 

@@ -329,6 +329,13 @@ class _Echelon:
 # -- gradings ---------------------------------------------------------------
 
 
+class _Grading(tuple):
+    """Basis weights checked by `_grading` for one algebra, with its blocks."""
+
+    amb: LieAlgebra
+    blocks: dict[int, list[int]]
+
+
 def _grading(
     L: LieAlgebra, weights: Sequence[int] | None
 ) -> tuple[Sequence[int], dict[int, list[int]]]:
@@ -345,7 +352,13 @@ def _grading(
     positive root b with N_{b,alpha_i} != 0, so by induction on the height
     x_a has weight sum(m_i v_i) for a = sum(m_i alpha_i); and [x_a, y_a] is
     a nonzero coroot, of weight 0, so y_a has the opposite weight.
+
+    The checked weights come back as a `_Grading` of L, which this returns
+    as it stands, so an analysis that passes one grading to several layers
+    checks and blocks it once.
     """
+    if isinstance(weights, _Grading) and weights.amb is L:
+        return weights, weights.blocks
     if weights is None:
         weights = (0,) * L.dim
     elif len(weights) != L.dim:
@@ -358,7 +371,9 @@ def _grading(
     blocks: dict[int, list[int]] = {}
     for i, w in enumerate(weights):
         blocks.setdefault(w, []).append(i)
-    return weights, blocks
+    out = _Grading(weights)
+    out.amb, out.blocks = L, blocks
+    return out, blocks
 
 
 # -- public types and operations --------------------------------------------

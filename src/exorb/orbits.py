@@ -42,7 +42,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from ._modp import PRIMES, pivot_columns, sparse_rank_mod
-from .algebra import Element, LieAlgebra, _Echelon, _scaled_support, bracket
+from .algebra import Element, LieAlgebra, _bracket_supp, _Echelon, _scaled_support
 from .linalg import _solve_rows
 
 __all__ = [
@@ -161,30 +161,51 @@ def _orbit_dim(L: LieAlgebra, labels: Sequence[int]) -> int:
 class _Layout(NamedTuple):
     """The graded pieces of one label vector that the draws work in.
 
-    `down[j]` is ad x_j : g(-2) -> g(0) for the root vectors x_j of g(2);
-    `hcol` is h on g(0) with its denominators cleared, mod PRIMES[0].
+    A = ad e : g(-2) -> g(0) for e = sum c_j x_j over the root vectors x_j
+    of g(2) has the entry c_j * n[t] at (rows[t], cols[t]) for j = g2[pos[t]],
+    and no other nonzero entry (see `_down_table`).  `hcol` is a nonzero
+    integer multiple of h on g(0), mod PRIMES[0].
     """
 
-    h: Element
     g0: list[int]
     g2: list[int]
     neg2: list[int]
-    down: np.ndarray
+    pos: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    n: np.ndarray
     hcol: np.ndarray
 
 
-def _ad_blocks(
-    L: LieAlgebra, g2: Sequence[int], src: Sequence[int], dst: Sequence[int]
-) -> np.ndarray:
-    """ad x_j : span(src) -> span(dst) for each x_j of g2, as integer blocks."""
-    row_of = {i: r for r, i in enumerate(dst)}
-    out = np.zeros((len(g2), len(dst), len(src)), dtype=np.int64)
-    for t, j in enumerate(g2):
-        adj = L._adj[j]
-        for col, i in enumerate(src):
-            for k, n in adj.get(i, ()):
-                out[t, row_of[k], col] += n
-    return out
+@lru_cache(maxsize=None)
+def _down_table(L: LieAlgebra) -> np.ndarray:
+    """The structure constants [x_j, x_{-b}] = n x_k for positive roots j, b.
+
+    Four int64 rows (j, b, k, n), one column per nonzero n: k is the index
+    of x_{j-b} when j - b is a root, and of a Cartan basis vector when
+    j = b.  For fixed b and k at most one j contributes (j = b + the root of
+    x_k, or j = b for a Cartan k), so the sum of c_j ad x_j over any set of
+    j has each of its entries from one term; that is checked here, once.
+    """
+    npos = L.npos
+    entries = [
+        (j, i - npos, k, n)
+        for j in range(npos)
+        for i, hits in L._adj[j].items()
+        if npos <= i < 2 * npos
+        for k, n in hits
+    ]
+    if len({(b, k) for _, b, k, _ in entries}) != len(entries):
+        raise RuntimeError(f"two roots share an entry of ad e for {L.rs.type_rank}")
+    return np.array(entries, dtype=np.int64).reshape(-1, 4).T
+
+
+def _ad_down(layout: _Layout, coeffs: Sequence[int]) -> np.ndarray:
+    """A = ad e : g(-2) -> g(0) for e = sum coeffs[t] x_{g2[t]}, as int64."""
+    c = np.asarray(coeffs, dtype=np.int64)
+    a = np.zeros((len(layout.g0), len(layout.neg2)), dtype=np.int64)
+    a[layout.rows, layout.cols] = c[layout.pos] * layout.n
+    return a
 
 
 def _layout(L: LieAlgebra, d: WeightedDynkinDiagram) -> _Layout | None:
@@ -194,24 +215,34 @@ def _layout(L: LieAlgebra, d: WeightedDynkinDiagram) -> _Layout | None:
     dim g(k) >= dim g(k+2) for every k >= 0, also where dim g(k) = 0, and
     dim g(1) is even (kappa(f, [x, y]) is a nondegenerate symplectic form on
     g(1)); a nonzero d also needs g(2) nonzero.  These filters read only the
-    sizes from `_graded`, so the index lists and the blocks are built only
-    for the label vectors that pass.  The draws need only A = ad e :
-    g(-2) -> g(0), which is linear in e: for e = sum c_j x_j over g(2) it is
-    sum c_j down[j].  Its rank settles both questions of a draw (see
-    `_decide`), so the blocks of ad e : g(0) -> g(2) are left to the walk.
+    sizes from `_graded`, so the index arrays are built only for the label
+    vectors that pass.  The draws need only A = ad e : g(-2) -> g(0), whose
+    entries are those of `_down_table` with j and b in g(2); its rank
+    settles both questions of a draw (see `_decide`), so ad e : g(0) -> g(2)
+    is left to the walk.  h is read as den * h, the integer rows of
+    `_cartan_inverse` times the labels; den is a unit mod p, so it changes
+    no rank, and h itself is formed only for an exact triple.
     """
     weights, sizes = _graded(L, d.labels)
     if not sizes[2] or sizes[1] % 2 or np.any(sizes[:-2] < sizes[2:]):
         return None
     npos = L.npos
-    zero = np.flatnonzero(weights == 0).tolist()
-    g2 = np.flatnonzero(weights == 2).tolist()
-    g0 = zero + [npos + i for i in zero] + list(range(2 * npos, L.dim))
+    zero = np.flatnonzero(weights == 0)
+    g2 = np.flatnonzero(weights == 2)
+    g0 = [*zero.tolist(), *(zero + npos).tolist(), *range(2 * npos, L.dim)]
+    in_g2 = np.zeros(npos, dtype=np.int64)
+    in_g2[g2] = np.arange(g2.size)
+    in_g0 = np.zeros(L.dim, dtype=np.int64)
+    in_g0[g0] = np.arange(len(g0))
+    j, b, k, n = _down_table(L)
+    sel = (weights[j] == 2) & (weights[b] == 2)
+    j, b, k = j[sel], b[sel], k[sel]
+    hcol = np.zeros(len(g0), dtype=np.int64)
+    inverse = np.array(_cartan_inverse(L)[0], dtype=np.int64)
+    hcol[len(g0) - L.rank :] = inverse @ np.array(d.labels) % PRIMES[0]
+    g2 = g2.tolist()
     neg2 = [npos + i for i in g2]
-    h = characteristic_element(L, d)
-    scaled, _ = _scaled_support(h.coeffs)
-    hcol = np.array([scaled.get(i, 0) % PRIMES[0] for i in g0], dtype=np.int64)
-    return _Layout(h, g0, g2, neg2, _ad_blocks(L, g2, neg2, g0), hcol)
+    return _Layout(g0, g2, neg2, in_g2[j], in_g0[k], in_g2[b], n[sel], hcol)
 
 
 def _derive_seed(seed: int, labels: Sequence[int]) -> int:
@@ -263,8 +294,7 @@ def _decide(
     rng = random.Random(_derive_seed(seed, d.labels))
     for _ in range(trials):
         coeffs = [rng.randint(1, TRIAL_COEFF_MAX) for _ in layout.g2]
-        a = np.tensordot(np.array(coeffs, dtype=np.int64), layout.down, axes=1)
-        rank_a, rank_ah = _ranks_mod_p(layout, a)
+        rank_a, rank_ah = _ranks_mod_p(layout, _ad_down(layout, coeffs))
         if rank_ah > n:
             return None
         if rank_a == n:
@@ -327,16 +357,19 @@ def _represent(
                 reached = r
                 if reached == len(g2):
                     e = L.element({g2[t]: Fraction(1) for t in kept})
-                    return _triple(L, layout.h, layout.g0, layout.neg2, e)
+                    h = characteristic_element(L, d)
+                    return _triple(L, h, layout.g0, layout.neg2, e)
                 if len(kept) == L.rank:
                     break
     return None
 
 
-def _settle(L: LieAlgebra, layout: _Layout, e: Element) -> Sl2Triple | None:
+def _settle(
+    L: LieAlgebra, d: WeightedDynkinDiagram, layout: _Layout, e: Element
+) -> Sl2Triple | None:
     """The triple of e, or None when [e, f] = h is insoluble."""
     try:
-        return _triple(L, layout.h, layout.g0, layout.neg2, e)
+        return _triple(L, characteristic_element(L, d), layout.g0, layout.neg2, e)
     except TripleInsolubleError:
         return None
 
@@ -376,13 +409,13 @@ def orbit(
     try:
         triple = _represent(L, d, layout, seed)
     except TripleInsolubleError as exc:
-        if _settle(L, layout, e) is None:
+        if _settle(L, d, layout, e) is None:
             return None
         raise RuntimeError(
             f"diagram {d}: the decisive draw has a triple, the representative none"
         ) from exc
     if triple is None:
-        triple = _settle(L, layout, e)
+        triple = _settle(L, d, layout, e)
     return None if triple is None else NilpotentOrbit(d, triple)
 
 
@@ -433,12 +466,13 @@ def _triple(
 
     e has ad h-weight 2, so [e, g(-2)] lies in g(0) and only the g(0) rows
     of the system can be nonzero; they are built from the integer structure
-    constants.
+    constants, and the check of the solution stays in integers too.
     """
     supp, scale = _scaled_support(e.coeffs)
+    hsupp, hden = _scaled_support(h.coeffs)
     row_of = {i: r for r, i in enumerate(g0)}
-    # [scale * e, f] = scale * h, with integer scale * e, as augmented rows
-    system = [[0] * len(neg2) + [scale * h.coeffs[i]] for i in g0]
+    # [scale * e, x] = scale * hden * h as integer augmented rows; f = x / hden
+    system = [[0] * len(neg2) + [scale * hsupp.get(i, 0)] for i in g0]
     for k, c in supp.items():
         adj = L._adj[k]
         for col, j in enumerate(neg2):
@@ -447,14 +481,14 @@ def _triple(
     sol = _solve_rows(system, len(neg2))
     if sol is None:
         raise TripleInsolubleError("no completion to a triple: invalid representative")
-    out = [Fraction(0)] * L.dim
-    for j, c in zip(neg2, sol):
-        out[j] = c
-    f = Element(tuple(out))
-    # [h, f] = -2f holds by construction: f is supported on g(-2).
-    if bracket(L, e, f) != h:
+    f = {j: x / hden for j, x in zip(neg2, sol) if x}
+    # [h, f] = -2f holds by construction: f is supported on g(-2).  [e, f] = h
+    # is checked as [scale * e, den * f] = scale * den * h on integer supports.
+    fsupp, den = _scaled_support(f)
+    lhs = {k: v * hden for k, v in _bracket_supp(L._adj, supp, fsupp).items()}
+    if lhs != {k: v * scale * den for k, v in hsupp.items()}:
         raise RuntimeError("triple relations failed verification")
-    return Sl2Triple(e=e, h=h, f=f)
+    return Sl2Triple(e=e, h=h, f=L.element(f))
 
 
 def enumerate_orbits(

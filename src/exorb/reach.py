@@ -31,6 +31,7 @@ from .algebra import (
     LieAlgebra,
     Subspace,
     _closure,
+    _grading,
     _scaled_support,
     centralizer,
     derived_subalgebra,
@@ -103,7 +104,8 @@ def _analyze_full(
     labels = o.diagram.labels
     if L.cartan_values(h) != labels:
         raise ValueError(f"h does not realize the diagram {o.diagram}")
-    weights = _torus_weights(L, e, labels)
+    # checked and blocked once, for all three layers
+    weights = _grading(L, _torus_weights(L, e, labels))[0]
     ge = centralizer(L, e, weights)
     derived = derived_subalgebra(L, ge, weights)
     reachable = derived.contains(e)

@@ -92,3 +92,57 @@ def test_rank_mod_does_not_change_its_input():
     before = m.copy()
     rank_mod(m, P0)
     assert np.array_equal(m, before)
+
+
+def _reference_pivots(rows, ncols, p):
+    """Pivot columns by plain Gaussian elimination over Z/p on Python ints."""
+    m = [[x % p for x in row] for row in rows]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        i = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if i is None:
+            continue
+        m[r], m[i] = m[i], m[r]
+        inv = pow(m[r][c], -1, p)
+        m[r] = [x * inv % p for x in m[r]]
+        for k in range(r + 1, len(m)):
+            f = m[k][c]
+            if f:
+                m[k] = [(x - f * y) % p for x, y in zip(m[k], m[r])]
+        pivots.append(c)
+        r += 1
+    return pivots
+
+
+@st.composite
+def column_matrices(draw):
+    """A matrix built column by column, often wide, with zero columns and
+    columns that repeat or are small multiples of earlier ones."""
+    nrows = draw(st.integers(0, 6))
+    ncols = draw(st.integers(0, 12))
+    cols = []
+    for c in range(ncols):
+        kind = draw(st.sampled_from(["new", "zero", "repeat", "multiple"]))
+        if kind == "zero":
+            cols.append([0] * nrows)
+        elif kind == "repeat" and c:
+            cols.append(list(cols[draw(st.integers(0, c - 1))]))
+        elif kind == "multiple" and c:
+            k = draw(st.integers(-3, 3))
+            cols.append([k * x for x in cols[draw(st.integers(0, c - 1))]])
+        else:
+            cols.append([draw(ENTRIES) for _ in range(nrows)])
+    rows = [[col[r] for col in cols] for r in range(nrows)]
+    return rows, ncols
+
+
+@settings(max_examples=300, deadline=None)
+@given(column_matrices())
+def test_pivot_columns_are_the_reference_pivots(case):
+    rows, ncols = case
+    dense = np.array(rows, dtype=np.int64).reshape(len(rows), ncols)
+    before = dense.copy()
+    for p in PRIMES:
+        assert pivot_columns(dense, p) == _reference_pivots(rows, ncols, p)
+    assert np.array_equal(dense, before)

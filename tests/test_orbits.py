@@ -1,8 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
 import sys
+import textwrap
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +15,7 @@ import pytest
 from exorb import _modp, orbits
 from exorb.algebra import (
     Subspace,
+    _scaled_support,
     bracket,
     build_lie_algebra,
     centralizer,
@@ -282,7 +288,7 @@ def test_complete_triple_raises_on_failed_verification(monkeypatch):
     d = WeightedDynkinDiagram((2, 2))
     e = find_representative(L, d)
     h = characteristic_element(L, d)
-    monkeypatch.setattr(orbits, "bracket", lambda L, a, b: L.zero())
+    monkeypatch.setattr(orbits, "_bracket_supp", lambda adj, a, b: {})
     with pytest.raises(RuntimeError) as info:
         complete_triple(L, h, e)
     assert not isinstance(info.value, TripleInsolubleError)
@@ -290,9 +296,69 @@ def test_complete_triple_raises_on_failed_verification(monkeypatch):
 
 def test_dynkin_test_does_not_read_failed_verification_as_rejection(monkeypatch):
     L = build_lie_algebra("G2")
-    monkeypatch.setattr(orbits, "bracket", lambda L, a, b: L.zero())
+    monkeypatch.setattr(orbits, "_bracket_supp", lambda adj, a, b: {})
     with pytest.raises(RuntimeError):
         dynkin_test(L, WeightedDynkinDiagram((2, 2)))
+
+
+@pytest.mark.parametrize(
+    "name, labels", [("G2", (2, 2)), ("F4", (0, 1, 0, 1)), ("E6", (2, 2, 2, 2, 2, 2))]
+)
+def test_integer_triple_check_rejects_a_wrong_f(name, labels, monkeypatch):
+    # [e, f] = h is checked on integer supports; a solve that returns a
+    # wrong f is an internal error, not a rejection of the diagram.
+    L = build_lie_algebra(name)
+    d = WeightedDynkinDiagram(labels)
+    e = find_representative(L, d)
+    real = orbits._solve_rows
+
+    def solve(rows, cols):
+        # the exact solution with its first entry off by 1
+        sol = real(rows, cols)
+        return None if sol is None else (sol[0] + 1, *sol[1:])
+
+    monkeypatch.setattr(orbits, "_solve_rows", solve)
+    message = "triple relations failed verification"
+    with pytest.raises(RuntimeError, match=message) as info:
+        complete_triple(L, characteristic_element(L, d), e)
+    assert not isinstance(info.value, TripleInsolubleError)
+    with pytest.raises(RuntimeError, match=message):
+        orbit(L, d)
+
+
+def test_integer_triple_check_fires_under_python_O(tmp_path):
+    # The check is no assert: it raises with assertions stripped too.
+    script = tmp_path / "check.py"
+    script.write_text(
+        textwrap.dedent(
+            """\
+            from exorb import orbits
+            from exorb.algebra import build_lie_algebra
+
+            assert False, "assertions are on"
+            real = orbits._solve_rows
+
+            def solve(rows, cols):
+                sol = real(rows, cols)
+                return None if sol is None else (sol[0] + 1, *sol[1:])
+
+            orbits._solve_rows = solve
+            L = build_lie_algebra("G2")
+            try:
+                orbits.orbit(L, orbits.WeightedDynkinDiagram((2, 2)))
+            except RuntimeError as exc:
+                print(exc)
+            """
+        )
+    )
+    out = subprocess.run(
+        [sys.executable, "-O", str(script)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(orbits.__file__).parents[1])},
+        check=True,
+    )
+    assert out.stdout.strip() == "triple relations failed verification"
 
 
 def test_sweep_does_not_read_an_insoluble_representative_as_rejection(monkeypatch):
@@ -327,34 +393,92 @@ def _no_mod_p_rejection(monkeypatch):
     )
 
 
+@lru_cache(maxsize=None)
+def _ad_table(L):
+    """ad x_j of every positive root j as a dense (dim, dim) integer block.
+
+    Read off `bracket` on basis elements, so it shares no code with the
+    search's index arrays.
+    """
+    basis = [L.basis_element(i) for i in range(L.dim)]
+    out = np.zeros((L.npos, L.dim, L.dim), dtype=np.int64)
+    for j in range(L.npos):
+        for i, b in enumerate(basis):
+            for k, c in enumerate(bracket(L, basis[j], b).coeffs):
+                assert c.denominator == 1
+                out[j, k, i] = int(c)
+    return out
+
+
+def _ref_blocks(L, g2, src, dst):
+    """ad x_j : span(src) -> span(dst) for each x_j of g2, stacked."""
+    return _ad_table(L)[np.ix_(g2, dst, src)]
+
+
+def _layouts(L):
+    """(d, layout) for every nonzero label vector that passes the size filters."""
+    for labels in product((0, 1, 2), repeat=L.rank):
+        d = WeightedDynkinDiagram(labels)
+        layout = orbits._layout(L, d) if any(labels) else None
+        if layout is not None:
+            yield d, layout
+
+
+def _h_column(L, d, layout):
+    """h on g(0) with its denominators cleared, from characteristic_element."""
+    scaled, _ = _scaled_support(characteristic_element(L, d).coeffs)
+    return np.array([scaled.get(i, 0) for i in layout.g0], dtype=np.int64)
+
+
+@pytest.mark.parametrize("name", ["F4", "E6"])
+def test_scattered_draw_matrix_is_the_reference_sum(name):
+    # Each draw's A = ad e : g(-2) -> g(0) is scattered from the index
+    # arrays; it equals the sum of the reference blocks, also for negative
+    # and zero coefficients, and hcol is a unit multiple of h mod p.
+    L = build_lie_algebra(name)
+    rng = np.random.default_rng(7)
+    count = 0
+    for d, layout in _layouts(L):
+        blocks = _ref_blocks(L, layout.g2, layout.neg2, layout.g0)
+        for coeffs in (
+            rng.integers(-(10**4), 10**4, len(layout.g2)),
+            np.ones(len(layout.g2), dtype=np.int64),
+            np.eye(len(layout.g2), dtype=np.int64)[0],
+        ):
+            a = orbits._ad_down(layout, coeffs.tolist())
+            assert np.array_equal(a, np.tensordot(coeffs, blocks, axes=1)), d
+        pair = np.column_stack([layout.hcol, _h_column(L, d, layout)])
+        assert rank_mod(pair, PRIMES[0]) == 1, d
+        count += 1
+    assert count == {"F4": 20, "E6": 137}[name]
+
+
 @pytest.mark.parametrize("name", ["F4", "E6"])
 def test_mod_p_verdict_is_the_exact_verdict(name, monkeypatch):
     # The decisive draw of every label vector past the size filters: one
     # rank mod p rejects it exactly when its triple is insoluble over Q.
-    # Both ranks come from one elimination and equal the separate ones.
+    # Both ranks come from one elimination and equal the separate ones of
+    # the reference A and h.
     L = build_lie_algebra(name)
     real = orbits._ranks_mod_p
     draws = 0
-    for labels in product((0, 1, 2), repeat=L.rank):
-        d = WeightedDynkinDiagram(labels)
-        layout = orbits._layout(L, d) if any(labels) else None
-        if layout is None:
-            continue
+    for d, layout in _layouts(L):
         with monkeypatch.context() as m:
             _no_mod_p_rejection(m)
             e = orbits._decide(L, d, layout, orbits.DEFAULT_TRIALS, 1)
         assert e is not None
         coeffs = np.array([int(e.coeffs[i]) for i in layout.g2], dtype=np.int64)
-        a = np.tensordot(coeffs, layout.down, axes=1)
-        augmented = np.column_stack([a, layout.hcol])
+        blocks = _ref_blocks(L, layout.g2, layout.neg2, layout.g0)
+        a = np.tensordot(coeffs, blocks, axes=1)
+        augmented = np.column_stack([a, _h_column(L, d, layout)])
         rank_a, rank_ah = real(layout, a)
         assert (rank_a, rank_ah) == (
             rank_mod(a, PRIMES[0]),
             rank_mod(augmented, PRIMES[0]),
         )
         assert rank_a == len(layout.neg2)
-        insoluble = orbits._settle(L, layout, e) is None
-        assert (rank_ah > rank_a) == insoluble, labels
+        insoluble = orbits._settle(L, d, layout, e) is None
+        assert (rank_ah > rank_a) == insoluble, d
         draws += 1
     assert draws == {"F4": 20, "E6": 137}[name]
 
@@ -366,18 +490,15 @@ def test_ad_e_has_one_rank_on_g_minus_2_and_on_g0(name, monkeypatch):
     # decisive draw has the same rank on both, at both primes.
     L = build_lie_algebra(name)
     _no_mod_p_rejection(monkeypatch)
-    for labels in product((0, 1, 2), repeat=L.rank):
-        d = WeightedDynkinDiagram(labels)
-        layout = orbits._layout(L, d) if any(labels) else None
-        if layout is None:
-            continue
+    for d, layout in _layouts(L):
         e = orbits._decide(L, d, layout, orbits.DEFAULT_TRIALS, 1)
         coeffs = np.array([int(e.coeffs[i]) for i in layout.g2], dtype=np.int64)
-        down = np.tensordot(coeffs, layout.down, axes=1)
-        up_blocks = orbits._ad_blocks(L, layout.g2, layout.g0, layout.g2)
+        down_blocks = _ref_blocks(L, layout.g2, layout.neg2, layout.g0)
+        down = np.tensordot(coeffs, down_blocks, axes=1)
+        up_blocks = _ref_blocks(L, layout.g2, layout.g0, layout.g2)
         up = np.tensordot(coeffs, up_blocks, axes=1)
         for p in PRIMES:
-            assert rank_mod(down, p) == rank_mod(up, p) == len(layout.g2), labels
+            assert rank_mod(down, p) == rank_mod(up, p) == len(layout.g2), d
 
 
 def test_acceptance_rests_on_exact_triples(monkeypatch):
@@ -423,7 +544,7 @@ def test_sweep_output_is_pinned(name, seed):
 def test_walk_ranks_are_the_dense_ranks_of_the_summed_blocks(name, monkeypatch):
     # Every rank the walk takes, of ad e : g(0) -> g(2) for e the unit sum
     # over the kept roots and the candidate, equals the dense rank of the
-    # same sum of `_ad_blocks`; the walk itself takes no dense rank.
+    # same sum of the reference blocks; the walk itself takes no dense rank.
     L = build_lie_algebra(name)
     real = orbits.sparse_rank_mod
     taken = []
@@ -455,7 +576,7 @@ def test_walk_ranks_are_the_dense_ranks_of_the_summed_blocks(name, monkeypatch):
     for layout, roots, p, r in taken:
         g2 = tuple(layout.g2)
         if g2 not in blocks:
-            blocks[g2] = orbits._ad_blocks(L, layout.g2, layout.g0, layout.g2)
+            blocks[g2] = _ref_blocks(L, layout.g2, layout.g0, layout.g2)
         assert p == PRIMES[0]
         assert r == rank_mod(blocks[g2][roots].sum(axis=0), p), (g2, roots)
 
