@@ -15,22 +15,16 @@ Failing to reach a rank proves nothing and only discards a random draw:
 the diagram test draws again, and when none of its `trials` draws reaches
 the rank it raises instead of deciding, so no verdict rests on a failure.
 
-There are two elimination kernels.  The draws' matrices are dense (e has
-a random coefficient on every root vector of g(2), and the search scatters
-them from integer index arrays of the structure constants), and
-`pivot_columns` eliminates them with numpy, one outer-product update of
-the remaining columns per pivot.  The rank-greedy walk's matrices, ad e :
-g(0) -> g(2) for a sum e of a few root vectors, are sparse: each column of
-ad x_j has at most one nonzero, and on E8 they average about 51 nonzeros
-over 29 x 38 entries.  `sparse_rank_mod` eliminates them as dict rows in
-pure Python, three to five times faster on them than numpy.  It is
-slower on the draws' dense matrices (on a 2-core VM the E8 draws took
-0.41 s instead of 0.10 s), so those stay on numpy.
+The draws' matrices are dense (e has a random coefficient on every root
+vector of g(2), and the search scatters them from integer index arrays of
+the structure constants), and `pivot_columns` eliminates them with numpy,
+one outer-product update of the remaining columns per pivot.  It is the
+one kernel the search runs mod p: the rank-greedy walk's sparse matrices
+and the exact triple solves are eliminated over Q by `algebra._Echelon`.
+`rank_mod` and `has_full_rank` remain only for the benchmark's tracer.
 """
 
 from __future__ import annotations
-
-from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -66,35 +60,6 @@ def pivot_columns(matrix: np.ndarray, p: int) -> list[int]:
         block %= p
         pivots.append(c)
     return pivots
-
-
-def sparse_rank_mod(rows: Iterable[Mapping[int, int]], p: int) -> int:
-    """Rank over the field with p elements of a matrix given by sparse rows.
-
-    Each row maps column keys to integer entries, missing ones being 0.  A
-    row is reduced by the pivot row of its leading (least) column until it
-    is zero or leads at a new column, where it becomes the pivot row.  Rows
-    are taken shortest first, which keeps the pivot rows short; the rows
-    passed in are not modified.
-    """
-    pivots: dict[int, dict[int, int]] = {}
-    for row in sorted(rows, key=len):
-        r = {c: x % p for c, x in row.items() if x % p}
-        while r:
-            lead = min(r)
-            pivot = pivots.get(lead)
-            if pivot is None:
-                inv = pow(r[lead], -1, p)
-                pivots[lead] = {c: x * inv % p for c, x in r.items()}
-                break
-            f = r[lead]
-            for c, x in pivot.items():
-                y = (r.get(c, 0) - f * x) % p
-                if y:
-                    r[c] = y
-                else:
-                    r.pop(c, None)
-    return len(pivots)
 
 
 # Only the benchmark's tracer still names this; the diagram search does not call it.

@@ -5,7 +5,7 @@ the simple roots).  Every label vector goes through one search, and its one
 certificate is the sl2-triple with the characteristic h of the labels:
 
 - the size filters reject label vectors whose graded dimensions no triple
-  allows;
+  allows; they are settled once per algebra for all 3^rank vectors;
 - seeded random draws e in g(2) run until ad e maps g(0) onto g(2), which
   puts e in the open G(0)-orbit of g(2); whether [e, f] = h is soluble for
   that e decides the label vector.  Both questions are read off
@@ -16,6 +16,8 @@ certificate is the sl2-triple with the characteristic h of the labels:
   label vectors without an exact solve;
 - a rank-greedy walk over the roots of g(2) finds the representative, and
   its triple, solved exactly, proves the diagram and is the orbit's triple.
+  The walk's ranks and the triple's solve are exact over Q, on the sparse
+  integer rows of `algebra._Echelon`; only the draws work mod p.
 
 A solved triple gives dim g_e = dim g(0) + dim g(1) by sl2 theory, so the
 triple certifies the representative too.  Representatives are sums of root
@@ -37,11 +39,11 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import lcm
-from typing import NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from ._modp import PRIMES, pivot_columns, sparse_rank_mod
+from ._modp import PRIMES, pivot_columns
 from .algebra import Element, LieAlgebra, _bracket_supp, _Echelon, _scaled_support
 from .linalg import _solve_rows
 
@@ -155,6 +157,35 @@ def _orbit_dim(L: LieAlgebra, labels: Sequence[int]) -> int:
     return L.dim - int(sizes[0]) - int(sizes[1])
 
 
+@lru_cache(maxsize=None)
+def _size_filters(L: LieAlgebra) -> np.ndarray:
+    """Whether each label vector passes the size filters of `_layout`.
+
+    One byte per label vector, indexed by the base-3 value of its labels,
+    the first label most significant (the order of `itertools.product`).
+    The weights of the 3^rank vectors come from an int16 product with the
+    positive roots and their sizes from one `bincount`, both per chunk of
+    81 vectors, so E8's 6,561 x 120 weights are never held at once.
+    """
+    roots = _positive_roots(L).T.astype(np.int16)
+    labels = np.indices((3,) * L.rank, dtype=np.int16).reshape(L.rank, -1).T
+    # bins 0 .. max weight + 2, so every dim g(k + 2) compared exists
+    width = 2 * int(roots.sum(axis=0).max()) + 3
+    out = np.empty(len(labels), dtype=bool)
+    for start in range(0, len(labels), 81):
+        weights = labels[start : start + 81] @ roots
+        bins = weights + width * np.arange(len(weights))[:, None]
+        sizes = np.bincount(bins.ravel(), minlength=bins.shape[0] * width)
+        sizes = sizes.reshape(-1, width)
+        sizes[:, 0] = 2 * sizes[:, 0] + L.rank
+        out[start : start + len(sizes)] = (
+            (sizes[:, 2] > 0)
+            & (sizes[:, 1] % 2 == 0)
+            & np.all(sizes[:, :-2] >= sizes[:, 2:], axis=1)
+        )
+    return out
+
+
 # -- the search behind every label vector ------------------------------------
 
 
@@ -215,7 +246,8 @@ def _layout(L: LieAlgebra, d: WeightedDynkinDiagram) -> _Layout | None:
     dim g(k) >= dim g(k+2) for every k >= 0, also where dim g(k) = 0, and
     dim g(1) is even (kappa(f, [x, y]) is a nondegenerate symplectic form on
     g(1)); a nonzero d also needs g(2) nonzero.  These filters read only the
-    sizes from `_graded`, so the index arrays are built only for the label
+    sizes, so `_size_filters` settles them once per algebra for every label
+    vector, and the weights and index arrays are built only for the label
     vectors that pass.  The draws need only A = ad e : g(-2) -> g(0), whose
     entries are those of `_down_table` with j and b in g(2); its rank
     settles both questions of a draw (see `_decide`), so ad e : g(0) -> g(2)
@@ -223,9 +255,9 @@ def _layout(L: LieAlgebra, d: WeightedDynkinDiagram) -> _Layout | None:
     `_cartan_inverse` times the labels; den is a unit mod p, so it changes
     no rank, and h itself is formed only for an exact triple.
     """
-    weights, sizes = _graded(L, d.labels)
-    if not sizes[2] or sizes[1] % 2 or np.any(sizes[:-2] < sizes[2:]):
+    if not _size_filters(L)[_derive_seed(0, d.labels)]:
         return None
+    weights = _graded(L, d.labels)[0]
     npos = L.npos
     zero = np.flatnonzero(weights == 0)
     g2 = np.flatnonzero(weights == 2)
@@ -246,6 +278,7 @@ def _layout(L: LieAlgebra, d: WeightedDynkinDiagram) -> _Layout | None:
 
 
 def _derive_seed(seed: int, labels: Sequence[int]) -> int:
+    """seed * 3^len(labels) plus the base-3 value of the labels, first highest."""
     out = seed
     for v in labels:
         out = out * 3 + v
@@ -302,6 +335,21 @@ def _decide(
     raise RuntimeError(f"diagram {d}: no surjective draw among {trials}")
 
 
+def _rank(columns: Iterable[Mapping[int, int]]) -> int:
+    """The rank over Q of sparse integer columns {row: entry}, left unchanged.
+
+    Each column is reduced exactly against the echelon of the ones before
+    it (`_Echelon`), and kept when a nonzero residual remains.  Columns are
+    taken shortest first, which keeps the echelon's rows short.
+    """
+    echelon = _Echelon()
+    for column in sorted(columns, key=len):
+        v = echelon.reduce(dict(column))
+        if v:
+            echelon.store(v)
+    return echelon.dim
+
+
 def _represent(
     L: LieAlgebra, d: WeightedDynkinDiagram, layout: _Layout, seed: int
 ) -> Sl2Triple | None:
@@ -309,20 +357,20 @@ def _represent(
 
     Along an order of the roots of g(2), a root is kept when it is linearly
     independent of the kept ones (an exact reduction of its coordinates
-    against their echelon) and raises the mod-p rank of ad e : g(0) -> g(2)
-    for e the unit sum over them; mod-p ranks are lower bounds of the
-    rational ones, so a rank of dim g(2) is exact.  The first order is the
-    basis order, the next ones are seeded shuffles, up to `RESTART_BUDGET`
-    orders; None when all of them run out.  Raises `TripleInsolubleError`
-    when the surjective e has no triple, which proves d is no diagram.
+    against their echelon) and raises the rank over Q of ad e : g(0) -> g(2)
+    for e the unit sum over them.  The first order is the basis order, the
+    next ones are seeded shuffles, up to `RESTART_BUDGET` orders; None when
+    all of them run out.  Raises `TripleInsolubleError` when the surjective
+    e has no triple, which proves d is no diagram.
 
     The walk's matrices are sparse: ad x_j sends x_b in g(0) to a multiple
     of x_{j+b} and a Cartan vector to a multiple of x_j, so each of their
-    columns has at most one nonzero.  The columns of every ad x_j are read
-    off the structure constants once per label vector, the walk keeps their
-    sum over the kept roots, and each candidate's sum is ranked by sparse
-    elimination mod `PRIMES[0]` (`sparse_rank_mod`).  The draws' matrices
-    are dense, and numpy eliminates those faster (`_decide`).
+    columns has at most one nonzero, and for a fixed column and row at most
+    one root j contributes.  The columns of every ad x_j are read off the
+    structure constants once per label vector, the walk keeps their sum over
+    the kept roots, and each candidate's sum is ranked exactly by `_rank`.
+    The draws' matrices are dense, and numpy eliminates those mod p
+    (`_decide`).
     """
     g2 = layout.g2
     # the nonzero entries (column i, row k, value n) of each ad x_j
@@ -349,7 +397,7 @@ def _represent(
                 column = dict(total.get(i, ()))
                 column[k] = column.get(k, 0) + n
                 candidate[i] = column
-            r = sparse_rank_mod(candidate.values(), PRIMES[0])
+            r = _rank(candidate.values())
             if r > reached:
                 kept.append(q)
                 echelon.store(v)
@@ -459,29 +507,61 @@ def complete_triple(L: LieAlgebra, h: Element, e: Element) -> Sl2Triple:
     return _triple(L, h, g0, neg2, e)
 
 
+def _solve_sparse(
+    rows: Iterable[dict[int, int]], cols: int
+) -> dict[int, Fraction | int] | None:
+    """The nonzero entries of a solution x of sparse integer augmented rows.
+
+    Each row maps columns 0 .. cols - 1 and the right-hand side, column
+    `cols`, to its nonzero entries; the rows are reduced in place.  They are
+    eliminated exactly by `_Echelon`, shortest first, and None means no
+    solution: a reduced row leads at the right-hand side.  x is read off the
+    reduced echelon form with zeros at the free columns, the solution
+    `linalg.solve` gives.
+    """
+    echelon = _Echelon()
+    for row in sorted(rows, key=len):
+        v = echelon.reduce(row)
+        if v:
+            if min(v) == cols:
+                return None
+            echelon.store(v)
+    return {
+        p: row[cols]
+        for p, row in zip(echelon.order, echelon.canonical_rows())
+        if cols in row
+    }
+
+
 def _triple(
     L: LieAlgebra, h: Element, g0: list[int], neg2: list[int], e: Element
 ) -> Sl2Triple:
     """`complete_triple` for e in g(2), given the indices of g(0) and g(-2).
 
     e has ad h-weight 2, so [e, g(-2)] lies in g(0) and only the g(0) rows
-    of the system can be nonzero; they are built from the integer structure
-    constants, and the check of the solution stays in integers too.
+    of the system can be nonzero.  They are built from the integer structure
+    constants as sparse rows, each entry from one root k of e (for x_j in
+    g(-2) and x_i in g(0), at most one k has x_i in [x_k, x_j]; see
+    `_down_table`).  `_solve_sparse` eliminates them exactly, and the check
+    of the solution stays in integers too.
     """
     supp, scale = _scaled_support(e.coeffs)
     hsupp, hden = _scaled_support(h.coeffs)
-    row_of = {i: r for r, i in enumerate(g0)}
-    # [scale * e, x] = scale * hden * h as integer augmented rows; f = x / hden
-    system = [[0] * len(neg2) + [scale * hsupp.get(i, 0)] for i in g0]
+    cols = len(neg2)
+    # [scale * e, x] = scale * hden * h as sparse integer augmented rows, the
+    # right-hand side in column `cols`; f = x / hden
+    rows: dict[int, dict[int, int]] = {i: {} for i in g0}
+    for i, c in hsupp.items():
+        rows[i][cols] = scale * c
     for k, c in supp.items():
         adj = L._adj[k]
         for col, j in enumerate(neg2):
             for i, n in adj.get(j, ()):
-                system[row_of[i]][col] += c * n
-    sol = _solve_rows(system, len(neg2))
+                rows[i][col] = c * n
+    sol = _solve_sparse(rows.values(), cols)
     if sol is None:
         raise TripleInsolubleError("no completion to a triple: invalid representative")
-    f = {j: x / hden for j, x in zip(neg2, sol) if x}
+    f = {neg2[col]: Fraction(x, hden) for col, x in sol.items()}
     # [h, f] = -2f holds by construction: f is supported on g(-2).  [e, f] = h
     # is checked as [scale * e, den * f] = scale * den * h on integer supports.
     fsupp, den = _scaled_support(f)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from exorb._modp import PRIMES, pivot_columns, rank_mod, sparse_rank_mod
+from exorb._modp import PRIMES, pivot_columns, rank_mod
 
 P0, P1 = PRIMES
 
@@ -34,44 +34,18 @@ def matrices(draw):
     return rows, ncols
 
 
-def _sparse(rows):
-    # Zero entries are left out, except some that are 0 mod p only.
-    return [{c: x for c, x in enumerate(row) if x} for row in rows]
-
-
-@settings(max_examples=200, deadline=None)
-@given(matrices())
-def test_sparse_rank_is_the_dense_rank(case):
-    rows, ncols = case
-    dense = np.array(rows, dtype=np.int64).reshape(len(rows), ncols)
-    for p in PRIMES:
-        r = rank_mod(dense, p)
-        assert sparse_rank_mod(_sparse(rows), p) == r
-        # the same matrix transposed, and with the full rows including zeros
-        assert sparse_rank_mod(_sparse(dense.T.tolist()), p) == r
-        assert sparse_rank_mod([dict(enumerate(row)) for row in rows], p) == r
-
-
 @pytest.mark.parametrize("nrows, ncols", [(0, 0), (0, 4), (4, 0)])
 def test_empty_shapes_have_rank_zero(nrows, ncols):
     dense = np.zeros((nrows, ncols), dtype=np.int64)
     for p in PRIMES:
         assert rank_mod(dense, p) == 0
-        assert sparse_rank_mod([{} for _ in range(nrows)], p) == 0
-
-
-def test_sparse_rank_leaves_its_rows_alone():
-    rows = [{0: 1, 1: 2}, {0: 2, 1: 4, 2: P0}, {1: -1}]
-    copy = [dict(r) for r in rows]
-    assert sparse_rank_mod(rows, P0) == 2
-    assert rows == copy
 
 
 def test_entries_zero_mod_one_prime_only():
     # P0 * e_0 is zero mod P0 but not mod P1.
-    rows = [{0: P0}, {1: 1}]
-    assert sparse_rank_mod(rows, P0) == 1
-    assert sparse_rank_mod(rows, P1) == 2
+    dense = np.array([[P0, 0], [0, 1]], dtype=np.int64)
+    assert rank_mod(dense, P0) == 1
+    assert rank_mod(dense, P1) == 2
 
 
 @settings(max_examples=100, deadline=None)

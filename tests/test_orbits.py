@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from exorb import _modp, orbits
 from exorb.algebra import (
@@ -33,7 +34,7 @@ from exorb.orbits import (
     orbit,
 )
 from exorb._modp import PRIMES, rank_mod
-from exorb.linalg import RatMatrix, _solve_rows, rank
+from exorb.linalg import RatMatrix, _solve_rows, rank, solve
 from exorb.refdata import load_tables
 
 
@@ -310,14 +311,14 @@ def test_integer_triple_check_rejects_a_wrong_f(name, labels, monkeypatch):
     L = build_lie_algebra(name)
     d = WeightedDynkinDiagram(labels)
     e = find_representative(L, d)
-    real = orbits._solve_rows
+    real = orbits._solve_sparse
 
-    def solve(rows, cols):
+    def wrong(rows, cols):
         # the exact solution with its first entry off by 1
         sol = real(rows, cols)
-        return None if sol is None else (sol[0] + 1, *sol[1:])
+        return None if sol is None else {**sol, 0: sol.get(0, 0) + 1}
 
-    monkeypatch.setattr(orbits, "_solve_rows", solve)
+    monkeypatch.setattr(orbits, "_solve_sparse", wrong)
     message = "triple relations failed verification"
     with pytest.raises(RuntimeError, match=message) as info:
         complete_triple(L, characteristic_element(L, d), e)
@@ -336,13 +337,13 @@ def test_integer_triple_check_fires_under_python_O(tmp_path):
             from exorb.algebra import build_lie_algebra
 
             assert False, "assertions are on"
-            real = orbits._solve_rows
+            real = orbits._solve_sparse
 
-            def solve(rows, cols):
+            def wrong(rows, cols):
                 sol = real(rows, cols)
-                return None if sol is None else (sol[0] + 1, *sol[1:])
+                return None if sol is None else {**sol, 0: sol.get(0, 0) + 1}
 
-            orbits._solve_rows = solve
+            orbits._solve_sparse = wrong
             L = build_lie_algebra("G2")
             try:
                 orbits.orbit(L, orbits.WeightedDynkinDiagram((2, 2)))
@@ -359,6 +360,66 @@ def test_integer_triple_check_fires_under_python_O(tmp_path):
         check=True,
     )
     assert out.stdout.strip() == "triple relations failed verification"
+
+
+@st.composite
+def _sparse_systems(draw):
+    """(rows, cols): integer augmented rows, the right-hand side last.
+
+    Zeros are drawn often, so that zero columns, all-zero rows and
+    inconsistent systems are common.  Entries are negative or non-unit too,
+    a row may be a combination of two others, and the right-hand side may
+    be A x for an integer x, so that consistent systems with free columns
+    are common as well.
+    """
+    nrows, cols = draw(st.integers(0, 6)), draw(st.integers(1, 6))
+    entry = st.one_of(st.just(0), st.integers(-4, 4), st.sampled_from([6, -9, 12, 35]))
+    rows = [[draw(entry) for _ in range(cols + 1)] for _ in range(nrows)]
+    if nrows >= 2 and draw(st.booleans()):
+        a, b = draw(st.integers(-3, 3)), draw(st.integers(1, 3))
+        rows.append([a * x + b * y for x, y in zip(rows[0], rows[1])])
+    if draw(st.booleans()):
+        c = draw(st.integers(0, cols - 1))
+        for row in rows:
+            row[c] = 0
+    if draw(st.booleans()):
+        x = [draw(st.integers(-3, 3)) for _ in range(cols)]
+        for row in rows:
+            row[cols] = sum(a * v for a, v in zip(row, x))
+    return rows, cols
+
+
+def _sparse_rows(rows):
+    return [{c: x for c, x in enumerate(row) if x} for row in rows]
+
+
+@given(_sparse_systems())
+@example(([[0, 0, 1]], 2))
+@example(([[-2, 4, 0, 6], [0, 0, 3, -9], [0, 0, 0, 0]], 3))
+@settings(max_examples=300, deadline=None)
+def test_sparse_solve_is_linalg_solve(case):
+    # The triple's solve gives the solution of linalg.solve, zeros at the
+    # free columns, and None exactly when linalg.solve finds no solution.
+    rows, cols = case
+    m = RatMatrix([row[:cols] for row in rows], cols)
+    expected = solve(m, [row[cols] for row in rows])
+    got = orbits._solve_sparse(_sparse_rows(rows), cols)
+    if expected is None:
+        assert got is None
+    else:
+        assert got is not None and 0 not in got.values()
+        assert tuple(got.get(c, 0) for c in range(cols)) == expected
+
+
+@given(_sparse_systems())
+@settings(max_examples=300, deadline=None)
+def test_sparse_rank_is_the_exact_rank(case):
+    # The walk's rank of sparse columns is linalg.rank, and leaves them alone.
+    rows, cols = case
+    columns = _sparse_rows([list(col) for col in zip(*rows)]) if rows else []
+    before = [dict(c) for c in columns]
+    assert orbits._rank(columns) == rank(RatMatrix(rows, cols + 1))
+    assert columns == before
 
 
 def test_sweep_does_not_read_an_insoluble_representative_as_rejection(monkeypatch):
@@ -521,6 +582,11 @@ SWEEP_DIGESTS = {
     ("E6", 2): "a353045f8e99af65",
     ("E7", 2): "d451714dab0b448b",
     ("E8", 2): "076fa0ddf50b072b",
+    ("G2", 3): "b985e81c4ee0209b",
+    ("F4", 3): "b70cee953cf9aaa4",
+    ("E6", 3): "2d82314de69976cf",
+    ("E7", 3): "b16b4af13ad1f85a",
+    ("E8", 3): "933d4525ea216fb1",
 }
 
 
@@ -543,17 +609,17 @@ def test_sweep_output_is_pinned(name, seed):
 @pytest.mark.parametrize("name", ["F4", "E6"])
 def test_walk_ranks_are_the_dense_ranks_of_the_summed_blocks(name, monkeypatch):
     # Every rank the walk takes, of ad e : g(0) -> g(2) for e the unit sum
-    # over the kept roots and the candidate, equals the dense rank of the
+    # over the kept roots and the candidate, equals the exact rank of the
     # same sum of the reference blocks; the walk itself takes no dense rank.
     L = build_lie_algebra(name)
-    real = orbits.sparse_rank_mod
+    real = orbits._rank
     taken = []
 
-    def sparse_rank(rows, p):
+    def sparse_rank(columns):
         # the kept roots and the candidate q are read off the walk's frame
         walk = sys._getframe(1).f_locals
-        r = real(rows, p)
-        taken.append((walk["layout"], walk["kept"] + [walk["q"]], p, r))
+        r = real(columns)
+        taken.append((walk["layout"], walk["kept"] + [walk["q"]], r))
         return r
 
     def no_dense_rank(*args):
@@ -568,17 +634,17 @@ def test_walk_ranks_are_the_dense_ranks_of_the_summed_blocks(name, monkeypatch):
             return real_represent(*args)
 
     with monkeypatch.context() as m:
-        m.setattr(orbits, "sparse_rank_mod", sparse_rank)
+        m.setattr(orbits, "_rank", sparse_rank)
         m.setattr(orbits, "_represent", represent)
         assert len(enumerate_orbits(L)) == {"F4": 15, "E6": 20}[name]
     assert len(taken) == {"F4": 106, "E6": 227}[name]
     blocks = {}
-    for layout, roots, p, r in taken:
+    for layout, roots, r in taken:
         g2 = tuple(layout.g2)
         if g2 not in blocks:
             blocks[g2] = _ref_blocks(L, layout.g2, layout.g0, layout.g2)
-        assert p == PRIMES[0]
-        assert r == rank_mod(blocks[g2][roots].sum(axis=0), p), (g2, roots)
+        summed = blocks[g2][roots].sum(axis=0)
+        assert r == rank(RatMatrix(summed.tolist(), len(layout.g0))), (g2, roots)
 
 
 @pytest.mark.parametrize("trials", [0, -1])
@@ -598,15 +664,17 @@ def test_odd_dim_g1_is_rejected_before_rank_work(monkeypatch):
         raise AssertionError("rank work done")
 
     monkeypatch.setattr(orbits, "pivot_columns", no_rank_work)
-    monkeypatch.setattr(orbits, "sparse_rank_mod", no_rank_work)
+    monkeypatch.setattr(orbits, "_rank", no_rank_work)
     assert orbit(L, WeightedDynkinDiagram(labels)) is None
 
 
-@pytest.mark.parametrize("name", ["F4", "E6", "E7"])
+@pytest.mark.parametrize("name", ["G2", "F4", "E6", "E7", "E8"])
 def test_layout_is_none_exactly_when_the_sizes_break_a_filter(name):
     # Sizes counted from basis_weights, with every k >= 0 checked: E6
-    # (1,1,2,1,0,2) has dim g(9) = 0 < dim g(11) = 1.
+    # (1,1,2,1,0,2) has dim g(9) = 0 < dim g(11) = 1.  The filters are read
+    # from one table per algebra, indexed by the labels in product order.
     L = build_lie_algebra(name)
+    passed = 0
     for labels in product((0, 1, 2), repeat=L.rank):
         weights = L.basis_weights(labels)
         sizes = _weight_dims(weights)
@@ -619,9 +687,11 @@ def test_layout_is_none_exactly_when_the_sizes_break_a_filter(name):
         layout = orbits._layout(L, WeightedDynkinDiagram(labels))
         assert (layout is None) == broken, labels
         if layout is not None:
+            passed += 1
             assert layout.g0 == [i for i, w in enumerate(weights) if w == 0]
             assert layout.g2 == [i for i, w in enumerate(weights) if w == 2]
             assert layout.neg2 == [i for i, w in enumerate(weights) if w == -2]
+    assert passed == {"G2": 5, "F4": 20, "E6": 137, "E7": 171, "E8": 173}[name]
 
 
 @pytest.mark.parametrize("name", ["G2", "F4", "E6"])
