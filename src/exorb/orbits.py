@@ -340,11 +340,17 @@ def _rank(columns: Iterable[Mapping[int, int]]) -> int:
 
     Each column is reduced exactly against the echelon of the ones before
     it (`_Echelon`), and kept when a nonzero residual remains.  Columns are
-    taken shortest first, which keeps the echelon's rows short.
+    taken shortest first, which keeps the echelon's rows short.  Explicit
+    zero entries are dropped first, since `_Echelon` reads every key of a
+    vector as a nonzero entry.
     """
     echelon = _Echelon()
     for column in sorted(columns, key=len):
-        v = echelon.reduce(dict(column))
+        if 0 in column.values():
+            v = {k: x for k, x in column.items() if x}
+        else:
+            v = dict(column)
+        v = echelon.reduce(v)
         if v:
             echelon.store(v)
     return echelon.dim

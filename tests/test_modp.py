@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from exorb import orbits
 from exorb._modp import PRIMES, pivot_columns, rank_mod
+from exorb.linalg import RatMatrix, rank
 
 P0, P1 = PRIMES
 
@@ -34,11 +36,42 @@ def matrices(draw):
     return rows, ncols
 
 
+def _sparse(rows):
+    # Zero entries are left out, except some that are 0 mod p only.
+    return [{c: x for c, x in enumerate(row) if x} for row in rows]
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices())
+def test_sparse_rank_is_the_dense_rank(case):
+    # The walk's sparse rank is the dense rank over Q, which no rank mod p
+    # exceeds.
+    rows, ncols = case
+    dense = np.array(rows, dtype=np.int64).reshape(len(rows), ncols)
+    r = rank(RatMatrix(rows, ncols))
+    assert orbits._rank(_sparse(rows)) == r
+    # the same matrix transposed, and with the full rows including zeros
+    assert orbits._rank(_sparse(dense.T.tolist())) == r
+    assert orbits._rank([dict(enumerate(row)) for row in rows]) == r
+    for p in PRIMES:
+        assert rank_mod(dense, p) <= r
+
+
 @pytest.mark.parametrize("nrows, ncols", [(0, 0), (0, 4), (4, 0)])
 def test_empty_shapes_have_rank_zero(nrows, ncols):
     dense = np.zeros((nrows, ncols), dtype=np.int64)
     for p in PRIMES:
         assert rank_mod(dense, p) == 0
+
+
+def test_sparse_rank_leaves_its_rows_alone():
+    rows = [{0: 1, 1: 2}, {0: 2, 1: 4, 2: P0}, {1: -1}]
+    copy = [dict(r) for r in rows]
+    assert orbits._rank(rows) == 3
+    assert rows == copy
+    # The entry P0 vanishes mod P0, so the rank there is one less.
+    dense = np.array([[1, 2, 0], [2, 4, P0], [0, -1, 0]], dtype=np.int64)
+    assert rank_mod(dense, P0) == 2
 
 
 def test_entries_zero_mod_one_prime_only():

@@ -411,17 +411,6 @@ def test_sparse_solve_is_linalg_solve(case):
         assert tuple(got.get(c, 0) for c in range(cols)) == expected
 
 
-@given(_sparse_systems())
-@settings(max_examples=300, deadline=None)
-def test_sparse_rank_is_the_exact_rank(case):
-    # The walk's rank of sparse columns is linalg.rank, and leaves them alone.
-    rows, cols = case
-    columns = _sparse_rows([list(col) for col in zip(*rows)]) if rows else []
-    before = [dict(c) for c in columns]
-    assert orbits._rank(columns) == rank(RatMatrix(rows, cols + 1))
-    assert columns == before
-
-
 def test_sweep_does_not_read_an_insoluble_representative_as_rejection(monkeypatch):
     def insoluble(*args):
         raise TripleInsolubleError("no completion to a triple")
