@@ -5,7 +5,7 @@ the simple roots).  Every label vector goes through one search, and its one
 certificate is the sl2-triple with the characteristic h of the labels:
 
 - the size filters reject label vectors whose graded dimensions no triple
-  allows; they are settled once per algebra for all 3^rank vectors;
+  allows; they are settled for chunks of 81 label vectors at once;
 - seeded random draws e in g(2) run until ad e maps g(0) onto g(2), which
   puts e in the open G(0)-orbit of g(2); whether [e, f] = h is soluble for
   that e decides the label vector.  Both questions are read off
@@ -134,56 +134,74 @@ def _cartan_inverse(L: LieAlgebra) -> tuple[tuple[tuple[int, ...], ...], int]:
 
 @lru_cache(maxsize=None)
 def _positive_roots(L: LieAlgebra) -> np.ndarray:
-    """The simple-root coordinates of the positive roots, one row each."""
-    return np.array(L._root_of_index[: L.npos], dtype=np.int64)
+    """The simple-root coordinates of the positive roots, one column each.
 
-
-def _graded(L: LieAlgebra, labels: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """The weight of each positive root x_a, and dim g(k) for k = 0, 1, ...
-
-    The weight of x_a is the sum of a's coordinates times the labels, x_{-a}
-    has the opposite one, and g(0) also holds the Cartan subalgebra; g(-k)
-    has the dimension of g(k).  The sizes run at least up to k = 2.
+    They are float64 so that the label vectors' weights are one BLAS
+    product, ten times faster than numpy's integer one.  The product is
+    exact: its entries are integers of size at most twice the height of the
+    highest root.
     """
-    weights = _positive_roots(L) @ np.asarray(labels, dtype=np.int64)
-    sizes = np.bincount(weights, minlength=3)
-    sizes[0] = 2 * sizes[0] + L.rank
+    return np.array(L._root_of_index[: L.npos], dtype=np.float64).T
+
+
+def _graded(L: LieAlgebra, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The weights of the positive roots and the graded sizes, per label vector.
+
+    `labels` holds one label vector per row.  Row r of the weights holds the
+    weight of each positive root x_a under row r's labels, the sum of a's
+    coordinates times the labels; x_{-a} has the opposite one.  Row r of the
+    sizes holds dim g(k) for k = 0 .. max weight + 2, with g(0) also holding
+    the Cartan subalgebra; g(-k) has the dimension of g(k).  All rows' sizes
+    come from one `bincount`, each row's weights offset into its own bins.
+    """
+    roots = _positive_roots(L)
+    weights = (np.asarray(labels, dtype=np.float64) @ roots).astype(np.int64)
+    width = 2 * int(roots.sum(axis=0).max()) + 3
+    bins = weights + width * np.arange(len(weights))[:, None]
+    sizes = np.bincount(bins.ravel(), minlength=len(weights) * width)
+    sizes = sizes.reshape(-1, width)
+    sizes[:, 0] = 2 * sizes[:, 0] + L.rank
     return weights, sizes
 
 
 def _orbit_dim(L: LieAlgebra, labels: Sequence[int]) -> int:
     """The orbit's dimension dim L - dim g_e, with dim g_e = dim g(0) + dim g(1)."""
-    sizes = _graded(L, labels)[1]
+    sizes = _graded(L, [labels])[1][0]
     return L.dim - int(sizes[0]) - int(sizes[1])
 
 
-@lru_cache(maxsize=None)
-def _size_filters(L: LieAlgebra) -> np.ndarray:
-    """Whether each label vector passes the size filters of `_layout`.
+# The size filters are settled at once for the 3^CHUNK_LABELS label vectors
+# that share all labels but the last CHUNK_LABELS.
+CHUNK_LABELS = 4
 
-    One byte per label vector, indexed by the base-3 value of its labels,
-    the first label most significant (the order of `itertools.product`).
-    The weights of the 3^rank vectors come from an int16 product with the
-    positive roots and their sizes from one `bincount`, both per chunk of
-    81 vectors, so E8's 6,561 x 120 weights are never held at once.
+
+@lru_cache(maxsize=None)
+def _size_filters(L: LieAlgebra, chunk: int) -> np.ndarray:
+    """Whether each label vector of a chunk passes the size filters.
+
+    For a triple with characteristic h, g is a sum of sl2-modules, so
+    dim g(k) >= dim g(k+2) for every k >= 0, also where dim g(k) = 0, and
+    dim g(1) is even (kappa(f, [x, y]) is a nondegenerate symplectic form on
+    g(1)); a nonzero label vector also needs g(2) nonzero.  The base-3
+    value of the labels, first highest (the order of `itertools.product`),
+    is chunk * 3^CHUNK_LABELS plus the vector's index in the returned bytes.
+    So one label vector costs one chunk of at most 81 vectors, whatever the
+    rank, and a sweep builds each chunk once.
     """
-    roots = _positive_roots(L).T.astype(np.int16)
-    labels = np.indices((3,) * L.rank, dtype=np.int16).reshape(L.rank, -1).T
-    # bins 0 .. max weight + 2, so every dim g(k + 2) compared exists
-    width = 2 * int(roots.sum(axis=0).max()) + 3
-    out = np.empty(len(labels), dtype=bool)
-    for start in range(0, len(labels), 81):
-        weights = labels[start : start + 81] @ roots
-        bins = weights + width * np.arange(len(weights))[:, None]
-        sizes = np.bincount(bins.ravel(), minlength=bins.shape[0] * width)
-        sizes = sizes.reshape(-1, width)
-        sizes[:, 0] = 2 * sizes[:, 0] + L.rank
-        out[start : start + len(sizes)] = (
-            (sizes[:, 2] > 0)
-            & (sizes[:, 1] % 2 == 0)
-            & np.all(sizes[:, :-2] >= sizes[:, 2:], axis=1)
-        )
-    return out
+    tail = min(L.rank, CHUNK_LABELS)
+    head = []
+    for _ in range(L.rank - tail):
+        chunk, v = divmod(chunk, 3)
+        head.append(v)
+    labels = np.empty((3**tail, L.rank), dtype=np.int64)
+    labels[:, : L.rank - tail] = head[::-1]
+    labels[:, L.rank - tail :] = np.indices((3,) * tail).reshape(tail, -1).T
+    sizes = _graded(L, labels)[1]
+    return (
+        (sizes[:, 2] > 0)
+        & (sizes[:, 1] % 2 == 0)
+        & np.all(sizes[:, :-2] >= sizes[:, 2:], axis=1)
+    )
 
 
 # -- the search behind every label vector ------------------------------------
@@ -242,22 +260,20 @@ def _ad_down(layout: _Layout, coeffs: Sequence[int]) -> np.ndarray:
 def _layout(L: LieAlgebra, d: WeightedDynkinDiagram) -> _Layout | None:
     """The graded pieces of d that the draws read, or None when sizes rule out d.
 
-    For a triple with characteristic h, g is a sum of sl2-modules, so
-    dim g(k) >= dim g(k+2) for every k >= 0, also where dim g(k) = 0, and
-    dim g(1) is even (kappa(f, [x, y]) is a nondegenerate symplectic form on
-    g(1)); a nonzero d also needs g(2) nonzero.  These filters read only the
-    sizes, so `_size_filters` settles them once per algebra for every label
-    vector, and the weights and index arrays are built only for the label
-    vectors that pass.  The draws need only A = ad e : g(-2) -> g(0), whose
+    The size filters read only the graded sizes (`_size_filters`, settled
+    for d's chunk of label vectors at once), and the weights and index
+    arrays are built only for the label vectors that pass.  The draws need
+    only A = ad e : g(-2) -> g(0), whose
     entries are those of `_down_table` with j and b in g(2); its rank
     settles both questions of a draw (see `_decide`), so ad e : g(0) -> g(2)
     is left to the walk.  h is read as den * h, the integer rows of
     `_cartan_inverse` times the labels; den is a unit mod p, so it changes
     no rank, and h itself is formed only for an exact triple.
     """
-    if not _size_filters(L)[_derive_seed(0, d.labels)]:
+    chunk, index = divmod(_derive_seed(0, d.labels), 3**CHUNK_LABELS)
+    if not _size_filters(L, chunk)[index]:
         return None
-    weights = _graded(L, d.labels)[0]
+    weights = _graded(L, [d.labels])[0][0]
     npos = L.npos
     zero = np.flatnonzero(weights == 0)
     g2 = np.flatnonzero(weights == 2)
@@ -340,17 +356,12 @@ def _rank(columns: Iterable[Mapping[int, int]]) -> int:
 
     Each column is reduced exactly against the echelon of the ones before
     it (`_Echelon`), and kept when a nonzero residual remains.  Columns are
-    taken shortest first, which keeps the echelon's rows short.  Explicit
-    zero entries are dropped first, since `_Echelon` reads every key of a
-    vector as a nonzero entry.
+    taken shortest first, which keeps the echelon's rows short.  Like
+    `_Echelon`'s vectors, the columns hold no explicit zero entries.
     """
     echelon = _Echelon()
     for column in sorted(columns, key=len):
-        if 0 in column.values():
-            v = {k: x for k, x in column.items() if x}
-        else:
-            v = dict(column)
-        v = echelon.reduce(v)
+        v = echelon.reduce(dict(column))
         if v:
             echelon.store(v)
     return echelon.dim

@@ -657,11 +657,30 @@ def test_odd_dim_g1_is_rejected_before_rank_work(monkeypatch):
     assert orbit(L, WeightedDynkinDiagram(labels)) is None
 
 
+def test_one_label_vector_of_a_large_rank_settles_one_chunk(monkeypatch):
+    # A16 has 3^16 label vectors; searching one of them must not build the
+    # size filters of all of them.
+    L = build_lie_algebra("A16")
+    real = orbits._size_filters
+    built = []
+
+    def spy(L, chunk):
+        out = real(L, chunk)
+        built.append(len(out))
+        return out
+
+    monkeypatch.setattr(orbits, "_size_filters", spy)
+    minimal = WeightedDynkinDiagram((1,) + (0,) * 14 + (1,))
+    assert orbit(L, minimal) is not None
+    assert orbit(L, WeightedDynkinDiagram((1,) + (0,) * 15)) is None
+    assert built == [81, 81]
+
+
 @pytest.mark.parametrize("name", ["G2", "F4", "E6", "E7", "E8"])
 def test_layout_is_none_exactly_when_the_sizes_break_a_filter(name):
     # Sizes counted from basis_weights, with every k >= 0 checked: E6
     # (1,1,2,1,0,2) has dim g(9) = 0 < dim g(11) = 1.  The filters are read
-    # from one table per algebra, indexed by the labels in product order.
+    # from tables of 81 label vectors, indexed by the labels in product order.
     L = build_lie_algebra(name)
     passed = 0
     for labels in product((0, 1, 2), repeat=L.rank):
