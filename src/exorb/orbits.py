@@ -134,17 +134,13 @@ def _cartan_inverse(L: LieAlgebra) -> tuple[tuple[tuple[int, ...], ...], int]:
 
 @lru_cache(maxsize=None)
 def _positive_roots(L: LieAlgebra) -> np.ndarray:
-    """The simple-root coordinates of the positive roots, one column each.
-
-    They are float64 so that the label vectors' weights are one BLAS
-    product, ten times faster than numpy's integer one.  The product is
-    exact: its entries are integers of size at most twice the height of the
-    highest root.
-    """
-    return np.array(L._root_of_index[: L.npos], dtype=np.float64).T
+    """The simple-root coordinates of the positive roots, one column each."""
+    return np.array(L._root_of_index[: L.npos], dtype=np.int64).T
 
 
-def _graded(L: LieAlgebra, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _graded(
+    L: LieAlgebra, labels: np.ndarray | Sequence[Sequence[int]]
+) -> tuple[np.ndarray, np.ndarray]:
     """The weights of the positive roots and the graded sizes, per label vector.
 
     `labels` holds one label vector per row.  Row r of the weights holds the
@@ -155,7 +151,7 @@ def _graded(L: LieAlgebra, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     come from one `bincount`, each row's weights offset into its own bins.
     """
     roots = _positive_roots(L)
-    weights = (np.asarray(labels, dtype=np.float64) @ roots).astype(np.int64)
+    weights = np.asarray(labels, dtype=np.int64) @ roots
     width = 2 * int(roots.sum(axis=0).max()) + 3
     bins = weights + width * np.arange(len(weights))[:, None]
     sizes = np.bincount(bins.ravel(), minlength=len(weights) * width)
@@ -263,12 +259,12 @@ def _layout(L: LieAlgebra, d: WeightedDynkinDiagram) -> _Layout | None:
     The size filters read only the graded sizes (`_size_filters`, settled
     for d's chunk of label vectors at once), and the weights and index
     arrays are built only for the label vectors that pass.  The draws need
-    only A = ad e : g(-2) -> g(0), whose
-    entries are those of `_down_table` with j and b in g(2); its rank
-    settles both questions of a draw (see `_decide`), so ad e : g(0) -> g(2)
-    is left to the walk.  h is read as den * h, the integer rows of
-    `_cartan_inverse` times the labels; den is a unit mod p, so it changes
-    no rank, and h itself is formed only for an exact triple.
+    only A = ad e : g(-2) -> g(0), whose entries are those of `_down_table`
+    with j and b in g(2); its rank settles both questions of a draw (see
+    `_decide`), so ad e : g(0) -> g(2) is left to the walk.  h is read as
+    den * h, the integer rows of `_cartan_inverse` times the labels; den is
+    a unit mod p, so it changes no rank, and h itself is formed only for an
+    exact triple.
     """
     chunk, index = divmod(_derive_seed(0, d.labels), 3**CHUNK_LABELS)
     if not _size_filters(L, chunk)[index]:
