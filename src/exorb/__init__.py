@@ -7,7 +7,7 @@ from .roots import (
     build_root_system,
     structure_constant,
 )
-from .linalg import RatMatrix, rref, rank, kernel, solve, intersect, member
+from .linalg import RatMatrix, rank, kernel, intersect
 from .algebra import (
     LieAlgebra,
     Element,
@@ -42,12 +42,9 @@ __all__ = [
     "build_root_system",
     "structure_constant",
     "RatMatrix",
-    "rref",
     "rank",
     "kernel",
-    "solve",
     "intersect",
-    "member",
     "LieAlgebra",
     "Element",
     "Subspace",

@@ -20,7 +20,7 @@ vector of g(2), and the search scatters them from integer index arrays of
 the structure constants), and `pivot_columns` eliminates them with numpy,
 one outer-product update of the remaining columns per pivot.  It is the
 one kernel the search runs mod p: the rank-greedy walk's sparse matrices
-and the exact triple solves are eliminated over Q by `algebra._Echelon`.
+and the exact triple solves are eliminated over Q by `linalg._Echelon`.
 `rank_mod` and `has_full_rank` remain only for the benchmark's tracer.
 """
 

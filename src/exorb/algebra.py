@@ -8,15 +8,13 @@ gradings) is exact.
 
 from __future__ import annotations
 
-from bisect import insort
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
-from .linalg import RatMatrix, _exact, _kernel_rows, rref
+from .linalg import RatMatrix, _Echelon, _echelon, _exact, _null_space, _scaled_support
 from .roots import Root, RootSystem, TypeRank, build_root_system
 
 __all__ = [
@@ -182,19 +180,6 @@ def build_lie_algebra(t: TypeRank | str) -> LieAlgebra:
 # -- sparse integer plumbing ------------------------------------------------
 
 
-def _scaled_support(
-    coeffs: Sequence[Fraction] | Mapping[int, Fraction],
-) -> tuple[dict[int, int], int]:
-    """(integer support, denominator) with coeffs == support / denominator.
-
-    `coeffs` is a dense vector or a sparse row {index: entry}.
-    """
-    items = coeffs.items() if isinstance(coeffs, Mapping) else enumerate(coeffs)
-    row = {i: c for i, c in items if c}
-    scale = lcm(*(c.denominator for c in row.values()))
-    return {i: c.numerator * (scale // c.denominator) for i, c in row.items()}, scale
-
-
 def _entry(x: Fraction) -> Fraction | int:
     """x as an int when it is integral, which keeps its arithmetic on ints."""
     return x.numerator if x.denominator == 1 else x
@@ -234,96 +219,6 @@ def _bracket_supp(
     if sign < 0:
         return {k: -v for k, v in out.items()}
     return out
-
-
-def _clear(v: dict[int, int], row: dict[int, int], p: int) -> None:
-    """Clear v's nonzero entry at p with a row of leading index p, in integers.
-
-    v becomes (a/g) v - (c/g) row for a = row[p], c = v[p] and g = gcd(a, c),
-    so it is scaled only where a does not divide c.
-    """
-    a, c = row[p], v[p]
-    g = gcd(a, c)
-    if g != a:
-        m = a // g
-        for k in v:
-            v[k] *= m
-    c //= g
-    for k, x in row.items():
-        nv = v.get(k, 0) - c * x
-        if nv:
-            v[k] = nv
-        else:
-            del v[k]
-
-
-class _Echelon:
-    """Accumulates a row span as sparse primitive integer rows.
-
-    Rows are keyed by their leading index, where their entry is positive,
-    and carry no common factor.  Reducing an integer vector stays
-    fraction-free, in the spirit of Bareiss (Math. Comp. 22, 1968): where a
-    row's leading entry a does not divide the vector's entry c, the vector
-    is first scaled by a / gcd(a, c) (see `_clear`).  So a residual is a
-    positive integer multiple of the rational residual, which is all that
-    callers read: whether it is zero, its span and its membership in a
-    subspace.  No `Fraction` arises until `canonical_rows`.
-    """
-
-    __slots__ = ("rows", "order")
-
-    def __init__(self) -> None:
-        self.rows: dict[int, dict[int, int]] = {}
-        self.order: list[int] = []
-
-    @property
-    def dim(self) -> int:
-        return len(self.order)
-
-    def reduce(self, v: dict[int, int]) -> dict[int, int]:
-        """Fully reduce the integer vector v (destructively) against the rows."""
-        rows = self.rows
-        for p in self.order:
-            if p in v:
-                _clear(v, rows[p], p)
-        return v
-
-    def store(self, v: dict[int, int]) -> dict[int, int]:
-        """Keep a reduced nonzero v, stripped of its content, leading entry > 0."""
-        p = min(v)
-        g = gcd(*v.values())
-        if v[p] < 0:
-            g = -g
-        row = {k: x // g for k, x in v.items()}
-        self.rows[p] = row
-        insort(self.order, p)
-        return row
-
-    def canonical_rows(self) -> list[dict[int, Fraction | int]]:
-        """The rows in reduced echelon form, in increasing pivot order.
-
-        A stored row is reduced against the rows stored before it but may
-        still have entries at later pivots.  Back-substitution from the last
-        pivot clears them in integers; each row it subtracts is already
-        reduced, so clearing one pivot only scales the row's entries at the
-        others.  Only the emitted rows are divided by their pivot entry.
-        """
-        rows = self.rows
-        for p in reversed(self.order):
-            row = rows[p]
-            hits = [q for q in row if q != p and q in rows]
-            if not hits:
-                continue
-            row = dict(row)
-            for q in hits:
-                _clear(row, rows[q], q)
-            g = gcd(*row.values())
-            rows[p] = {k: x // g for k, x in row.items()}
-        out = []
-        for p in self.order:
-            row, a = rows[p], rows[p][p]
-            out.append(row if a == 1 else {k: Fraction(x, a) for k, x in row.items()})
-        return out
 
 
 # -- gradings ---------------------------------------------------------------
@@ -433,8 +328,13 @@ class Subspace:
 
     @classmethod
     def from_rows(cls, amb: LieAlgebra, rows: Iterable[Sequence[Fraction | int]]) -> "Subspace":
-        reduced, _ = rref(RatMatrix(rows, amb.dim))
-        return cls(amb, reduced)
+        """The span of dense rows, reduced to its canonical basis."""
+        ints = []
+        for row in rows:
+            if len(row) != amb.dim:
+                raise ValueError("row has the wrong length")
+            ints.append(_scaled_support([_exact(x) for x in row])[0])
+        return cls(amb, _echelon(ints).canonical_rows())
 
     @classmethod
     def full(cls, amb: LieAlgebra) -> "Subspace":
@@ -528,19 +428,20 @@ def centralizer(
         raise ValueError("element is not homogeneous for the grading")
     d = degrees.pop() if degrees else 0
     adj = L._adj
-    rows: list[dict[int, Fraction]] = []
+    rows: list[dict[int, Fraction | int]] = []
     for k, dom in blocks.items():
-        cod = blocks.get(k + d) if supp else None
-        if not cod:
-            rows.extend({j: Fraction(1)} for j in dom)
+        if not (supp and k + d in blocks):
+            rows.extend({j: 1} for j in dom)
             continue
-        pos = {c: r for r, c in enumerate(cod)}
-        m = [[0] * len(dom) for _ in cod]
+        # the rows of ad a : g(k) -> g(k + d), as {column: entry}; an entry
+        # where two terms of a cancel stays as an explicit 0, which
+        # `_null_space` drops
+        block: dict[int, dict[int, int]] = defaultdict(dict)
         for col, j in enumerate(dom):
             for i, c in supp.items():
                 for t, n in adj[i].get(j, ()):
-                    m[pos[t]][col] += c * n
-        for v in _kernel_rows(m, len(dom)):
+                    block[t][col] = block[t].get(col, 0) + c * n
+        for v in _null_space(block.values(), len(dom)):
             rows.append({dom[x]: y for x, y in v.items()})
     return Subspace(L, sorted(rows, key=min))
 

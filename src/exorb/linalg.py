@@ -1,17 +1,30 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals, on one sparse kernel.
 
-Everything here is arbitrary-precision and deterministic: matrices hold
-Fractions, elimination is integer-preserving (rows are cleared of
-denominators, combined integrally and stripped of common content), and
-pivots are always the first nonzero entry in column order.  No floating
-point enters at any stage.
+Every exact elimination in exorb (canonical subspaces, centralizers, the
+walk's ranks, the triple's solve) runs here, on one row format: a sparse
+dict {column: nonzero int}; only the diagram draws eliminate mod p, in
+`_modp`.  A rational vector enters the format as its integer support and
+common denominator (`_scaled_support`), which changes no span.
+`_Echelon` accumulates such rows fraction-free, in the manner of Bareiss
+(Math. Comp. 22, 1968), and no `Fraction` arises until the rows are read
+out in reduced echelon form (`canonical_rows`).  The pivot of a row is its
+leading column, so every output is canonical: the reduced echelon form of
+a span (`_echelon`), the null space read off it with the columns reversed
+(`_null_space`), and the solution with zeros at the free columns
+(`_solution`).  Results are therefore equal by uniqueness, whatever the
+order in which the rows are fed.  No floating point enters at any stage.
+
+`RatMatrix` is an immutable dense matrix of Fractions.  The public
+functions on it (`rref`, `rank`, `kernel`, `solve`, `intersect`,
+`member`) convert its rows with `_scaled_support` and run the same kernel.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from fractions import Fraction
-from math import gcd
-from typing import Iterable, Sequence
+from math import gcd, lcm
+from typing import Iterable, Mapping, Sequence
 
 __all__ = ["RatMatrix", "rref", "rank", "kernel", "solve", "intersect", "member"]
 
@@ -76,61 +89,179 @@ class RatMatrix:
         return f"RatMatrix({self.rows}x{self.cols})"
 
 
-def _strip(row: list[int]) -> None:
-    g = 0
-    for x in row:
-        if x:
-            g = gcd(g, x)
-            if g == 1:
-                return
-    if g > 1:
-        for i, x in enumerate(row):
-            if x:
-                row[i] = x // g
+# -- the sparse fraction-free kernel ----------------------------------------
 
 
-def _int_row(entries: Sequence[Fraction | int]) -> list[int]:
-    """The entries times the lcm of their denominators, content stripped."""
-    scale = 1
-    for x in entries:
-        d = x.denominator
-        if d != 1:
-            scale = scale * d // gcd(scale, d)
-    ints = [x.numerator * (scale // x.denominator) for x in entries]
-    _strip(ints)
-    return ints
+def _scaled_support(
+    coeffs: Sequence[Fraction] | Mapping[int, Fraction],
+) -> tuple[dict[int, int], int]:
+    """(integer support, denominator) with coeffs == support / denominator.
+
+    `coeffs` is a dense vector or a sparse row {index: entry}.
+    """
+    items = coeffs.items() if isinstance(coeffs, Mapping) else enumerate(coeffs)
+    row = {i: c for i, c in items if c}
+    scale = lcm(*(c.denominator for c in row.values()))
+    return {i: c.numerator * (scale // c.denominator) for i, c in row.items()}, scale
 
 
-def _eliminate(rows: list[list[int]], cols: int) -> tuple[list[list[int]], list[int]]:
-    """In-place fraction-free reduction to (unnormalized) reduced echelon form."""
-    pivots: list[int] = []
-    r = 0
-    nrows = len(rows)
-    for c in range(cols):
-        pr = -1
-        for i in range(r, nrows):
-            if rows[i][c]:
-                pr = i
-                break
-        if pr < 0:
-            continue
-        if pr != r:
-            rows[r], rows[pr] = rows[pr], rows[r]
-        piv_row = rows[r]
-        if piv_row[c] < 0:
-            rows[r] = piv_row = [-x for x in piv_row]
-        p = piv_row[c]
-        for i in range(nrows):
-            if i == r:
+def _clear(v: dict[int, int], row: dict[int, int], p: int) -> None:
+    """Clear v's nonzero entry at p with a row of leading index p, in integers.
+
+    v becomes (a/g) v - (c/g) row for a = row[p], c = v[p] and g = gcd(a, c),
+    so it is scaled only where a does not divide c.
+    """
+    a, c = row[p], v[p]
+    g = gcd(a, c)
+    if g != a:
+        m = a // g
+        for k in v:
+            v[k] *= m
+    c //= g
+    for k, x in row.items():
+        nv = v.get(k, 0) - c * x
+        if nv:
+            v[k] = nv
+        else:
+            del v[k]
+
+
+class _Echelon:
+    """Accumulates a row span as sparse primitive integer rows.
+
+    Rows are keyed by their leading index, where their entry is positive,
+    and carry no common factor.  Reducing an integer vector stays
+    fraction-free, in the spirit of Bareiss (Math. Comp. 22, 1968): where a
+    row's leading entry a does not divide the vector's entry c, the vector
+    is first scaled by a / gcd(a, c) (see `_clear`).  So a residual is a
+    positive integer multiple of the rational residual, which is all that
+    callers read: whether it is zero, its span and its membership in a
+    subspace.  No `Fraction` arises until `canonical_rows`.
+    """
+
+    __slots__ = ("rows", "order")
+
+    def __init__(self) -> None:
+        self.rows: dict[int, dict[int, int]] = {}
+        self.order: list[int] = []
+
+    @property
+    def dim(self) -> int:
+        return len(self.order)
+
+    def reduce(self, v: dict[int, int]) -> dict[int, int]:
+        """Fully reduce the integer vector v (destructively) against the rows."""
+        rows = self.rows
+        for p in self.order:
+            if p in v:
+                _clear(v, rows[p], p)
+        return v
+
+    def store(self, v: dict[int, int]) -> dict[int, int]:
+        """Keep a reduced nonzero v, stripped of its content, leading entry > 0.
+
+        v itself is kept when it is already so, and must not change after.
+        """
+        p = min(v)
+        g = gcd(*v.values())
+        if v[p] < 0:
+            g = -g
+        row = v if g == 1 else {k: x // g for k, x in v.items()}
+        self.rows[p] = row
+        insort(self.order, p)
+        return row
+
+    def canonical_rows(self) -> list[dict[int, Fraction | int]]:
+        """The rows in reduced echelon form, in increasing pivot order.
+
+        A stored row is reduced against the rows stored before it but may
+        still have entries at later pivots.  Back-substitution from the last
+        pivot clears them in integers; each row it subtracts is already
+        reduced, so clearing one pivot only scales the row's entries at the
+        others.  Only the emitted rows are divided by their pivot entry.
+        """
+        rows = self.rows
+        for p in reversed(self.order):
+            row = rows[p]
+            hits = [q for q in row if q != p and q in rows]
+            if not hits:
                 continue
-            f = rows[i][c]
-            if f:
-                ri = rows[i]
-                rows[i] = combined = [p * a - f * b for a, b in zip(ri, piv_row)]
-                _strip(combined)
-        pivots.append(c)
-        r += 1
-    return rows[:r], pivots
+            row = dict(row)
+            for q in hits:
+                _clear(row, rows[q], q)
+            g = gcd(*row.values())
+            rows[p] = {k: x // g for k, x in row.items()}
+        out = []
+        for p in self.order:
+            row, a = rows[p], rows[p][p]
+            out.append(row if a == 1 else {k: Fraction(x, a) for k, x in row.items()})
+        return out
+
+
+def _echelon(rows: Iterable[dict[int, int]]) -> _Echelon:
+    """The echelon of integer rows {column: entry}, reduced in place.
+
+    A row with explicit zero entries is replaced by a copy without them
+    first: `_Echelon` takes none, and sums that cancel leave them.  Rows
+    are taken shortest first, which keeps the stored rows short.
+    """
+    echelon = _Echelon()
+    for row in sorted(rows, key=len):
+        if 0 in row.values():
+            row = {k: x for k, x in row.items() if x}
+        v = echelon.reduce(row)
+        if v:
+            echelon.store(v)
+    return echelon
+
+
+def _null_space(rows: Iterable[Mapping[int, int]], cols: int) -> list[dict[int, Fraction | int]]:
+    """Canonical basis of the null space of integer rows over `cols` columns.
+
+    The rows are eliminated with the columns in reverse order.  Then each
+    reduced row has entries only at its pivot and at free columns of
+    smaller original index, so the null vector of a free column f has its
+    leading 1 at f and zeros at every other free column: the vectors read
+    off are already the reduced echelon basis, in increasing pivot order.
+    The rows are left unchanged.
+    """
+    last = cols - 1
+    echelon = _echelon({last - c: x for c, x in row.items()} for row in rows)
+    null = {t: {last - t: 1} for t in range(last, -1, -1) if t not in echelon.rows}
+    for p, row in zip(echelon.order, echelon.canonical_rows()):
+        for t, x in row.items():
+            if t != p:
+                null[t][last - p] = -x
+    return list(null.values())
+
+
+def _solution(rows: Iterable[dict[int, int]], cols: int) -> dict[int, Fraction | int] | None:
+    """The nonzero entries of a solution x of integer augmented rows.
+
+    Each row maps columns 0 .. cols - 1 and the right-hand side, column
+    `cols`, to its entries; the rows are reduced in place.  None means no
+    solution: a row of the echelon leads at the right-hand side.  x is
+    read off the reduced echelon form, with zeros at the free columns.
+    """
+    echelon = _echelon(rows)
+    if cols in echelon.rows:
+        return None
+    return {
+        p: row[cols]
+        for p, row in zip(echelon.order, echelon.canonical_rows())
+        if cols in row
+    }
+
+
+# -- the dense public functions ---------------------------------------------
+
+
+def _rows(m: RatMatrix) -> list[dict[int, int]]:
+    return [_scaled_support(row)[0] for row in m.data]
+
+
+def _matrix(rows: Iterable[Mapping[int, Fraction | int]], cols: int) -> RatMatrix:
+    return RatMatrix([[row.get(c, 0) for c in range(cols)] for row in rows], cols)
 
 
 def rref(m: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
@@ -139,93 +270,47 @@ def rref(m: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
     The row space is preserved; pivot entries are normalized to 1, so the
     result is the canonical basis of the row space.
     """
-    rows, pivots = _eliminate([_int_row(r) for r in m.data], m.cols)
-    out = []
-    for row, c in zip(rows, pivots):
-        p = row[c]
-        out.append([Fraction(x, p) for x in row])
-    return RatMatrix(out, m.cols), tuple(pivots)
+    echelon = _echelon(_rows(m))
+    return _matrix(echelon.canonical_rows(), m.cols), tuple(echelon.order)
 
 
 def rank(m: RatMatrix) -> int:
-    return len(rref(m)[1])
-
-
-def _kernel_rows(rows: list[list[int]], cols: int) -> list[dict[int, Fraction]]:
-    """Canonical basis of the null space of an integer matrix, as sparse rows.
-
-    The elimination runs with the columns in reverse order.  Then each pivot
-    row has entries only at its pivot and at free columns of smaller original
-    index, so the null vector of a free column f has its leading 1 at f and
-    zeros at every other free column: the vectors read off are already the
-    reduced row-echelon basis, in increasing pivot order.
-    """
-    reduced, pivots = _eliminate([row[::-1] for row in rows], cols)
-    pivot_set = set(pivots)
-    out = []
-    for t in range(cols - 1, -1, -1):
-        if t in pivot_set:
-            continue
-        v = {cols - 1 - t: Fraction(1)}
-        for row, c in zip(reduced, pivots):
-            if row[t]:
-                v[cols - 1 - c] = Fraction(-row[t], row[c])
-        out.append(v)
-    return out
+    return _echelon(_rows(m)).dim
 
 
 def kernel(m: RatMatrix) -> RatMatrix:
     """Canonical basis of the right null space."""
-    rows = _kernel_rows([_int_row(r) for r in m.data], m.cols)
-    return RatMatrix([[v.get(c, 0) for c in range(m.cols)] for v in rows], m.cols)
+    return _matrix(_null_space(_rows(m), m.cols), m.cols)
 
 
 def solve(m: RatMatrix, rhs: Sequence[Fraction | int]) -> tuple[Fraction, ...] | None:
-    """One solution of m x = rhs, or None when the system is inconsistent."""
+    """One solution of m x = rhs, or None when the system is inconsistent.
+
+    x is the one with zeros at the free columns.
+    """
     if len(rhs) != m.rows:
         raise ValueError("right-hand side has wrong length")
-    return _solve_rows([row + (_exact(b),) for row, b in zip(m.data, rhs)], m.cols)
-
-
-def _solve_rows(rows: Iterable[Sequence[Fraction | int]], cols: int) -> tuple[Fraction, ...] | None:
-    """`solve` for the integer or rational augmented rows (a_1..a_cols, b).
-
-    The rows are eliminated once, as integer rows; x has its pivot entries
-    read off the reduced rows and zeros at the free columns.
-    """
-    reduced, pivots = _eliminate([_int_row(row) for row in rows], cols + 1)
-    if pivots and pivots[-1] == cols:
-        return None
-    x = [Fraction(0)] * cols
-    for row, c in zip(reduced, pivots):
-        x[c] = Fraction(row[-1], row[c])
-    return tuple(x)
+    x = _solution(
+        [_scaled_support((*row, _exact(b)))[0] for row, b in zip(m.data, rhs)], m.cols
+    )
+    return None if x is None else tuple(Fraction(x.get(c, 0)) for c in range(m.cols))
 
 
 def intersect(a: RatMatrix, b: RatMatrix) -> RatMatrix:
-    """Canonical basis of the intersection of two row spaces."""
+    """Canonical basis of the intersection of two row spaces.
+
+    It is the null space of ker a + ker b: over Q the row space of a
+    matrix is the annihilator of its null space, and the annihilator of a
+    sum is the intersection of the annihilators.
+    """
     if a.cols != b.cols:
         raise ValueError("ambient dimensions differ")
-    stacked_cols = [
-        [a.data[i][c] for i in range(a.rows)] + [b.data[j][c] for j in range(b.rows)]
-        for c in range(a.cols)
-    ]
-    coeffs = kernel(RatMatrix(stacked_cols, a.rows + b.rows))
-    vectors = []
-    for row in coeffs.data:
-        v = [Fraction(0)] * a.cols
-        for i in range(a.rows):
-            u = row[i]
-            if u:
-                for c, x in enumerate(a.data[i]):
-                    if x:
-                        v[c] += u * x
-        vectors.append(v)
-    return rref(RatMatrix(vectors, a.cols))[0]
+    null = _null_space(_rows(a), a.cols) + _null_space(_rows(b), b.cols)
+    return _matrix(_null_space([_scaled_support(v)[0] for v in null], a.cols), a.cols)
 
 
 def member(v: Sequence[Fraction | int], basis: RatMatrix) -> bool:
-    """Whether v lies in the row space of `basis`: adding it keeps the rank."""
+    """Whether v lies in the row space of `basis`: it reduces to zero there."""
     if len(v) != basis.cols:
         raise ValueError("vector has wrong length")
-    return rank(RatMatrix((*basis.data, v), basis.cols)) == rank(basis)
+    return not _echelon(_rows(basis)).reduce(_scaled_support([_exact(x) for x in v])[0])

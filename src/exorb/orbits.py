@@ -17,7 +17,7 @@ certificate is the sl2-triple with the characteristic h of the labels:
 - a rank-greedy walk over the roots of g(2) finds the representative, and
   its triple, solved exactly, proves the diagram and is the orbit's triple.
   The walk's ranks and the triple's solve are exact over Q, on the sparse
-  integer rows of `algebra._Echelon`; only the draws work mod p.
+  integer rows of `linalg._Echelon`; only the draws work mod p.
 
 A solved triple gives dim g_e = dim g(0) + dim g(1) by sl2 theory, so the
 triple certifies the representative too.  Representatives are sums of root
@@ -44,8 +44,8 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from ._modp import PRIMES, pivot_columns
-from .algebra import Element, LieAlgebra, _bracket_supp, _Echelon, _scaled_support
-from .linalg import _solve_rows
+from .algebra import Element, LieAlgebra, _bracket_supp
+from .linalg import _Echelon, _echelon, _scaled_support, _solution
 
 __all__ = [
     "WeightedDynkinDiagram",
@@ -119,17 +119,17 @@ def characteristic_element(L: LieAlgebra, d: WeightedDynkinDiagram) -> Element:
 
 @lru_cache(maxsize=None)
 def _cartan_inverse(L: LieAlgebra) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """(rows, den) with integer rows: the inverse of the Cartan matrix is rows / den."""
-    columns = []
-    for i in range(L.rank):
-        unit = [int(i == k) for k in range(L.rank)]
-        col = _solve_rows([(*row, v) for row, v in zip(L.rs.cartan, unit)], L.rank)
-        if col is None:
-            raise RuntimeError(f"singular Cartan matrix for {L.rs.type_rank}")
-        columns.append(col)
-    den = lcm(*(c.denominator for col in columns for c in col))
-    rows = tuple(tuple(int(c * den) for c in row) for row in zip(*columns))
-    return rows, den
+    """(rows, den) with integer rows: the inverse of the Cartan matrix is rows / den.
+
+    The reduced echelon form of [C | 1] is [1 | C^-1] for an invertible C.
+    """
+    n = L.rank
+    echelon = _echelon({**dict(enumerate(row)), n + i: 1} for i, row in enumerate(L.rs.cartan))
+    if echelon.order != list(range(n)):
+        raise RuntimeError(f"singular Cartan matrix for {L.rs.type_rank}")
+    inverse = [[row.get(n + k, 0) for k in range(n)] for row in echelon.canonical_rows()]
+    den = lcm(*(x.denominator for row in inverse for x in row))
+    return tuple(tuple(int(x * den) for x in row) for row in inverse), den
 
 
 @lru_cache(maxsize=None)
@@ -351,16 +351,10 @@ def _rank(columns: Iterable[Mapping[int, int]]) -> int:
     """The rank over Q of sparse integer columns {row: entry}, left unchanged.
 
     Each column is reduced exactly against the echelon of the ones before
-    it (`_Echelon`), and kept when a nonzero residual remains.  Columns are
-    taken shortest first, which keeps the echelon's rows short.  Like
-    `_Echelon`'s vectors, the columns hold no explicit zero entries.
+    it, shortest first (`linalg._echelon`, on copies), and kept when a
+    nonzero residual remains.
     """
-    echelon = _Echelon()
-    for column in sorted(columns, key=len):
-        v = echelon.reduce(dict(column))
-        if v:
-            echelon.store(v)
-    return echelon.dim
+    return _echelon(dict(column) for column in columns).dim
 
 
 def _represent(
@@ -520,32 +514,6 @@ def complete_triple(L: LieAlgebra, h: Element, e: Element) -> Sl2Triple:
     return _triple(L, h, g0, neg2, e)
 
 
-def _solve_sparse(
-    rows: Iterable[dict[int, int]], cols: int
-) -> dict[int, Fraction | int] | None:
-    """The nonzero entries of a solution x of sparse integer augmented rows.
-
-    Each row maps columns 0 .. cols - 1 and the right-hand side, column
-    `cols`, to its nonzero entries; the rows are reduced in place.  They are
-    eliminated exactly by `_Echelon`, shortest first, and None means no
-    solution: a reduced row leads at the right-hand side.  x is read off the
-    reduced echelon form with zeros at the free columns, the solution
-    `linalg.solve` gives.
-    """
-    echelon = _Echelon()
-    for row in sorted(rows, key=len):
-        v = echelon.reduce(row)
-        if v:
-            if min(v) == cols:
-                return None
-            echelon.store(v)
-    return {
-        p: row[cols]
-        for p, row in zip(echelon.order, echelon.canonical_rows())
-        if cols in row
-    }
-
-
 def _triple(
     L: LieAlgebra, h: Element, g0: list[int], neg2: list[int], e: Element
 ) -> Sl2Triple:
@@ -555,7 +523,7 @@ def _triple(
     of the system can be nonzero.  They are built from the integer structure
     constants as sparse rows, each entry from one root k of e (for x_j in
     g(-2) and x_i in g(0), at most one k has x_i in [x_k, x_j]; see
-    `_down_table`).  `_solve_sparse` eliminates them exactly, and the check
+    `_down_table`).  `linalg._solution` eliminates them exactly, and the check
     of the solution stays in integers too.
     """
     supp, scale = _scaled_support(e.coeffs)
@@ -571,7 +539,7 @@ def _triple(
         for col, j in enumerate(neg2):
             for i, n in adj.get(j, ()):
                 rows[i][col] = c * n
-    sol = _solve_sparse(rows.values(), cols)
+    sol = _solution(rows.values(), cols)
     if sol is None:
         raise TripleInsolubleError("no completion to a triple: invalid representative")
     f = {neg2[col]: Fraction(x, hden) for col, x in sol.items()}

@@ -32,12 +32,11 @@ from .algebra import (
     Subspace,
     _closure,
     _grading,
-    _scaled_support,
     centralizer,
     derived_subalgebra,
     quotient_with_action,
 )
-from .linalg import _kernel_rows
+from .linalg import _null_space, _scaled_support
 from .orbits import NilpotentOrbit, WeightedDynkinDiagram, enumerate_orbits
 
 __all__ = [
@@ -73,9 +72,9 @@ def _torus_weights(L: LieAlgebra, e: Element, labels: Sequence[int]) -> tuple[in
     this is the full root grading; when the support spans the root lattice,
     the ad h grading.
     """
-    support = [list(L._root_of_index[i]) for i in e.support() if i < L._hbase]
+    support = [dict(enumerate(L._root_of_index[i])) for i in e.support() if i < L._hbase]
     digits = [list(labels)]
-    for v in _kernel_rows(support, L.rank):
+    for v in _null_space(support, L.rank):
         phi = _scaled_support(v)[0]
         digits.append([phi.get(i, 0) for i in range(L.rank)])
     base = 4 * max(abs(w) for phi in digits for w in L.basis_weights(phi)) + 1

@@ -3,9 +3,10 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from exorb.linalg import RatMatrix, intersect, kernel, member, rank, rref, solve
+from exorb.linalg import RatMatrix, _null_space, intersect, kernel, member, rank, rref, solve
+from gauss_jordan import gauss_jordan
 
 
 def _random_matrix(rng, rows, cols, lo=-9, hi=9, denom=False):
@@ -233,3 +234,53 @@ def test_rref_of_block_rows_is_the_union_of_block_rrefs(case):
     union.sort()
     assert tuple(p for p, _ in union) == pivots
     assert whole == RatMatrix([r for _, r in union], cols)
+
+
+@st.composite
+def _summed_blocks(draw):
+    """(rows, cols): integer rows {column: entry} summed term by term.
+
+    Each entry is a sum of terms, as centralizer sums the roots of e, and a
+    term may be followed by its negative, so that entries cancel to an
+    explicit 0; explicit 0 terms, empty rows and zero columns occur too.
+    """
+    cols = draw(st.integers(1, 7))
+    term = st.tuples(
+        st.integers(0, cols - 1),
+        st.one_of(st.just(0), st.integers(-4, 4), st.sampled_from([6, -9, 12, 35])),
+    )
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        row = {}
+        for c, x in draw(st.lists(term, max_size=2 * cols)):
+            for y in (x, -x) if draw(st.booleans()) else (x,):
+                row[c] = row.get(c, 0) + y
+        rows.append(row)
+    return rows, cols
+
+
+@given(_summed_blocks())
+@example(([{0: 0}], 1))
+@example(([{0: 2, 1: 0}, {0: 0, 1: 0, 2: -3}, {}], 3))
+@settings(max_examples=300, deadline=None)
+def test_sparse_null_space_is_the_oracle_null_space(case):
+    # The kernel's null space, read off with the columns reversed, is the
+    # reduced echelon form of the null space read off the oracle's reduced
+    # rows; explicit zeros in the rows change nothing, and the rows are
+    # left unchanged.
+    rows, cols = case
+    copy = [dict(r) for r in rows]
+    got = _null_space(rows, cols)
+    assert rows == copy
+    reduced, pivots = gauss_jordan([[r.get(c, 0) for c in range(cols)] for r in rows], cols)
+    null = []
+    for f in range(cols):
+        if f not in pivots:
+            v = [0] * cols
+            v[f] = 1
+            for row, p in zip(reduced, pivots):
+                v[p] = -row[f]
+            null.append(v)
+    expected = gauss_jordan(null, cols)[0]
+    assert [[v.get(c, 0) for c in range(cols)] for v in got] == expected
+    assert all(all(v.values()) for v in got)

@@ -13,10 +13,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from exorb import _modp, orbits
+from exorb import _modp, linalg, orbits
 from exorb.algebra import (
     Subspace,
-    _scaled_support,
     bracket,
     build_lie_algebra,
     centralizer,
@@ -34,8 +33,9 @@ from exorb.orbits import (
     orbit,
 )
 from exorb._modp import PRIMES, rank_mod
-from exorb.linalg import RatMatrix, _solve_rows, rank, solve
+from exorb.linalg import RatMatrix, _scaled_support, rank, solve
 from exorb.refdata import load_tables
+from gauss_jordan import gauss_jordan
 
 
 def _partitions(n, cap=None):
@@ -311,14 +311,14 @@ def test_integer_triple_check_rejects_a_wrong_f(name, labels, monkeypatch):
     L = build_lie_algebra(name)
     d = WeightedDynkinDiagram(labels)
     e = find_representative(L, d)
-    real = orbits._solve_sparse
+    real = orbits._solution
 
     def wrong(rows, cols):
         # the exact solution with its first entry off by 1
         sol = real(rows, cols)
         return None if sol is None else {**sol, 0: sol.get(0, 0) + 1}
 
-    monkeypatch.setattr(orbits, "_solve_sparse", wrong)
+    monkeypatch.setattr(orbits, "_solution", wrong)
     message = "triple relations failed verification"
     with pytest.raises(RuntimeError, match=message) as info:
         complete_triple(L, characteristic_element(L, d), e)
@@ -337,13 +337,13 @@ def test_integer_triple_check_fires_under_python_O(tmp_path):
             from exorb.algebra import build_lie_algebra
 
             assert False, "assertions are on"
-            real = orbits._solve_sparse
+            real = orbits._solution
 
             def wrong(rows, cols):
                 sol = real(rows, cols)
                 return None if sol is None else {**sol, 0: sol.get(0, 0) + 1}
 
-            orbits._solve_sparse = wrong
+            orbits._solution = wrong
             L = build_lie_algebra("G2")
             try:
                 orbits.orbit(L, orbits.WeightedDynkinDiagram((2, 2)))
@@ -398,12 +398,20 @@ def _sparse_rows(rows):
 @example(([[-2, 4, 0, 6], [0, 0, 3, -9], [0, 0, 0, 0]], 3))
 @settings(max_examples=300, deadline=None)
 def test_sparse_solve_is_linalg_solve(case):
-    # The triple's solve gives the solution of linalg.solve, zeros at the
-    # free columns, and None exactly when linalg.solve finds no solution.
+    # The triple's solve and linalg.solve give the oracle's solution, zeros
+    # at the free columns, and None exactly when the oracle's reduced rows
+    # have a pivot at the right-hand side.
     rows, cols = case
+    reduced, pivots = gauss_jordan(rows, cols + 1)
+    expected = None
+    if cols not in pivots:
+        x = [Fraction(0)] * cols
+        for row, c in zip(reduced, pivots):
+            x[c] = row[cols]
+        expected = tuple(x)
     m = RatMatrix([row[:cols] for row in rows], cols)
-    expected = solve(m, [row[cols] for row in rows])
-    got = orbits._solve_sparse(_sparse_rows(rows), cols)
+    assert solve(m, [row[cols] for row in rows]) == expected
+    got = linalg._solution(_sparse_rows(rows), cols)
     if expected is None:
         assert got is None
     else:
@@ -706,7 +714,10 @@ def test_layout_is_none_exactly_when_the_sizes_break_a_filter(name):
 def test_characteristic_element_is_the_cartan_solve(name):
     L = build_lie_algebra(name)
     for labels in product((0, 1, 2), repeat=L.rank):
-        coords = _solve_rows([(*row, v) for row, v in zip(L.rs.cartan, labels)], L.rank)
+        augmented = [(*row, v) for row, v in zip(L.rs.cartan, labels)]
+        reduced, pivots = gauss_jordan(augmented, L.rank + 1)
+        assert pivots == list(range(L.rank))
+        coords = tuple(row[L.rank] for row in reduced)
         h = characteristic_element(L, WeightedDynkinDiagram(labels))
         assert h.coeffs[2 * L.npos :] == coords
         assert not any(h.coeffs[: 2 * L.npos])
