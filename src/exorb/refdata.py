@@ -52,6 +52,21 @@ class ExceptionRecord:
     dim_ce: int
 
 
+def _diagram(row: dict, tr: TypeRank) -> tuple[int, ...]:
+    """The row's diagram: a list of labels in {0, 1, 2}, one per simple root."""
+    d = row["diagram"]
+    if not (
+        isinstance(d, list)
+        and len(d) == tr.rank
+        and all(type(v) is int and v in (0, 1, 2) for v in d)
+    ):
+        raise ValueError(
+            f"{tr} row {row.get('label')!r}: diagram {d!r} is not a list of "
+            f"{tr.rank} labels in {{0, 1, 2}}"
+        )
+    return tuple(d)
+
+
 class RefData:
     """Loaded reference tables with diagram-keyed access."""
 
@@ -67,7 +82,7 @@ class RefData:
                 rec = OrbitRecord(
                     type_rank=tr,
                     label=row["label"],
-                    diagram=tuple(row["diagram"]),
+                    diagram=_diagram(row, tr),
                     reachable=row["reachable"],
                     strongly_reachable=row["strongly_reachable"],
                     rigid=row["rigid"],
@@ -83,7 +98,7 @@ class RefData:
             ExceptionRecord(
                 type_rank=TypeRank.from_string(row["type"]),
                 label=row["label"],
-                diagram=tuple(row["diagram"]),
+                diagram=_diagram(row, TypeRank.from_string(row["type"])),
                 sheet_rank=row["sheet_rank"],
                 dim_ce=row["dim_ce"],
             )

@@ -207,6 +207,31 @@ def test_malformed_refdata_is_a_usage_error(tmp_path, capsys):
     assert "cannot load reference tables" in captured.err
 
 
+@pytest.mark.parametrize(
+    "table, diagram",
+    [
+        ("G2", "2,2"),  # not a list
+        ("G2", [2, 2, 0]),  # one label too many
+        ("G2", [3, 0]),  # a label outside {0, 1, 2}
+        ("G2", [2, True]),  # a label that is no int
+        ("exceptions", [0, 1, 1, 0, 1]),  # one label short for E6
+    ],
+    ids=["string", "three-labels", "label-3", "label-true", "exception-five-labels"],
+)
+def test_malformed_table_diagram_is_a_usage_error(tmp_path, capsys, table, diagram):
+    data = json.loads(
+        resources.files("exorb").joinpath("data/orbit_tables.json").read_text()
+    )
+    row = data["exceptions"][0] if table == "exceptions" else data["types"][table][2]
+    row["diagram"] = diagram
+    tables = tmp_path / "tables.json"
+    tables.write_text(json.dumps(data))
+    assert main(["verify", "G2", "--refdata", str(tables)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cannot load reference tables" in captured.err and "diagram" in captured.err
+
+
 def test_verify_output_is_unchanged_under_optimization():
     env = dict(os.environ, PYTHONPATH=str(Path(exorb.__file__).parents[1]))
     cmd = ["-m", "exorb", "verify", "G2", "--format", "json"]
