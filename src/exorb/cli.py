@@ -37,6 +37,9 @@ EXIT_MISMATCH = 2
 EXIT_INTERNAL = 3
 
 FORMATS = ("text", "csv", "json")
+# `classify` sweeps 3^rank label vectors; A10's 3^10 take a few seconds, and
+# every further rank triples the time.
+MAX_SWEEP = 3**10
 
 
 class UsageError(Exception):
@@ -125,6 +128,12 @@ def _analysis_payload(
 
 
 def _cmd_classify(cfg: RunConfig) -> tuple[int, str]:
+    count = 3**cfg.type.rank
+    if count > MAX_SWEEP:
+        raise UsageError(
+            f"classify {cfg.type} would sweep {count:,} label vectors, "
+            f"more than the limit of {MAX_SWEEP:,} (3^10)"
+        )
     L = build_lie_algebra(cfg.type)
     tables = _tables(cfg)
     orbits = enumerate_orbits(L, seed=cfg.seed, trials=cfg.trials)

@@ -12,7 +12,9 @@ leading column, so every output is canonical: the reduced echelon form of
 a span (`_echelon`), the null space read off it with the columns reversed
 (`_null_space`), and the solution with zeros at the free columns
 (`_solution`).  Results are therefore equal by uniqueness, whatever the
-order in which the rows are fed.  No floating point enters at any stage.
+order in which the rows are fed.  A rank alone (`_rank`, the walk's) takes
+a rank-only mode of the same kernel that leaves the rows unreduced.  No
+floating point enters at any stage.
 
 `RatMatrix` is an immutable dense matrix of Fractions.  The public
 functions on it (`rref`, `rank`, `kernel`, `solve`, `intersect`,
@@ -171,6 +173,29 @@ class _Echelon:
         insort(self.order, p)
         return row
 
+    def insert(self, v: dict[int, int]) -> None:
+        """The rank-only mode: clear v's leading entries only, keep the rest.
+
+        v (without zero entries, changed in place) is cleared by the row at
+        its leading index while there is one, and a nonzero rest is kept as
+        it is, neither reduced at later pivots nor stripped of its content.
+        So the rows stay in echelon form but not reduced, and only `dim` may
+        be read after this mode.  A row of one entry clears v's entry by
+        deleting it.
+        """
+        rows = self.rows
+        while v:
+            p = min(v)
+            row = rows.get(p)
+            if row is None:
+                rows[p] = v
+                insort(self.order, p)
+                return
+            if len(row) == 1:
+                del v[p]
+            else:
+                _clear(v, row, p)
+
     def canonical_rows(self) -> list[dict[int, Fraction | int]]:
         """The rows in reduced echelon form, in increasing pivot order.
 
@@ -215,6 +240,18 @@ def _echelon(rows: Iterable[dict[int, int]]) -> _Echelon:
     return echelon
 
 
+def _rank(rows: Iterable[Mapping[int, int]]) -> int:
+    """The rank over Q of integer rows {column: entry}, left unchanged.
+
+    Each row is copied without its explicit zero entries and kept in the
+    rank-only mode, `_Echelon.insert`, shortest first.
+    """
+    echelon = _Echelon()
+    for row in sorted(rows, key=len):
+        echelon.insert({k: x for k, x in row.items() if x})
+    return echelon.dim
+
+
 def _null_space(rows: Iterable[Mapping[int, int]], cols: int) -> list[dict[int, Fraction | int]]:
     """Canonical basis of the null space of integer rows over `cols` columns.
 
@@ -223,10 +260,13 @@ def _null_space(rows: Iterable[Mapping[int, int]], cols: int) -> list[dict[int, 
     smaller original index, so the null vector of a free column f has its
     leading 1 at f and zeros at every other free column: the vectors read
     off are already the reduced echelon basis, in increasing pivot order.
-    The rows are left unchanged.
+    The rows are left unchanged.  Rows of full column rank have none: then
+    [] is returned before any row is read out.
     """
     last = cols - 1
     echelon = _echelon({last - c: x for c, x in row.items()} for row in rows)
+    if echelon.dim == cols:
+        return []
     null = {t: {last - t: 1} for t in range(last, -1, -1) if t not in echelon.rows}
     for p, row in zip(echelon.order, echelon.canonical_rows()):
         for t, x in row.items():

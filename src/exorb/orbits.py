@@ -16,8 +16,10 @@ certificate is the sl2-triple with the characteristic h of the labels:
   label vectors without an exact solve;
 - a rank-greedy walk over the roots of g(2) finds the representative, and
   its triple, solved exactly, proves the diagram and is the orbit's triple.
-  The walk's ranks and the triple's solve are exact over Q, on the sparse
-  integer rows of `linalg._Echelon`; only the draws work mod p.
+  The walk ranks the rows of the same A, read off the draws' index arrays,
+  and takes their ranks only, exactly over Q in the rank-only mode of
+  `linalg._Echelon`.  The triple is solved exactly from the integer
+  supports of e and h; only the draws work mod p.
 
 A solved triple gives dim g_e = dim g(0) + dim g(1) by sl2 theory, so the
 triple certifies the representative too.  Representatives are sums of root
@@ -38,14 +40,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import lcm
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from math import gcd, lcm
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from ._modp import PRIMES, pivot_columns
 from .algebra import Element, LieAlgebra, _bracket_supp
-from .linalg import _Echelon, _echelon, _scaled_support, _solution
+from .linalg import _Echelon, _echelon, _rank, _scaled_support, _solution
 
 __all__ = [
     "WeightedDynkinDiagram",
@@ -110,16 +112,35 @@ def characteristic_element(L: LieAlgebra, d: WeightedDynkinDiagram) -> Element:
     """The Cartan element h with alpha_i(h) = labels[i]."""
     if len(d.labels) != L.rank:
         raise ValueError("diagram rank mismatch")
+    return _element(L, _h_support(L, d.labels))
+
+
+def _h_support(L: LieAlgebra, labels: Sequence[int]) -> tuple[dict[int, int], int]:
+    """h as (integer support, denominator), like `linalg._scaled_support`.
+
+    h has only its `rank` Cartan coordinates nonzero: the integer rows of
+    `_cartan_inverse` times the labels, over its denominator, which is
+    reduced by the common factor of all of them.
+    """
     rows, den = _cartan_inverse(L)
+    values = (rows @ np.array(labels, dtype=np.int64)).tolist()
+    g = gcd(den, *values)
+    base = 2 * L.npos
+    return {base + j: v // g for j, v in enumerate(values) if v}, den // g
+
+
+def _element(L: LieAlgebra, scaled: tuple[Mapping[int, int], int]) -> Element:
+    """The dense element of an (integer support, denominator) pair."""
+    supp, den = scaled
     out = [Fraction(0)] * L.dim
-    for j, row in enumerate(rows):
-        out[2 * L.npos + j] = Fraction(sum(a * v for a, v in zip(row, d.labels)), den)
+    for i, c in supp.items():
+        out[i] = Fraction(c, den)
     return Element(tuple(out))
 
 
 @lru_cache(maxsize=None)
-def _cartan_inverse(L: LieAlgebra) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """(rows, den) with integer rows: the inverse of the Cartan matrix is rows / den.
+def _cartan_inverse(L: LieAlgebra) -> tuple[np.ndarray, int]:
+    """(rows, den) with int64 rows: the inverse of the Cartan matrix is rows / den.
 
     The reduced echelon form of [C | 1] is [1 | C^-1] for an invertible C.
     """
@@ -129,7 +150,7 @@ def _cartan_inverse(L: LieAlgebra) -> tuple[tuple[tuple[int, ...], ...], int]:
         raise RuntimeError(f"singular Cartan matrix for {L.rs.type_rank}")
     inverse = [[row.get(n + k, 0) for k in range(n)] for row in echelon.canonical_rows()]
     den = lcm(*(x.denominator for row in inverse for x in row))
-    return tuple(tuple(int(x * den) for x in row) for row in inverse), den
+    return np.array([[int(x * den) for x in row] for row in inverse], dtype=np.int64), den
 
 
 @lru_cache(maxsize=None)
@@ -138,17 +159,15 @@ def _positive_roots(L: LieAlgebra) -> np.ndarray:
     return np.array(L._root_of_index[: L.npos], dtype=np.int64).T
 
 
-def _graded(
-    L: LieAlgebra, labels: np.ndarray | Sequence[Sequence[int]]
-) -> tuple[np.ndarray, np.ndarray]:
-    """The weights of the positive roots and the graded sizes, per label vector.
+def _graded(L: LieAlgebra, labels: np.ndarray | Sequence[Sequence[int]]) -> np.ndarray:
+    """The graded sizes, per label vector.
 
-    `labels` holds one label vector per row.  Row r of the weights holds the
-    weight of each positive root x_a under row r's labels, the sum of a's
-    coordinates times the labels; x_{-a} has the opposite one.  Row r of the
-    sizes holds dim g(k) for k = 0 .. max weight + 2, with g(0) also holding
-    the Cartan subalgebra; g(-k) has the dimension of g(k).  All rows' sizes
-    come from one `bincount`, each row's weights offset into its own bins.
+    `labels` holds one label vector per row.  The weight of a positive root
+    x_a under a row's labels is the sum of a's coordinates times the labels;
+    x_{-a} has the opposite one.  Row r of the sizes holds dim g(k) for
+    k = 0 .. max weight + 2, with g(0) also holding the Cartan subalgebra;
+    g(-k) has the dimension of g(k).  All rows' sizes come from one
+    `bincount`, each row's weights offset into its own bins.
     """
     roots = _positive_roots(L)
     weights = np.asarray(labels, dtype=np.int64) @ roots
@@ -157,12 +176,12 @@ def _graded(
     sizes = np.bincount(bins.ravel(), minlength=len(weights) * width)
     sizes = sizes.reshape(-1, width)
     sizes[:, 0] = 2 * sizes[:, 0] + L.rank
-    return weights, sizes
+    return sizes
 
 
 def _orbit_dim(L: LieAlgebra, labels: Sequence[int]) -> int:
     """The orbit's dimension dim L - dim g_e, with dim g_e = dim g(0) + dim g(1)."""
-    sizes = _graded(L, [labels])[1][0]
+    sizes = _graded(L, [labels])[0]
     return L.dim - int(sizes[0]) - int(sizes[1])
 
 
@@ -192,7 +211,7 @@ def _size_filters(L: LieAlgebra, chunk: int) -> np.ndarray:
     labels = np.empty((3**tail, L.rank), dtype=np.int64)
     labels[:, : L.rank - tail] = head[::-1]
     labels[:, L.rank - tail :] = np.indices((3,) * tail).reshape(tail, -1).T
-    sizes = _graded(L, labels)[1]
+    sizes = _graded(L, labels)
     return (
         (sizes[:, 2] > 0)
         & (sizes[:, 1] % 2 == 0)
@@ -258,18 +277,19 @@ def _layout(L: LieAlgebra, d: WeightedDynkinDiagram) -> _Layout | None:
 
     The size filters read only the graded sizes (`_size_filters`, settled
     for d's chunk of label vectors at once), and the weights and index
-    arrays are built only for the label vectors that pass.  The draws need
-    only A = ad e : g(-2) -> g(0), whose entries are those of `_down_table`
-    with j and b in g(2); its rank settles both questions of a draw (see
-    `_decide`), so ad e : g(0) -> g(2) is left to the walk.  h is read as
-    den * h, the integer rows of `_cartan_inverse` times the labels; den is
-    a unit mod p, so it changes no rank, and h itself is formed only for an
-    exact triple.
+    arrays are built only for the label vectors that pass.  The draws and
+    the walk need only A = ad e : g(-2) -> g(0), whose entries are those of
+    `_down_table` with j and b in g(2); its rank settles both questions of
+    a draw and each step of the walk (see `_decide`).  h is read as den * h,
+    the integer rows of `_cartan_inverse` times the labels; den is a unit
+    mod p, so it changes no rank, and h itself is formed only for an exact
+    triple.
     """
     chunk, index = divmod(_derive_seed(0, d.labels), 3**CHUNK_LABELS)
     if not _size_filters(L, chunk)[index]:
         return None
-    weights = _graded(L, [d.labels])[0][0]
+    labels = np.array(d.labels, dtype=np.int64)
+    weights = labels @ _positive_roots(L)
     npos = L.npos
     zero = np.flatnonzero(weights == 0)
     g2 = np.flatnonzero(weights == 2)
@@ -282,8 +302,7 @@ def _layout(L: LieAlgebra, d: WeightedDynkinDiagram) -> _Layout | None:
     sel = (weights[j] == 2) & (weights[b] == 2)
     j, b, k = j[sel], b[sel], k[sel]
     hcol = np.zeros(len(g0), dtype=np.int64)
-    inverse = np.array(_cartan_inverse(L)[0], dtype=np.int64)
-    hcol[len(g0) - L.rank :] = inverse @ np.array(d.labels) % PRIMES[0]
+    hcol[len(g0) - L.rank :] = _cartan_inverse(L)[0] @ labels % PRIMES[0]
     g2 = g2.tolist()
     neg2 = [npos + i for i in g2]
     return _Layout(g0, g2, neg2, in_g2[j], in_g0[k], in_g2[b], n[sel], hcol)
@@ -313,9 +332,12 @@ def _ranks_mod_p(layout: _Layout, a: np.ndarray) -> tuple[int, int]:
 
 
 def _decide(
-    L: LieAlgebra, d: WeightedDynkinDiagram, layout: _Layout, trials: int, seed: int
-) -> Element | None:
-    """The first surjective draw, or None when a draw proves d is rejected.
+    d: WeightedDynkinDiagram, layout: _Layout, trials: int, seed: int
+) -> list[int] | None:
+    """The coefficients of the first surjective draw, or None on a rejection.
+
+    The coefficients are those of e on the root vectors of layout.g2, and
+    None means a draw proved d is no diagram.
 
     Seeded random e in g(2) with coefficients in [1, TRIAL_COEFF_MAX] are
     drawn until ad e maps g(0) onto g(2).  That is read off A = ad e :
@@ -326,7 +348,7 @@ def _decide(
     Each draw gets one elimination mod p of [A | h] (`_ranks_mod_p`): a
     rank of [A | h] above n proves its triple insoluble, which rejects d,
     and a rank of A equal to n certifies the draw; otherwise the next draw
-    is taken.  A returned e still needs its exact triple.
+    is taken.  A returned e still needs its exact triple (`_settle`).
 
     When no draw among `trials` reaches rank n, this raises `RuntimeError`
     naming d instead of deciding.  That is not expected: for a true diagram
@@ -343,18 +365,8 @@ def _decide(
         if rank_ah > n:
             return None
         if rank_a == n:
-            return L.element(dict(zip(layout.g2, coeffs)))
+            return coeffs
     raise RuntimeError(f"diagram {d}: no surjective draw among {trials}")
-
-
-def _rank(columns: Iterable[Mapping[int, int]]) -> int:
-    """The rank over Q of sparse integer columns {row: entry}, left unchanged.
-
-    Each column is reduced exactly against the echelon of the ones before
-    it, shortest first (`linalg._echelon`, on copies), and kept when a
-    nonzero residual remains.
-    """
-    return _echelon(dict(column) for column in columns).dim
 
 
 def _represent(
@@ -364,26 +376,30 @@ def _represent(
 
     Along an order of the roots of g(2), a root is kept when it is linearly
     independent of the kept ones (an exact reduction of its coordinates
-    against their echelon) and raises the rank over Q of ad e : g(0) -> g(2)
-    for e the unit sum over them.  The first order is the basis order, the
-    next ones are seeded shuffles, up to `RESTART_BUDGET` orders; None when
-    all of them run out.  Raises `TripleInsolubleError` when the surjective
-    e has no triple, which proves d is no diagram.
+    against their echelon) and raises the rank over Q of
+    A = ad e : g(-2) -> g(0) for e the unit sum over them; A has the rank
+    of ad e : g(0) -> g(2) (see `_decide`), so e is surjective when A
+    reaches rank dim g(2).  The first order is the basis order, the next
+    ones are seeded shuffles, up to `RESTART_BUDGET` orders; None when all
+    of them run out.  Raises `TripleInsolubleError` when the surjective e
+    has no triple, which proves d is no diagram.
 
-    The walk's matrices are sparse: ad x_j sends x_b in g(0) to a multiple
-    of x_{j+b} and a Cartan vector to a multiple of x_j, so each of their
-    columns has at most one nonzero, and for a fixed column and row at most
-    one root j contributes.  The columns of every ad x_j are read off the
-    structure constants once per label vector, the walk keeps their sum over
-    the kept roots, and each candidate's sum is ranked exactly by `_rank`.
-    The draws' matrices are dense, and numpy eliminates those mod p
-    (`_decide`).
+    The rows of A are read off the layout's index arrays: each root adds
+    its entries to the rows of A keyed by g(0), and for a fixed row and
+    column at most one root contributes (see `_down_table`).  So the rows
+    for a set of roots are unions of their roots' entries, nothing is
+    summed and no entry cancels.  The walk keeps the rows for the kept
+    roots; each candidate gets its own copies of the rows its root touches,
+    and `_rank` takes their rank only, in the rank-only mode of
+    `linalg._Echelon`, which leaves the shared rows unchanged.  The draws'
+    matrices are dense, and numpy eliminates those mod p (`_decide`).
     """
     g2 = layout.g2
-    # the nonzero entries (column i, row k, value n) of each ad x_j
-    up = [
-        [(i, k, n) for i in layout.g0 for k, n in L._adj[j].get(i, ())] for j in g2
-    ]
+    # the entries of A for each root of g2, as {row of g(0): {column: n}}
+    down: list[dict[int, dict[int, int]]] = [{} for _ in g2]
+    arrays = (layout.pos, layout.rows, layout.cols, layout.n)
+    for t, i, c, n in zip(*(a.tolist() for a in arrays)):
+        down[t].setdefault(i, {})[c] = n
     roots = [{c: x for c, x in enumerate(L._root_of_index[i]) if x} for i in g2]
     order = list(range(len(g2)))
     shuffler = random.Random(_derive_seed(seed, d.labels) + 2)
@@ -392,7 +408,7 @@ def _represent(
             shuffler.shuffle(order)
         kept: list[int] = []
         echelon = _Echelon()
-        # column i of ad e : g(0) -> g(2) for e the sum over kept, as {k: entry}
+        # the rows of A for e the sum over kept, as {row of g(0): {column: entry}}
         total: dict[int, dict[int, int]] = {}
         reached = 0
         for q in order:
@@ -400,10 +416,8 @@ def _represent(
             if not v:
                 continue
             candidate = dict(total)
-            for i, k, n in up[q]:
-                column = dict(total.get(i, ()))
-                column[k] = column.get(k, 0) + n
-                candidate[i] = column
+            for i, entries in down[q].items():
+                candidate[i] = {**total[i], **entries} if i in total else entries
             r = _rank(candidate.values())
             if r > reached:
                 kept.append(q)
@@ -411,20 +425,21 @@ def _represent(
                 total = candidate
                 reached = r
                 if reached == len(g2):
-                    e = L.element({g2[t]: Fraction(1) for t in kept})
-                    h = characteristic_element(L, d)
-                    return _triple(L, h, layout.g0, layout.neg2, e)
+                    e = ({g2[t]: 1 for t in kept}, 1)
+                    h = _h_support(L, d.labels)
+                    return _triple(L, layout.g0, layout.neg2, e, h)
                 if len(kept) == L.rank:
                     break
     return None
 
 
 def _settle(
-    L: LieAlgebra, d: WeightedDynkinDiagram, layout: _Layout, e: Element
+    L: LieAlgebra, d: WeightedDynkinDiagram, layout: _Layout, coeffs: Sequence[int]
 ) -> Sl2Triple | None:
-    """The triple of e, or None when [e, f] = h is insoluble."""
+    """The triple of the draw e = sum coeffs[t] x_{g2[t]}, or None if it has none."""
+    e = (dict(zip(layout.g2, coeffs)), 1)
     try:
-        return _triple(L, characteristic_element(L, d), layout.g0, layout.neg2, e)
+        return _triple(L, layout.g0, layout.neg2, e, _h_support(L, d.labels))
     except TripleInsolubleError:
         return None
 
@@ -458,19 +473,19 @@ def orbit(
         h = characteristic_element(L, d)
         return NilpotentOrbit(d, complete_triple(L, h, L.zero()))
     layout = _layout(L, d)
-    e = _decide(L, d, layout, trials, seed) if layout else None
-    if e is None:
+    draw = _decide(d, layout, trials, seed) if layout else None
+    if draw is None:
         return None
     try:
         triple = _represent(L, d, layout, seed)
     except TripleInsolubleError as exc:
-        if _settle(L, d, layout, e) is None:
+        if _settle(L, d, layout, draw) is None:
             return None
         raise RuntimeError(
             f"diagram {d}: the decisive draw has a triple, the representative none"
         ) from exc
     if triple is None:
-        triple = _settle(L, d, layout, e)
+        triple = _settle(L, d, layout, draw)
     return None if triple is None else NilpotentOrbit(d, triple)
 
 
@@ -507,27 +522,36 @@ def complete_triple(L: LieAlgebra, h: Element, e: Element) -> Sl2Triple:
     # Integral values keep the weight sums out of Fraction arithmetic.
     values = [v.numerator if v.denominator == 1 else v for v in L.cartan_values(h)]
     weights = L.basis_weights(values)
-    if any(weights[i] != 2 for i in e.support()):
+    scaled = _scaled_support(e.coeffs)
+    if any(weights[i] != 2 for i in scaled[0]):
         raise ValueError("[h, e] = 2e fails: not a weight-2 vector for h")
     g0 = [i for i, w in enumerate(weights) if w == 0]
     neg2 = [j for j, w in enumerate(weights) if w == -2]
-    return _triple(L, h, g0, neg2, e)
+    # h lies in the Cartan subalgebra (`cartan_values` checks it)
+    hscaled = _scaled_support({i: h.coeffs[i] for i in range(2 * L.npos, L.dim)})
+    return _triple(L, g0, neg2, scaled, hscaled)
 
 
 def _triple(
-    L: LieAlgebra, h: Element, g0: list[int], neg2: list[int], e: Element
+    L: LieAlgebra,
+    g0: list[int],
+    neg2: list[int],
+    e: tuple[dict[int, int], int],
+    h: tuple[dict[int, int], int],
 ) -> Sl2Triple:
     """`complete_triple` for e in g(2), given the indices of g(0) and g(-2).
 
-    e has ad h-weight 2, so [e, g(-2)] lies in g(0) and only the g(0) rows
-    of the system can be nonzero.  They are built from the integer structure
-    constants as sparse rows, each entry from one root k of e (for x_j in
-    g(-2) and x_i in g(0), at most one k has x_i in [x_k, x_j]; see
-    `_down_table`).  `linalg._solution` eliminates them exactly, and the check
-    of the solution stays in integers too.
+    e and h are given as (integer support, denominator), as from
+    `linalg._scaled_support`.  e has ad h-weight 2, so [e, g(-2)] lies in
+    g(0) and only the g(0) rows of the system can be nonzero.  They are
+    built from the integer structure constants as sparse rows, each entry
+    from one root k of e (for x_j in g(-2) and x_i in g(0), at most one k
+    has x_i in [x_k, x_j]; see `_down_table`).  `linalg._solution`
+    eliminates them exactly, and the check of the solution stays in
+    integers too.  Dense `Element`s are built only for the returned triple.
     """
-    supp, scale = _scaled_support(e.coeffs)
-    hsupp, hden = _scaled_support(h.coeffs)
+    supp, scale = e
+    hsupp, hden = h
     cols = len(neg2)
     # [scale * e, x] = scale * hden * h as sparse integer augmented rows, the
     # right-hand side in column `cols`; f = x / hden
@@ -549,7 +573,7 @@ def _triple(
     lhs = {k: v * hden for k, v in _bracket_supp(L._adj, supp, fsupp).items()}
     if lhs != {k: v * scale * den for k, v in hsupp.items()}:
         raise RuntimeError("triple relations failed verification")
-    return Sl2Triple(e=e, h=h, f=L.element(f))
+    return Sl2Triple(e=_element(L, e), h=_element(L, h), f=L.element(f))
 
 
 def enumerate_orbits(

@@ -52,58 +52,118 @@ class ExceptionRecord:
     dim_ce: int
 
 
-def _diagram(row: dict, tr: TypeRank) -> tuple[int, ...]:
+RIGID_SOURCES = ("reachable-table", "exception-list", "complement")
+_SOURCE_MESSAGE = "rigid_source is not one of " + ", ".join(RIGID_SOURCES)
+
+
+def _is_int(x: object) -> bool:
+    return type(x) is int  # a bool is an int to Python, not to the tables
+
+
+def _require(ok: bool, row: dict, kind: str, message: str) -> None:
+    """Raise `ValueError` naming the row unless ok; messages are formatted
+    only then, so a good table costs no formatting."""
+    if not ok:
+        raise ValueError(f"{kind} row {row.get('label')!r}: {message}")
+
+
+def _object(row: object, kind: str) -> dict:
+    if not isinstance(row, dict):
+        raise ValueError(f"{kind} row {row!r} is not an object")
+    return row
+
+
+def _diagram(row: dict, tr: TypeRank, kind: str) -> tuple[int, ...]:
     """The row's diagram: a list of labels in {0, 1, 2}, one per simple root."""
     d = row["diagram"]
     if not (
         isinstance(d, list)
         and len(d) == tr.rank
-        and all(type(v) is int and v in (0, 1, 2) for v in d)
+        and all(_is_int(v) and v in (0, 1, 2) for v in d)
     ):
-        raise ValueError(
-            f"{tr} row {row.get('label')!r}: diagram {d!r} is not a list of "
-            f"{tr.rank} labels in {{0, 1, 2}}"
-        )
+        _require(False, row, kind, f"diagram {d!r} is not {tr.rank} labels in {{0, 1, 2}}")
     return tuple(d)
 
 
+def _orbit_record(row: dict, tr: TypeRank, kind: str) -> OrbitRecord:
+    """An orbit row of type tr, checked against the field table of docs/refdata.md."""
+    row = _object(row, kind)
+    alt, weights = row.get("alt_label"), row["ce_weights"]
+    _require(isinstance(row["label"], str), row, kind, "label is not a string")
+    _require(alt is None or isinstance(alt, str), row, kind, "alt_label is not a string")
+    for flag in ("reachable", "strongly_reachable", "rigid"):
+        _require(type(row[flag]) is bool, row, kind, f"{flag} is not a boolean")
+    _require(row["rigid_source"] in RIGID_SOURCES, row, kind, _SOURCE_MESSAGE)
+    _require(
+        isinstance(weights, list) and all(_is_int(w) for w in weights),
+        row,
+        kind,
+        "ce_weights is not a list of ints",
+    )
+    _require(
+        _is_int(row["dim_ce"]) and row["dim_ce"] == len(weights),
+        row,
+        kind,
+        "dim_ce is not an int equal to the number of ce_weights",
+    )
+    return OrbitRecord(
+        type_rank=tr,
+        label=row["label"],
+        diagram=_diagram(row, tr, kind),
+        reachable=row["reachable"],
+        strongly_reachable=row["strongly_reachable"],
+        rigid=row["rigid"],
+        rigid_source=row["rigid_source"],
+        dim_ce=row["dim_ce"],
+        ce_weights=tuple(weights),
+        alt_label=alt,
+    )
+
+
+def _exception_record(row: dict) -> ExceptionRecord:
+    """An exception row, checked against the field table of docs/refdata.md."""
+    kind = "exception"
+    row = _object(row, kind)
+    _require(row["type"] in EXCEPTIONAL, row, kind, "type is no exceptional type")
+    _require(isinstance(row["label"], str), row, kind, "label is not a string")
+    _require(_is_int(row["sheet_rank"]), row, kind, "sheet_rank is not an int")
+    _require(_is_int(row["dim_ce"]), row, kind, "dim_ce is not an int")
+    tr = TypeRank.from_string(row["type"])
+    return ExceptionRecord(
+        type_rank=tr,
+        label=row["label"],
+        diagram=_diagram(row, tr, kind),
+        sheet_rank=row["sheet_rank"],
+        dim_ce=row["dim_ce"],
+    )
+
+
 class RefData:
-    """Loaded reference tables with diagram-keyed access."""
+    """Loaded reference tables with diagram-keyed access.
+
+    Every field of every row is checked against docs/refdata.md on loading;
+    a file that breaks the table raises `ValueError` as a whole.
+    """
 
     def __init__(self, doc: dict):
         if not isinstance(doc, dict) or doc.get("schema") != "exorb.orbit-tables/1":
             raise ValueError("unrecognized reference-table schema")
+        types, exceptions = doc["types"], doc["exceptions"]
+        if not isinstance(types, dict) or any(
+            t not in EXCEPTIONAL or not isinstance(rows, list) for t, rows in types.items()
+        ):
+            raise ValueError("types must map exceptional type names to lists of rows")
+        if not isinstance(exceptions, list):
+            raise ValueError("exceptions must be a list of rows")
         self._by_type: dict[str, tuple[OrbitRecord, ...]] = {}
         self._by_diagram: dict[tuple[str, tuple[int, ...]], OrbitRecord] = {}
-        for tname, rows in doc["types"].items():
+        for tname, rows in types.items():
             tr = TypeRank.from_string(tname)
-            records = []
-            for row in rows:
-                rec = OrbitRecord(
-                    type_rank=tr,
-                    label=row["label"],
-                    diagram=_diagram(row, tr),
-                    reachable=row["reachable"],
-                    strongly_reachable=row["strongly_reachable"],
-                    rigid=row["rigid"],
-                    rigid_source=row["rigid_source"],
-                    dim_ce=row["dim_ce"],
-                    ce_weights=tuple(row["ce_weights"]),
-                    alt_label=row.get("alt_label"),
-                )
-                records.append(rec)
+            records = tuple(_orbit_record(row, tr, tname) for row in rows)
+            for rec in records:
                 self._by_diagram[(tname, rec.diagram)] = rec
-            self._by_type[tname] = tuple(records)
-        self._exceptions = tuple(
-            ExceptionRecord(
-                type_rank=TypeRank.from_string(row["type"]),
-                label=row["label"],
-                diagram=_diagram(row, TypeRank.from_string(row["type"])),
-                sheet_rank=row["sheet_rank"],
-                dim_ce=row["dim_ce"],
-            )
-            for row in doc["exceptions"]
-        )
+            self._by_type[tname] = records
+        self._exceptions = tuple(_exception_record(row) for row in exceptions)
 
     def types(self) -> tuple[str, ...]:
         return tuple(self._by_type)

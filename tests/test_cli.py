@@ -232,6 +232,80 @@ def test_malformed_table_diagram_is_a_usage_error(tmp_path, capsys, table, diagr
     assert "cannot load reference tables" in captured.err and "diagram" in captured.err
 
 
+def _set(path, value):
+    """An edit of the bundled tables: set the field at `path` to `value`."""
+
+    def edit(data):
+        *keys, last = path
+        target = data
+        for k in keys:
+            target = target[k]
+        target[last] = value
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _set(("types", "G2", 2, "dim_ce"), None),
+        _set(("types", "G2", 2, "ce_weights", 0), 2.0),
+        _set(("types", "G2"), {}),
+        _set(("types", "A2"), []),
+        _set(("types", "G2", 2, "label"), 7),
+        _set(("types", "G2", 2, "alt_label"), ["G2(a1)"]),
+        _set(("types", "G2", 2, "rigid"), 1),
+        _set(("types", "G2", 2, "rigid_source"), "table"),
+        _set(("types", "G2", 2, "dim_ce"), 5),
+        _set(("exceptions", 0, "type"), "A2"),
+        _set(("exceptions", 0, "sheet_rank"), "1"),
+        _set(("exceptions", 0, "dim_ce"), True),
+    ],
+    ids=[
+        "dim-ce-null",
+        "float-weight",
+        "types-row-object",
+        "types-not-exceptional",
+        "label-int",
+        "alt-label-list",
+        "flag-int",
+        "rigid-source",
+        "dim-ce-not-weight-count",
+        "exception-type",
+        "exception-sheet-rank-string",
+        "exception-dim-ce-bool",
+    ],
+)
+def test_malformed_table_field_is_a_usage_error(tmp_path, capsys, edit):
+    data = json.loads(
+        resources.files("exorb").joinpath("data/orbit_tables.json").read_text()
+    )
+    edit(data)
+    tables = tmp_path / "tables.json"
+    tables.write_text(json.dumps(data))
+    assert main(["verify", "G2", "--refdata", str(tables)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cannot load reference tables" in captured.err
+
+
+def test_classify_refuses_a_sweep_above_3_to_the_10(capsys, monkeypatch):
+    # A11 has 3^11 = 177,147 label vectors; the refusal comes before any work.
+    def no_work(*args):
+        raise AssertionError("work done")
+
+    monkeypatch.setattr(cli, "build_lie_algebra", no_work)
+    monkeypatch.setattr(cli, "enumerate_orbits", no_work)
+    for name, count in [("A11", "177,147"), ("A20", "3,486,784,401")]:
+        assert main(["classify", name]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "usage error" in captured.err and count in captured.err
+    # A10, 3^10 label vectors, is let through to the (here failing) work
+    assert main(["classify", "A10"]) == EXIT_INTERNAL
+    assert "work done" in capsys.readouterr().err
+
+
 def test_verify_output_is_unchanged_under_optimization():
     env = dict(os.environ, PYTHONPATH=str(Path(exorb.__file__).parents[1]))
     cmd = ["-m", "exorb", "verify", "G2", "--format", "json"]

@@ -5,7 +5,19 @@ from itertools import combinations
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from exorb.linalg import RatMatrix, _null_space, intersect, kernel, member, rank, rref, solve
+from exorb import linalg
+from exorb.linalg import (
+    RatMatrix,
+    _echelon,
+    _null_space,
+    _rank,
+    intersect,
+    kernel,
+    member,
+    rank,
+    rref,
+    solve,
+)
 from gauss_jordan import gauss_jordan
 
 
@@ -284,3 +296,43 @@ def test_sparse_null_space_is_the_oracle_null_space(case):
     expected = gauss_jordan(null, cols)[0]
     assert [[v.get(c, 0) for c in range(cols)] for v in got] == expected
     assert all(all(v.values()) for v in got)
+
+
+@given(_summed_blocks())
+@example(([{0: 0}], 1))
+@example(([{0: 2, 1: 0}, {0: 0, 1: 0, 2: -3}, {}], 3))
+@example(([{1: 1}, {0: 1, 1: 1}, {0: 1, 2: 1}], 3))
+@example(([{0: 2, 1: 3}, {0: 3, 1: 1}, {0: 5, 1: 4}, {0: -4, 1: -6}], 2))
+@settings(max_examples=300, deadline=None)
+def test_rank_only_mode_is_the_echelon_rank(case):
+    # The walk's rank-only mode clears leading entries only and keeps its
+    # rows unreduced and unstripped; it has the rank of the full echelon,
+    # explicit zeros and cancelled entries change nothing, and the rows it
+    # is given are left unchanged (the walk shares them).
+    rows, _ = case
+    copy = [dict(r) for r in rows]
+    assert _rank(rows) == _echelon([dict(r) for r in copy]).dim
+    assert rows == copy
+
+
+@given(_summed_blocks())
+@example(([{0: 1}], 1))
+@example(([{0: 1}, {0: 1, 1: 1}, {1: -1}], 2))
+@example(([{0: 1, 1: 2}, {0: 2, 1: 4}], 2))
+@settings(max_examples=300, deadline=None)
+def test_null_space_is_empty_exactly_at_full_column_rank(case):
+    rows, cols = case
+    pivots = gauss_jordan([[r.get(c, 0) for c in range(cols)] for r in rows], cols)[1]
+    assert (_null_space(rows, cols) == []) == (len(pivots) == cols)
+
+
+def test_full_column_rank_reads_no_row_out(monkeypatch):
+    # A full-rank block returns [] before its rows are read out in reduced
+    # echelon form; a block with a null vector still reads them.
+    def no_read_out(self):
+        raise AssertionError("rows read out")
+
+    monkeypatch.setattr(linalg._Echelon, "canonical_rows", no_read_out)
+    assert _null_space([{0: 2, 1: 1}, {1: 3}, {0: 1}], 2) == []
+    with pytest.raises(AssertionError, match="rows read out"):
+        _null_space([{0: 2, 1: 1}], 2)

@@ -523,9 +523,9 @@ def test_mod_p_verdict_is_the_exact_verdict(name, monkeypatch):
     for d, layout in _layouts(L):
         with monkeypatch.context() as m:
             _no_mod_p_rejection(m)
-            e = orbits._decide(L, d, layout, orbits.DEFAULT_TRIALS, 1)
-        assert e is not None
-        coeffs = np.array([int(e.coeffs[i]) for i in layout.g2], dtype=np.int64)
+            draw = orbits._decide(d, layout, orbits.DEFAULT_TRIALS, 1)
+        assert draw is not None
+        coeffs = np.array(draw, dtype=np.int64)
         blocks = _ref_blocks(L, layout.g2, layout.neg2, layout.g0)
         a = np.tensordot(coeffs, blocks, axes=1)
         augmented = np.column_stack([a, _h_column(L, d, layout)])
@@ -535,7 +535,7 @@ def test_mod_p_verdict_is_the_exact_verdict(name, monkeypatch):
             rank_mod(augmented, PRIMES[0]),
         )
         assert rank_a == len(layout.neg2)
-        insoluble = orbits._settle(L, d, layout, e) is None
+        insoluble = orbits._settle(L, d, layout, draw) is None
         assert (rank_ah > rank_a) == insoluble, d
         draws += 1
     assert draws == {"F4": 20, "E6": 137}[name]
@@ -549,8 +549,7 @@ def test_ad_e_has_one_rank_on_g_minus_2_and_on_g0(name, monkeypatch):
     L = build_lie_algebra(name)
     _no_mod_p_rejection(monkeypatch)
     for d, layout in _layouts(L):
-        e = orbits._decide(L, d, layout, orbits.DEFAULT_TRIALS, 1)
-        coeffs = np.array([int(e.coeffs[i]) for i in layout.g2], dtype=np.int64)
+        coeffs = np.array(orbits._decide(d, layout, orbits.DEFAULT_TRIALS, 1))
         down_blocks = _ref_blocks(L, layout.g2, layout.neg2, layout.g0)
         down = np.tensordot(coeffs, down_blocks, axes=1)
         up_blocks = _ref_blocks(L, layout.g2, layout.g0, layout.g2)
@@ -605,17 +604,19 @@ def test_sweep_output_is_pinned(name, seed):
 
 @pytest.mark.parametrize("name", ["F4", "E6"])
 def test_walk_ranks_are_the_dense_ranks_of_the_summed_blocks(name, monkeypatch):
-    # Every rank the walk takes, of ad e : g(0) -> g(2) for e the unit sum
-    # over the kept roots and the candidate, equals the exact rank of the
-    # same sum of the reference blocks; the walk itself takes no dense rank.
+    # Every rank the walk takes, of the rows of A = ad e : g(-2) -> g(0) for
+    # e the unit sum over the kept roots and the candidate, equals the exact
+    # rank of the same sum of the reference blocks, and by the Killing-form
+    # duality also that of ad e : g(0) -> g(2); the walk itself takes no
+    # dense rank.
     L = build_lie_algebra(name)
     real = orbits._rank
     taken = []
 
-    def sparse_rank(columns):
+    def sparse_rank(rows):
         # the kept roots and the candidate q are read off the walk's frame
         walk = sys._getframe(1).f_locals
-        r = real(columns)
+        r = real(rows)
         taken.append((walk["layout"], walk["kept"] + [walk["q"]], r))
         return r
 
@@ -639,9 +640,13 @@ def test_walk_ranks_are_the_dense_ranks_of_the_summed_blocks(name, monkeypatch):
     for layout, roots, r in taken:
         g2 = tuple(layout.g2)
         if g2 not in blocks:
-            blocks[g2] = _ref_blocks(L, layout.g2, layout.g0, layout.g2)
-        summed = blocks[g2][roots].sum(axis=0)
-        assert r == rank(RatMatrix(summed.tolist(), len(layout.g0))), (g2, roots)
+            blocks[g2] = (
+                _ref_blocks(L, layout.g2, layout.neg2, layout.g0),
+                _ref_blocks(L, layout.g2, layout.g0, layout.g2),
+            )
+        down, up = (b[roots].sum(axis=0) for b in blocks[g2])
+        assert r == rank(RatMatrix(down.tolist(), len(layout.neg2))), (g2, roots)
+        assert r == rank(RatMatrix(up.tolist(), len(layout.g0))), (g2, roots)
 
 
 @pytest.mark.parametrize("trials", [0, -1])
@@ -721,6 +726,8 @@ def test_characteristic_element_is_the_cartan_solve(name):
         h = characteristic_element(L, WeightedDynkinDiagram(labels))
         assert h.coeffs[2 * L.npos :] == coords
         assert not any(h.coeffs[: 2 * L.npos])
+        # the triple's integer h, read off the Cartan rows alone
+        assert orbits._h_support(L, labels) == _scaled_support(h.coeffs)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
