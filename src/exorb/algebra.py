@@ -194,18 +194,23 @@ def _bracket_supp(
     sa: dict,
     sb: dict,
 ) -> dict:
-    """[a, b] for sparse coefficient dicts; values may be ints or Fractions."""
+    """[a, b] for sparse coefficient dicts; values may be ints or Fractions.
+
+    The entries must be nonzero, so a sum that reaches 0 has a key to
+    delete.  The shorter dict is the outer loop; when that is b, the sign of
+    [a, b] = -[b, a] is folded into its entries.
+    """
     out: dict[int, int] = {}
-    if len(sa) > len(sb):
+    swap = len(sa) > len(sb)
+    if swap:
         sa, sb = sb, sa
-        sign = -1
-    else:
-        sign = 1
     get = out.get
     for i, ca in sa.items():
         row = adj[i]
         if not row:
             continue
+        if swap:
+            ca = -ca
         for j, cb in sb.items():
             hits = row.get(j)
             if hits:
@@ -214,10 +219,8 @@ def _bracket_supp(
                     v = get(k, 0) + f * n
                     if v:
                         out[k] = v
-                    elif k in out:
+                    else:
                         del out[k]
-    if sign < 0:
-        return {k: -v for k, v in out.items()}
     return out
 
 
@@ -577,7 +580,7 @@ def _closure(
             break
         for u, a in basis_rows:
             t = a + w
-            if acc[t].dim < cap.get(t, 0):
+            if t in cap and acc[t].dim < cap[t]:
                 b = _bracket_supp(adj, u, row)
                 if b:
                     queue.append((b, t))
@@ -605,11 +608,20 @@ def quotient_with_action(
     # rest, so integral values mean integer eigenvalues, summed as ints.
     if any(v.denominator != 1 for v in values):
         raise ValueError("ad h does not act with integer eigenvalues")
-    weights = L.basis_weights([v.numerator for v in values])
+    return _quotient(s, t, L.basis_weights([v.numerator for v in values]))
+
+
+def _quotient(
+    s: Subspace, t: Subspace, weights: Sequence[int], s_weights: Sequence[int] | None = None
+) -> tuple[int, tuple[int, ...]]:
+    """`quotient_with_action` with the ad h weights of L already formed.
+
+    `s_weights` are s's row weights under them, when the caller has them.
+    """
     if not all(s._has(row) for row in t._row_at.values()):
         raise ValueError("t is not contained in s")
     try:
-        mult = Counter(s.row_weights(weights))
+        mult = Counter(s.row_weights(weights) if s_weights is None else s_weights)
         mult.subtract(t.row_weights(weights))
     except ValueError:
         raise ValueError("subspace is not stable under ad h") from None

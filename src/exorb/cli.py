@@ -237,7 +237,10 @@ def _cmd_table(cfg: RunConfig) -> tuple[int, str]:
                 continue
             labels = a.orbit.diagram.labels
             label = _label_for(tables, cfg.type, labels)
-            rigid = tables.lookup(cfg.type, labels).rigid
+            try:
+                rigid = tables.lookup(cfg.type, labels).rigid
+            except ValueError as exc:  # a table without the row
+                raise UsageError(f"the reference tables cannot serve this run: {exc}") from None
             rows.append(
                 [
                     label or "-",
@@ -287,7 +290,10 @@ def _cmd_table(cfg: RunConfig) -> tuple[int, str]:
 
 def _verify_type(cfg: RunConfig, tables: RefData, tname: str) -> tuple[int, list[dict]]:
     L = build_lie_algebra(tname)
-    records = {rec.diagram: rec for rec in tables.orbits(tname)}
+    try:
+        records = {rec.diagram: rec for rec in tables.orbits(tname)}
+    except ValueError as exc:
+        raise UsageError(f"the reference tables cannot serve this run: {exc}") from None
     analyses = {
         a.orbit.diagram.labels: a for a in _sweep(L, cfg.seed, cfg.trials)
     }

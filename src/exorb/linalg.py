@@ -223,15 +223,20 @@ class _Echelon:
         return out
 
 
-def _echelon(rows: Iterable[dict[int, int]]) -> _Echelon:
+def _echelon(rows: Iterable[dict[int, int]], cols: int | None = None) -> _Echelon:
     """The echelon of integer rows {column: entry}, reduced in place.
 
     A row with explicit zero entries is replaced by a copy without them
     first: `_Echelon` takes none, and sums that cancel leave them.  Rows
-    are taken shortest first, which keeps the stored rows short.
+    are taken shortest first, which keeps the stored rows short.  With
+    `cols`, the number of columns, elimination stops at `cols` pivots,
+    since then every further row reduces to zero; the rows not reached are
+    left as they are.
     """
     echelon = _Echelon()
     for row in sorted(rows, key=len):
+        if echelon.dim == cols:
+            break
         if 0 in row.values():
             row = {k: x for k, x in row.items() if x}
         v = echelon.reduce(row)
@@ -261,10 +266,11 @@ def _null_space(rows: Iterable[Mapping[int, int]], cols: int) -> list[dict[int, 
     leading 1 at f and zeros at every other free column: the vectors read
     off are already the reduced echelon basis, in increasing pivot order.
     The rows are left unchanged.  Rows of full column rank have none: then
-    [] is returned before any row is read out.
+    elimination stops at the `cols`-th pivot and [] is returned before any
+    row is read out.
     """
     last = cols - 1
-    echelon = _echelon({last - c: x for c, x in row.items()} for row in rows)
+    echelon = _echelon(({last - c: x for c, x in row.items()} for row in rows), cols)
     if echelon.dim == cols:
         return []
     null = {t: {last - t: 1} for t in range(last, -1, -1) if t not in echelon.rows}

@@ -24,6 +24,7 @@ without a grading (the block lemma, see `algebra.Subspace`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 from .algebra import (
@@ -32,9 +33,9 @@ from .algebra import (
     Subspace,
     _closure,
     _grading,
+    _quotient,
     centralizer,
     derived_subalgebra,
-    quotient_with_action,
 )
 from .linalg import _null_space, _scaled_support
 from .orbits import NilpotentOrbit, WeightedDynkinDiagram, enumerate_orbits
@@ -60,24 +61,34 @@ class OrbitAnalysis:
     ce_weights: tuple[int, ...]
 
 
+@lru_cache(maxsize=None)
+def _highest_root(L: LieAlgebra) -> tuple[int, ...]:
+    """The highest root's coefficients: the largest of each over the roots."""
+    return tuple(max(column) for column in L._root_columns)
+
+
 def _torus_weights(L: LieAlgebra, e: Element, labels: Sequence[int]) -> tuple[int, ...]:
     """Basis weights of the grading by ad h and the subtorus that fixes e.
 
     phi_1..phi_m are the integer annihilator of the support roots of e (the
     Cartan part of e, of weight 0 under every grading, imposes nothing).
     Each simple root gets the digits (labels, phi_1, ..., phi_m) folded in
-    one base, above 4 times the largest absolute digit over the roots, so
-    two weights, or two sums of two weights, are equal exactly when their
-    digits are.  Each root of e in g(2) has weight 2 * base^m.  For e = 0
-    this is the full root grading; when the support spans the root lattice,
-    the ad h grading.
+    one base.  Any base above 4 times the largest absolute digit over the
+    roots makes two weights, or two sums of two weights, equal exactly when
+    their digits are, so every such base gives the same blocks.  A root is
+    +-sum(m_i alpha_i) with 0 <= m_i <= theta_i, for theta the highest
+    root, so the base is taken above 4 times the bound sum(|phi_i| theta_i)
+    on |phi(alpha)|, without forming the weights of each phi.  Each root of
+    e in g(2) has weight 2 * base^m.  For e = 0 this is the full root
+    grading; when the support spans the root lattice, the ad h grading.
     """
     support = [dict(enumerate(L._root_of_index[i])) for i in e.support() if i < L._hbase]
     digits = [list(labels)]
     for v in _null_space(support, L.rank):
         phi = _scaled_support(v)[0]
         digits.append([phi.get(i, 0) for i in range(L.rank)])
-    base = 4 * max(abs(w) for phi in digits for w in L.basis_weights(phi)) + 1
+    theta = _highest_root(L)
+    base = 4 * max(sum(abs(x) * m for x, m in zip(phi, theta)) for phi in digits) + 1
     values = [0] * L.rank
     for phi in digits:
         values = [base * v + x for v, x in zip(values, phi)]
@@ -97,7 +108,8 @@ def _analyze_full(
     homogeneous in it, hence in the coarser ad h grading too, so g(>=1)_e
     and g_e(1) are read off them as they stand with the diagram's basis
     weights, and every canonical basis is the one that the ad h grading
-    alone gives.
+    alone gives.  The ad h weights of L and g_e's row weights under them
+    are formed once, for that split and for the quotient.
     """
     e, h = o.triple.e, o.triple.h
     labels = o.diagram.labels
@@ -110,12 +122,14 @@ def _analyze_full(
     reachable = derived.contains(e)
     strongly = derived.dim == ge.dim
 
-    graded = list(zip(ge._row_at.values(), ge.row_weights(L.basis_weights(labels))))
+    ad_h = L.basis_weights(labels)
+    ge_weights = ge.row_weights(ad_h)
+    graded = list(zip(ge._row_at.values(), ge_weights))
     upper = Subspace(L, [r for r, w in graded if w >= 1])
     closure = _closure(L, [r for r, w in graded if w == 1], upper, weights)
     panyushev = closure.dim == upper.dim
 
-    dim_ce, ce_weights = quotient_with_action(L, ge, derived, h)
+    dim_ce, ce_weights = _quotient(ge, derived, ad_h, ge_weights)
     analysis = OrbitAnalysis(
         orbit=o,
         dim_ge=ge.dim,

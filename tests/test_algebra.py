@@ -10,6 +10,9 @@ from hypothesis import given, settings, strategies as st
 from exorb.algebra import (
     Element,
     Subspace,
+    _bracket_supp,
+    _closure,
+    _grading,
     bracket,
     build_lie_algebra,
     centralizer,
@@ -512,3 +515,58 @@ def test_gradings_are_checked():
         subalgebra_closure(L, [x + y], weights=weights)  # generator mixes
     assert subalgebra_closure(L, [x, y], weights=weights).dim == 6  # n+ of G2
     assert centralizer(L, L.zero(), weights).dim == L.dim
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_sparse_bracket_is_antisymmetric_and_the_bilinear_product(data):
+    # Rows of unequal lengths, so that each order runs one branch: the
+    # shorter row is the outer loop, and the sign of a swap is folded in.
+    L = build_lie_algebra(data.draw(st.sampled_from(["G2", "F4"])))
+    entry = st.integers(-9, 9).filter(bool)
+    a = data.draw(st.dictionaries(st.integers(0, L.dim - 1), entry, min_size=1, max_size=3))
+    b = data.draw(st.dictionaries(st.integers(0, L.dim - 1), entry, min_size=4, max_size=9))
+    expected = defaultdict(int)
+    for i, x in a.items():
+        for j, y in b.items():
+            for k, n in L._adj[i].get(j, ()):
+                expected[k] += x * y * n
+    ab, ba = _bracket_supp(L._adj, a, b), _bracket_supp(L._adj, b, a)
+    assert ab == {k: v for k, v in expected.items() if v}
+    assert ba == {k: -v for k, v in ab.items()}
+    assert list(ba) == list(ab)  # the same insertion order too
+    assert 0 not in ab.values()
+    dense = bracket(L, L.element(a), L.element(b)).coeffs
+    assert ab == {k: c for k, c in enumerate(dense) if c}
+
+
+def test_closure_makes_no_echelon_for_a_weight_that_within_lacks(monkeypatch):
+    # A bracket whose weight is no weight of `within` lies in no row of it,
+    # so it is skipped before any span of that weight is made.
+    import exorb.algebra
+    from exorb.reach import _torus_weights
+
+    made = []
+
+    class Counting(_Echelon):
+        __slots__ = ()
+
+        def __init__(self):
+            super().__init__()
+            made.append(self)
+
+    monkeypatch.setattr(exorb.algebra, "_Echelon", Counting)
+    lacking = 0
+    for L, o in _triple_orbits():
+        e, labels = o.triple.e, o.diagram.labels
+        weights = _grading(L, _torus_weights(L, e, labels))[0]
+        ge = centralizer(L, e, weights)
+        graded = list(zip(ge._row_at.values(), ge.row_weights(L.basis_weights(labels))))
+        upper = Subspace(L, [r for r, w in graded if w >= 1])
+        gens = [r for r, w in graded if w == 1]
+        made.clear()
+        _closure(L, gens, upper, weights)
+        present = set(upper.row_weights(weights))
+        assert len(made) <= len(present)
+        lacking += any(a + b not in present for a in present for b in present)
+    assert lacking > 0

@@ -6,6 +6,7 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import exorb
 
@@ -343,3 +344,123 @@ def test_exhausted_draws_exit_3_naming_the_label_vector(monkeypatch, capsys):
     first = captured.err.splitlines()[0]
     assert first.startswith("internal error: RuntimeError: diagram ")
     assert first.endswith(": no surjective draw among 2")
+
+
+# -- a generated-input test of the command line ------------------------------
+
+_BUNDLED = json.loads(
+    resources.files("exorb").joinpath("data/orbit_tables.json").read_text()
+)
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 300) | st.floats(-3, 3) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _without(path):
+    """The bundled tables as JSON text, with the node at `path` deleted."""
+    data = json.loads(json.dumps(_BUNDLED))
+    *keys, last = path
+    node = data
+    for k in keys:
+        node = node[k]
+    del node[last]
+    return json.dumps(data)
+
+
+@st.composite
+def _table_texts(draw):
+    """The bundled tables, with one node set or deleted, or the text cut short.
+
+    The node is a top-level entry, a type's rows, one row or one field of a
+    row; G2 is drawn most, since most of the command lines run on it.
+    """
+    data = json.loads(json.dumps(_BUNDLED))
+    level = draw(st.sampled_from(["truncate", "top", "type", "row", "field"]))
+    if level == "truncate":
+        text = json.dumps(data)
+        return text[: draw(st.integers(0, len(text) - 1))]
+    name = draw(st.sampled_from(["G2", "G2", "F4", "E6"]))
+    if level == "top":
+        target, key = data, draw(st.sampled_from(sorted(data)))
+    elif level == "type":
+        target, key = data["types"], name
+    else:
+        rows = data["types"][name] if draw(st.booleans()) else data["exceptions"]
+        target, key = rows, draw(st.integers(0, len(rows) - 1))
+        if level == "field":
+            target = rows[key]
+            key = draw(st.sampled_from(sorted(target) + ["extra"]))
+    if draw(st.booleans()):
+        target[key] = draw(_JSON_VALUES)
+    elif isinstance(target, dict):
+        target.pop(key, None)
+    else:
+        del target[key]
+    return json.dumps(data)
+
+
+def _selectors():
+    labels = sorted({row["label"] for rows in _BUNDLED["types"].values() for row in rows})
+    digits = st.lists(st.sampled_from("0120123a "), min_size=0, max_size=7)
+    return st.one_of(
+        st.lists(st.integers(0, 3), min_size=0, max_size=7).map(
+            lambda xs: ",".join(map(str, xs))
+        ),
+        digits.map(",".join),
+        st.sampled_from(labels + ["zz", "A1~", ""]),
+    )
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(["classify", "analyze", "table", "verify", "plot"]))
+    # sweeps stay at rank <= 6; A11 and A20 meet classify's refusal only
+    types = ["G2", "G2", "G2", "F4", "E6", "g2", "A1", "A3", "B3", "C3", "D4", "A6", "E9", "A0", "X2", "E", "all"]
+    if command == "classify":
+        types += ["A11", "A20"]
+    argv = [command, draw(st.sampled_from(types))]
+    if command == "analyze" or draw(st.integers(0, 9)) == 0:
+        argv += ["--orbit", draw(_selectors())]
+    if command == "table" or draw(st.integers(0, 9)) == 0:
+        argv += ["--kind", draw(st.sampled_from(["quotient", "reachable", "rigid"]))]
+    # mostly valid values, so that most command lines reach the work
+    options = {
+        "--format": st.sampled_from(["text", "csv", "json", "json", "xml"]),
+        "--seed": st.sampled_from(["1", "2", "3", "0", "-3", str(10**20), "x"]),
+        "--trials": st.sampled_from(["25", "25", "3", "1", "0", "-1", "2.5"]),
+    }
+    for flag, values in options.items():
+        if draw(st.booleans()):
+            argv += [flag, draw(values)]
+    return argv
+
+
+@given(argv=_argvs(), table=st.none() | _table_texts())
+@example(argv=["verify", "G2"], table=_without(("types", "G2")))
+@example(argv=["table", "G2", "--kind", "reachable"], table=_without(("types", "G2", 1)))
+@settings(max_examples=40, deadline=None)
+def test_generated_command_lines_exit_with_a_documented_code(tmp_path_factory, argv, table):
+    # 0, 1 or 2, or 3 only when the draws run out; never a traceback
+    # otherwise, and nothing on stdout with a usage error.
+    import contextlib
+    import io
+
+    if table is not None:
+        path = tmp_path_factory.mktemp("refdata") / "tables.json"
+        path.write_text(table)
+        argv = argv + ["--refdata", str(path)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    if status == EXIT_INTERNAL:
+        first = err.splitlines()[0]
+        assert first.startswith("internal error: RuntimeError: diagram "), err
+        assert ": no surjective draw among " in first, err
+    else:
+        assert status in (EXIT_OK, EXIT_USAGE, EXIT_MISMATCH), (status, err)
+        assert "Traceback" not in err, err
+    if status == EXIT_USAGE:
+        assert out == "" and err.startswith("usage error: ")

@@ -336,3 +336,30 @@ def test_full_column_rank_reads_no_row_out(monkeypatch):
     assert _null_space([{0: 2, 1: 1}, {1: 3}, {0: 1}], 2) == []
     with pytest.raises(AssertionError, match="rows read out"):
         _null_space([{0: 2, 1: 1}], 2)
+
+
+@given(_summed_blocks())
+@example(([{0: 1}, {1: 2}, {0: 1, 2: 5}, {0: 1, 1: 1, 2: 3}, {0: 4, 1: 4, 2: 4}], 3))
+@settings(max_examples=100, deadline=None)
+def test_null_space_reduces_no_row_after_full_rank(case):
+    # Once the echelon has one pivot per column every further row reduces to
+    # zero, so elimination stops there: no `_Echelon.reduce` call sees a
+    # full echelon, and a block below full rank reduces every row.
+    rows, cols = case
+    dims = []
+    reduce = linalg._Echelon.reduce
+
+    def counting(self, v):
+        dims.append(self.dim)
+        return reduce(self, v)
+
+    linalg._Echelon.reduce = counting
+    try:
+        null = _null_space(rows, cols)
+    finally:
+        linalg._Echelon.reduce = reduce
+    assert all(d < cols for d in dims)
+    if null:
+        assert len(dims) == len(rows)
+    else:
+        assert dims and dims[-1] == cols - 1

@@ -258,3 +258,40 @@ def test_analysis_output_is_pinned(name, seed):
         out.append([list(o.diagram.labels), rows(ge), rows(derived), flags])
     digest = hashlib.sha256(json.dumps(out).encode()).hexdigest()[:16]
     assert digest == ANALYSIS_DIGESTS[name, seed]
+
+
+@pytest.mark.parametrize("name", ["G2", "F4", "E6", "E7"])
+def test_torus_blocks_are_those_of_the_exact_digits(name):
+    # Two basis weights are equal exactly when their digits (labels, phi_1,
+    # ..., phi_m) are, and a sum of two weights is a weight exactly when
+    # the sum of their digits is some basis vector's digits: the blocks
+    # that a base above 4 times the exact largest digit gives.
+    from exorb.linalg import _null_space, _scaled_support
+    from exorb.orbits import orbit
+
+    L = build_lie_algebra(name)
+    zero = orbit(L, WeightedDynkinDiagram((0,) * L.rank))
+    for o in [zero, *enumerate_orbits(L)]:
+        e, labels = o.triple.e, o.diagram.labels
+        support = [dict(enumerate(L._root_of_index[i])) for i in e.support() if i < L._hbase]
+        phis = [labels]
+        for v in _null_space(support, L.rank):
+            phi = _scaled_support(v)[0]
+            phis.append([phi.get(i, 0) for i in range(L.rank)])
+        digits = list(zip(*(L.basis_weights(phi) for phi in phis)))
+        weights = _torus_weights(L, e, labels)
+        assert len(set(zip(weights, digits))) == len(set(weights)) == len(set(digits))
+        folded = dict(zip(weights, digits))
+        present = set(digits)
+        for a, da in folded.items():
+            for b, db in folded.items():
+                total = tuple(x + y for x, y in zip(da, db))
+                assert folded.get(a + b) == (total if total in present else None)
+
+
+@pytest.mark.parametrize("name", ["G2", "F4", "E6"])
+def test_quotient_with_action_is_the_analysis_quotient(name):
+    L = build_lie_algebra(name)
+    for o in enumerate_orbits(L):
+        a, ge, derived = _analyze_full(L, o)
+        assert quotient_with_action(L, ge, derived, o.triple.h) == (a.dim_ce, a.ce_weights)
