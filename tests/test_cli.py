@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -316,6 +317,52 @@ def test_verify_output_is_unchanged_under_optimization():
     )
     assert plain.returncode == optimized.returncode == EXIT_OK
     assert plain.stdout and optimized.stdout == plain.stdout
+
+
+# The first 16 hex digits of sha256(f"{status}\n{stdout}") of each command
+# line: every text, CSV and JSON output of classify, analyze, table and verify.
+COMMAND_DIGESTS = {
+    "classify G2 --format text": "bc25a44d19a48a60",
+    "classify G2 --format csv": "669192b767804e59",
+    "classify G2 --format json": "8a29ff4f266975cf",
+    "classify A2 --format text": "98c6dd89e471d662",
+    "classify A2 --format csv": "701a7431d24c5e88",
+    "classify A2 --format json": "814bed1301a1213c",
+    "analyze G2 --orbit 0,1 --format text": "104e8dcb28984b96",
+    "analyze G2 --orbit 0,1 --format csv": "30fabf8383a0cb52",
+    "analyze G2 --orbit 0,1 --format json": "b04c50a78f72648e",
+    "analyze G2 --orbit G2(a1) --format text": "fd4fe1a035d9c4ef",
+    "analyze G2 --orbit G2(a1) --format csv": "58c939f0ce8c4ffd",
+    "analyze G2 --orbit G2(a1) --format json": "d19bfa82e6b9440c",
+    "analyze G2 --orbit 0,0 --format text": "ee7f75e619584d27",
+    "analyze G2 --orbit 0,0 --format csv": "12cc5f7cb196785e",
+    "analyze G2 --orbit 0,0 --format json": "a55b7105749c8a3f",
+    "table G2 --kind quotient --format text": "66286b615ae1fa06",
+    "table G2 --kind quotient --format csv": "35ff4048576d52ec",
+    "table G2 --kind quotient --format json": "f7999f81e51ad309",
+    "table G2 --kind reachable --format text": "cca3c9a72a5560ef",
+    "table G2 --kind reachable --format csv": "de91b96275e4c1fe",
+    "table G2 --kind reachable --format json": "910e61b4c78d3731",
+    "table F4 --kind quotient --format text": "31b7c547bca9ca72",
+    "table F4 --kind quotient --format csv": "6fc1975a4dcd6478",
+    "table F4 --kind quotient --format json": "1208f0410d20bb9e",
+    "table F4 --kind reachable --format text": "dfabc7dc711af381",
+    "table F4 --kind reachable --format csv": "0f7d6f2c63946874",
+    "table F4 --kind reachable --format json": "7fcad4efc1e9055a",
+    "verify G2 --format text": "af68397da6728125",
+    "verify G2 --format json": "582e7624d3765831",
+}
+
+
+def test_command_outputs_are_pinned(capsys):
+    digests = {}
+    for argv in COMMAND_DIGESTS:
+        status = main(argv.split())
+        captured = capsys.readouterr()
+        assert captured.err == "", (argv, captured.err)
+        text = f"{status}\n{captured.out}"
+        digests[argv] = hashlib.sha256(text.encode()).hexdigest()[:16]
+    assert digests == COMMAND_DIGESTS
 
 
 def test_internal_error_keeps_the_traceback(monkeypatch, capsys):
