@@ -133,6 +133,8 @@ class LieAlgebra:
         if isinstance(entries, Mapping):
             out = [Fraction(0)] * self.dim
             for i, c in entries.items():
+                if not 0 <= i < self.dim:
+                    raise ValueError("basis index out of range")
                 out[i] = _exact(c)
             return Element(tuple(out))
         if len(entries) != self.dim:

@@ -26,7 +26,7 @@ from .orbits import (
     orbit,
 )
 from .reach import OrbitAnalysis, analyze
-from .refdata import EXCEPTIONAL, REFDATA_ENV, RefData, load_tables
+from .refdata import EXCEPTIONAL, REFDATA_ENV, OrbitRecord, RefData, load_tables
 from .roots import TypeRank
 
 __all__ = ["RunConfig", "run", "main"]
@@ -62,10 +62,6 @@ def _canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _diagram_str(labels: tuple[int, ...]) -> str:
-    return ",".join(str(v) for v in labels)
-
-
 def _tables(cfg: RunConfig) -> RefData:
     """The reference tables; a missing or malformed file is a usage error."""
     try:
@@ -75,56 +71,40 @@ def _tables(cfg: RunConfig) -> RefData:
         raise UsageError(f"cannot load reference tables from {where}: {exc}") from None
 
 
-def _label_for(tables: RefData, t: TypeRank, labels: tuple[int, ...]) -> str | None:
-    if str(t) not in EXCEPTIONAL:
-        return None
+def _record(tables: RefData, t: TypeRank, labels: tuple[int, ...]) -> OrbitRecord | None:
+    """The table row of an orbit, or None where the tables have none."""
     try:
-        return tables.lookup(t, labels).label
+        return tables.lookup(t, labels)
     except ValueError:
         return None
 
 
-def _render_rows(cfg: RunConfig, header: list[str], rows: list[list[str]], payload) -> str:
+def _cell(value) -> str:
+    """A JSON value as a text or CSV cell: None is "-", a list is comma-joined."""
+    if value is None:
+        return "-"
+    if isinstance(value, list):
+        return ",".join(map(str, value))
+    return str(value)
+
+
+def _render(cfg: RunConfig, columns, records: list[dict], payload) -> str:
+    """`payload` as JSON, or one row per record of (header, key, cell) columns."""
     if cfg.format == "json":
         return _canonical_json(payload)
+    header = [h for h, _, _ in columns]
+    rows = [[cell(r[key]) for _, key, cell in columns] for r in records]
     if cfg.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
         return buf.getvalue()
-    widths = [
-        max(len(header[c]), *(len(r[c]) for r in rows)) if rows else len(header[c])
-        for c in range(len(header))
-    ]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip()]
-    for r in rows:
-        lines.append("  ".join(x.ljust(w) for x, w in zip(r, widths)).rstrip())
-    return "\n".join(lines) + "\n"
-
-
-def _analysis_payload(
-    t: TypeRank,
-    L: LieAlgebra,
-    a: OrbitAnalysis,
-    label: str | None,
-    rigid: bool | None,
-) -> dict:
-    return {
-        "schema": "exorb.analysis/1",
-        "type": str(t),
-        "label": label,
-        "diagram": list(a.orbit.diagram.labels),
-        "dim_orbit": L.dim - a.dim_ge,
-        "dim_ge": a.dim_ge,
-        "dim_derived": a.dim_derived,
-        "reachable": a.reachable,
-        "strongly_reachable": a.strongly_reachable,
-        "panyushev_generated": a.panyushev_generated,
-        "dim_ce": a.dim_ce,
-        "ce_weights": list(a.ce_weights),
-        "rigid": rigid,
-    }
+    widths = [max([len(h), *(len(r[c]) for r in rows)]) for c, h in enumerate(header)]
+    return "".join(
+        "  ".join(x.ljust(w) for x, w in zip(r, widths)).rstrip() + "\n"
+        for r in [header, *rows]
+    )
 
 
 def _cmd_classify(cfg: RunConfig) -> tuple[int, str]:
@@ -137,24 +117,23 @@ def _cmd_classify(cfg: RunConfig) -> tuple[int, str]:
     L = build_lie_algebra(cfg.type)
     tables = _tables(cfg)
     orbits = enumerate_orbits(L, seed=cfg.seed, trials=cfg.trials)
-    rows = []
-    payload_orbits = []
-    for o in orbits:
-        labels = o.diagram.labels
-        label = _label_for(tables, cfg.type, labels)
-        dim = _orbit_dim(L, labels)
-        rows.append([label or "-", _diagram_str(labels), str(dim)])
-        payload_orbits.append(
-            {"label": label, "diagram": list(labels), "dim_orbit": dim}
-        )
+    records = [
+        {
+            "label": getattr(_record(tables, cfg.type, o.diagram.labels), "label", None),
+            "diagram": list(o.diagram.labels),
+            "dim_orbit": _orbit_dim(L, o.diagram.labels),
+        }
+        for o in orbits
+    ]
     payload = {
         "schema": "exorb.classify/1",
         "type": str(cfg.type),
         "seed": cfg.seed,
         "orbit_count": len(orbits),
-        "orbits": payload_orbits,
+        "orbits": records,
     }
-    return EXIT_OK, _render_rows(cfg, ["label", "diagram", "dim_orbit"], rows, payload)
+    columns = [(k, k, _cell) for k in ("label", "diagram", "dim_orbit")]
+    return EXIT_OK, _render(cfg, columns, records, payload)
 
 
 def _resolve_orbit(cfg: RunConfig, L: LieAlgebra, tables: RefData) -> NilpotentOrbit:
@@ -190,32 +169,33 @@ def _cmd_analyze(cfg: RunConfig) -> tuple[int, str]:
     tables = _tables(cfg)
     o = _resolve_orbit(cfg, L, tables)
     a = analyze(L, o)
-    label = _label_for(tables, cfg.type, o.diagram.labels)
-    rigid = None
-    if str(cfg.type) in EXCEPTIONAL:
-        try:
-            rigid = tables.lookup(cfg.type, o.diagram.labels).rigid
-        except ValueError:
-            rigid = None
-    payload = _analysis_payload(cfg.type, L, a, label, rigid)
-    fields = [
-        ("type", payload["type"]),
-        ("label", label or "-"),
-        ("diagram", _diagram_str(o.diagram.labels)),
-        ("dim_orbit", payload["dim_orbit"]),
-        ("dim_ge", a.dim_ge),
-        ("dim_derived", a.dim_derived),
-        ("reachable", a.reachable),
-        ("strongly_reachable", a.strongly_reachable),
-        ("panyushev", a.panyushev_generated),
-        ("dim_ce", a.dim_ce),
-        ("ce_weights", ",".join(map(str, a.ce_weights)) or "-"),
-        ("rigid", "-" if rigid is None else rigid),
+    rec = _record(tables, cfg.type, o.diagram.labels)
+    payload = {
+        "schema": "exorb.analysis/1",
+        "type": str(cfg.type),
+        "label": getattr(rec, "label", None),
+        "diagram": list(o.diagram.labels),
+        "dim_orbit": L.dim - a.dim_ge,
+        "dim_ge": a.dim_ge,
+        "dim_derived": a.dim_derived,
+        "reachable": a.reachable,
+        "strongly_reachable": a.strongly_reachable,
+        "panyushev_generated": a.panyushev_generated,
+        "dim_ce": a.dim_ce,
+        "ce_weights": list(a.ce_weights),
+        "rigid": getattr(rec, "rigid", None),
+    }
+    names = "type label diagram dim_orbit dim_ge dim_derived reachable strongly_reachable"
+    columns = [(k, k, _cell) for k in names.split()]
+    columns += [
+        ("panyushev", "panyushev_generated", _cell),
+        ("dim_ce", "dim_ce", _cell),
+        ("ce_weights", "ce_weights", lambda v: _cell(v) or "-"),
+        ("rigid", "rigid", _cell),
     ]
     if cfg.format == "text":
-        return EXIT_OK, "".join(f"{k:<18} {v}\n" for k, v in fields)
-    header = [k for k, _ in fields]
-    return EXIT_OK, _render_rows(cfg, header, [[str(v) for _, v in fields]], payload)
+        return EXIT_OK, "".join(f"{h:<18} {cell(payload[k])}\n" for h, k, cell in columns)
+    return EXIT_OK, _render(cfg, columns, [payload], payload)
 
 
 def _sweep(L: LieAlgebra, seed: int, trials: int) -> list[OrbitAnalysis]:
@@ -227,65 +207,40 @@ def _cmd_table(cfg: RunConfig) -> tuple[int, str]:
         raise UsageError("tables are defined for the exceptional types only")
     tables = _tables(cfg)
     L = build_lie_algebra(cfg.type)
-    analyses = _sweep(L, cfg.seed, cfg.trials)
-    rows = []
-    payload_rows = []
-    if cfg.kind == "reachable":
-        header = ["label", "diagram", "strong", "rigid"]
-        for a in analyses:
-            if not a.reachable:
-                continue
-            labels = a.orbit.diagram.labels
-            label = _label_for(tables, cfg.type, labels)
-            try:
-                rigid = tables.lookup(cfg.type, labels).rigid
-            except ValueError as exc:  # a table without the row
-                raise UsageError(f"the reference tables cannot serve this run: {exc}") from None
-            rows.append(
-                [
-                    label or "-",
-                    _diagram_str(labels),
-                    "x" if a.strongly_reachable else "",
-                    "x" if rigid else "",
-                ]
+    reachable = cfg.kind == "reachable"
+    records = []
+    for a in _sweep(L, cfg.seed, cfg.trials):
+        if reachable and not a.reachable:
+            continue
+        labels = a.orbit.diagram.labels
+        rec = _record(tables, cfg.type, labels)
+        row = {"label": getattr(rec, "label", None), "diagram": list(labels)}
+        if not reachable:
+            row.update(dim_ce=a.dim_ce, ce_weights=list(a.ce_weights))
+        elif rec is None:
+            raise UsageError(
+                "the reference tables cannot serve this run: "
+                f"unknown diagram {labels} for type {cfg.type}"
             )
-            payload_rows.append(
-                {
-                    "label": label,
-                    "diagram": list(labels),
-                    "strongly_reachable": a.strongly_reachable,
-                    "rigid": rigid,
-                }
-            )
-    else:
-        header = ["label", "diagram", "dim_ce", "weights"]
-        for a in analyses:
-            labels = a.orbit.diagram.labels
-            label = _label_for(tables, cfg.type, labels)
-            rows.append(
-                [
-                    label or "-",
-                    _diagram_str(labels),
-                    str(a.dim_ce),
-                    ",".join(map(str, a.ce_weights)),
-                ]
-            )
-            payload_rows.append(
-                {
-                    "label": label,
-                    "diagram": list(labels),
-                    "dim_ce": a.dim_ce,
-                    "ce_weights": list(a.ce_weights),
-                }
-            )
+        else:
+            row.update(strongly_reachable=a.strongly_reachable, rigid=rec.rigid)
+        records.append(row)
     payload = {
         "schema": "exorb.table/1",
         "type": str(cfg.type),
         "kind": cfg.kind,
         "seed": cfg.seed,
-        "rows": payload_rows,
+        "rows": records,
     }
-    return EXIT_OK, _render_rows(cfg, header, rows, payload)
+    columns = [("label", "label", _cell), ("diagram", "diagram", _cell)]
+    if reachable:
+        columns += [
+            (h, k, lambda v: "x" if v else "")
+            for h, k in (("strong", "strongly_reachable"), ("rigid", "rigid"))
+        ]
+    else:
+        columns += [("dim_ce", "dim_ce", _cell), ("weights", "ce_weights", _cell)]
+    return EXIT_OK, _render(cfg, columns, records, payload)
 
 
 def _verify_type(cfg: RunConfig, tables: RefData, tname: str) -> tuple[int, list[dict]]:
@@ -300,6 +255,9 @@ def _verify_type(cfg: RunConfig, tables: RefData, tname: str) -> tuple[int, list
     mismatches: list[dict] = []
 
     def bad(diagram, field, computed, expected) -> None:
+        computed, expected = (
+            list(v) if isinstance(v, tuple) else v for v in (computed, expected)
+        )
         mismatches.append(
             {
                 "diagram": list(diagram),
@@ -318,14 +276,9 @@ def _verify_type(cfg: RunConfig, tables: RefData, tname: str) -> tuple[int, list
         if a is None:
             bad(diagram, "classified", False, True)
             continue
-        if a.reachable != rec.reachable:
-            bad(diagram, "reachable", a.reachable, rec.reachable)
-        if a.strongly_reachable != rec.strongly_reachable:
-            bad(diagram, "strongly_reachable", a.strongly_reachable, rec.strongly_reachable)
-        if a.dim_ce != rec.dim_ce:
-            bad(diagram, "dim_ce", a.dim_ce, rec.dim_ce)
-        if a.ce_weights != rec.ce_weights:
-            bad(diagram, "ce_weights", list(a.ce_weights), list(rec.ce_weights))
+        for field in ("reachable", "strongly_reachable", "dim_ce", "ce_weights"):
+            if getattr(a, field) != getattr(rec, field):
+                bad(diagram, field, getattr(a, field), getattr(rec, field))
         if a.panyushev_generated != a.reachable:
             bad(diagram, "panyushev_generated", a.panyushev_generated, a.reachable)
         if a.strongly_reachable != (a.reachable and rec.rigid):
@@ -342,6 +295,8 @@ def _verify_type(cfg: RunConfig, tables: RefData, tname: str) -> tuple[int, list
 
 
 def _cmd_verify(cfg: RunConfig, type_names: list[str]) -> tuple[int, str]:
+    if cfg.format == "csv":
+        raise UsageError("verify reports in text or json")
     tables = _tables(cfg)
     report_types = {}
     total_mismatches = 0
@@ -371,7 +326,7 @@ def _cmd_verify(cfg: RunConfig, type_names: list[str]) -> tuple[int, str]:
         )
         for m in entry["mismatches"]:
             lines.append(
-                f"  {_diagram_str(tuple(m['diagram']))} {m['field']}: "
+                f"  {_cell(m['diagram'])} {m['field']}: "
                 f"computed={m['computed']} expected={m['expected']}"
             )
     lines.append("status: " + payload["status"])

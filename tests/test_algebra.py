@@ -66,6 +66,16 @@ def test_jacobi_exhaustive_g2():
         assert total.is_zero()
 
 
+@pytest.mark.parametrize("index", [-1, 14])
+def test_element_refuses_a_basis_index_out_of_range(index):
+    # -1 would wrap round to the last Cartan vector of G2 (dim 14)
+    L = build_lie_algebra("G2")
+    with pytest.raises(ValueError, match="basis index out of range"):
+        L.element({index: 1})
+    with pytest.raises(ValueError, match="basis index out of range"):
+        L.basis_element(index)
+
+
 def test_cartan_acts_by_weights():
     L = build_lie_algebra("F4")
     rs = L.rs

@@ -143,6 +143,17 @@ def test_verify_text_format():
     assert out.strip().endswith("status: ok")
 
 
+def test_verify_refuses_csv_before_loading_the_tables(monkeypatch, capsys):
+    def no_tables(cfg):
+        raise AssertionError("tables loaded")
+
+    monkeypatch.setattr(cli, "_tables", no_tables)
+    assert main(["verify", "G2", "--format", "csv"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "usage error: verify reports in text or json\n"
+
+
 def test_json_round_trip_is_canonical():
     _, out = run(_cfg("verify", format="json"))
     doc = json.loads(out)

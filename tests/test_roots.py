@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -144,3 +146,26 @@ def test_cartan_matrix_values():
     assert b3[1][2] == -2 and b3[2][1] == -1
     c3 = build_root_system("C3").cartan
     assert c3[1][2] == -1 and c3[2][1] == -2
+
+
+# The first 16 hex digits of the sha256 of each type's sorted Chevalley
+# structure constants, as JSON [[alpha], [beta], N_{alpha, beta}] triples.
+STRUCTURE_CONSTANT_DIGESTS = {
+    "G2": "7d9c49aafa630ae7",
+    "F4": "6797b8749ed8d0c7",
+    "E6": "ce6e6aceea989d08",
+    "E7": "0c6bc2281840156b",
+    "E8": "00c7509d15a1410c",
+    "A3": "27d39df593831ee7",
+    "B3": "31cad6492c39ba78",
+    "C3": "b3660c787feb2ad0",
+    "D4": "79c9fb0e7d302652",
+}
+
+
+@pytest.mark.parametrize("name", sorted(STRUCTURE_CONSTANT_DIGESTS))
+def test_structure_constants_are_pinned(name):
+    rs = build_root_system(name)
+    triples = sorted([list(a), list(b), n] for (a, b), n in rs.structconsts.items())
+    digest = hashlib.sha256(json.dumps(triples).encode()).hexdigest()[:16]
+    assert digest == STRUCTURE_CONSTANT_DIGESTS[name]
