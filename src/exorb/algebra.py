@@ -12,6 +12,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from .linalg import RatMatrix, _Echelon, _echelon, _exact, _null_space, _scaled_support
@@ -146,6 +147,8 @@ class LieAlgebra:
 
         Summed in integers over the common denominator of the coefficients.
         """
+        if len(elt.coeffs) != self.dim:
+            raise ValueError("dimension mismatch")
         if any(elt.coeffs[i] for i in range(self._hbase)):
             raise ValueError("element is not in the Cartan subalgebra")
         c, scale = _scaled_support(elt.coeffs[self._hbase :])
@@ -180,11 +183,6 @@ def build_lie_algebra(t: TypeRank | str) -> LieAlgebra:
 
 
 # -- sparse integer plumbing ------------------------------------------------
-
-
-def _entry(x: Fraction) -> Fraction | int:
-    """x as an int when it is integral, which keeps its arithmetic on ints."""
-    return x.numerator if x.denominator == 1 else x
 
 
 def _sparse_row(coeffs: Sequence[Fraction]) -> dict[int, Fraction]:
@@ -230,16 +228,18 @@ def _bracket_supp(
 
 
 class _Grading(tuple):
-    """Basis weights checked by `_grading` for one algebra, with its blocks."""
+    """Basis weights that grade the product of L (unchecked), with their blocks."""
 
-    amb: LieAlgebra
-    blocks: dict[int, list[int]]
+    def __new__(cls, L: LieAlgebra, weights: Sequence[int]) -> "_Grading":
+        out = super().__new__(cls, weights)
+        out.amb, out.blocks = L, {}
+        for i, w in enumerate(weights):
+            out.blocks.setdefault(w, []).append(i)
+        return out
 
 
-def _grading(
-    L: LieAlgebra, weights: Sequence[int] | None
-) -> tuple[Sequence[int], dict[int, list[int]]]:
-    """The checked weights and the basis indices of each weight.
+def _grading(L: LieAlgebra, weights: Sequence[int] | None) -> _Grading:
+    """The checked weights, with the basis indices of each weight.
 
     `None` is the trivial grading, every basis vector of weight 0.  Other
     weights must grade the product: [g(i), g(j)] lies in g(i + j) for every
@@ -253,12 +253,12 @@ def _grading(
     x_a has weight sum(m_i v_i) for a = sum(m_i alpha_i); and [x_a, y_a] is
     a nonzero coroot, of weight 0, so y_a has the opposite weight.
 
-    The checked weights come back as a `_Grading` of L, which this returns
-    as it stands, so an analysis that passes one grading to several layers
-    checks and blocks it once.
+    A `_Grading` of L, checked here or built from `L.basis_weights`, is
+    returned as it stands, so an analysis that passes one grading to
+    several layers checks and blocks it once.
     """
     if isinstance(weights, _Grading) and weights.amb is L:
-        return weights, weights.blocks
+        return weights
     if weights is None:
         weights = (0,) * L.dim
     elif len(weights) != L.dim:
@@ -268,12 +268,7 @@ def _grading(
         values = [weights[L._index_of_root[a]] for a in simple]
         if tuple(weights) != L.basis_weights(values):
             raise ValueError("weights do not grade the algebra")
-    blocks: dict[int, list[int]] = {}
-    for i, w in enumerate(weights):
-        blocks.setdefault(w, []).append(i)
-    out = _Grading(weights)
-    out.amb, out.blocks = L, blocks
-    return out, blocks
+    return _Grading(L, weights)
 
 
 # -- public types and operations --------------------------------------------
@@ -294,6 +289,12 @@ class Subspace:
     the same check.  Equality and the hash are taken on the rows; the dense
     `basis` matrix is a view built on first use.
 
+    Each row is also held as its integer support (`_ints`): the row times
+    the common denominator of its entries, the same dict when the row is
+    integral, as nearly every row of an analysis is.  The layers bracket and
+    reduce these.  A subspace built by a layer that knew each row's weight
+    under a grading (see `_span`) keeps those weights for `row_weights`.
+
     Block lemma: when the coordinates are split into disjoint blocks (the
     weights of a grading) and a subspace is spanned by vectors each inside
     one block, its canonical basis is the union of the blocks' canonical
@@ -308,16 +309,24 @@ class Subspace:
                 raise ValueError("basis has the wrong number of columns")
             basis = map(_sparse_row, basis.data)
         at: dict[int, dict[int, Fraction | int]] = {}  # pivot -> sparse row
+        ints: list[dict[int, int]] = []  # the integer supports, in pivot order
         last = -1
         for row in basis:
             p = min(row, default=-1)
             if p <= last or row[p] != 1 or not all(row.values()) or max(row) >= amb.dim:
                 raise ValueError("basis is not in reduced row-echelon form")
-            at[p] = {k: _entry(x) for k, x in row.items()}
+            if {int}.issuperset(map(type, row.values())):
+                at[p] = r = dict(row)
+            else:  # integral entries as ints, which keeps their arithmetic on ints
+                at[p] = r = {k: x.numerator if x.denominator == 1 else x for k, x in row.items()}
+                den = lcm(*(x.denominator for x in r.values()))
+                if den != 1:
+                    r = {k: x.numerator * (den // x.denominator) for k, x in r.items()}
+            ints.append(r)
             last = p
         if any(k != p and k in at for p, row in at.items() for k in row):
             raise ValueError("basis is not in reduced row-echelon form")
-        self.__dict__.update(amb=amb, _row_at=at)
+        self.__dict__.update(amb=amb, _row_at=at, _ints=tuple(ints), _weights=None)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Subspace is immutable")
@@ -383,8 +392,12 @@ class Subspace:
         """The weight of each canonical basis row under a grading.
 
         Raises ValueError when a row mixes weights, which by the block lemma
-        means the subspace is not graded.
+        means the subspace is not graded.  The weights that a layer built
+        the rows with (see `_span`) are returned as they stand.
         """
+        known = self._weights
+        if known is not None and known[0] is weights:
+            return known[1]
         if len(weights) != self.amb.dim:
             raise ValueError("weights have the wrong length")
         out = []
@@ -411,44 +424,50 @@ def bracket(L: LieAlgebra, a: Element, b: Element) -> Element:
 
 
 def centralizer(
-    L: LieAlgebra, a: Element, weights: Sequence[int] | None = None
+    L: LieAlgebra, a: Element | Mapping[int, int], weights: Sequence[int] | None = None
 ) -> Subspace:
     """The kernel of ad a, as a subspace of L.
 
-    `weights` is a grading of L, such as `L.basis_weights(labels)`; without
-    it every basis vector has weight 0.  a must be homogeneous, of weight d
-    say (ValueError otherwise).  Then ad a maps g(k) into g(k + d), and the
-    kernel is the sum over k of the block kernels ker(ad a : g(k) -> g(k+d)),
+    a is an element or a sparse row {index: nonzero entry}, such as its
+    integer support, which has the same kernel.  `weights` is a grading of
+    L, such as `L.basis_weights(labels)`; without it every basis vector has
+    weight 0.  a must be homogeneous, of weight d say (ValueError
+    otherwise).  Then ad a maps g(k) into g(k + d), and the kernel is the
+    sum over k of the block kernels ker(ad a : g(k) -> g(k+d)),
     each computed from the integer structure constants.  By the block lemma
     (see `Subspace`) the union of the blocks' canonical kernels is the
     canonical basis of the whole kernel, so the result does not depend on
     the grading; a finer grading only makes the blocks smaller.
     """
-    if len(a.coeffs) != L.dim:
-        raise ValueError("dimension mismatch")
-    weights, blocks = _grading(L, weights)
-    supp, _ = _scaled_support(a.coeffs)
-    degrees = {weights[i] for i in supp}
+    if isinstance(a, Element):
+        if len(a.coeffs) != L.dim:
+            raise ValueError("dimension mismatch")
+        a = _scaled_support(a.coeffs)[0]
+    elif not all(0 <= i < L.dim for i in a):
+        raise ValueError("basis index out of range")
+    grading = _grading(L, weights)
+    degrees = {grading[i] for i in a}
     if len(degrees) > 1:
         raise ValueError("element is not homogeneous for the grading")
     d = degrees.pop() if degrees else 0
+    blocks = grading.blocks
     adj = L._adj
-    rows: list[dict[int, Fraction | int]] = []
+    rows: list[tuple[dict[int, Fraction | int], int]] = []
     for k, dom in blocks.items():
-        if not (supp and k + d in blocks):
-            rows.extend({j: 1} for j in dom)
+        if not (a and k + d in blocks):
+            rows.extend(({j: 1}, k) for j in dom)
             continue
         # the rows of ad a : g(k) -> g(k + d), as {column: entry}; an entry
         # where two terms of a cancel stays as an explicit 0, which
         # `_null_space` drops
         block: dict[int, dict[int, int]] = defaultdict(dict)
         for col, j in enumerate(dom):
-            for i, c in supp.items():
+            for i, c in a.items():
                 for t, n in adj[i].get(j, ()):
                     block[t][col] = block[t].get(col, 0) + c * n
         for v in _null_space(block.values(), len(dom)):
-            rows.append({dom[x]: y for x, y in v.items()})
-    return Subspace(L, sorted(rows, key=min))
+            rows.append(({dom[x]: y for x, y in v.items()}, k))
+    return _span(L, grading, rows)
 
 
 def derived_subalgebra(
@@ -465,7 +484,7 @@ def derived_subalgebra(
     grade the product, so it is settled within weight t = i + j alone.  A
     pair is skipped when t is not the weight of any basis vector of L: then
     g(t) = 0, so the bracket is zero, lies in s and adds nothing.  Each
-    canonical row is bracketed as its integer multiple, which changes no
+    canonical row is bracketed as its integer support, which changes no
     span.  While the span accumulated in weight t has fewer rows than s(t),
     a bracket is reduced exactly against it and a nonzero residual is
     stored; once it has as many rows it equals s(t).  Where s(t) = g(t),
@@ -478,32 +497,41 @@ def derived_subalgebra(
     """
     if s.amb is not L:
         raise ValueError("subspace belongs to a different algebra")
-    weights, blocks = _grading(L, weights)
-    row_w = s.row_weights(weights)
-    rows = [_scaled_support(r)[0] for r in s._row_at.values()]
-    cap = Counter(row_w)
-    whole = {t for t, n in cap.items() if n == len(blocks[t])}  # s(t) = g(t)
+    grading = _grading(L, weights)
+    blocks = grading.blocks
+    graded = list(zip(s._ints, s.row_weights(grading)))
+    missing = Counter(w for _, w in graded)  # rows of s(t) not yet spanned
+    whole = {t for t, n in missing.items() if n == len(blocks[t])}  # s(t) = g(t)
+    live = set(blocks)  # the weights whose brackets are still formed
     acc: dict[int, _Echelon] = defaultdict(_Echelon)
-    adj = L._adj
-    for i, (ri, wi) in enumerate(zip(rows, row_w)):
-        for rj, wj in zip(rows[i + 1 :], row_w[i + 1 :]):
+    adj, has = L._adj, s._has
+    for i, (ri, wi) in enumerate(graded):
+        for rj, wj in graded[i + 1 :]:
             t = wi + wj
-            if t not in blocks:
-                continue
-            span = acc[t]
-            filling = span.dim < cap[t]
-            if not filling and t in whole:
+            if t not in live:
                 continue
             v = _bracket_supp(adj, ri, rj)
-            if filling:
-                v = span.reduce(v)
+            m = missing.get(t, 0)
+            if m:
+                v = acc[t].reduce(v)
             if not v:
                 continue
-            if t not in whole and not s._has(v):
+            if t not in whole and not has(v):
                 raise ValueError("subspace is not closed under the bracket")
-            if filling:
-                span.store(v)
-    return Subspace(L, sorted((r for e in acc.values() for r in e.canonical_rows()), key=min))
+            if m:
+                acc[t].store(v)
+                missing[t] = m - 1
+                if m == 1 and t in whole:
+                    live.discard(t)
+    return _span(L, grading, ((r, t) for t, e in acc.items() for r in e.canonical_rows()))
+
+
+def _span(L: LieAlgebra, grading: _Grading, rows: Iterable[tuple[Mapping, int]]) -> Subspace:
+    """The subspace of canonical rows, each with the weight of its block."""
+    rows = sorted(rows, key=lambda rw: min(rw[0]))
+    s = Subspace(L, [r for r, _ in rows])
+    s.__dict__["_weights"] = (grading, tuple(w for _, w in rows))
+    return s
 
 
 def subalgebra_closure(
@@ -514,80 +542,78 @@ def subalgebra_closure(
 ) -> Subspace:
     """Smallest bracket-closed subspace containing the generators.
 
-    When `within` is supplied it must be bracket-closed and contain the
-    generators (containment is checked here, closedness is the caller's
-    contract); it then bounds the iteration, which stops as soon as the
-    accumulated span fills it.
+    When `within` is supplied it must be a subspace of L, bracket-closed
+    and contain the generators (containment is checked here, closedness is
+    the caller's contract); it then bounds the iteration, which stops as
+    soon as the accumulated span fills it.
 
     `weights` is a grading of L (see `centralizer`); the generators must be
-    homogeneous and `within` graded (ValueError otherwise).  The span is
-    accumulated weight by weight: each generator and each bracket of two
-    accumulated rows is reduced exactly against the span's part of its
-    weight, and a nonzero residual is stored.  Once the part of weight t is
-    full, that is all of g(t) or all of within's rows of weight t (none at
-    all when within has no such rows), brackets of weight t are neither
-    formed nor reduced: under within's contract they lie in the span
-    already.  So the result is the same for every grading.
+    homogeneous and `within` graded (ValueError otherwise).  See `_closure`.
     """
+    if within is not None and within.amb is not L:
+        raise ValueError("subspace belongs to a different algebra")
+    grading = _grading(L, weights)
+    if within is None:
+        cap = {w: len(idx) for w, idx in grading.blocks.items()}
+    else:
+        cap = Counter(within.row_weights(grading))
     rows = []
     for g in gens:
         if len(g.coeffs) != L.dim:
             raise ValueError("dimension mismatch")
         if within is not None and not within.contains(g):
             raise ValueError("generator lies outside the enclosing subspace")
-        rows.append(_sparse_row(g.coeffs))
-    return _closure(L, rows, within, weights)
-
-
-def _closure(
-    L: LieAlgebra,
-    gens: Iterable[Mapping[int, Fraction]],
-    within: Subspace | None,
-    weights: Sequence[int] | None,
-) -> Subspace:
-    """`subalgebra_closure` of sparse generators, which must lie in `within`.
-
-    The generators are scaled to integers once, which changes no span; the
-    rows the echelon stores are integer rows too, and are bracketed as they
-    stand.
-    """
-    weights, blocks = _grading(L, weights)
-    if within is None:
-        cap = {w: len(idx) for w, idx in blocks.items()}
-        limit = L.dim
-    else:
-        cap = Counter(within.row_weights(weights))
-        limit = within.dim
-    queue: list[tuple[dict, int]] = []
-    for v in gens:
-        ws = {weights[k] for k in v}
+        v = _scaled_support(g.coeffs)[0]
+        ws = {grading[k] for k in v}
         if len(ws) > 1:
             raise ValueError("generator is not homogeneous for the grading")
         if ws:
-            queue.append((_scaled_support(v)[0], ws.pop()))
+            rows.append((v, ws.pop()))
+    acc = _closure(L, rows, cap)
+    return _span(L, grading, ((r, t) for t, e in acc.items() for r in e.canonical_rows()))
+
+
+def _closure(
+    L: LieAlgebra, gens: Iterable[tuple[Mapping[int, int], int]], cap: Mapping[int, int]
+) -> dict[int, _Echelon]:
+    """The closure of integer generators, each given with its weight, by weight.
+
+    The generators (left unchanged) lie in a bracket-closed graded space
+    with cap[t] rows of weight t, all of g(t) when there is none.  The span
+    is accumulated weight by weight: each generator and each bracket of two
+    accumulated rows is reduced exactly against the span's part of its
+    weight, and a nonzero residual is stored, an integer row that is
+    bracketed as it stands.  Once the part of weight t has cap[t] rows
+    (none when cap lacks t), brackets of weight t are neither formed nor
+    reduced: under the space's contract they lie in the span already.  So
+    the result is the same for every grading.
+    """
+    missing = dict(cap)  # rows of weight t still to find
+    left = sum(cap.values())
+    queue = [(dict(v), w) for v, w in gens]
     acc: dict[int, _Echelon] = defaultdict(_Echelon)
     basis_rows: list[tuple[dict[int, int], int]] = []
-    found = 0
     adj = L._adj
     while queue:
         v, w = queue.pop()
-        if acc[w].dim >= cap.get(w, 0):
+        if not missing.get(w):
             continue
         residual = acc[w].reduce(v)
         if not residual:
             continue
         row = acc[w].store(residual)
-        found += 1
-        if found >= limit:
+        missing[w] -= 1
+        left -= 1
+        if not left:
             break
         for u, a in basis_rows:
             t = a + w
-            if t in cap and acc[t].dim < cap[t]:
+            if missing.get(t):
                 b = _bracket_supp(adj, u, row)
                 if b:
                     queue.append((b, t))
         basis_rows.append((row, w))
-    return Subspace(L, sorted((r for e in acc.values() for r in e.canonical_rows()), key=min))
+    return acc
 
 
 def quotient_with_action(
@@ -610,23 +636,22 @@ def quotient_with_action(
     # rest, so integral values mean integer eigenvalues, summed as ints.
     if any(v.denominator != 1 for v in values):
         raise ValueError("ad h does not act with integer eigenvalues")
-    return _quotient(s, t, L.basis_weights([v.numerator for v in values]))
+    weights = L.basis_weights([v.numerator for v in values])
+    try:
+        s_weights, t_weights = s.row_weights(weights), t.row_weights(weights)
+    except ValueError:
+        raise ValueError("subspace is not stable under ad h") from None
+    return _quotient(s, t, s_weights, t_weights)
 
 
 def _quotient(
-    s: Subspace, t: Subspace, weights: Sequence[int], s_weights: Sequence[int] | None = None
+    s: Subspace, t: Subspace, s_weights: Iterable[int], t_weights: Iterable[int]
 ) -> tuple[int, tuple[int, ...]]:
-    """`quotient_with_action` with the ad h weights of L already formed.
-
-    `s_weights` are s's row weights under them, when the caller has them.
-    """
-    if not all(s._has(row) for row in t._row_at.values()):
+    """`quotient_with_action` from the ad h weights of the rows of s and t."""
+    if not all(s._has(row) for row in t._ints):
         raise ValueError("t is not contained in s")
-    try:
-        mult = Counter(s.row_weights(weights) if s_weights is None else s_weights)
-        mult.subtract(t.row_weights(weights))
-    except ValueError:
-        raise ValueError("subspace is not stable under ad h") from None
+    mult = Counter(s_weights)
+    mult.subtract(t_weights)
     if any(m < 0 for m in mult.values()):
         raise ValueError("inconsistent graded dimensions")
     out = tuple(sorted(mult.elements()))

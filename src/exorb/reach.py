@@ -23,6 +23,7 @@ without a grading (the block lemma, see `algebra.Subspace`).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping, Sequence
@@ -31,14 +32,15 @@ from .algebra import (
     Element,
     LieAlgebra,
     Subspace,
+    _bracket_supp,
     _closure,
-    _grading,
+    _Grading,
     _quotient,
     centralizer,
     derived_subalgebra,
 )
 from .linalg import _null_space, _scaled_support
-from .orbits import NilpotentOrbit, WeightedDynkinDiagram, enumerate_orbits
+from .orbits import NilpotentOrbit, WeightedDynkinDiagram, _h_support, enumerate_orbits
 
 __all__ = [
     "OrbitAnalysis",
@@ -67,8 +69,10 @@ def _highest_root(L: LieAlgebra) -> tuple[int, ...]:
     return tuple(max(column) for column in L._root_columns)
 
 
-def _torus_weights(L: LieAlgebra, e: Element, labels: Sequence[int]) -> tuple[int, ...]:
-    """Basis weights of the grading by ad h and the subtorus that fixes e.
+def _torus_weights(
+    L: LieAlgebra, e: Element | Mapping[int, int], labels: Sequence[int]
+) -> _Grading:
+    """The grading by ad h and the subtorus that fixes e, e or its support.
 
     phi_1..phi_m are the integer annihilator of the support roots of e (the
     Cartan part of e, of weight 0 under every grading, imposes nothing).
@@ -81,10 +85,12 @@ def _torus_weights(L: LieAlgebra, e: Element, labels: Sequence[int]) -> tuple[in
     on |phi(alpha)|, without forming the weights of each phi.  Each root of
     e in g(2) has weight 2 * base^m.  For e = 0 this is the full root
     grading; when the support spans the root lattice, the ad h grading.
+    Such weights grade the product (see `algebra._grading`), unchecked.
     """
-    support = [dict(enumerate(L._root_of_index[i])) for i in e.support() if i < L._hbase]
+    support = e.support() if isinstance(e, Element) else e
+    roots = [dict(enumerate(L._root_of_index[i])) for i in support if i < L._hbase]
     digits = [list(labels)]
-    for v in _null_space(support, L.rank):
+    for v in _null_space(roots, L.rank):
         phi = _scaled_support(v)[0]
         digits.append([phi.get(i, 0) for i in range(L.rank)])
     theta = _highest_root(L)
@@ -92,7 +98,33 @@ def _torus_weights(L: LieAlgebra, e: Element, labels: Sequence[int]) -> tuple[in
     values = [0] * L.rank
     for phi in digits:
         values = [base * v + x for v, x in zip(values, phi)]
-    return L.basis_weights(values)
+    return _Grading(L, L.basis_weights(values))
+
+
+def _triple_supports(L: LieAlgebra, o: NilpotentOrbit) -> tuple[dict[int, int], tuple[int, ...]]:
+    """e's integer support and the ad h weights, once (e, h, f) is checked.
+
+    Each of e, h and f is read once, as (integer support, denominator).  h
+    must be the diagram's characteristic, e a vector of g(2), nonzero unless
+    the diagram is, f one of g(-2), and [e, f] = h (ValueError otherwise).
+    """
+    e, h, f = o.triple.e, o.triple.h, o.triple.f
+    if not len(e.coeffs) == len(h.coeffs) == len(f.coeffs) == L.dim:
+        raise ValueError("dimension mismatch")
+    ad_h = L.basis_weights(o.diagram.labels)
+    (se, de), (sh, dh), (sf, df) = (_scaled_support(x.coeffs) for x in (e, h, f))
+    if (sh, dh) != _h_support(L, o.diagram.labels):
+        raise ValueError(f"h does not realize the diagram {o.diagram}")
+    if (
+        any(ad_h[i] != 2 for i in se)
+        or not (se or o.diagram.is_zero())
+        or any(ad_h[i] != -2 for i in sf)
+        # [de * e, df * f] * dh = de * df * (dh * h)
+        or {k: v * dh for k, v in _bracket_supp(L._adj, se, sf).items()}
+        != {k: x * de * df for k, x in sh.items()}
+    ):
+        raise ValueError(f"(e, h, f) is not an sl2-triple for the diagram {o.diagram}")
+    return se, ad_h
 
 
 def _analyze_full(
@@ -104,32 +136,27 @@ def _analyze_full(
     its weights are linear in the root, so g_e, [g_e, g_e] and the closure
     of g(1)_e are graded by its characters and by ad h at once.  Each layer
     works weight by weight in the grading of `_torus_weights` (see
-    `centralizer`).  By the block lemma the canonical rows of g_e are
-    homogeneous in it, hence in the coarser ad h grading too, so g(>=1)_e
-    and g_e(1) are read off them as they stand with the diagram's basis
-    weights, and every canonical basis is the one that the ad h grading
-    alone gives.  The ad h weights of L and g_e's row weights under them
-    are formed once, for that split and for the quotient.
+    `centralizer`), and hands its rows on with their integer supports and
+    their weights in it.  By the block lemma the canonical rows of g_e and
+    [g_e, g_e] are homogeneous in it, hence in the coarser ad h grading
+    too, so each row's ad h weight is that of its pivot: g(>=1)_e and
+    g_e(1) are read off the rows as they stand, and so is the quotient.
+    Every canonical basis is the one that the ad h grading alone gives.
     """
-    e, h = o.triple.e, o.triple.h
-    labels = o.diagram.labels
-    if L.cartan_values(h) != labels:
-        raise ValueError(f"h does not realize the diagram {o.diagram}")
-    # checked and blocked once, for all three layers
-    weights = _grading(L, _torus_weights(L, e, labels))[0]
-    ge = centralizer(L, e, weights)
-    derived = derived_subalgebra(L, ge, weights)
-    reachable = derived.contains(e)
+    se, ad_h = _triple_supports(L, o)
+    grading = _torus_weights(L, se, o.diagram.labels)
+    ge = centralizer(L, se, grading)
+    derived = derived_subalgebra(L, ge, grading)
+    reachable = derived._has(se)
     strongly = derived.dim == ge.dim
 
-    ad_h = L.basis_weights(labels)
-    ge_weights = ge.row_weights(ad_h)
-    graded = list(zip(ge._row_at.values(), ge_weights))
-    upper = Subspace(L, [r for r, w in graded if w >= 1])
-    closure = _closure(L, [r for r, w in graded if w == 1], upper, weights)
-    panyushev = closure.dim == upper.dim
+    ge_h = [ad_h[p] for p in ge._row_at]
+    graded = list(zip(ge._ints, ge.row_weights(grading), ge_h))
+    cap = Counter(w for _, w, k in graded if k >= 1)  # g(>=1)_e in the torus grading
+    closure = _closure(L, [(r, w) for r, w, k in graded if k == 1], cap)
+    panyushev = sum(span.dim for span in closure.values()) == sum(cap.values())
 
-    dim_ce, ce_weights = _quotient(ge, derived, ad_h, ge_weights)
+    dim_ce, ce_weights = _quotient(ge, derived, ge_h, [ad_h[p] for p in derived._row_at])
     analysis = OrbitAnalysis(
         orbit=o,
         dim_ge=ge.dim,
@@ -144,7 +171,10 @@ def _analyze_full(
 
 
 def analyze(L: LieAlgebra, o: NilpotentOrbit) -> OrbitAnalysis:
-    """Full exact report for one orbit, computed in its torus grading."""
+    """Full exact report for one orbit, computed in its torus grading.
+
+    ValueError unless its (e, h, f) is an sl2-triple for its diagram.
+    """
     return _analyze_full(L, o)[0]
 
 

@@ -302,6 +302,26 @@ def test_closure_respects_within_bound():
         subalgebra_closure(L, [outside], within=c)
 
 
+def test_centralizer_of_a_sparse_row_is_that_of_the_element():
+    L = build_lie_algebra("F4")
+    e = L.root_vector(L.rs.positive_roots[-1]) + L.root_vector(L.rs.positive_roots[-2])
+    weights = L.basis_weights((0, 0, 0, 1))
+    row = {i: 3 for i in e.support()}  # an integer multiple of e
+    assert centralizer(L, row, weights) == centralizer(L, e, weights) == centralizer(L, e)
+    for bad in ({-1: 1}, {L.dim: 1}):
+        with pytest.raises(ValueError, match="basis index out of range"):
+            centralizer(L, bad)
+
+
+def test_closure_refuses_a_within_from_another_algebra():
+    # B2 and C2 both have dimension 10, so no length check can catch it.
+    B2, C2 = build_lie_algebra("B2"), build_lie_algebra("C2")
+    gens = [B2.root_vector(B2.rs.positive_roots[0])]
+    with pytest.raises(ValueError, match="subspace belongs to a different algebra"):
+        subalgebra_closure(B2, gens, within=Subspace.full(C2))
+    assert subalgebra_closure(B2, gens, within=Subspace.full(B2)).dim == 1
+
+
 def test_quotient_with_action_trivial_and_errors():
     L = build_lie_algebra("G2")
     e = L.root_vector((2, 1))
@@ -348,6 +368,13 @@ def test_cartan_values_are_the_fraction_sums(name):
     assert L.cartan_values(L.zero()) == (0,) * L.rank
     with pytest.raises(ValueError, match="not in the Cartan subalgebra"):
         L.cartan_values(L.cartan_element(0) + L.root_vector(L.rs.positive_roots[0]))
+
+
+def test_cartan_values_refuse_an_element_of_the_wrong_length():
+    G2, F4 = build_lie_algebra("G2"), build_lie_algebra("F4")
+    for elt in (F4.zero(), F4.cartan_element(0)):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            G2.cartan_values(elt)
 
 
 def test_quotient_rejects_unstable_spaces():
@@ -569,14 +596,14 @@ def test_closure_makes_no_echelon_for_a_weight_that_within_lacks(monkeypatch):
     lacking = 0
     for L, o in _triple_orbits():
         e, labels = o.triple.e, o.diagram.labels
-        weights = _grading(L, _torus_weights(L, e, labels))[0]
+        weights = _torus_weights(L, e, labels)
         ge = centralizer(L, e, weights)
-        graded = list(zip(ge._row_at.values(), ge.row_weights(L.basis_weights(labels))))
-        upper = Subspace(L, [r for r, w in graded if w >= 1])
-        gens = [r for r, w in graded if w == 1]
+        hweights = ge.row_weights(L.basis_weights(labels))
+        graded = list(zip(ge._ints, ge.row_weights(weights), hweights))
+        cap = Counter(w for _, w, k in graded if k >= 1)  # g(>=1)_e
         made.clear()
-        _closure(L, gens, upper, weights)
-        present = set(upper.row_weights(weights))
+        _closure(L, [(r, w) for r, w, k in graded if k == 1], cap)
+        present = set(cap)
         assert len(made) <= len(present)
         lacking += any(a + b not in present for a in present for b in present)
     assert lacking > 0

@@ -1,16 +1,19 @@
 import hashlib
 import json
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
 from exorb import orbits as orbits_module
 from exorb.algebra import (
+    Element,
     Subspace,
-    _closure,
     build_lie_algebra,
     centralizer,
     derived_subalgebra,
     quotient_with_action,
+    subalgebra_closure,
 )
 from exorb.linalg import RatMatrix
 from exorb.orbits import (
@@ -164,7 +167,7 @@ def _layers(L, o, weights):
     hweights = L.basis_weights(o.diagram.labels)
     graded = list(zip(ge._row_at.values(), ge.row_weights(hweights)))
     upper = Subspace(L, [r for r, w in graded if w >= 1])
-    closure = _closure(L, [r for r, w in graded if w == 1], upper, weights)
+    closure = subalgebra_closure(L, [L.element(r) for r, w in graded if w == 1], upper, weights)
     return ge, derived, upper, closure
 
 
@@ -295,3 +298,120 @@ def test_quotient_with_action_is_the_analysis_quotient(name):
     for o in enumerate_orbits(L):
         a, ge, derived = _analyze_full(L, o)
         assert quotient_with_action(L, ge, derived, o.triple.h) == (a.dim_ce, a.ce_weights)
+
+
+def _g2_orbits():
+    L = build_lie_algebra("G2")
+    return L, {o.diagram.labels: o for o in enumerate_orbits(L)}
+
+
+def test_analyze_refuses_what_is_not_an_sl2_triple_for_the_diagram():
+    from exorb.orbits import Sl2Triple
+
+    L, by_diagram = _g2_orbits()
+    o = by_diagram[0, 1]
+    e, h, f = o.triple.e, o.triple.h, o.triple.f
+    other = by_diagram[1, 0].triple
+    zero = L.zero()
+    wrong = {
+        "another orbit's e": (other.e, h, f),
+        "e = 0": (zero, h, f),
+        "another orbit's h": (e, other.h, f),
+        "f outside g(-2)": (e, h, f + h),
+        "[e, f] = 2h": (e, h, 2 * f),
+        "a triple of another algebra": tuple(build_lie_algebra("F4").zero() for _ in range(3)),
+    }
+    for name, (e1, h1, f1) in wrong.items():
+        with pytest.raises(ValueError):
+            analyze(L, NilpotentOrbit(o.diagram, Sl2Triple(e1, h1, f1)))
+    d0 = WeightedDynkinDiagram((0, 0))
+    with pytest.raises(ValueError):
+        analyze(L, NilpotentOrbit(d0, Sl2Triple(e, zero, zero)))
+    assert analyze(L, NilpotentOrbit(d0, Sl2Triple(zero, zero, zero))).dim_ge == L.dim
+    assert analyze(L, o).dim_ge == G2_EXPECTED[0, 1][0]
+
+
+def test_analyze_reads_each_piece_of_data_once(monkeypatch):
+    # One analysis converts no `Subspace` row back with `_scaled_support`,
+    # forms the weights of no canonical row twice in one grading, forms the
+    # basis weights of two gradings (torus and ad h) and reads the dense
+    # coefficients of e, h and f once each.
+    import exorb.algebra
+    import exorb.reach
+    from exorb.orbits import Sl2Triple
+
+    subspaces, scaled, formed, basis_weights = [], [], Counter(), []
+    reads = Counter()
+
+    init = Subspace.__init__
+
+    def recording_init(self, *args):
+        init(self, *args)
+        subspaces.append(self)
+
+    def recording_scaled(kernel):
+        def wrapper(coeffs):
+            scaled.append(coeffs)
+            return kernel(coeffs)
+
+        return wrapper
+
+    row_weights = Subspace.row_weights
+
+    def counting_row_weights(self, weights):
+        out = row_weights(self, weights)
+        known = self.__dict__.get("_weights")  # the weights its builder handed on
+        if not (known and known[0] is weights):
+            for row in self._row_at.values():
+                formed[frozenset(row.items()), id(weights)] += 1
+        return out
+
+    bw = exorb.algebra.LieAlgebra.basis_weights
+
+    def counting_basis_weights(L, labels):
+        basis_weights.append(labels)
+        return bw(L, labels)
+
+    class Reads(tuple):
+        def __iter__(self):
+            reads[self.name] += 1
+            return super().__iter__()
+
+        def __getitem__(self, i):
+            reads[self.name] += 1
+            return super().__getitem__(i)
+
+    def read_once(name, elt):
+        coeffs = Reads(elt.coeffs)
+        coeffs.name = name
+        return Element(coeffs)
+
+    monkeypatch.setattr(Subspace, "__init__", recording_init)
+    monkeypatch.setattr(Subspace, "row_weights", counting_row_weights)
+    monkeypatch.setattr(exorb.algebra.LieAlgebra, "basis_weights", counting_basis_weights)
+    for module in (exorb.algebra, exorb.reach):
+        monkeypatch.setattr(module, "_scaled_support", recording_scaled(module._scaled_support))
+
+    L = build_lie_algebra("E6")
+    d = WeightedDynkinDiagram(load_tables().by_label("E6", "2A2+A1").diagram)
+    triple = complete_triple(L, characteristic_element(L, d), find_representative(L, d))
+    cases = [(L, NilpotentOrbit(d, triple))]
+    F4 = build_lie_algebra("F4")
+    cases += [(F4, o) for o in enumerate_orbits(F4)]
+    odd = 0
+    for L, o in cases:
+        t = o.triple
+        counted = NilpotentOrbit(
+            o.diagram, Sl2Triple(read_once("e", t.e), read_once("h", t.h), read_once("f", t.f))
+        )
+        for log in (subspaces, scaled, formed, basis_weights, reads):
+            log.clear()
+        a = analyze(L, counted)
+        rows = {id(r) for s in subspaces for r in (*s._row_at.values(), *s.__dict__.get("_ints", ()))}
+        assert not [c for c in scaled if id(c) in rows]
+        assert max(formed.values(), default=0) <= 1
+        assert len(basis_weights) <= 2
+        assert all(reads[name] <= 1 for name in "ehf"), reads
+        assert a == replace(analyze(L, o), orbit=counted)
+        odd += 1 in o.diagram.labels
+    assert odd > 0
