@@ -5,7 +5,10 @@ the simple roots).  Every label vector goes through one search, and its one
 certificate is the sl2-triple with the characteristic h of the labels:
 
 - the size filters reject label vectors whose graded dimensions no triple
-  allows; they are settled for chunks of 81 label vectors at once;
+  allows, and those whose h lies outside the coroot lattice: the
+  coordinate of h on the simple coroot h_i is omega_i(h), an eigenvalue of
+  h on the module V(omega_i), so an integer for every triple.  They are
+  settled for chunks of 81 label vectors at once;
 - seeded random draws e in g(2) run until ad e maps g(0) onto g(2), which
   puts e in the open G(0)-orbit of g(2); whether [e, f] = h is soluble for
   that e decides the label vector.  Both questions are read off
@@ -190,6 +193,17 @@ def _orbit_dim(L: LieAlgebra, labels: Sequence[int]) -> int:
 CHUNK_LABELS = 4
 
 
+def _in_coroot_lattice(L: LieAlgebra, labels: np.ndarray) -> np.ndarray:
+    """Whether h of each row of `labels` has integer coordinates on the coroots.
+
+    The coordinates are the integer rows of `_cartan_inverse` times the
+    labels over its denominator, one product for all rows; with
+    denominator 1 (G2, F4, E8) every h passes.
+    """
+    rows, den = _cartan_inverse(L)
+    return np.all(labels @ rows.T % den == 0, axis=1)
+
+
 @lru_cache(maxsize=None)
 def _size_filters(L: LieAlgebra, chunk: int) -> np.ndarray:
     """Whether each label vector of a chunk passes the size filters.
@@ -197,7 +211,11 @@ def _size_filters(L: LieAlgebra, chunk: int) -> np.ndarray:
     For a triple with characteristic h, g is a sum of sl2-modules, so
     dim g(k) >= dim g(k+2) for every k >= 0, also where dim g(k) = 0, and
     dim g(1) is even (kappa(f, [x, y]) is a nondegenerate symplectic form on
-    g(1)); a nonzero label vector also needs g(2) nonzero.  The base-3
+    g(1)); a nonzero label vector also needs g(2) nonzero.  h also lies in
+    the coroot lattice: its coordinate on the simple coroot h_i is
+    omega_i(h), and the fundamental weight omega_i is a weight of the
+    finite-dimensional module V(omega_i), on which h, as an element of an
+    sl2, acts with integer eigenvalues (`_in_coroot_lattice`).  The base-3
     value of the labels, first highest (the order of `itertools.product`),
     is chunk * 3^CHUNK_LABELS plus the vector's index in the returned bytes.
     So one label vector costs one chunk of at most 81 vectors, whatever the
@@ -216,6 +234,7 @@ def _size_filters(L: LieAlgebra, chunk: int) -> np.ndarray:
         (sizes[:, 2] > 0)
         & (sizes[:, 1] % 2 == 0)
         & np.all(sizes[:, :-2] >= sizes[:, 2:], axis=1)
+        & _in_coroot_lattice(L, labels)
     )
 
 
@@ -273,17 +292,17 @@ def _ad_down(layout: _Layout, coeffs: Sequence[int]) -> np.ndarray:
 
 
 def _layout(L: LieAlgebra, d: WeightedDynkinDiagram) -> _Layout | None:
-    """The graded pieces of d that the draws read, or None when sizes rule out d.
+    """The graded pieces of d that the draws read, or None when a filter rules d out.
 
-    The size filters read only the graded sizes (`_size_filters`, settled
-    for d's chunk of label vectors at once), and the weights and index
-    arrays are built only for the label vectors that pass.  The draws and
-    the walk need only A = ad e : g(-2) -> g(0), whose entries are those of
-    `_down_table` with j and b in g(2); its rank settles both questions of
-    a draw and each step of the walk (see `_decide`).  h is read as den * h,
-    the integer rows of `_cartan_inverse` times the labels; den is a unit
-    mod p, so it changes no rank, and h itself is formed only for an exact
-    triple.
+    The size filters read only the graded sizes and the coroot coordinates
+    of h (`_size_filters`, settled for d's chunk of label vectors at once),
+    and the weights and index arrays are built only for the label vectors
+    that pass.  The draws and the walk need only A = ad e : g(-2) -> g(0),
+    whose entries are those of `_down_table` with j and b in g(2); its rank
+    settles both questions of a draw and each step of the walk (see
+    `_decide`).  h is read as den * h, the integer rows of `_cartan_inverse`
+    times the labels; den is a unit mod p, so it changes no rank, and h
+    itself is formed only for an exact triple.
     """
     chunk, index = divmod(_derive_seed(0, d.labels), 3**CHUNK_LABELS)
     if not _size_filters(L, chunk)[index]:

@@ -127,6 +127,25 @@ def _triple_supports(L: LieAlgebra, o: NilpotentOrbit) -> tuple[dict[int, int], 
     return se, ad_h
 
 
+def _check_centralizer_sizes(
+    ad_h: Sequence[int], ge_h: Sequence[int], d: WeightedDynkinDiagram
+) -> None:
+    """RuntimeError unless dim g_e(k) = dim g(k) - dim g(k+2) for every k.
+
+    g is a sum of irreducible sl2-modules, and ker ad e holds exactly their
+    highest weight vectors, one per module, of weight k >= 0.  A module of
+    highest weight k meets g(k) but not g(k+2), so dim g(k) - dim g(k+2)
+    modules have highest weight k, and g_e has no negative weight.  This
+    checks the centralizer kernel against the graded sizes alone, and with
+    it the dimension dim g(0) + dim g(1) that `classify` reports.
+    """
+    sizes, found = Counter(ad_h), Counter(ge_h)
+    if min(found, default=0) < 0 or any(
+        found[k] != sizes[k] - sizes[k + 2] for k in range(max(sizes) + 1)
+    ):
+        raise RuntimeError(f"g_e has the wrong graded dimensions for the diagram {d}")
+
+
 def _analyze_full(
     L: LieAlgebra, o: NilpotentOrbit
 ) -> tuple[OrbitAnalysis, Subspace, Subspace]:
@@ -142,15 +161,17 @@ def _analyze_full(
     too, so each row's ad h weight is that of its pivot: g(>=1)_e and
     g_e(1) are read off the rows as they stand, and so is the quotient.
     Every canonical basis is the one that the ad h grading alone gives.
+    g_e is checked against the graded sizes (`_check_centralizer_sizes`).
     """
     se, ad_h = _triple_supports(L, o)
     grading = _torus_weights(L, se, o.diagram.labels)
     ge = centralizer(L, se, grading)
+    ge_h = [ad_h[p] for p in ge._row_at]
+    _check_centralizer_sizes(ad_h, ge_h, o.diagram)
     derived = derived_subalgebra(L, ge, grading)
     reachable = derived._has(se)
     strongly = derived.dim == ge.dim
 
-    ge_h = [ad_h[p] for p in ge._row_at]
     graded = list(zip(ge._ints, ge.row_weights(grading), ge_h))
     cap = Counter(w for _, w, k in graded if k >= 1)  # g(>=1)_e in the torus grading
     closure = _closure(L, [(r, w) for r, w, k in graded if k == 1], cap)

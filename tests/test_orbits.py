@@ -34,6 +34,7 @@ from exorb.orbits import (
 )
 from exorb._modp import PRIMES, rank_mod
 from exorb.linalg import RatMatrix, _scaled_support, rank, solve
+from exorb.reach import analyze
 from exorb.refdata import load_tables
 from gauss_jordan import gauss_jordan
 
@@ -57,19 +58,66 @@ def _diagram_of_partition(parts):
     return tuple(weights[i] - weights[i + 1] for i in range(len(weights) - 1))
 
 
-def _type_a_expected_diagrams(rank):
-    out = set()
-    for parts in _partitions(rank + 1):
-        if set(parts) != {1}:
-            out.add(_diagram_of_partition(parts))
+def _classical_oracle(letter, n):
+    """{diagram: dim g_e} of the nonzero orbits of A_n, B_n, C_n or D_n.
+
+    Collingwood-McGovern, Ch. 5 and Section 6.1: the orbits are the
+    partitions of the natural module's dimension, for B and D those whose
+    even parts have even multiplicity, for C those whose odd parts do.  The
+    diagram comes from the n largest eigenvalues h_1 >= ... >= h_n of h on
+    the natural module: labels h_i - h_{i+1}, and last h_n (B), 2 h_n (C),
+    or h_{n-1} - h_n and h_{n-1} + h_n (D), where a very even partition (all
+    parts even) gives two orbits, these two labels swapped.  With s the sum
+    of the squared parts of the transpose partition and o the number of odd
+    parts, dim g_e is s - 1 (A), (s - o) / 2 (B, D) or (s + o) / 2 (C).
+    """
+    size = {"A": n + 1, "B": 2 * n + 1, "C": 2 * n, "D": 2 * n}[letter]
+    parity = {"B": 0, "C": 1, "D": 0}.get(letter)
+    out = {}
+    for parts in _partitions(size):
+        if set(parts) == {1}:
+            continue
+        if any(m % 2 == parity and parts.count(m) % 2 for m in parts):
+            continue
+        transpose = [sum(1 for m in parts if m > i) for i in range(parts[0])]
+        s = sum(t * t for t in transpose)
+        o = sum(m % 2 for m in parts)
+        if letter == "A":
+            out[_diagram_of_partition(parts)] = s - 1
+            continue
+        h = sorted((w for m in parts for w in range(m - 1, -m, -2)), reverse=True)[:n]
+        head = tuple(h[i] - h[i + 1] for i in range(n - 2))
+        tails = {
+            "B": [(h[-2] - h[-1], h[-1])],
+            "C": [(h[-2] - h[-1], 2 * h[-1])],
+            "D": [(h[-2] - h[-1], h[-2] + h[-1])],
+        }[letter]
+        if letter == "D" and all(m % 2 == 0 for m in parts):
+            tails.append((h[-2] + h[-1], h[-2] - h[-1]))
+        for tail in tails:
+            out[head + tail] = (s + o) // 2 if letter == "C" else (s - o) // 2
     return out
 
 
-@pytest.mark.parametrize("rank", [2, 3])
+def _check_partition_oracle(name):
+    # The diagram set of the sweep and every orbit's dim g_e, analysed.
+    L = build_lie_algebra(name)
+    computed = {o.diagram.labels: analyze(L, o).dim_ge for o in enumerate_orbits(L)}
+    assert computed == _classical_oracle(name[0], int(name[1:]))
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4, 5, 6])
 def test_type_a_matches_partition_classification(rank):
-    L = build_lie_algebra(f"A{rank}")
-    orbits = enumerate_orbits(L)
-    assert {o.diagram.labels for o in orbits} == _type_a_expected_diagrams(rank)
+    _check_partition_oracle(f"A{rank}")
+
+
+@pytest.mark.parametrize(
+    "name", ["B2", "B3", "B4", "B5", "B6", "C2", "C3", "C4", "C5", "C6", "D4", "D5", "D6"]
+)
+def test_types_b_c_d_match_partition_classification(name):
+    # det C is 2 (B, C) or 4 (D), so the coroot-lattice filter is active on
+    # all of these; the oracle checks it outside the bundled tables.
+    _check_partition_oracle(name)
 
 
 def test_diagram_validation_and_parsing():
@@ -440,6 +488,10 @@ def test_rejected_diagram_takes_no_exact_triple_solve(monkeypatch):
 
     monkeypatch.setattr(orbits, "_triple", counting)
     assert orbit(L, WeightedDynkinDiagram((0, 0, 0, 0, 0, 2))) is None
+    # (0, 0, 0, 0, 2, 2) passes the size filters and the coroot lattice
+    d = WeightedDynkinDiagram((0, 0, 0, 0, 2, 2))
+    assert orbits._layout(L, d) is not None
+    assert orbit(L, d) is None
     assert len(calls) == 0
 
 
@@ -449,6 +501,18 @@ def _no_mod_p_rejection(monkeypatch):
     monkeypatch.setattr(
         orbits, "_ranks_mod_p", lambda layout, a: (real(layout, a)[0],) * 2
     )
+
+
+@pytest.fixture
+def size_survivors(monkeypatch):
+    """Turn the coroot-lattice filter off, so `_layouts` yields every vector
+    that passes the size filters; the filter tables are rebuilt around it."""
+    orbits._size_filters.cache_clear()
+    monkeypatch.setattr(
+        orbits, "_in_coroot_lattice", lambda L, labels: np.ones(len(labels), dtype=bool)
+    )
+    yield
+    orbits._size_filters.cache_clear()
 
 
 @lru_cache(maxsize=None)
@@ -489,10 +553,11 @@ def _h_column(L, d, layout):
 
 
 @pytest.mark.parametrize("name", ["F4", "E6"])
-def test_scattered_draw_matrix_is_the_reference_sum(name):
+def test_scattered_draw_matrix_is_the_reference_sum(name, size_survivors):
     # Each draw's A = ad e : g(-2) -> g(0) is scattered from the index
     # arrays; it equals the sum of the reference blocks, also for negative
-    # and zero coefficients, and hcol is a unit multiple of h mod p.
+    # and zero coefficients, and hcol is a unit multiple of h mod p.  All
+    # size survivors are checked, h outside the coroot lattice too.
     L = build_lie_algebra(name)
     rng = np.random.default_rng(7)
     count = 0
@@ -512,11 +577,11 @@ def test_scattered_draw_matrix_is_the_reference_sum(name):
 
 
 @pytest.mark.parametrize("name", ["F4", "E6"])
-def test_mod_p_verdict_is_the_exact_verdict(name, monkeypatch):
-    # The decisive draw of every label vector past the size filters: one
-    # rank mod p rejects it exactly when its triple is insoluble over Q.
-    # Both ranks come from one elimination and equal the separate ones of
-    # the reference A and h.
+def test_mod_p_verdict_is_the_exact_verdict(name, monkeypatch, size_survivors):
+    # The decisive draw of every label vector past the size filters, with h
+    # in the coroot lattice or not: one rank mod p rejects it exactly when
+    # its triple is insoluble over Q.  Both ranks come from one elimination
+    # and equal the separate ones of the reference A and h.
     L = build_lie_algebra(name)
     real = orbits._ranks_mod_p
     draws = 0
@@ -542,7 +607,7 @@ def test_mod_p_verdict_is_the_exact_verdict(name, monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["F4", "E6"])
-def test_ad_e_has_one_rank_on_g_minus_2_and_on_g0(name, monkeypatch):
+def test_ad_e_has_one_rank_on_g_minus_2_and_on_g0(name, monkeypatch, size_survivors):
     # kappa([e, y], x) = -kappa(y, [e, x]) makes ad e : g(-2) -> g(0) the
     # transpose of ad e : g(0) -> g(2) up to the Killing pairings, so every
     # decisive draw has the same rank on both, at both primes.
@@ -689,30 +754,86 @@ def test_one_label_vector_of_a_large_rank_settles_one_chunk(monkeypatch):
     assert built == [81, 81]
 
 
+def _coroot_integral(L, d):
+    """Whether the characteristic of d has integer Cartan coordinates."""
+    coords = characteristic_element(L, d).coeffs[2 * L.npos :]
+    return all(c.denominator == 1 for c in coords)
+
+
 @pytest.mark.parametrize("name", ["G2", "F4", "E6", "E7", "E8"])
 def test_layout_is_none_exactly_when_the_sizes_break_a_filter(name):
     # Sizes counted from basis_weights, with every k >= 0 checked: E6
-    # (1,1,2,1,0,2) has dim g(9) = 0 < dim g(11) = 1.  The filters are read
-    # from tables of 81 label vectors, indexed by the labels in product order.
+    # (1,1,2,1,0,2) has dim g(9) = 0 < dim g(11) = 1.  h must also have
+    # integer coordinates on the simple coroots.  The filters are read from
+    # tables of 81 label vectors, indexed by the labels in product order.
     L = build_lie_algebra(name)
     passed = 0
     for labels in product((0, 1, 2), repeat=L.rank):
         weights = L.basis_weights(labels)
         sizes = _weight_dims(weights)
         dims = [sizes.get(k, 0) for k in range(max(weights) + 3)]
+        d = WeightedDynkinDiagram(labels)
         broken = (
             not dims[2]
             or dims[1] % 2
             or any(dims[k] < dims[k + 2] for k in range(len(dims) - 2))
+            or not _coroot_integral(L, d)
         )
-        layout = orbits._layout(L, WeightedDynkinDiagram(labels))
+        layout = orbits._layout(L, d)
         assert (layout is None) == broken, labels
         if layout is not None:
             passed += 1
             assert layout.g0 == [i for i, w in enumerate(weights) if w == 0]
             assert layout.g2 == [i for i, w in enumerate(weights) if w == 2]
             assert layout.neg2 == [i for i, w in enumerate(weights) if w == -2]
-    assert passed == {"G2": 5, "F4": 20, "E6": 137, "E7": 171, "E8": 173}[name]
+    assert passed == {"G2": 5, "F4": 20, "E6": 43, "E7": 127, "E8": 173}[name]
+
+
+def test_every_tabulated_diagram_has_h_in_the_coroot_lattice():
+    # The 152 diagrams of the bundled tables, read as Cartan coordinates of
+    # the characteristic and by the filter itself.
+    tables = load_tables()
+    count = 0
+    for name in ("G2", "F4", "E6", "E7", "E8"):
+        L = build_lie_algebra(name)
+        diagrams = [r.diagram for r in tables.orbits(name)]
+        assert orbits._in_coroot_lattice(L, np.array(diagrams)).all()
+        for labels in diagrams:
+            assert _coroot_integral(L, WeightedDynkinDiagram(labels)), (name, labels)
+            count += 1
+    assert count == 152
+
+
+@pytest.mark.parametrize("name", ["E6", "E7"])
+def test_coroot_lattice_rejects_only_what_the_draws_reject(name, size_survivors):
+    # Every size survivor whose h lies outside the coroot lattice is also
+    # rejected by its decisive draw, by the rank mod p of [A | h].
+    L = build_lie_algebra(name)
+    rejected = 0
+    for d, layout in _layouts(L):
+        if _coroot_integral(L, d):
+            continue
+        assert orbits._decide(d, layout, orbits.DEFAULT_TRIALS, 1) is None, d
+        rejected += 1
+    assert rejected == {"E6": 94, "E7": 44}[name]
+
+
+def test_h_outside_the_coroot_lattice_is_rejected_before_rank_work(monkeypatch):
+    L = build_lie_algebra("E6")
+    labels = (0, 0, 0, 0, 0, 2)
+    weights = L.basis_weights(labels)
+    dims = [sum(1 for w in weights if w == k) for k in range(max(weights) + 3)]
+    assert dims[2] and dims[1] % 2 == 0
+    assert all(dims[k] >= dims[k + 2] for k in range(len(dims) - 2))
+    d = WeightedDynkinDiagram(labels)
+    assert not _coroot_integral(L, d)
+
+    def no_rank_work(*args):
+        raise AssertionError("rank work done")
+
+    monkeypatch.setattr(orbits, "pivot_columns", no_rank_work)
+    monkeypatch.setattr(orbits, "_rank", no_rank_work)
+    assert orbit(L, d) is None
 
 
 @pytest.mark.parametrize("name", ["G2", "F4", "E6"])

@@ -415,3 +415,25 @@ def test_analyze_reads_each_piece_of_data_once(monkeypatch):
         assert a == replace(analyze(L, o), orbit=counted)
         odd += 1 in o.diagram.labels
     assert odd > 0
+
+
+def test_centralizer_with_a_row_dropped_fails_the_graded_sizes(monkeypatch):
+    # g_e must have dim g(k) - dim g(k+2) rows of ad h weight k for every
+    # k >= 0 and none of negative weight; a g_e short of one row is an
+    # internal error (exit 3).
+    import exorb.reach
+    from exorb import cli
+
+    real = exorb.reach.centralizer
+
+    def short(L, *args):
+        ge = real(L, *args)
+        return Subspace(L, list(ge._row_at.values())[:-1])
+
+    L, by_diagram = _g2_orbits()
+    assert analyze(L, by_diagram[1, 0]).dim_ge == 6
+    monkeypatch.setattr(exorb.reach, "centralizer", short)
+    for o in by_diagram.values():
+        with pytest.raises(RuntimeError, match=f"wrong graded dimensions .* {o.diagram}"):
+            analyze(L, o)
+    assert cli.main(["analyze", "G2", "--orbit", "1,0"]) == 3
