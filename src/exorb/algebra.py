@@ -3,16 +3,17 @@
 The basis is x_a for each positive root a, y_a = x_{-a}, and the simple
 coroots h_1..h_rank.  All products come from an integer multiplication
 table, so every derived quantity (centralizers, derived subalgebras,
-gradings) is exact.
+gradings) is exact.  An `Element` is held as its exact integer support and
+denominator, the row format of `linalg`, and its dense `coeffs` are a view
+built on first read; every operation here reads the support.
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 from .linalg import RatMatrix, _Echelon, _echelon, _exact, _null_space, _scaled_support
@@ -31,34 +32,86 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class Element:
-    """A vector in the algebra, as exact coefficients over the fixed basis."""
+    """A vector in the algebra, as exact coefficients over the fixed basis.
 
-    coeffs: tuple[Fraction, ...]
+    Held as its dimension `dim` and (integer support, denominator) in the
+    canonical form of `linalg._scaled_support`, from which equality, the
+    hash, the arithmetic, `support()` and `is_zero()` are worked; `coeffs`,
+    the dense tuple of Fractions, is a view built on first read.  Immutable.
+    """
+
+    def __init__(self, coeffs: Sequence[Fraction | int]):
+        supp, den = _exact_support(coeffs)
+        self.__dict__.update(dim=len(coeffs), _supp=supp, _den=den)
+
+    @classmethod
+    def _of(cls, dim: int, supp: dict[int, int], den: int = 1) -> "Element":
+        """supp / den reduced by their common factor; supp (no zeros) may be kept."""
+        g = gcd(den, *supp.values()) if den != 1 else 1
+        if g != 1:
+            supp, den = {i: x // g for i, x in supp.items()}, den // g
+        out = cls.__new__(cls)
+        out.__dict__.update(dim=dim, _supp=supp, _den=den)
+        return out
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("Element is immutable")
+
+    @cached_property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        supp, den = self._supp, self._den
+        return tuple(Fraction(supp.get(i, 0), den) for i in range(self.dim))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Element):
+            return NotImplemented
+        return (self.dim, self._den, self._supp) == (other.dim, other._den, other._supp)
+
+    def __hash__(self) -> int:
+        return hash((self.dim, self._den, frozenset(self._supp.items())))
+
+    def __repr__(self) -> str:
+        return f"Element(dim={self.dim}, support={self._supp}, den={self._den})"
 
     def __add__(self, other: "Element") -> "Element":
-        if len(self.coeffs) != len(other.coeffs):
+        if self.dim != other.dim:
             raise ValueError("dimension mismatch")
-        return Element(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        den = lcm(self._den, other._den)
+        a, b = den // self._den, den // other._den
+        out = {i: x * a for i, x in self._supp.items()}
+        for i, x in other._supp.items():
+            v = out.get(i, 0) + x * b
+            if v:
+                out[i] = v
+            else:
+                del out[i]
+        return Element._of(self.dim, out, den)
 
     def __sub__(self, other: "Element") -> "Element":
-        if len(self.coeffs) != len(other.coeffs):
-            raise ValueError("dimension mismatch")
-        return Element(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return self + -other
 
     def __neg__(self) -> "Element":
-        return Element(tuple(-a for a in self.coeffs))
+        return Element._of(self.dim, {i: -x for i, x in self._supp.items()}, self._den)
 
     def __rmul__(self, scalar: Fraction | int) -> "Element":
         s = _exact(scalar)
-        return Element(tuple(s * a for a in self.coeffs))
+        supp = {i: x * s.numerator for i, x in self._supp.items()} if s else {}
+        return Element._of(self.dim, supp, self._den * s.denominator)
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not self._supp
 
     def support(self) -> tuple[int, ...]:
-        return tuple(i for i, c in enumerate(self.coeffs) if c)
+        return tuple(sorted(self._supp))
+
+
+def _exact_support(
+    entries: Mapping[int, Fraction | int] | Sequence[Fraction | int],
+) -> tuple[dict[int, int], int]:
+    """`_scaled_support` of exact entries, dense or sparse; TypeError for a float."""
+    items = entries.items() if isinstance(entries, Mapping) else enumerate(entries)
+    return _scaled_support({i: _exact(c) for i, c in items})
 
 
 class LieAlgebra:
@@ -107,14 +160,12 @@ class LieAlgebra:
     # -- basis elements -------------------------------------------------
 
     def zero(self) -> Element:
-        return Element((Fraction(0),) * self.dim)
+        return Element._of(self.dim, {})
 
     def basis_element(self, i: int) -> Element:
         if not 0 <= i < self.dim:
             raise ValueError("basis index out of range")
-        return Element(
-            tuple(Fraction(1) if j == i else Fraction(0) for j in range(self.dim))
-        )
+        return Element._of(self.dim, {i: 1})
 
     def root_vector(self, root: Root | tuple[int, ...]) -> Element:
         coeffs = root.coeffs if isinstance(root, Root) else tuple(root)
@@ -125,37 +176,29 @@ class LieAlgebra:
 
     def coroot_element(self, root: Root | tuple[int, ...]) -> Element:
         coeffs = root.coeffs if isinstance(root, Root) else tuple(root)
-        out = [Fraction(0)] * self.dim
-        for j, c in enumerate(self.rs.coroot_coords(coeffs)):
-            out[self._hbase + j] = Fraction(c)
-        return Element(tuple(out))
+        coroot = self.rs.coroot_coords(coeffs)
+        return Element._of(self.dim, {self._hbase + j: c for j, c in enumerate(coroot) if c})
 
     def element(self, entries: Mapping[int, Fraction | int] | Sequence[Fraction | int]) -> Element:
         if isinstance(entries, Mapping):
-            out = [Fraction(0)] * self.dim
-            for i, c in entries.items():
-                if not 0 <= i < self.dim:
-                    raise ValueError("basis index out of range")
-                out[i] = _exact(c)
-            return Element(tuple(out))
+            if not all(0 <= i < self.dim for i in entries):
+                raise ValueError("basis index out of range")
+            return Element._of(self.dim, *_exact_support(entries))
         if len(entries) != self.dim:
             raise ValueError("dimension mismatch")
-        return Element(tuple(_exact(c) for c in entries))
+        return Element(entries)
 
     def cartan_values(self, elt: Element) -> tuple[Fraction, ...]:
         """Values of the simple roots on a Cartan element.
 
         Summed in integers over the common denominator of the coefficients.
         """
-        if len(elt.coeffs) != self.dim:
+        if elt.dim != self.dim:
             raise ValueError("dimension mismatch")
-        if any(elt.coeffs[i] for i in range(self._hbase)):
+        if any(i < self._hbase for i in elt._supp):
             raise ValueError("element is not in the Cartan subalgebra")
-        c, scale = _scaled_support(elt.coeffs[self._hbase :])
-        return tuple(
-            Fraction(sum(x * row[j] for j, x in c.items()), scale)
-            for row in self.rs.cartan
-        )
+        c = [(j - self._hbase, x) for j, x in elt._supp.items()]
+        return tuple(Fraction(sum(x * row[j] for j, x in c), elt._den) for row in self.rs.cartan)
 
     def basis_weights(self, labels: Sequence[int]) -> tuple[int, ...]:
         """Eigenvalue of each basis vector under the characteristic of `labels`."""
@@ -183,10 +226,6 @@ def build_lie_algebra(t: TypeRank | str) -> LieAlgebra:
 
 
 # -- sparse integer plumbing ------------------------------------------------
-
-
-def _sparse_row(coeffs: Sequence[Fraction]) -> dict[int, Fraction]:
-    return {i: c for i, c in enumerate(coeffs) if c}
 
 
 def _bracket_supp(
@@ -307,7 +346,7 @@ class Subspace:
         if isinstance(basis, RatMatrix):
             if basis.cols != amb.dim:
                 raise ValueError("basis has the wrong number of columns")
-            basis = map(_sparse_row, basis.data)
+            basis = ({i: c for i, c in enumerate(row) if c} for row in basis.data)
         at: dict[int, dict[int, Fraction | int]] = {}  # pivot -> sparse row
         ints: list[dict[int, int]] = []  # the integer supports, in pivot order
         last = -1
@@ -347,7 +386,7 @@ class Subspace:
         for row in rows:
             if len(row) != amb.dim:
                 raise ValueError("row has the wrong length")
-            ints.append(_scaled_support([_exact(x) for x in row])[0])
+            ints.append(_exact_support(row)[0])
         return cls(amb, _echelon(ints).canonical_rows())
 
     @classmethod
@@ -369,9 +408,9 @@ class Subspace:
         return len(self._row_at)
 
     def contains(self, elt: Element) -> bool:
-        if len(elt.coeffs) != self.amb.dim:
+        if elt.dim != self.amb.dim:
             raise ValueError("vector has wrong length")
-        return self._has(_sparse_row(elt.coeffs))
+        return self._has(elt._supp)
 
     def _has(self, v: Mapping[int, Fraction | int]) -> bool:
         """Membership of a sparse vector, by the pivot-coefficient identity."""
@@ -386,7 +425,8 @@ class Subspace:
         return not any(residual.values())
 
     def basis_elements(self) -> list[Element]:
-        return [Element(row) for row in self.basis.data]
+        # a row's pivot entry is 1, so that of its integer support is its denominator
+        return [Element._of(self.amb.dim, r, r[p]) for p, r in zip(self._row_at, self._ints)]
 
     def row_weights(self, weights: Sequence[int]) -> tuple[int, ...]:
         """The weight of each canonical basis row under a grading.
@@ -411,40 +451,36 @@ class Subspace:
 
 def bracket(L: LieAlgebra, a: Element, b: Element) -> Element:
     """The product [a, b], extended bilinearly from the multiplication table."""
-    if len(a.coeffs) != L.dim or len(b.coeffs) != L.dim:
+    if a.dim != L.dim or b.dim != L.dim:
         raise ValueError("dimension mismatch")
-    sa, da = _scaled_support(a.coeffs)
-    sb, db = _scaled_support(b.coeffs)
-    raw = _bracket_supp(L._adj, sa, sb)
-    scale = da * db
-    out = [Fraction(0)] * L.dim
-    for k, v in raw.items():
-        out[k] = Fraction(v, scale)
-    return Element(tuple(out))
+    return Element._of(L.dim, _bracket_supp(L._adj, a._supp, b._supp), a._den * b._den)
 
 
 def centralizer(
-    L: LieAlgebra, a: Element | Mapping[int, int], weights: Sequence[int] | None = None
+    L: LieAlgebra, a: Element | Mapping[int, Fraction | int], weights: Sequence[int] | None = None
 ) -> Subspace:
     """The kernel of ad a, as a subspace of L.
 
-    a is an element or a sparse row {index: nonzero entry}, such as its
-    integer support, which has the same kernel.  `weights` is a grading of
-    L, such as `L.basis_weights(labels)`; without it every basis vector has
-    weight 0.  a must be homogeneous, of weight d say (ValueError
-    otherwise).  Then ad a maps g(k) into g(k + d), and the kernel is the
-    sum over k of the block kernels ker(ad a : g(k) -> g(k+d)),
+    a is an element or a sparse row {index: int or Fraction entry}, such as
+    its integer support, which has the same kernel; the row is read like an
+    element's entries (zeros dropped, a float refused with TypeError).
+    `weights` is a grading of L, such as `L.basis_weights(labels)`; without
+    it every basis vector has weight 0.  a must be homogeneous, of weight d
+    say (ValueError otherwise).  Then ad a maps g(k) into g(k + d), and the
+    kernel is the sum over k of the block kernels ker(ad a : g(k) -> g(k+d)),
     each computed from the integer structure constants.  By the block lemma
     (see `Subspace`) the union of the blocks' canonical kernels is the
     canonical basis of the whole kernel, so the result does not depend on
     the grading; a finer grading only makes the blocks smaller.
     """
     if isinstance(a, Element):
-        if len(a.coeffs) != L.dim:
+        if a.dim != L.dim:
             raise ValueError("dimension mismatch")
-        a = _scaled_support(a.coeffs)[0]
+        a = a._supp
     elif not all(0 <= i < L.dim for i in a):
         raise ValueError("basis index out of range")
+    else:
+        a = _exact_support(a)[0]
     grading = _grading(L, weights)
     degrees = {grading[i] for i in a}
     if len(degrees) > 1:
@@ -559,11 +595,11 @@ def subalgebra_closure(
         cap = Counter(within.row_weights(grading))
     rows = []
     for g in gens:
-        if len(g.coeffs) != L.dim:
+        if g.dim != L.dim:
             raise ValueError("dimension mismatch")
         if within is not None and not within.contains(g):
             raise ValueError("generator lies outside the enclosing subspace")
-        v = _scaled_support(g.coeffs)[0]
+        v = g._supp
         ws = {grading[k] for k in v}
         if len(ws) > 1:
             raise ValueError("generator is not homogeneous for the grading")

@@ -15,6 +15,7 @@ import os
 import sys
 import traceback
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .algebra import LieAlgebra, build_lie_algebra
 from .orbits import (
@@ -338,7 +339,9 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
+    """The parser, built once per process: parsing does not change it."""
     parser = _Parser(prog="exorb", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -4,7 +4,9 @@ Every exact elimination in exorb (canonical subspaces, centralizers, the
 walk's ranks, the triple's solve) runs here, on one row format: a sparse
 dict {column: nonzero int}; only the diagram draws eliminate mod p, in
 `_modp`.  A rational vector enters the format as its integer support and
-common denominator (`_scaled_support`), which changes no span.
+common denominator (`_scaled_support`), which changes no span; an
+`algebra.Element` is held in that form, with its dense `coeffs` a view built
+on first read, so its support goes to the kernel as it stands.
 `_Echelon` accumulates such rows fraction-free, in the manner of Bareiss
 (Math. Comp. 22, 1968), and no `Fraction` arises until the rows are read
 out in reduced echelon form (`canonical_rows`).  The pivot of a row is its

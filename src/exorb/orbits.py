@@ -40,11 +40,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import gcd, lcm
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -115,7 +114,7 @@ def characteristic_element(L: LieAlgebra, d: WeightedDynkinDiagram) -> Element:
     """The Cartan element h with alpha_i(h) = labels[i]."""
     if len(d.labels) != L.rank:
         raise ValueError("diagram rank mismatch")
-    return _element(L, _h_support(L, d.labels))
+    return Element._of(L.dim, *_h_support(L, d.labels))
 
 
 def _h_support(L: LieAlgebra, labels: Sequence[int]) -> tuple[dict[int, int], int]:
@@ -130,15 +129,6 @@ def _h_support(L: LieAlgebra, labels: Sequence[int]) -> tuple[dict[int, int], in
     g = gcd(den, *values)
     base = 2 * L.npos
     return {base + j: v // g for j, v in enumerate(values) if v}, den // g
-
-
-def _element(L: LieAlgebra, scaled: tuple[Mapping[int, int], int]) -> Element:
-    """The dense element of an (integer support, denominator) pair."""
-    supp, den = scaled
-    out = [Fraction(0)] * L.dim
-    for i, c in supp.items():
-        out[i] = Fraction(c, den)
-    return Element(tuple(out))
 
 
 @lru_cache(maxsize=None)
@@ -541,14 +531,13 @@ def complete_triple(L: LieAlgebra, h: Element, e: Element) -> Sl2Triple:
     # Integral values keep the weight sums out of Fraction arithmetic.
     values = [v.numerator if v.denominator == 1 else v for v in L.cartan_values(h)]
     weights = L.basis_weights(values)
-    scaled = _scaled_support(e.coeffs)
-    if any(weights[i] != 2 for i in scaled[0]):
+    if e.dim != L.dim:
+        raise ValueError("dimension mismatch")
+    if any(weights[i] != 2 for i in e._supp):
         raise ValueError("[h, e] = 2e fails: not a weight-2 vector for h")
     g0 = [i for i, w in enumerate(weights) if w == 0]
     neg2 = [j for j, w in enumerate(weights) if w == -2]
-    # h lies in the Cartan subalgebra (`cartan_values` checks it)
-    hscaled = _scaled_support({i: h.coeffs[i] for i in range(2 * L.npos, L.dim)})
-    return _triple(L, g0, neg2, scaled, hscaled)
+    return _triple(L, g0, neg2, (e._supp, e._den), (h._supp, h._den))
 
 
 def _triple(
@@ -560,14 +549,14 @@ def _triple(
 ) -> Sl2Triple:
     """`complete_triple` for e in g(2), given the indices of g(0) and g(-2).
 
-    e and h are given as (integer support, denominator), as from
-    `linalg._scaled_support`.  e has ad h-weight 2, so [e, g(-2)] lies in
-    g(0) and only the g(0) rows of the system can be nonzero.  They are
-    built from the integer structure constants as sparse rows, each entry
-    from one root k of e (for x_j in g(-2) and x_i in g(0), at most one k
-    has x_i in [x_k, x_j]; see `_down_table`).  `linalg._solution`
-    eliminates them exactly, and the check of the solution stays in
-    integers too.  Dense `Element`s are built only for the returned triple.
+    e and h are given as (integer support, denominator), the form of
+    `linalg._scaled_support` in which an `Element` holds them.  e has ad
+    h-weight 2, so [e, g(-2)] lies in g(0) and only the g(0) rows of the
+    system can be nonzero.  They are built from the integer structure
+    constants as sparse rows, each entry from one root k of e (for x_j in
+    g(-2) and x_i in g(0), at most one k has x_i in [x_k, x_j]; see
+    `_down_table`).  `linalg._solution` eliminates them exactly; f is built
+    from the solution's integer support, and the check stays in integers.
     """
     supp, scale = e
     hsupp, hden = h
@@ -585,14 +574,14 @@ def _triple(
     sol = _solution(rows.values(), cols)
     if sol is None:
         raise TripleInsolubleError("no completion to a triple: invalid representative")
-    f = {neg2[col]: Fraction(x, hden) for col, x in sol.items()}
+    xs, xden = _scaled_support(sol)
+    f = Element._of(L.dim, {neg2[col]: x for col, x in xs.items()}, xden * hden)
     # [h, f] = -2f holds by construction: f is supported on g(-2).  [e, f] = h
     # is checked as [scale * e, den * f] = scale * den * h on integer supports.
-    fsupp, den = _scaled_support(f)
-    lhs = {k: v * hden for k, v in _bracket_supp(L._adj, supp, fsupp).items()}
-    if lhs != {k: v * scale * den for k, v in hsupp.items()}:
+    lhs = {k: v * hden for k, v in _bracket_supp(L._adj, supp, f._supp).items()}
+    if lhs != {k: v * scale * f._den for k, v in hsupp.items()}:
         raise RuntimeError("triple relations failed verification")
-    return Sl2Triple(e=_element(L, e), h=_element(L, h), f=L.element(f))
+    return Sl2Triple(e=Element._of(L.dim, supp, scale), h=Element._of(L.dim, hsupp, hden), f=f)
 
 
 def enumerate_orbits(

@@ -109,10 +109,10 @@ def _triple_supports(L: LieAlgebra, o: NilpotentOrbit) -> tuple[dict[int, int], 
     the diagram is, f one of g(-2), and [e, f] = h (ValueError otherwise).
     """
     e, h, f = o.triple.e, o.triple.h, o.triple.f
-    if not len(e.coeffs) == len(h.coeffs) == len(f.coeffs) == L.dim:
+    if not e.dim == h.dim == f.dim == L.dim:
         raise ValueError("dimension mismatch")
     ad_h = L.basis_weights(o.diagram.labels)
-    (se, de), (sh, dh), (sf, df) = (_scaled_support(x.coeffs) for x in (e, h, f))
+    (se, de), (sh, dh), (sf, df) = ((x._supp, x._den) for x in (e, h, f))
     if (sh, dh) != _h_support(L, o.diagram.labels):
         raise ValueError(f"h does not realize the diagram {o.diagram}")
     if (

@@ -607,3 +607,89 @@ def test_closure_makes_no_echelon_for_a_weight_that_within_lacks(monkeypatch):
         assert len(made) <= len(present)
         lacking += any(a + b not in present for a in present for b in present)
     assert lacking > 0
+
+
+def test_centralizer_scales_a_fraction_row_like_an_element():
+    L = build_lie_algebra("G2")
+    assert centralizer(L, {0: Fraction(1, 2)}) == centralizer(L, L.basis_element(0))
+    assert centralizer(L, {0: Fraction(2, 3), 5: -1}) == centralizer(L, {0: 2, 5: -3})
+
+
+def test_centralizer_drops_the_explicit_zeros_of_a_row():
+    # x_0 is homogeneous; a zero entry at a basis vector of another weight
+    # is no term of the row.
+    L = build_lie_algebra("G2")
+    weights = L.basis_weights((1, 0))
+    assert weights[0] != weights[1]
+    expected = centralizer(L, L.basis_element(0), weights)
+    assert centralizer(L, {0: 1, 1: 0}, weights) == expected
+    assert centralizer(L, {0: 0}) == centralizer(L, L.zero()) == Subspace.full(L)
+
+
+def test_centralizer_refuses_a_float_row_like_an_element():
+    L = build_lie_algebra("G2")
+    for row in ({0: 0.5}, {0: 1, 1: 0.0}):
+        with pytest.raises(TypeError, match="floating point is not allowed"):
+            centralizer(L, row)
+
+
+_ENTRIES = st.sampled_from([Fraction(0)] * 3) | st.builds(
+    Fraction, st.integers(-6, 6), st.integers(1, 4)
+)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_an_element_is_its_support_however_it_is_built(data):
+    # Built from a dense vector, from an (integer support, denominator) pair
+    # that is not reduced, or by `element` from a mapping, an Element agrees
+    # with plain Fraction arithmetic on its dense coefficients.
+    from exorb.linalg import _scaled_support
+
+    L = build_lie_algebra("G2")
+    vectors = st.lists(_ENTRIES, min_size=L.dim, max_size=L.dim)
+    a, b, s = data.draw(vectors), data.draw(vectors), data.draw(_ENTRIES)
+    k = data.draw(st.integers(1, 6))
+
+    def ways(v):
+        supp, den = _scaled_support(v)
+        ints = [int(c) if c.denominator == 1 else c for c in v]
+        return [
+            Element(v),
+            Element(tuple(ints)),
+            Element._of(L.dim, {i: k * x for i, x in supp.items()}, k * den),
+            L.element({i: c for i, c in enumerate(ints) if c}),
+        ]
+
+    def agrees(x, want):
+        want = tuple(want)
+        assert x.coeffs == want and all(type(c) is Fraction for c in x.coeffs)
+        assert x.support() == tuple(i for i, c in enumerate(want) if c)
+        assert x.is_zero() == (not any(want))
+        assert x == Element(want) and hash(x) == hash(Element(want))
+
+    xs, ys = ways(a), ways(b)
+    for x in xs:
+        agrees(x, a)
+        assert x == xs[0] and hash(x) == hash(xs[0])
+    for x, y in zip(xs, reversed(ys)):
+        agrees(x + y, (p + q for p, q in zip(a, b)))
+        agrees(x - y, (p - q for p, q in zip(a, b)))
+        agrees(-x, (-p for p in a))
+        agrees(s * x, (s * p for p in a))
+        assert (x == y) == (a == b)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        xs[0] + Element(a[:-1])
+
+
+def test_an_element_refuses_floats_and_stays_immutable():
+    L = build_lie_algebra("G2")
+    with pytest.raises(TypeError, match="floating point is not allowed"):
+        Element((0.5, 0))
+    with pytest.raises(TypeError, match="floating point is not allowed"):
+        Fraction(1, 2) * L.basis_element(0) + L.element([0.0] * L.dim)
+    x = L.basis_element(3)
+    for name in ("coeffs", "dim", "_supp", "_den"):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(x, name, None)
+    assert x.coeffs[3] == 1 and x == L.basis_element(3)

@@ -522,3 +522,19 @@ def test_generated_command_lines_exit_with_a_documented_code(tmp_path_factory, a
         assert "Traceback" not in err, err
     if status == EXIT_USAGE:
         assert out == "" and err.startswith("usage error: ")
+
+
+def test_a_usage_error_between_two_runs_changes_nothing(capsys):
+    # main() builds its parser once per process; neither a usage error nor
+    # other options in between change a later call's output or exit status.
+    argv = ["analyze", "G2", "--orbit", "1,0", "--format", "json"]
+    assert main(argv) == EXIT_OK
+    first = capsys.readouterr()
+    for bad in (["analyze", "G2", "--orbit", "0,1", "--seed", "2", "--format", "xml"], ["verify"]):
+        assert main(bad) == EXIT_USAGE
+        assert capsys.readouterr().out == ""
+    assert main(["analyze", "G2", "--orbit", "0,1", "--seed", "3"]) == EXIT_OK
+    capsys.readouterr()
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr() == first
+    assert cli._build_parser() is cli._build_parser()

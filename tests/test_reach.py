@@ -437,3 +437,59 @@ def test_centralizer_with_a_row_dropped_fails_the_graded_sizes(monkeypatch):
         with pytest.raises(RuntimeError, match=f"wrong graded dimensions .* {o.diagram}"):
             analyze(L, o)
     assert cli.main(["analyze", "G2", "--orbit", "1,0"]) == 3
+
+
+def test_elements_triples_orbits_and_analyses_survive_pickle_and_deepcopy():
+    import copy
+    import pickle
+    from fractions import Fraction
+
+    L, by_diagram = _g2_orbits()
+    o = by_diagram[1, 0]
+    a = analyze(L, o)
+    x = Fraction(1, 3) * o.triple.f - o.triple.h
+    x.coeffs  # a dense view already built travels with the element
+    for obj in (x, L.zero(), o.triple.e, o.triple, o, a):
+        for out in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj)):
+            assert out == obj and hash(out) == hash(obj)
+    y = pickle.loads(pickle.dumps(x))
+    assert y.coeffs == x.coeffs and y.support() == x.support()
+    with pytest.raises(AttributeError, match="immutable"):
+        y.coeffs = ()
+    assert analyze(L, copy.deepcopy(o)) == analyze(L, pickle.loads(pickle.dumps(o))) == a
+
+
+def test_the_pipeline_builds_no_dense_vector(monkeypatch, capsys):
+    # The sweep, every F4 analysis and `exorb verify G2` read each Element's
+    # integer support: no dense `coeffs` view is built, and `_scaled_support`
+    # is called on no dense vector.
+    from collections.abc import Mapping
+
+    import exorb.algebra
+    import exorb.linalg
+    import exorb.reach
+    from exorb import cli
+
+    views, dense = [], []
+    build = Element.coeffs.func
+    monkeypatch.setattr(Element, "coeffs", property(lambda x: views.append(x) or build(x)))
+    for module in (exorb.linalg, exorb.algebra, orbits_module, exorb.reach):
+
+        def recording(coeffs, kernel=module._scaled_support):
+            if not isinstance(coeffs, Mapping):
+                dense.append(coeffs)
+            return kernel(coeffs)
+
+        monkeypatch.setattr(module, "_scaled_support", recording)
+    L = build_lie_algebra("F4")
+    found = enumerate_orbits(L)
+    assert len(found) == 15
+    for o in found:
+        analyze(L, o)
+    assert cli.main(["verify", "G2", "--format", "json"]) == cli.EXIT_OK
+    assert '"status":"ok"' in capsys.readouterr().out
+    assert not views and not dense
+    # the counts see a dense read
+    assert L.basis_element(0).coeffs[0] == 1 and len(views) == 1
+    exorb.linalg.rank(RatMatrix([[1, 2]]))
+    assert len(dense) == 1
