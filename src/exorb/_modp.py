@@ -17,8 +17,8 @@ the rank it raises instead of deciding, so no verdict rests on a failure.
 
 The draws' matrices are dense (e has a random coefficient on every root
 vector of g(2), and the search scatters them from integer index arrays of
-the structure constants), and `pivot_columns` eliminates them with numpy,
-one outer-product update of the remaining columns per pivot.  It is the
+the structure constants), and `pivot_columns` eliminates their transpose
+with numpy, one contiguous row per column and one update per pivot.  It is the
 one kernel the search runs mod p: the rank-greedy walk's sparse matrices
 and the exact triple solves are eliminated over Q by `linalg._Echelon`.
 `rank_mod` and `has_full_rank` remain only for the benchmark's tracer.
@@ -39,25 +39,25 @@ def rank_mod(matrix: np.ndarray, p: int) -> int:
 def pivot_columns(matrix: np.ndarray, p: int) -> list[int]:
     """The pivot columns of an integer matrix over the field with p elements.
 
-    Columns are eliminated in order, so the pivots among the first k
-    columns count the rank of those k columns.
+    Columns are eliminated in order, as the contiguous rows of the
+    transpose, so the pivots among the first k columns count the rank of
+    those k columns.
     """
-    m = np.mod(matrix, p).astype(np.int64, copy=False)
+    t = np.ascontiguousarray(np.mod(matrix, p).T, dtype=np.int64)
     pivots: list[int] = []
-    for c in range(m.shape[1]):
-        if len(pivots) == m.shape[0]:
+    for c in range(t.shape[0]):
+        if len(pivots) == t.shape[1]:
             break
-        col = m[:, c]
-        nz = col.nonzero()[0]
+        col = t[c]
+        nz = np.flatnonzero(col)
         if not nz.size:
             continue
-        i = int(nz[0])
-        row = m[i, c:] * pow(int(m[i, c]), -1, p) % p
-        # One update of the remaining columns clears column c, the pivot row
-        # included; entries below p < 2^31 keep the products inside int64.
-        block = m[:, c:]
-        block -= np.multiply.outer(col, row)
-        block %= p
+        i = nz[0]
+        # One update clears entry i of the later columns; entries below
+        # p < 2^31 keep the products inside int64.
+        rest = t[c + 1 :]
+        rest -= np.multiply.outer(rest[:, i] * pow(int(col[i]), -1, p) % p, col)
+        rest %= p
         pivots.append(c)
     return pivots
 

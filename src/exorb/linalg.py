@@ -25,7 +25,7 @@ functions on it (`rref`, `rank`, `kernel`, `solve`, `intersect`,
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_left, insort
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
@@ -181,9 +181,9 @@ class _Echelon:
         v (without zero entries, changed in place) is cleared by the row at
         its leading index while there is one, and a nonzero rest is kept as
         it is, neither reduced at later pivots nor stripped of its content.
-        So the rows stay in echelon form but not reduced, and only `dim` may
-        be read after this mode.  A row of one entry clears v's entry by
-        deleting it.
+        So the rows stay in echelon form but not reduced, and only `dim` and
+        `_back_substitute` may read them.  A row of one entry clears v's
+        entry by deleting it.
         """
         rows = self.rows
         while v:
@@ -247,16 +247,19 @@ def _echelon(rows: Iterable[dict[int, int]], cols: int | None = None) -> _Echelo
     return echelon
 
 
-def _rank(rows: Iterable[Mapping[int, int]]) -> int:
+def _rank(
+    rows: Iterable[Mapping[int, int]], cols: int | None = None, echelon: _Echelon | None = None
+) -> int:
     """The rank over Q of integer rows {column: entry}, left unchanged.
 
     Each row is copied without its explicit zero entries and kept in the
-    rank-only mode, `_Echelon.insert`, shortest first.
+    rank-only mode, `_Echelon.insert`, shortest first, in `echelon` if given;
+    with `cols`, the pivots below `cols` count, the first `cols` columns' rank.
     """
-    echelon = _Echelon()
+    echelon = _Echelon() if echelon is None else echelon
     for row in sorted(rows, key=len):
-        echelon.insert({k: x for k, x in row.items() if x})
-    return echelon.dim
+        echelon.insert(dict(row) if 0 not in row.values() else {k: x for k, x in row.items() if x})
+    return echelon.dim if cols is None else bisect_left(echelon.order, cols)
 
 
 def _null_space(rows: Iterable[Mapping[int, int]], cols: int) -> list[dict[int, Fraction | int]]:
@@ -283,22 +286,34 @@ def _null_space(rows: Iterable[Mapping[int, int]], cols: int) -> list[dict[int, 
     return list(null.values())
 
 
-def _solution(rows: Iterable[dict[int, int]], cols: int) -> dict[int, Fraction | int] | None:
-    """The nonzero entries of a solution x of integer augmented rows.
+def _solution(rows: Iterable[dict[int, int]], cols: int) -> dict[int, Fraction] | None:
+    """`_back_substitute` on the echelon of integer rows, reduced in place."""
+    sol = _back_substitute(_echelon(rows), cols)
+    return None if sol is None else {p: Fraction(y, sol[1]) for p, y in sol[0].items()}
 
-    Each row maps columns 0 .. cols - 1 and the right-hand side, column
-    `cols`, to its entries; the rows are reduced in place.  None means no
-    solution: a row of the echelon leads at the right-hand side.  x is
-    read off the reduced echelon form, with zeros at the free columns.
-    """
-    echelon = _echelon(rows)
-    if cols in echelon.rows:
+
+def _back_substitute(echelon: _Echelon, cols: int) -> tuple[dict[int, int], int] | None:
+    """A solution x = y / den of augmented rows in either mode, as (y, den).
+
+    None when a row leads at the right-hand side, column `cols`.  x is zero
+    at the free columns; from the last pivot up, a row a x_p + ... = rhs gives
+    s = rhs * den - (its other entries times y), and with g = gcd(s, a), of
+    a's sign, y and den are scaled by a / g and y_p = s / g, in integers."""
+    rows = echelon.rows
+    if cols in rows:
         return None
-    return {
-        p: row[cols]
-        for p, row in zip(echelon.order, echelon.canonical_rows())
-        if cols in row
-    }
+    y, den = {}, 1
+    for p in reversed(echelon.order):
+        row = rows[p]
+        s = row.get(cols, 0) * den - sum(x * y[q] for q, x in row.items() if q in y)
+        a = row[p]
+        g = gcd(s, a) if a > 0 else -gcd(s, a)
+        if a != g:
+            den *= a // g
+            y = {q: v * (a // g) for q, v in y.items()}
+        if s:
+            y[p] = s // g
+    return y, den
 
 
 # -- the dense public functions ---------------------------------------------

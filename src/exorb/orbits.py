@@ -5,10 +5,10 @@ the simple roots).  Every label vector goes through one search, and its one
 certificate is the sl2-triple with the characteristic h of the labels:
 
 - the size filters reject label vectors whose graded dimensions no triple
-  allows, and those whose h lies outside the coroot lattice: the
-  coordinate of h on the simple coroot h_i is omega_i(h), an eigenvalue of
-  h on the module V(omega_i), so an integer for every triple.  They are
-  settled for chunks of 81 label vectors at once;
+  allows, those whose h lies outside the coroot lattice (omega_i(h), the
+  coordinate of h on the coroot h_i, is an eigenvalue of h on V(omega_i)),
+  and those whose eigenvalues on a minuscule module form no sl2-character.
+  They are settled for chunks of 81 label vectors at once;
 - seeded random draws e in g(2) run until ad e maps g(0) onto g(2), which
   puts e in the open G(0)-orbit of g(2); whether [e, f] = h is soluble for
   that e decides the label vector.  Both questions are read off
@@ -20,9 +20,9 @@ certificate is the sl2-triple with the characteristic h of the labels:
 - a rank-greedy walk over the roots of g(2) finds the representative, and
   its triple, solved exactly, proves the diagram and is the orbit's triple.
   The walk ranks the rows of the same A, read off the draws' index arrays,
-  and takes their ranks only, exactly over Q in the rank-only mode of
-  `linalg._Echelon`.  The triple is solved exactly from the integer
-  supports of e and h; only the draws work mod p.
+  exactly over Q (`linalg._Echelon`, rank-only), with h in one more column
+  once they touch every column; the echelon that reaches rank dim g(2) in
+  A's columns gives f by back-substitution.  Only the draws work mod p.
 
 A solved triple gives dim g_e = dim g(0) + dim g(1) by sl2 theory, so the
 triple certifies the representative too.  Representatives are sums of root
@@ -49,7 +49,7 @@ import numpy as np
 
 from ._modp import PRIMES, pivot_columns
 from .algebra import Element, LieAlgebra, _bracket_supp
-from .linalg import _Echelon, _echelon, _rank, _scaled_support, _solution
+from .linalg import _Echelon, _back_substitute, _echelon, _rank, _scaled_support  # noqa: F401
 
 __all__ = [
     "WeightedDynkinDiagram",
@@ -76,7 +76,7 @@ class WeightedDynkinDiagram:
     labels: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not all(v in (0, 1, 2) for v in self.labels):
+        if not set(self.labels) <= {0, 1, 2}:
             raise ValueError("diagram labels must lie in {0, 1, 2}")
 
     @classmethod
@@ -164,12 +164,15 @@ def _graded(L: LieAlgebra, labels: np.ndarray | Sequence[Sequence[int]]) -> np.n
     """
     roots = _positive_roots(L)
     weights = np.asarray(labels, dtype=np.int64) @ roots
-    width = 2 * int(roots.sum(axis=0).max()) + 3
-    bins = weights + width * np.arange(len(weights))[:, None]
-    sizes = np.bincount(bins.ravel(), minlength=len(weights) * width)
-    sizes = sizes.reshape(-1, width)
+    sizes = _row_counts(weights, 2 * int(roots.sum(axis=0).max()) + 3)
     sizes[:, 0] = 2 * sizes[:, 0] + L.rank
     return sizes
+
+
+def _row_counts(values: np.ndarray, width: int) -> np.ndarray:
+    """Row r counts each v in range(width) in row r of `values`, by one `bincount`."""
+    bins = values + width * np.arange(len(values))[:, None]
+    return np.bincount(bins.ravel(), minlength=len(values) * width).reshape(-1, width)
 
 
 def _orbit_dim(L: LieAlgebra, labels: Sequence[int]) -> int:
@@ -195,6 +198,35 @@ def _in_coroot_lattice(L: LieAlgebra, labels: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
+def _module_weights(L: LieAlgebra) -> np.ndarray:
+    """The weights of the minuscule natural module of A, C and D, the 27 of E6, the
+    56 of E7, else no rows: the Weyl orbit of omega_k, by s_i(mu) = mu - mu_i alpha_i at
+    mu_i > 0, in fundamental coordinates (alpha_i's are row i of the Cartan matrix)."""
+    t = L.rs.type_rank
+    node = {"E6": 0, "E7": 6}.get(str(t), 0 if t.letter in "ACD" else None)
+    if node is None:
+        return np.zeros((0, L.rank), dtype=np.int64)
+    seen = [tuple(int(i == node) for i in range(L.rank))]
+    for mu in seen:
+        for i, row in enumerate(L.rs.cartan):
+            nu = tuple(x - mu[i] * a for x, a in zip(mu, row))
+            if mu[i] > 0 and nu not in seen:
+                seen.append(nu)
+    return np.array(seen, dtype=np.int64)
+
+
+def _has_module_character(L: LieAlgebra, labels: np.ndarray) -> np.ndarray:
+    """Whether h of each row of `labels` has an sl2-character on `_module_weights`:
+    k as often as -k, and at least as often as k + 2 for k >= 0.  h acts on mu by
+    sum_i mu_i omega_i(h), omega_i(h) h's coroot coordinates (`_in_coroot_lattice`)."""
+    rows, den = _cartan_inverse(L)
+    values = labels @ (rows.T @ _module_weights(L).T) // den
+    top = int(np.abs(values).max(initial=0))
+    counts = _row_counts(values + top, 2 * top + 1)
+    return (counts == counts[:, ::-1]).all(1) & (counts[:, top:-2] >= counts[:, top + 2 :]).all(1)
+
+
+@lru_cache(maxsize=None)
 def _size_filters(L: LieAlgebra, chunk: int) -> np.ndarray:
     """Whether each label vector of a chunk passes the size filters.
 
@@ -203,13 +235,13 @@ def _size_filters(L: LieAlgebra, chunk: int) -> np.ndarray:
     dim g(1) is even (kappa(f, [x, y]) is a nondegenerate symplectic form on
     g(1)); a nonzero label vector also needs g(2) nonzero.  h also lies in
     the coroot lattice: its coordinate on the simple coroot h_i is
-    omega_i(h), and the fundamental weight omega_i is a weight of the
-    finite-dimensional module V(omega_i), on which h, as an element of an
-    sl2, acts with integer eigenvalues (`_in_coroot_lattice`).  The base-3
-    value of the labels, first highest (the order of `itertools.product`),
-    is chunk * 3^CHUNK_LABELS plus the vector's index in the returned bytes.
-    So one label vector costs one chunk of at most 81 vectors, whatever the
-    rank, and a sweep builds each chunk once.
+    omega_i(h), and omega_i is a weight of V(omega_i), on which h, in an
+    sl2, acts with integer eigenvalues (`_in_coroot_lattice`); on a
+    minuscule module they form an sl2-character (`_has_module_character`).
+    The base-3 value of the labels, first highest (the order of
+    `itertools.product`), is chunk * 3^CHUNK_LABELS plus the vector's index
+    in the returned bytes, so one label vector costs one chunk of at most
+    81 vectors, whatever the rank, and a sweep builds each chunk once.
     """
     tail = min(L.rank, CHUNK_LABELS)
     head = []
@@ -225,6 +257,7 @@ def _size_filters(L: LieAlgebra, chunk: int) -> np.ndarray:
         & (sizes[:, 1] % 2 == 0)
         & np.all(sizes[:, :-2] >= sizes[:, 2:], axis=1)
         & _in_coroot_lattice(L, labels)
+        & _has_module_character(L, labels)
     )
 
 
@@ -388,55 +421,64 @@ def _represent(
     against their echelon) and raises the rank over Q of
     A = ad e : g(-2) -> g(0) for e the unit sum over them; A has the rank
     of ad e : g(0) -> g(2) (see `_decide`), so e is surjective when A
-    reaches rank dim g(2).  The first order is the basis order, the next
-    ones are seeded shuffles, up to `RESTART_BUDGET` orders; None when all
-    of them run out.  Raises `TripleInsolubleError` when the surjective e
-    has no triple, which proves d is no diagram.
+    reaches rank n = dim g(2).  The first order is the basis order, the
+    next ones are seeded shuffles, up to `RESTART_BUDGET` orders; None when
+    all of them run out.  Raises `TripleInsolubleError` when the surjective
+    e has no triple, which proves d is no diagram.
 
     The rows of A are read off the layout's index arrays: each root adds
-    its entries to the rows of A keyed by g(0), and for a fixed row and
-    column at most one root contributes (see `_down_table`).  So the rows
-    for a set of roots are unions of their roots' entries, nothing is
-    summed and no entry cancels.  The walk keeps the rows for the kept
-    roots; each candidate gets its own copies of the rows its root touches,
-    and `_rank` takes their rank only, in the rank-only mode of
-    `linalg._Echelon`, which leaves the shared rows unchanged.  The draws'
-    matrices are dense, and numpy eliminates those mod p (`_decide`).
+    its entries to the rows keyed by g(0), and for a fixed row and column
+    at most one root contributes (see `_down_table`), so nothing is summed.
+    Each candidate copies the rows its root touches, and `_rank` counts
+    their pivots below n, rank A, in the rank-only mode of
+    `linalg._Echelon`.  Once they touch all n columns, the only way to rank
+    n, the rows carry h's integer support in column n of the Cartan rows,
+    and the echelon that reaches rank n solves the triple by back-substitution.
     """
     g2 = layout.g2
-    # the entries of A for each root of g2, as {row of g(0): {column: n}}
+    n = len(g2)
+    h = _h_support(L, d.labels)
+    # h's entries on the Cartan rows, which end g(0)
+    hcol = {len(layout.g0) - L.rank - 2 * L.npos + i: c for i, c in h[0].items()}
+    # the entries of A for each root of g2, as {row of g(0): {column: entry}}
     down: list[dict[int, dict[int, int]]] = [{} for _ in g2]
+    touched: list[set[int]] = [set() for _ in g2]  # the columns each root touches
     arrays = (layout.pos, layout.rows, layout.cols, layout.n)
-    for t, i, c, n in zip(*(a.tolist() for a in arrays)):
-        down[t].setdefault(i, {})[c] = n
-    roots = [{c: x for c, x in enumerate(L._root_of_index[i]) if x} for i in g2]
-    order = list(range(len(g2)))
+    for t, i, c, x in zip(*(a.tolist() for a in arrays)):
+        down[t].setdefault(i, {})[c] = x
+        touched[t].add(c)
+    order = list(range(n))
     shuffler = random.Random(_derive_seed(seed, d.labels) + 2)
     for attempt in range(RESTART_BUDGET):
         if attempt:
             shuffler.shuffle(order)
         kept: list[int] = []
-        echelon = _Echelon()
-        # the rows of A for e the sum over kept, as {row of g(0): {column: entry}}
+        span = _Echelon()
+        # the rows of A for e the sum over kept, with h once covered has n columns
         total: dict[int, dict[int, int]] = {}
+        covered: set[int] = set()
         reached = 0
         for q in order:
-            v = echelon.reduce(dict(roots[q]))
+            v = span.reduce({c: x for c, x in enumerate(L._root_of_index[g2[q]]) if x})
             if not v:
                 continue
             candidate = dict(total)
             for i, entries in down[q].items():
                 candidate[i] = {**total[i], **entries} if i in total else entries
-            r = _rank(candidate.values())
+            if len(covered | touched[q]) == n:
+                # A may reach rank n from now on: rank [A | h], h in column n
+                candidate.update({i: {**candidate.get(i, {}), n: c} for i, c in hcol.items()})
+            echelon = _Echelon()
+            r = _rank(candidate.values(), n, echelon)
             if r > reached:
                 kept.append(q)
-                echelon.store(v)
+                span.store(v)
                 total = candidate
+                covered |= touched[q]
                 reached = r
-                if reached == len(g2):
+                if reached == n:
                     e = ({g2[t]: 1 for t in kept}, 1)
-                    h = _h_support(L, d.labels)
-                    return _triple(L, layout.g0, layout.neg2, e, h)
+                    return _triple(L, layout.g0, layout.neg2, e, h, echelon)
                 if len(kept) == L.rank:
                     break
     return None
@@ -546,6 +588,7 @@ def _triple(
     neg2: list[int],
     e: tuple[dict[int, int], int],
     h: tuple[dict[int, int], int],
+    echelon: _Echelon | None = None,
 ) -> Sl2Triple:
     """`complete_triple` for e in g(2), given the indices of g(0) and g(-2).
 
@@ -555,26 +598,28 @@ def _triple(
     system can be nonzero.  They are built from the integer structure
     constants as sparse rows, each entry from one root k of e (for x_j in
     g(-2) and x_i in g(0), at most one k has x_i in [x_k, x_j]; see
-    `_down_table`).  `linalg._solution` eliminates them exactly; f is built
-    from the solution's integer support, and the check stays in integers.
+    `_down_table`); `_echelon` eliminates them unless the walk gives their
+    `echelon`, `_back_substitute` solves it, and the check is in integers.
     """
     supp, scale = e
     hsupp, hden = h
     cols = len(neg2)
-    # [scale * e, x] = scale * hden * h as sparse integer augmented rows, the
-    # right-hand side in column `cols`; f = x / hden
-    rows: dict[int, dict[int, int]] = {i: {} for i in g0}
-    for i, c in hsupp.items():
-        rows[i][cols] = scale * c
-    for k, c in supp.items():
-        adj = L._adj[k]
-        for col, j in enumerate(neg2):
-            for i, n in adj.get(j, ()):
-                rows[i][col] = c * n
-    sol = _solution(rows.values(), cols)
+    if echelon is None:
+        # [scale * e, x] = scale * hden * h as sparse integer augmented rows,
+        # the right-hand side in column `cols`; f = x / hden
+        rows: dict[int, dict[int, int]] = {i: {} for i in g0}
+        for i, c in hsupp.items():
+            rows[i][cols] = scale * c
+        for k, c in supp.items():
+            adj = L._adj[k]
+            for col, j in enumerate(neg2):
+                for i, n in adj.get(j, ()):
+                    rows[i][col] = c * n
+        echelon = _echelon(rows.values())
+    sol = _back_substitute(echelon, cols)
     if sol is None:
         raise TripleInsolubleError("no completion to a triple: invalid representative")
-    xs, xden = _scaled_support(sol)
+    xs, xden = sol
     f = Element._of(L.dim, {neg2[col]: x for col, x in xs.items()}, xden * hden)
     # [h, f] = -2f holds by construction: f is supported on g(-2).  [e, f] = h
     # is checked as [scale * e, den * f] = scale * den * h on integer supports.

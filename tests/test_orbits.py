@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -359,14 +360,15 @@ def test_integer_triple_check_rejects_a_wrong_f(name, labels, monkeypatch):
     L = build_lie_algebra(name)
     d = WeightedDynkinDiagram(labels)
     e = find_representative(L, d)
-    real = orbits._solution
+    real = orbits._back_substitute
 
-    def wrong(rows, cols):
-        # the exact solution with its first entry off by 1
-        sol = real(rows, cols)
-        return None if sol is None else {**sol, 0: sol.get(0, 0) + 1}
+    def wrong(echelon, cols):
+        # the exact solution y / den with its first entry off by 1
+        sol = real(echelon, cols)
+        return None if sol is None else ({**sol[0], 0: sol[0].get(0, 0) + sol[1]}, sol[1])
 
-    monkeypatch.setattr(orbits, "_solution", wrong)
+    # the walk and complete_triple share this back-substitution
+    monkeypatch.setattr(orbits, "_back_substitute", wrong)
     message = "triple relations failed verification"
     with pytest.raises(RuntimeError, match=message) as info:
         complete_triple(L, characteristic_element(L, d), e)
@@ -385,13 +387,13 @@ def test_integer_triple_check_fires_under_python_O(tmp_path):
             from exorb.algebra import build_lie_algebra
 
             assert False, "assertions are on"
-            real = orbits._solution
+            real = orbits._back_substitute
 
-            def wrong(rows, cols):
-                sol = real(rows, cols)
-                return None if sol is None else {**sol, 0: sol.get(0, 0) + 1}
+            def wrong(echelon, cols):
+                sol = real(echelon, cols)
+                return None if sol is None else ({**sol[0], 0: sol[0].get(0, 0) + sol[1]}, sol[1])
 
-            orbits._solution = wrong
+            orbits._back_substitute = wrong
             L = build_lie_algebra("G2")
             try:
                 orbits.orbit(L, orbits.WeightedDynkinDiagram((2, 2)))
@@ -488,8 +490,9 @@ def test_rejected_diagram_takes_no_exact_triple_solve(monkeypatch):
 
     monkeypatch.setattr(orbits, "_triple", counting)
     assert orbit(L, WeightedDynkinDiagram((0, 0, 0, 0, 0, 2))) is None
-    # (0, 0, 0, 0, 2, 2) passes the size filters and the coroot lattice
-    d = WeightedDynkinDiagram((0, 0, 0, 0, 2, 2))
+    # (0, 2, 2, 0, 2, 0) passes the size filters, the coroot lattice and
+    # the module character
+    d = WeightedDynkinDiagram((0, 2, 2, 0, 2, 0))
     assert orbits._layout(L, d) is not None
     assert orbit(L, d) is None
     assert len(calls) == 0
@@ -505,12 +508,14 @@ def _no_mod_p_rejection(monkeypatch):
 
 @pytest.fixture
 def size_survivors(monkeypatch):
-    """Turn the coroot-lattice filter off, so `_layouts` yields every vector
-    that passes the size filters; the filter tables are rebuilt around it."""
+    """Turn the coroot-lattice and module filters off, so `_layouts` yields
+    every vector that passes the size filters; the filter tables are
+    rebuilt around it."""
     orbits._size_filters.cache_clear()
-    monkeypatch.setattr(
-        orbits, "_in_coroot_lattice", lambda L, labels: np.ones(len(labels), dtype=bool)
-    )
+    for name in ("_in_coroot_lattice", "_has_module_character"):
+        monkeypatch.setattr(
+            orbits, name, lambda L, labels: np.ones(len(labels), dtype=bool)
+        )
     yield
     orbits._size_filters.cache_clear()
 
@@ -678,10 +683,12 @@ def test_walk_ranks_are_the_dense_ranks_of_the_summed_blocks(name, monkeypatch):
     real = orbits._rank
     taken = []
 
-    def sparse_rank(rows):
-        # the kept roots and the candidate q are read off the walk's frame
+    def sparse_rank(rows, *args):
+        # the kept roots and the candidate q are read off the walk's frame;
+        # rows that touch every column carry h in column n, and the rank
+        # counts the pivots below it
         walk = sys._getframe(1).f_locals
-        r = real(rows)
+        r = real(rows, *args)
         taken.append((walk["layout"], walk["kept"] + [walk["q"]], r))
         return r
 
@@ -760,12 +767,54 @@ def _coroot_integral(L, d):
     return all(c.denominator == 1 for c in coords)
 
 
+# The node k of omega_k for the minuscule modules of the exceptional types:
+# the 27 of E6 and the 56 of E7 (G2, F4 and E8 have none).
+MINUSCULE_NODES = {"E6": 0, "E7": 6}
+
+
+@lru_cache(maxsize=None)
+def _minuscule_orbit(name):
+    """The Weyl orbit of omega_k in fundamental coordinates, closed under
+    every simple reflection s_i(mu) = mu - mu_i alpha_i, with alpha_i's
+    coordinates <alpha_i, alpha_j^vee> read off the Cartan matrix."""
+    L = build_lie_algebra(name)
+    n, cartan = L.rank, L.rs.cartan
+    start = tuple(int(j == MINUSCULE_NODES[name]) for j in range(n))
+    orbit, frontier = {start}, [start]
+    while frontier:
+        mu = frontier.pop()
+        for i in range(n):
+            nu = tuple(mu[j] - mu[i] * cartan[i][j] for j in range(n))
+            if nu not in orbit:
+                orbit.add(nu)
+                frontier.append(nu)
+    return sorted(orbit)
+
+
+def _module_character(L, d):
+    """Whether h of d acts on the minuscule module with an sl2-character:
+    the eigenvalue on mu is sum_j mu_j x_j for h's Cartan coordinates x,
+    and k occurs as often as -k and at least as often as k + 2 for k >= 0.
+    True for a type without such a module; h must be coroot-integral."""
+    name = str(L.rs.type_rank)
+    if name not in MINUSCULE_NODES:
+        return True
+    coords = characteristic_element(L, d).coeffs[2 * L.npos :]
+    eig = Counter(sum(m * x for m, x in zip(mu, coords)) for mu in _minuscule_orbit(name))
+    top = int(max(eig))
+    return all(eig[k] == eig[-k] for k in eig) and all(
+        eig[k] >= eig[k + 2] for k in range(top + 1)
+    )
+
+
 @pytest.mark.parametrize("name", ["G2", "F4", "E6", "E7", "E8"])
 def test_layout_is_none_exactly_when_the_sizes_break_a_filter(name):
     # Sizes counted from basis_weights, with every k >= 0 checked: E6
     # (1,1,2,1,0,2) has dim g(9) = 0 < dim g(11) = 1.  h must also have
-    # integer coordinates on the simple coroots.  The filters are read from
-    # tables of 81 label vectors, indexed by the labels in product order.
+    # integer coordinates on the simple coroots, and its eigenvalues on the
+    # minuscule module of E6 or E7 must form an sl2-character.  The filters
+    # are read from tables of 81 label vectors, indexed by the labels in
+    # product order.
     L = build_lie_algebra(name)
     passed = 0
     for labels in product((0, 1, 2), repeat=L.rank):
@@ -778,6 +827,7 @@ def test_layout_is_none_exactly_when_the_sizes_break_a_filter(name):
             or dims[1] % 2
             or any(dims[k] < dims[k + 2] for k in range(len(dims) - 2))
             or not _coroot_integral(L, d)
+            or not _module_character(L, d)
         )
         layout = orbits._layout(L, d)
         assert (layout is None) == broken, labels
@@ -786,7 +836,7 @@ def test_layout_is_none_exactly_when_the_sizes_break_a_filter(name):
             assert layout.g0 == [i for i, w in enumerate(weights) if w == 0]
             assert layout.g2 == [i for i, w in enumerate(weights) if w == 2]
             assert layout.neg2 == [i for i, w in enumerate(weights) if w == -2]
-    assert passed == {"G2": 5, "F4": 20, "E6": 43, "E7": 127, "E8": 173}[name]
+    assert passed == {"G2": 5, "F4": 20, "E6": 25, "E7": 69, "E8": 173}[name]
 
 
 def test_every_tabulated_diagram_has_h_in_the_coroot_lattice():
@@ -816,6 +866,47 @@ def test_coroot_lattice_rejects_only_what_the_draws_reject(name, size_survivors)
         assert orbits._decide(d, layout, orbits.DEFAULT_TRIALS, 1) is None, d
         rejected += 1
     assert rejected == {"E6": 94, "E7": 44}[name]
+
+
+def test_module_weights_follow_a_fixed_rule():
+    # The module is chosen by type, not by building every minuscule orbit:
+    # omega_1 for A, C and D, the 27 of E6 and the 56 of E7, none otherwise.
+    for name, size in [("A1", 2), ("A20", 21), ("C4", 8), ("D5", 10), ("E6", 27), ("E7", 56)]:
+        weights = orbits._module_weights(build_lie_algebra(name))
+        assert len(weights) == len({tuple(w) for w in weights.tolist()}) == size, name
+    for name in ("B3", "F4", "G2", "E8"):
+        assert orbits._module_weights(build_lie_algebra(name)).shape == (0, int(name[1])), name
+    for name in MINUSCULE_NODES:
+        weights = orbits._module_weights(build_lie_algebra(name)).tolist()
+        assert sorted(map(tuple, weights)) == _minuscule_orbit(name)
+
+
+@pytest.mark.parametrize("name, size", [("E6", 27), ("E7", 56)])
+def test_every_tabulated_diagram_has_a_module_character(name, size):
+    # The tabulated diagrams of E6 and E7 pass the module condition, read
+    # from the test's own Weyl orbit and the characteristic's coordinates,
+    # and by the filter itself.
+    L = build_lie_algebra(name)
+    assert len(_minuscule_orbit(name)) == size
+    diagrams = [r.diagram for r in load_tables().orbits(name)]
+    for labels in diagrams:
+        assert _module_character(L, WeightedDynkinDiagram(labels)), labels
+    assert orbits._has_module_character(L, np.array(diagrams)).all()
+
+
+@pytest.mark.parametrize("name", ["E6", "E7"])
+def test_module_character_rejects_only_what_the_draws_reject(name, size_survivors):
+    # Every size survivor with h in the coroot lattice whose eigenvalues on
+    # the minuscule module form no sl2-character is also rejected by its
+    # decisive draw, by the rank mod p of [A | h].
+    L = build_lie_algebra(name)
+    rejected = 0
+    for d, layout in _layouts(L):
+        if not _coroot_integral(L, d) or _module_character(L, d):
+            continue
+        assert orbits._decide(d, layout, orbits.DEFAULT_TRIALS, 1) is None, d
+        rejected += 1
+    assert rejected == {"E6": 18, "E7": 58}[name]
 
 
 def test_h_outside_the_coroot_lattice_is_rejected_before_rank_work(monkeypatch):
