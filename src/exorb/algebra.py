@@ -472,6 +472,13 @@ def centralizer(
     (see `Subspace`) the union of the blocks' canonical kernels is the
     canonical basis of the whole kernel, so the result does not depend on
     the grading; a finer grading only makes the blocks smaller.
+
+    The weights are linear in the root, so the Killing form pairs g(k) with
+    g(-k); it makes ad a skew, so the block on g(k) is the dual of the block
+    on g(-k-d), up to sign, and has its rank.  The blocks are visited onto
+    side first (descending k for d > 0, ascending otherwise), and a block
+    whose dual was computed onto is injective: it is skipped, on that
+    computed rank, without elimination.
     """
     if isinstance(a, Element):
         if a.dim != L.dim:
@@ -489,10 +496,14 @@ def centralizer(
     blocks = grading.blocks
     adj = L._adj
     rows: list[tuple[dict[int, Fraction | int], int]] = []
-    for k, dom in blocks.items():
+    onto: set[int] = set()
+    for k in sorted(blocks, reverse=d > 0):
+        dom = blocks[k]
         if not (a and k + d in blocks):
             rows.extend(({j: 1}, k) for j in dom)
             continue
+        if -k - d in onto:
+            continue  # the dual of an onto block is injective
         # the rows of ad a : g(k) -> g(k + d), as {column: entry}; an entry
         # where two terms of a cancel stays as an explicit 0, which
         # `_null_space` drops
@@ -501,8 +512,10 @@ def centralizer(
             for i, c in a.items():
                 for t, n in adj[i].get(j, ()):
                     block[t][col] = block[t].get(col, 0) + c * n
-        for v in _null_space(block.values(), len(dom)):
-            rows.append(({dom[x]: y for x, y in v.items()}, k))
+        kernel = _null_space(block.values(), len(dom))
+        if len(dom) - len(kernel) == len(blocks[k + d]):
+            onto.add(k)
+        rows.extend(({dom[x]: y for x, y in v.items()}, k) for v in kernel)
     return _span(L, grading, rows)
 
 

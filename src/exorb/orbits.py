@@ -49,7 +49,7 @@ import numpy as np
 
 from ._modp import PRIMES, pivot_columns
 from .algebra import Element, LieAlgebra, _bracket_supp
-from .linalg import _Echelon, _back_substitute, _echelon, _rank, _scaled_support  # noqa: F401
+from .linalg import _Echelon, _back_substitute, _echelon, _rank
 
 __all__ = [
     "WeightedDynkinDiagram",

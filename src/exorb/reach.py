@@ -137,7 +137,9 @@ def _check_centralizer_sizes(
     highest weight k meets g(k) but not g(k+2), so dim g(k) - dim g(k+2)
     modules have highest weight k, and g_e has no negative weight.  This
     checks the centralizer kernel against the graded sizes alone, and with
-    it the dimension dim g(0) + dim g(1) that `classify` reports.
+    it the dimension dim g(0) + dim g(1) that `classify` reports.  Most
+    negative-weight kernels are skipped by `centralizer`, certified empty
+    by the dual onto blocks, whose kernels of weight k >= 0 this checks.
     """
     sizes, found = Counter(ad_h), Counter(ge_h)
     if min(found, default=0) < 0 or any(

@@ -473,7 +473,7 @@ def test_the_pipeline_builds_no_dense_vector(monkeypatch, capsys):
     views, dense = [], []
     build = Element.coeffs.func
     monkeypatch.setattr(Element, "coeffs", property(lambda x: views.append(x) or build(x)))
-    for module in (exorb.linalg, exorb.algebra, orbits_module, exorb.reach):
+    for module in (exorb.linalg, exorb.algebra, exorb.reach):
 
         def recording(coeffs, kernel=module._scaled_support):
             if not isinstance(coeffs, Mapping):
