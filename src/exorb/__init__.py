@@ -1,12 +1,6 @@
 """Exact Chevalley-basis Lie algebras and nilpotent orbit analysis."""
 
-from .roots import (
-    TypeRank,
-    Root,
-    RootSystem,
-    build_root_system,
-    structure_constant,
-)
+from .roots import TypeRank, Root, RootSystem, build_root_system
 from .linalg import RatMatrix, rank, kernel, intersect
 from .algebra import (
     LieAlgebra,
@@ -40,7 +34,6 @@ __all__ = [
     "Root",
     "RootSystem",
     "build_root_system",
-    "structure_constant",
     "RatMatrix",
     "rank",
     "kernel",

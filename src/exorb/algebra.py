@@ -75,6 +75,8 @@ class Element:
         return f"Element(dim={self.dim}, support={self._supp}, den={self._den})"
 
     def __add__(self, other: "Element") -> "Element":
+        if not isinstance(other, Element):
+            return NotImplemented
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
         den = lcm(self._den, other._den)
@@ -89,7 +91,7 @@ class Element:
         return Element._of(self.dim, out, den)
 
     def __sub__(self, other: "Element") -> "Element":
-        return self + -other
+        return self + -other if isinstance(other, Element) else NotImplemented
 
     def __neg__(self) -> "Element":
         return Element._of(self.dim, {i: -x for i, x in self._supp.items()}, self._den)

@@ -59,14 +59,6 @@ class RatMatrix:
         self._rows = data
         self._cols = cols
 
-    @classmethod
-    def identity(cls, n: int) -> "RatMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], n)
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "RatMatrix":
-        return cls([[0] * cols for _ in range(rows)], cols)
-
     @property
     def rows(self) -> int:
         return len(self._rows)

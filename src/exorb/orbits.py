@@ -68,6 +68,9 @@ DEFAULT_TRIALS = 25
 TRIAL_COEFF_MAX = 10_000
 RESTART_BUDGET = 50
 
+# A rational vector as (integer support, denominator), like `Element` holds it.
+_Scaled = tuple[dict[int, int], int]
+
 
 @dataclass(frozen=True)
 class WeightedDynkinDiagram:
@@ -117,7 +120,7 @@ def characteristic_element(L: LieAlgebra, d: WeightedDynkinDiagram) -> Element:
     return Element._of(L.dim, *_h_support(L, d.labels))
 
 
-def _h_support(L: LieAlgebra, labels: Sequence[int]) -> tuple[dict[int, int], int]:
+def _h_support(L: LieAlgebra, labels: Sequence[int]) -> _Scaled:
     """h as (integer support, denominator), like `linalg._scaled_support`.
 
     h has only its `rank` Cartan coordinates nonzero: the integer rows of
@@ -586,8 +589,8 @@ def _triple(
     L: LieAlgebra,
     g0: list[int],
     neg2: list[int],
-    e: tuple[dict[int, int], int],
-    h: tuple[dict[int, int], int],
+    e: _Scaled,
+    h: _Scaled,
     echelon: _Echelon | None = None,
 ) -> Sl2Triple:
     """`complete_triple` for e in g(2), given the indices of g(0) and g(-2).
@@ -621,12 +624,17 @@ def _triple(
         raise TripleInsolubleError("no completion to a triple: invalid representative")
     xs, xden = sol
     f = Element._of(L.dim, {neg2[col]: x for col, x in xs.items()}, xden * hden)
-    # [h, f] = -2f holds by construction: f is supported on g(-2).  [e, f] = h
-    # is checked as [scale * e, den * f] = scale * den * h on integer supports.
-    lhs = {k: v * hden for k, v in _bracket_supp(L._adj, supp, f._supp).items()}
-    if lhs != {k: v * scale * f._den for k, v in hsupp.items()}:
+    # [h, f] = -2f holds by construction: f is supported on g(-2).
+    if not _brackets_to(L, e, (f._supp, f._den), h):
         raise RuntimeError("triple relations failed verification")
     return Sl2Triple(e=Element._of(L.dim, supp, scale), h=Element._of(L.dim, hsupp, hden), f=f)
+
+
+def _brackets_to(L: LieAlgebra, e: _Scaled, f: _Scaled, h: _Scaled) -> bool:
+    """Whether [e, f] = h, in integers: [de * e, df * f] * dh = de * df * (dh * h)."""
+    (se, de), (sf, df), (sh, dh) = e, f, h
+    lhs = {k: v * dh for k, v in _bracket_supp(L._adj, se, sf).items()}
+    return lhs == {k: x * de * df for k, x in sh.items()}
 
 
 def enumerate_orbits(

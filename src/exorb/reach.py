@@ -32,7 +32,6 @@ from .algebra import (
     Element,
     LieAlgebra,
     Subspace,
-    _bracket_supp,
     _closure,
     _Grading,
     _quotient,
@@ -40,7 +39,13 @@ from .algebra import (
     derived_subalgebra,
 )
 from .linalg import _null_space, _scaled_support
-from .orbits import NilpotentOrbit, WeightedDynkinDiagram, _h_support, enumerate_orbits
+from .orbits import (
+    NilpotentOrbit,
+    WeightedDynkinDiagram,
+    _brackets_to,
+    _h_support,
+    enumerate_orbits,
+)
 
 __all__ = [
     "OrbitAnalysis",
@@ -112,19 +117,17 @@ def _triple_supports(L: LieAlgebra, o: NilpotentOrbit) -> tuple[dict[int, int], 
     if not e.dim == h.dim == f.dim == L.dim:
         raise ValueError("dimension mismatch")
     ad_h = L.basis_weights(o.diagram.labels)
-    (se, de), (sh, dh), (sf, df) = ((x._supp, x._den) for x in (e, h, f))
-    if (sh, dh) != _h_support(L, o.diagram.labels):
+    e, h, f = ((x._supp, x._den) for x in (e, h, f))
+    if h != _h_support(L, o.diagram.labels):
         raise ValueError(f"h does not realize the diagram {o.diagram}")
     if (
-        any(ad_h[i] != 2 for i in se)
-        or not (se or o.diagram.is_zero())
-        or any(ad_h[i] != -2 for i in sf)
-        # [de * e, df * f] * dh = de * df * (dh * h)
-        or {k: v * dh for k, v in _bracket_supp(L._adj, se, sf).items()}
-        != {k: x * de * df for k, x in sh.items()}
+        any(ad_h[i] != 2 for i in e[0])
+        or not (e[0] or o.diagram.is_zero())
+        or any(ad_h[i] != -2 for i in f[0])
+        or not _brackets_to(L, e, f, h)
     ):
         raise ValueError(f"(e, h, f) is not an sl2-triple for the diagram {o.diagram}")
-    return se, ad_h
+    return e[0], ad_h
 
 
 def _check_centralizer_sizes(

@@ -165,9 +165,6 @@ class RefData:
             self._by_type[tname] = records
         self._exceptions = tuple(_exception_record(row) for row in exceptions)
 
-    def types(self) -> tuple[str, ...]:
-        return tuple(self._by_type)
-
     def orbits(self, t: TypeRank | str) -> tuple[OrbitRecord, ...]:
         name = str(t) if isinstance(t, TypeRank) else t
         try:

@@ -16,7 +16,6 @@ __all__ = [
     "Root",
     "RootSystem",
     "build_root_system",
-    "structure_constant",
 ]
 
 _E_CHAIN = ((0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7))
@@ -59,10 +58,6 @@ class Root:
     """A root written in coordinates over the simple roots."""
 
     coeffs: tuple[int, ...]
-
-    @property
-    def height(self) -> int:
-        return sum(self.coeffs)
 
     def __neg__(self) -> "Root":
         return Root(tuple(-c for c in self.coeffs))
@@ -281,12 +276,6 @@ class RootSystem:
     def num_positive(self) -> int:
         return len(self.positive_roots)
 
-    def is_root(self, coeffs: tuple[int, ...]) -> bool:
-        return coeffs in self._rootset
-
-    def norm(self, coeffs: tuple[int, ...]) -> int:
-        return self._norms[coeffs]
-
     def pairing(self, coeffs: tuple[int, ...], i: int) -> int:
         """<beta, coroot of alpha_i>."""
         return sum(coeffs[j] * self.cartan[j][i] for j in range(self.rank))
@@ -302,18 +291,6 @@ class RootSystem:
             out.append(int(val))
         return tuple(out)
 
-    def root_string(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, int]:
-        """(p, q) with b - p*a .. b + q*a the alpha-string of b through a."""
-        p = self._string_down(a, b)
-        q = 0
-        cur = b
-        while True:
-            cur = tuple(x + y for x, y in zip(cur, a))
-            if cur in self._rootset:
-                q += 1
-            else:
-                return p, q
-
     def __repr__(self) -> str:
         return f"RootSystem({self.type_rank}, {self.num_positive} positive roots)"
 
@@ -328,18 +305,4 @@ def build_root_system(t: TypeRank | str) -> RootSystem:
     if isinstance(t, str):
         t = TypeRank.from_string(t)
     return _cached_system(t.letter, t.rank)
-
-
-def structure_constant(rs: RootSystem, a: Root, b: Root) -> int:
-    """N(a, b), the coefficient in [x_a, x_b] = N(a,b) x_{a+b}.
-
-    Returns 0 when a+b is neither a root nor zero.  The case a+b = 0 is
-    rejected: that bracket is a Cartan element, not a root-vector multiple.
-    """
-    if not rs.is_root(a.coeffs) or not rs.is_root(b.coeffs):
-        raise ValueError("structure_constant requires roots of this system")
-    total = tuple(x + y for x, y in zip(a.coeffs, b.coeffs))
-    if all(c == 0 for c in total):
-        raise ValueError("opposite roots: the bracket lies in the Cartan subalgebra")
-    return rs.structconsts.get((a.coeffs, b.coeffs), 0)
 

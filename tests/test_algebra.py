@@ -66,6 +66,48 @@ def test_jacobi_exhaustive_g2():
         assert total.is_zero()
 
 
+def _ad_homomorphism_failures(adj):
+    """The pairs i < j with ad [x_i, x_j] != [ad x_i, ad x_j], read from `adj`.
+
+    Entry (k, s) of [x_i, [x_j, x_k]] - [x_j, [x_i, x_k]] - [[x_i, x_j], x_k]
+    is summed at key k * dim + s, over only the k that one of the three
+    terms can reach.  ad is a homomorphism on every basis pair exactly when
+    Jacobi holds on every basis triple.
+    """
+    dim, failures = len(adj), []
+    for i, j in combinations(range(dim), 2):
+        out = {}
+        get = out.get
+        for outer, inner, sign in ((adj[i], adj[j], 1), (adj[j], adj[i], -1)):
+            for k, col in inner.items():
+                base = k * dim
+                for t, n in col:
+                    for s, c in outer.get(t, ()):
+                        out[base + s] = get(base + s, 0) + sign * n * c
+        for m, n in adj[i].get(j, ()):
+            for k, col in adj[m].items():
+                base = k * dim
+                for s, c in col:
+                    out[base + s] = get(base + s, 0) - n * c
+        if any(out.values()):
+            failures.append((i, j))
+    return failures
+
+
+@pytest.mark.parametrize("name", ["G2", "F4", "E6", "E7", "E8"])
+def test_jacobi_exhaustive_on_every_exceptional_type(name):
+    assert _ad_homomorphism_failures(build_lie_algebra(name)._adj) == []
+
+
+def test_jacobi_certificate_fails_on_one_flipped_constant():
+    L = build_lie_algebra("F4")
+    adj = [dict(row) for row in L._adj]
+    # the first b with [x_0, x_b] = n x_t for a root vector x_t
+    b, ((t, n),) = next((b, hits) for b, hits in adj[0].items() if hits[0][0] < L._hbase)
+    adj[0][b] = ((t, -n),)
+    assert _ad_homomorphism_failures(adj)
+
+
 @pytest.mark.parametrize("index", [-1, 14])
 def test_element_refuses_a_basis_index_out_of_range(index):
     # -1 would wrap round to the last Cartan vector of G2 (dim 14)
@@ -470,7 +512,8 @@ def test_sparse_and_matrix_bases_agree():
     assert sparse.basis == dense.basis and sparse.dim == dense.dim
     assert sparse != Subspace(L, rows[1:])
     assert sparse != Subspace(build_lie_algebra("E6"), rows)
-    assert Subspace.full(L) == Subspace(L, RatMatrix.identity(L.dim))
+    eye = RatMatrix([[int(i == j) for j in range(L.dim)] for i in range(L.dim)])
+    assert Subspace.full(L) == Subspace(L, eye)
     assert Subspace.zero(L) == Subspace(L, RatMatrix([], L.dim))
     with pytest.raises(AttributeError):
         sparse.amb = build_lie_algebra("E6")
@@ -754,6 +797,15 @@ def test_an_element_is_its_support_however_it_is_built(data):
         assert (x == y) == (a == b)
     with pytest.raises(ValueError, match="dimension mismatch"):
         xs[0] + Element(a[:-1])
+
+
+def test_an_element_adds_and_subtracts_only_elements():
+    x = build_lie_algebra("G2").basis_element(3)
+    for other in (1, Fraction(1)):
+        assert x.__add__(other) is NotImplemented and x.__sub__(other) is NotImplemented
+        for op in (lambda: x + other, lambda: x - other, lambda: other + x):
+            with pytest.raises(TypeError, match="unsupported operand"):
+                op()
 
 
 def test_an_element_refuses_floats_and_stays_immutable():

@@ -58,10 +58,10 @@ def _minor_rank(m):
 
 
 def test_rref_identity_and_zero():
-    eye = RatMatrix.identity(4)
+    eye = RatMatrix([[int(i == j) for j in range(4)] for i in range(4)])
     reduced, pivots = rref(eye)
     assert reduced == eye and pivots == (0, 1, 2, 3)
-    z = RatMatrix.zeros(3, 5)
+    z = RatMatrix([[0] * 5] * 3)
     reduced, pivots = rref(z)
     assert pivots == () and reduced.rows == 0 and reduced.cols == 5
 
@@ -169,7 +169,7 @@ def test_intersect_trivial_cases():
     assert intersect(a, a) == rref(a)[0]
     zero = RatMatrix([], cols=3)
     assert intersect(a, zero).rows == 0
-    assert solve(RatMatrix.zeros(2, 2), [0, 0]) == (0, 0)
+    assert solve(RatMatrix([[0, 0], [0, 0]]), [0, 0]) == (0, 0)
 
 
 def test_intersect_rejects_mismatched_ambients():

@@ -13,7 +13,10 @@ REACHABLE_COUNTS = {"G2": 1, "F4": 4, "E6": 6, "E7": 8, "E8": 16}
 
 def test_counts_per_type():
     tables = load_tables()
-    assert set(tables.types()) == set(COUNTS)
+    data = json.loads(resources.files("exorb").joinpath("data/orbit_tables.json").read_text())
+    assert set(data["types"]) == set(COUNTS)
+    with pytest.raises(ValueError):
+        tables.orbits("A2")
     for tname, count in COUNTS.items():
         records = tables.orbits(tname)
         assert len(records) == count
