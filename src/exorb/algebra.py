@@ -14,7 +14,7 @@ from collections import Counter, defaultdict
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 from .linalg import RatMatrix, _Echelon, _echelon, _exact, _null_space, _scaled_support
 from .roots import Root, RootSystem, TypeRank, build_root_system
@@ -530,51 +530,59 @@ def derived_subalgebra(
     i.e. when s is not actually closed under the product.
 
     `weights` is a grading of L (see `centralizer`); s must be graded by it,
-    that is, its canonical rows homogeneous (ValueError otherwise).  The
-    bracket of rows of weights i and j lies in g(i + j), since the weights
-    grade the product, so it is settled within weight t = i + j alone.  A
-    pair is skipped when t is not the weight of any basis vector of L: then
-    g(t) = 0, so the bracket is zero, lies in s and adds nothing.  Each
-    canonical row is bracketed as its integer support, which changes no
-    span.  While the span accumulated in weight t has fewer rows than s(t),
-    a bracket is reduced exactly against it and a nonzero residual is
-    stored; once it has as many rows it equals s(t).  Where s(t) = g(t),
-    every bracket of weight t lies in s, so checking it proves nothing:
-    those brackets are formed only while the span of weight t fills, and
-    are not checked.  Every other bracket is formed and checked to
-    lie in s, also when s has no rows of weight t.  So every bracket that
-    the grading does not already place in s is checked exactly, and the
-    result is the same canonical basis for every grading.
+    that is, its canonical rows homogeneous (ValueError otherwise).  Where
+    s(t) = g(t), every bracket of weight t lies in s, so checking it proves
+    nothing: those brackets are formed only while the span of weight t
+    fills, and are not checked.  Every other bracket that can be nonzero is
+    formed and checked to lie in s, also when s has no rows of weight t.
+    So the result is the same canonical basis for every grading.
     """
     if s.amb is not L:
         raise ValueError("subspace belongs to a different algebra")
     grading = _grading(L, weights)
-    blocks = grading.blocks
     graded = list(zip(s._ints, s.row_weights(grading)))
-    missing = Counter(w for _, w in graded)  # rows of s(t) not yet spanned
-    whole = {t for t, n in missing.items() if n == len(blocks[t])}  # s(t) = g(t)
-    live = set(blocks)  # the weights whose brackets are still formed
+    rows = Counter(w for _, w in graded)
+    checked = {t for t, b in grading.blocks.items() if rows[t] < len(b)}  # s(t) != g(t)
+    return _derived(s, graded, grading, checked)
+
+
+def _derived(
+    s: Subspace, graded: Sequence[tuple], grading: _Grading, checked: Collection[int]
+) -> Subspace:
+    """[s, s] from the rows of s, each (integer support, weight, ...).
+
+    A bracket of rows of weights i and j lies in g(t), t = i + j.  While the
+    span of weight t has fewer rows than s(t), it is formed, reduced exactly
+    against that span and a nonzero residual stored.  A weight in `checked`
+    has its brackets formed and checked to lie in s (ValueError otherwise)
+    also once full, or where s has no rows.  With nothing checked, s must be
+    closed, as a centralizer is: ad e is a derivation.
+    """
+    missing = Counter(r[1] for r in graded)  # rows of s(t) not yet spanned
+    live = set(missing).union(checked)  # the weights whose brackets are still formed
     acc: dict[int, _Echelon] = defaultdict(_Echelon)
-    adj, has = L._adj, s._has
-    for i, (ri, wi) in enumerate(graded):
-        for rj, wj in graded[i + 1 :]:
-            t = wi + wj
+    adj, has = s.amb._adj, s._has
+    for i, (ri, wi, *_) in enumerate(graded):
+        if not live:
+            break
+        for rj in graded[i + 1 :]:
+            t = wi + rj[1]
             if t not in live:
                 continue
-            v = _bracket_supp(adj, ri, rj)
-            m = missing.get(t, 0)
+            v = _bracket_supp(adj, ri, rj[0])
+            m = missing[t]
             if m:
                 v = acc[t].reduce(v)
             if not v:
                 continue
-            if t not in whole and not has(v):
+            if t in checked and not has(v):
                 raise ValueError("subspace is not closed under the bracket")
             if m:
                 acc[t].store(v)
                 missing[t] = m - 1
-                if m == 1 and t in whole:
+                if m == 1 and t not in checked:
                     live.discard(t)
-    return _span(L, grading, ((r, t) for t, e in acc.items() for r in e.canonical_rows()))
+    return _span(s.amb, grading, ((r, t) for t, e in acc.items() for r in e.canonical_rows()))
 
 
 def _span(L: LieAlgebra, grading: _Grading, rows: Iterable[tuple[Mapping, int]]) -> Subspace:

@@ -16,9 +16,10 @@ the closure of g(1)_e.  Each of these spaces is therefore graded by
 (alpha(h), phi_1(alpha), ..., phi_m(alpha)), which is linear in the root
 alpha, so folded into one integer it is a grading of L (see
 `_torus_weights`).  Every layer is passed these basis weights and works
-weight by weight on small blocks, and brackets that the grading forces to
-zero are never formed.  The results are the same canonical bases as
-without a grading (the block lemma, see `algebra.Subspace`).
+weight by weight on small blocks.  No bracket that the grading forces to
+zero is formed, nor one that would only re-check that g_e is closed.  The
+results are the same canonical bases as without a grading (the block
+lemma, see `algebra.Subspace`).
 """
 
 from __future__ import annotations
@@ -33,10 +34,10 @@ from .algebra import (
     LieAlgebra,
     Subspace,
     _closure,
+    _derived,
     _Grading,
     _quotient,
     centralizer,
-    derived_subalgebra,
 )
 from .linalg import _null_space, _scaled_support
 from .orbits import (
@@ -156,28 +157,28 @@ def _analyze_full(
 ) -> tuple[OrbitAnalysis, Subspace, Subspace]:
     """The analysis, g_e and [g_e, g_e], computed in the torus grading.
 
-    The subtorus of T on which the roots of e are trivial fixes e and h, and
-    its weights are linear in the root, so g_e, [g_e, g_e] and the closure
-    of g(1)_e are graded by its characters and by ad h at once.  Each layer
-    works weight by weight in the grading of `_torus_weights` (see
-    `centralizer`), and hands its rows on with their integer supports and
-    their weights in it.  By the block lemma the canonical rows of g_e and
-    [g_e, g_e] are homogeneous in it, hence in the coarser ad h grading
+    Each layer works weight by weight in the grading of `_torus_weights`
+    (see `centralizer`), and hands its rows on with their integer supports
+    and their weights in it.  By the block lemma the canonical rows of g_e
+    and [g_e, g_e] are homogeneous in it, hence in the coarser ad h grading
     too, so each row's ad h weight is that of its pivot: g(>=1)_e and
     g_e(1) are read off the rows as they stand, and so is the quotient.
     Every canonical basis is the one that the ad h grading alone gives.
-    g_e is checked against the graded sizes (`_check_centralizer_sizes`).
+    [g_e, g_e] is formed from the brackets that fill a weight alone
+    (`algebra._derived`): ad e is a derivation (the exhaustive Jacobi test
+    of the pinned constants), so g_e is closed.  The checks are the exact
+    kernel, the graded sizes (`_check_centralizer_sizes`) and `_quotient`'s.
     """
     se, ad_h = _triple_supports(L, o)
     grading = _torus_weights(L, se, o.diagram.labels)
     ge = centralizer(L, se, grading)
     ge_h = [ad_h[p] for p in ge._row_at]
     _check_centralizer_sizes(ad_h, ge_h, o.diagram)
-    derived = derived_subalgebra(L, ge, grading)
+    graded = list(zip(ge._ints, ge.row_weights(grading), ge_h))
+    derived = _derived(ge, graded, grading, ())
     reachable = derived._has(se)
     strongly = derived.dim == ge.dim
 
-    graded = list(zip(ge._ints, ge.row_weights(grading), ge_h))
     cap = Counter(w for _, w, k in graded if k >= 1)  # g(>=1)_e in the torus grading
     closure = _closure(L, [(r, w) for r, w, k in graded if k == 1], cap)
     panyushev = sum(span.dim for span in closure.values()) == sum(cap.values())

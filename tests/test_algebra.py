@@ -54,18 +54,6 @@ def test_bracket_antisymmetric_and_bilinear():
         assert bracket(L, s * a, c) == s * bracket(L, a, c)
 
 
-def test_jacobi_exhaustive_g2():
-    L = build_lie_algebra("G2")
-    basis = [L.basis_element(i) for i in range(L.dim)]
-    for i, j, k in combinations(range(L.dim), 3):
-        total = (
-            bracket(L, basis[i], bracket(L, basis[j], basis[k]))
-            + bracket(L, basis[j], bracket(L, basis[k], basis[i]))
-            + bracket(L, basis[k], bracket(L, basis[i], basis[j]))
-        )
-        assert total.is_zero()
-
-
 def _ad_homomorphism_failures(adj):
     """The pairs i < j with ad [x_i, x_j] != [ad x_i, ad x_j], read from `adj`.
 

@@ -1,6 +1,6 @@
 import hashlib
 import json
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import replace
 
 import pytest
@@ -15,7 +15,7 @@ from exorb.algebra import (
     quotient_with_action,
     subalgebra_closure,
 )
-from exorb.linalg import RatMatrix
+from exorb.linalg import RatMatrix, rank
 from exorb.orbits import (
     NilpotentOrbit,
     WeightedDynkinDiagram,
@@ -232,6 +232,71 @@ def test_dense_fallback_analyses_equal_the_ad_h_graded_ones(monkeypatch):
         torus, adh = _assert_torus_grading_changes_nothing(L, o)
         coarse += len(set(torus)) == len(set(adh))
     assert coarse > 0
+
+
+# The seven E7 orbits that the `analyze-e7` benchmark analyses.
+E7_ANALYZED = (
+    (1, 0, 0, 0, 0, 0, 0),
+    (0, 1, 0, 0, 0, 0, 1),
+    (0, 2, 0, 0, 0, 0, 0),
+    (0, 0, 0, 0, 0, 2, 0),
+    (0, 0, 2, 0, 0, 0, 0),
+    (0, 0, 0, 2, 0, 0, 2),
+    (2, 2, 2, 2, 2, 2, 2),
+)
+
+
+def test_the_analyses_form_only_the_brackets_that_fill_a_weight(monkeypatch):
+    # `_analyze_full` takes [g_e, g_e] from `algebra._derived` with no weight
+    # checked: it forms a bracket of weight t only while the span of weight
+    # t falls short of g_e(t), none where g_e has no row, and gives the
+    # public function's subspace, in the ad h grading and the torus grading.
+    import exorb.algebra as algebra
+
+    kernel, formed, weight_of = algebra._bracket_supp, [], {}
+
+    def recording(adj, a, b):
+        v = kernel(adj, a, b)
+        formed.append((weight_of[id(a)] + weight_of[id(b)], v))
+        return v
+
+    def span_dim(vectors):
+        return rank(RatMatrix([[v.get(k, 0) for k in range(L.dim)] for v in vectors], L.dim))
+
+    cases = []
+    for name in ("G2", "F4", "E6"):
+        L = build_lie_algebra(name)
+        cases += [(L, o) for o in enumerate_orbits(L, seed=1)]
+    L = build_lie_algebra("E7")
+    for labels in E7_ANALYZED:
+        d = WeightedDynkinDiagram(labels)
+        e = find_representative(L, d, seed=1)
+        cases.append((L, NilpotentOrbit(d, complete_triple(L, characteristic_element(L, d), e))))
+    monkeypatch.setattr(algebra, "_bracket_supp", recording)
+    e7 = Counter()
+    for L, o in cases:
+        e, labels = o.triple.e, o.diagram.labels
+        for torus, weights in enumerate((L.basis_weights(labels), _torus_weights(L, e, labels))):
+            grading = algebra._grading(L, weights)
+            ge = centralizer(L, e, grading)
+            graded = list(zip(ge._ints, ge.row_weights(grading)))
+            weight_of.update((id(r), w) for r, w in graded)
+            formed.clear()
+            public = derived_subalgebra(L, ge, grading)
+            n_public = len(formed)
+            formed.clear()
+            private = algebra._derived(ge, graded, grading, ())
+            assert private == public
+            assert private.row_weights(grading) == public.row_weights(grading)
+            cap, into = Counter(w for _, w in graded), defaultdict(list)
+            for t, v in formed:
+                into[t].append(v)
+            for t, images in into.items():
+                assert cap[t] > 0 and span_dim(images[:-1]) < cap[t]
+            assert len(formed) <= n_public
+            if L.rank == 7 and torus:
+                e7.update(private=len(formed), public=n_public)
+    assert e7 == {"private": 664, "public": 1525}
 
 
 # First 16 hex digits of the sha256 of every orbit's labels, the canonical
