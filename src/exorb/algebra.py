@@ -135,7 +135,7 @@ class LieAlgebra:
         signed: list[tuple[int, ...]] = pos + [tuple(-x for x in c) for c in pos]
         self._root_of_index = signed
         self._index_of_root = {c: i for i, c in enumerate(signed)}
-        self._root_columns = tuple(zip(*signed))
+        self._root_columns = tuple(zip(*pos))  # the positive roots' coefficients
 
         adj: list[dict[int, tuple[tuple[int, int], ...]]] = [
             {} for _ in range(self.dim)
@@ -203,14 +203,17 @@ class LieAlgebra:
         return tuple(Fraction(sum(x * row[j] for j, x in c), elt._den) for row in self.rs.cartan)
 
     def basis_weights(self, labels: Sequence[int]) -> tuple[int, ...]:
-        """Eigenvalue of each basis vector under the characteristic of `labels`."""
+        """Eigenvalue of each basis vector under the characteristic of `labels`.
+
+        Formed on the positive roots; y_a has the negated weight of x_a.
+        """
         if len(labels) != self.rank:
             raise ValueError("label vector has wrong length")
-        out = [0] * len(self._root_of_index)
+        out = [0] * self.npos
         for column, d in zip(self._root_columns, labels):
             if d:
                 out = [w + d * m for w, m in zip(out, column)]
-        return tuple(out) + (0,) * self.rank
+        return (*out, *[-w for w in out], *(0,) * self.rank)
 
     def __repr__(self) -> str:
         return f"LieAlgebra({self.rs.type_rank}, dim={self.dim})"
@@ -315,6 +318,9 @@ def _grading(L: LieAlgebra, weights: Sequence[int] | None) -> _Grading:
 # -- public types and operations --------------------------------------------
 
 
+_INT = frozenset((int,))  # the type of every entry of an integral row
+
+
 class Subspace:
     """A subspace of a fixed algebra, held as its canonical basis.
 
@@ -351,12 +357,17 @@ class Subspace:
             basis = ({i: c for i, c in enumerate(row) if c} for row in basis.data)
         at: dict[int, dict[int, Fraction | int]] = {}  # pivot -> sparse row
         ints: list[dict[int, int]] = []  # the integer supports, in pivot order
+        seen: set[int] = set()  # the indices of the rows so far
         last = -1
         for row in basis:
-            p = min(row, default=-1)
-            if p <= last or row[p] != 1 or not all(row.values()) or max(row) >= amb.dim:
+            # A row has no entry before its pivot, so the rows are 0 at the
+            # other rows' pivots exactly when no earlier row is nonzero at
+            # this one.  The indices are checked in range once, at the end.
+            p = min(row) if row else -1
+            if p <= last or p in seen or row[p] != 1 or not all(row.values()):
                 raise ValueError("basis is not in reduced row-echelon form")
-            if {int}.issuperset(map(type, row.values())):
+            seen.update(row)
+            if _INT.issuperset(map(type, row.values())):
                 at[p] = r = dict(row)
             else:  # integral entries as ints, which keeps their arithmetic on ints
                 at[p] = r = {k: x.numerator if x.denominator == 1 else x for k, x in row.items()}
@@ -365,7 +376,7 @@ class Subspace:
                     r = {k: x.numerator * (den // x.denominator) for k, x in r.items()}
             ints.append(r)
             last = p
-        if any(k != p and k in at for p, row in at.items() for k in row):
+        if seen and max(seen) >= amb.dim:
             raise ValueError("basis is not in reduced row-echelon form")
         self.__dict__.update(amb=amb, _row_at=at, _ints=tuple(ints), _weights=None)
 
@@ -543,20 +554,22 @@ def derived_subalgebra(
     graded = list(zip(s._ints, s.row_weights(grading)))
     rows = Counter(w for _, w in graded)
     checked = {t for t, b in grading.blocks.items() if rows[t] < len(b)}  # s(t) != g(t)
-    return _derived(s, graded, grading, checked)
+    return _read_out(L, grading, _derived(s, graded, grading, checked))
 
 
 def _derived(
     s: Subspace, graded: Sequence[tuple], grading: _Grading, checked: Collection[int]
-) -> Subspace:
-    """[s, s] from the rows of s, each (integer support, weight, ...).
+) -> dict[int, _Echelon]:
+    """[s, s] from the rows of s, each (integer support, weight, ...), by weight.
 
     A bracket of rows of weights i and j lies in g(t), t = i + j.  While the
     span of weight t has fewer rows than s(t), it is formed, reduced exactly
     against that span and a nonzero residual stored.  A weight in `checked`
     has its brackets formed and checked to lie in s (ValueError otherwise)
     also once full, or where s has no rows.  With nothing checked, s must be
-    closed, as a centralizer is: ad e is a derivation.
+    closed, as a centralizer is: ad e is a derivation.  The span of weight
+    t is returned as the `_Echelon` that accumulated it, integer rows at
+    distinct leading indices; `_read_out` gives the canonical `Subspace`.
     """
     missing = Counter(r[1] for r in graded)  # rows of s(t) not yet spanned
     live = set(missing).union(checked)  # the weights whose brackets are still formed
@@ -582,7 +595,12 @@ def _derived(
                 missing[t] = m - 1
                 if m == 1 and t not in checked:
                     live.discard(t)
-    return _span(s.amb, grading, ((r, t) for t, e in acc.items() for r in e.canonical_rows()))
+    return acc
+
+
+def _read_out(L: LieAlgebra, grading: _Grading, acc: Mapping[int, _Echelon]) -> Subspace:
+    """The checked subspace spanned by echelons of a grading, keyed by weight."""
+    return _span(L, grading, ((r, t) for t, e in acc.items() for r in e.canonical_rows()))
 
 
 def _span(L: LieAlgebra, grading: _Grading, rows: Iterable[tuple[Mapping, int]]) -> Subspace:
@@ -628,8 +646,7 @@ def subalgebra_closure(
             raise ValueError("generator is not homogeneous for the grading")
         if ws:
             rows.append((v, ws.pop()))
-    acc = _closure(L, rows, cap)
-    return _span(L, grading, ((r, t) for t, e in acc.items() for r in e.canonical_rows()))
+    return _read_out(L, grading, _closure(L, rows, cap))
 
 
 def _closure(
@@ -700,14 +717,21 @@ def quotient_with_action(
         s_weights, t_weights = s.row_weights(weights), t.row_weights(weights)
     except ValueError:
         raise ValueError("subspace is not stable under ad h") from None
-    return _quotient(s, t, s_weights, t_weights)
+    return _quotient(s, t._ints, s_weights, t_weights)
 
 
 def _quotient(
-    s: Subspace, t: Subspace, s_weights: Iterable[int], t_weights: Iterable[int]
+    s: Subspace,
+    t_rows: Iterable[Mapping[int, int]],
+    s_weights: Iterable[int],
+    t_weights: Iterable[int],
 ) -> tuple[int, tuple[int, ...]]:
-    """`quotient_with_action` from the ad h weights of the rows of s and t."""
-    if not all(s._has(row) for row in t._ints):
+    """`quotient_with_action` from the ad h weights of the rows of s and t.
+
+    t is given by independent homogeneous rows, its canonical rows or those
+    of its echelons; each is checked to lie in s, so t lies in s.
+    """
+    if not all(s._has(row) for row in t_rows):
         raise ValueError("t is not contained in s")
     mult = Counter(s_weights)
     mult.subtract(t_weights)

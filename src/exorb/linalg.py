@@ -157,8 +157,13 @@ class _Echelon:
         """Keep a reduced nonzero v, stripped of its content, leading entry > 0.
 
         v itself is kept when it is already so, and must not change after.
+        Callers read the dimension of a span off the number of distinct
+        leading indices, so a v that leads where a stored row does, that is
+        one not reduced against the rows, is a RuntimeError.
         """
         p = min(v)
+        if p in self.rows:
+            raise RuntimeError(f"the echelon already holds a row leading at {p}")
         g = gcd(*v.values())
         if v[p] < 0:
             g = -g

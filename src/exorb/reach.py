@@ -37,9 +37,10 @@ from .algebra import (
     _derived,
     _Grading,
     _quotient,
+    _read_out,
     centralizer,
 )
-from .linalg import _null_space, _scaled_support
+from .linalg import _Echelon, _null_space, _scaled_support
 from .orbits import (
     NilpotentOrbit,
     WeightedDynkinDiagram,
@@ -71,7 +72,7 @@ class OrbitAnalysis:
 
 @lru_cache(maxsize=None)
 def _highest_root(L: LieAlgebra) -> tuple[int, ...]:
-    """The highest root's coefficients: the largest of each over the roots."""
+    """The highest root's coefficients: the largest of each over the positive roots."""
     return tuple(max(column) for column in L._root_columns)
 
 
@@ -152,22 +153,27 @@ def _check_centralizer_sizes(
         raise RuntimeError(f"g_e has the wrong graded dimensions for the diagram {d}")
 
 
-def _analyze_full(
+def _analysis(
     L: LieAlgebra, o: NilpotentOrbit
-) -> tuple[OrbitAnalysis, Subspace, Subspace]:
-    """The analysis, g_e and [g_e, g_e], computed in the torus grading.
+) -> tuple[OrbitAnalysis, Subspace, _Grading, dict[int, _Echelon]]:
+    """The analysis, g_e, the torus grading and [g_e, g_e] by torus weight.
 
     Each layer works weight by weight in the grading of `_torus_weights`
     (see `centralizer`), and hands its rows on with their integer supports
     and their weights in it.  By the block lemma the canonical rows of g_e
-    and [g_e, g_e] are homogeneous in it, hence in the coarser ad h grading
-    too, so each row's ad h weight is that of its pivot: g(>=1)_e and
-    g_e(1) are read off the rows as they stand, and so is the quotient.
-    Every canonical basis is the one that the ad h grading alone gives.
-    [g_e, g_e] is formed from the brackets that fill a weight alone
-    (`algebra._derived`): ad e is a derivation (the exhaustive Jacobi test
-    of the pinned constants), so g_e is closed.  The checks are the exact
-    kernel, the graded sizes (`_check_centralizer_sizes`) and `_quotient`'s.
+    are homogeneous in it, hence in the coarser ad h grading too, so each
+    row's ad h weight is that of its pivot: g(>=1)_e and g_e(1) are read off
+    the rows as they stand.  [g_e, g_e] is formed from the brackets that
+    fill a weight alone (`algebra._derived`): ad e is a derivation (the
+    exhaustive Jacobi test of the pinned constants), so g_e is closed.
+    Its echelons, one per torus weight, are read as they stand: their rows
+    lead at distinct indices (`_Echelon.store`), so their dims sum to its
+    dimension, a row's ad h weight is that of its leading index, and e,
+    homogeneous (or `centralizer` refuses it), lies in it exactly when its
+    support reduces to zero in the echelon of its weight.  The checks are
+    the exact kernel, the graded sizes (`_check_centralizer_sizes`) and
+    `_quotient`'s: every echelon row lies in g_e, and c_e has no negative
+    multiplicity.
     """
     se, ad_h = _triple_supports(L, o)
     grading = _torus_weights(L, se, o.diagram.labels)
@@ -176,25 +182,39 @@ def _analyze_full(
     _check_centralizer_sizes(ad_h, ge_h, o.diagram)
     graded = list(zip(ge._ints, ge.row_weights(grading), ge_h))
     derived = _derived(ge, graded, grading, ())
-    reachable = derived._has(se)
-    strongly = derived.dim == ge.dim
+    dim_derived = sum(span.dim for span in derived.values())
+    reachable = not se or not derived.get(grading[min(se)], _Echelon()).reduce(dict(se))
 
     cap = Counter(w for _, w, k in graded if k >= 1)  # g(>=1)_e in the torus grading
     closure = _closure(L, [(r, w) for r, w, k in graded if k == 1], cap)
     panyushev = sum(span.dim for span in closure.values()) == sum(cap.values())
 
-    dim_ce, ce_weights = _quotient(ge, derived, ge_h, [ad_h[p] for p in derived._row_at])
+    rows = [(r, ad_h[p]) for span in derived.values() for p, r in span.rows.items()]
+    dim_ce, ce_weights = _quotient(ge, [r for r, _ in rows], ge_h, [k for _, k in rows])
     analysis = OrbitAnalysis(
         orbit=o,
         dim_ge=ge.dim,
-        dim_derived=derived.dim,
+        dim_derived=dim_derived,
         reachable=reachable,
-        strongly_reachable=strongly,
+        strongly_reachable=dim_derived == ge.dim,
         panyushev_generated=panyushev,
         dim_ce=dim_ce,
         ce_weights=ce_weights,
     )
-    return analysis, ge, derived
+    return analysis, ge, grading, derived
+
+
+def _analyze_full(
+    L: LieAlgebra, o: NilpotentOrbit
+) -> tuple[OrbitAnalysis, Subspace, Subspace]:
+    """The analysis, g_e and [g_e, g_e], each subspace in its canonical basis.
+
+    `_analysis`, with [g_e, g_e] read out of its echelons as the checked
+    canonical `Subspace` (`algebra._read_out`).  Every canonical basis is
+    the one that the ad h grading alone gives (the block lemma).
+    """
+    analysis, ge, grading, derived = _analysis(L, o)
+    return analysis, ge, _read_out(L, grading, derived)
 
 
 def analyze(L: LieAlgebra, o: NilpotentOrbit) -> OrbitAnalysis:
@@ -202,7 +222,7 @@ def analyze(L: LieAlgebra, o: NilpotentOrbit) -> OrbitAnalysis:
 
     ValueError unless its (e, h, f) is an sl2-triple for its diagram.
     """
-    return _analyze_full(L, o)[0]
+    return _analysis(L, o)[0]
 
 
 def rigid_discrepancy_report(

@@ -2,7 +2,7 @@ import random
 from collections import Counter, defaultdict
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -487,6 +487,68 @@ def test_sparse_rows_are_checked_like_the_matrix():
     with pytest.raises(ValueError):
         Subspace(L, [{**x, min(y): Fraction(0)}])  # a stored zero entry
     assert Subspace(L, [x, y]).dim == 2
+
+
+def _is_reduced_echelon(rows, dim):
+    """Each condition of a reduced row-echelon basis, checked on its own."""
+    pivots = [min(r, default=None) for r in rows]
+    return (
+        None not in pivots
+        and pivots == sorted(set(pivots))
+        and all(r[p] == 1 for r, p in zip(rows, pivots))
+        and all(x != 0 for r in rows for x in r.values())
+        and all(0 <= k < dim for r in rows for k in r)
+        and all(k == p or k not in pivots for r, p in zip(rows, pivots) for k in r)
+    )
+
+
+@st.composite
+def _near_echelon_bases(draw, dim=8):
+    """A reduced echelon basis of sparse rows, then at most one defect."""
+    entries = st.sampled_from([1, -2, 3, Fraction(1, 2), Fraction(-4, 3), Fraction(5)])
+    pivots = sorted(draw(st.sets(st.integers(0, dim - 1), max_size=4)))
+    rows = []
+    for p in pivots:
+        free = [k for k in range(p + 1, dim) if k not in pivots]
+        rest = draw(st.dictionaries(st.sampled_from(free), entries)) if free else {}
+        rows.append({p: draw(st.sampled_from([1, Fraction(1)])), **rest})
+    defect = draw(st.sampled_from(["none", "order", "pivot", "zero", "range", "other", "empty"]))
+    if rows and defect != "none":
+        i = draw(st.integers(0, len(rows) - 1))
+        r, p = rows[i], pivots[i]
+        if defect == "order" and len(rows) > 1:
+            rows[i], rows[i - 1] = rows[i - 1], rows[i]
+        elif defect == "pivot":
+            r[p] = 2
+        elif defect == "zero":
+            r[draw(st.integers(p, dim - 1))] = 0
+        elif defect == "range":
+            r[draw(st.sampled_from([dim, dim + 3]))] = 1
+        elif defect == "other":
+            r[draw(st.sampled_from(pivots))] = -1
+        elif defect == "empty":
+            rows.insert(i, {})
+    return rows
+
+
+@given(_near_echelon_bases())
+@settings(max_examples=300, deadline=None)
+def test_subspace_accepts_exactly_the_reduced_echelon_bases(rows):
+    # One pass per row checks what the definition checks one condition at
+    # a time; an accepted basis keeps its rows, integral entries as ints,
+    # and the integer support of each row.
+    L = build_lie_algebra("A2")
+    if not _is_reduced_echelon(rows, L.dim):
+        with pytest.raises(ValueError, match="reduced row-echelon"):
+            Subspace(L, rows)
+        return
+    s = Subspace(L, rows)
+    assert list(s._row_at.values()) == rows
+    for row, ints in zip(s._row_at.values(), s._ints):
+        assert all(type(x) is int for x in row.values() if x.denominator == 1)
+        den = lcm(*(x.denominator for x in row.values()))
+        assert ints == {k: x * den for k, x in row.items()}
+        assert all(type(x) is int for x in ints.values())
 
 
 def test_sparse_and_matrix_bases_agree():

@@ -363,3 +363,16 @@ def test_null_space_reduces_no_row_after_full_rank(case):
         assert len(dims) == len(rows)
     else:
         assert dims and dims[-1] == cols - 1
+
+
+def test_store_refuses_a_second_row_at_a_leading_index():
+    # The dimension of a span is read off its distinct leading indices, so
+    # a row stored unreduced where one already leads is a RuntimeError,
+    # under python -O too, and leaves the echelon as it was.
+    span = _echelon([{0: 2, 2: 4}, {1: 3}])
+    rows = {p: dict(r) for p, r in span.rows.items()}
+    with pytest.raises(RuntimeError, match="leading at 0"):
+        span.store({0: 1, 1: 5})
+    assert span.rows == rows and span.order == [0, 1] and span.dim == 2
+    assert span.store(span.reduce({0: 1, 2: 2, 3: 2})) == {3: 1}
+    assert span.dim == 3

@@ -246,11 +246,26 @@ E7_ANALYZED = (
 )
 
 
+def _analyzed_cases():
+    """Every G2, F4 and E6 orbit and the seven `E7_ANALYZED` ones, at seed 1."""
+    cases = []
+    for name in ("G2", "F4", "E6"):
+        L = build_lie_algebra(name)
+        cases += [(L, o) for o in enumerate_orbits(L, seed=1)]
+    L = build_lie_algebra("E7")
+    for labels in E7_ANALYZED:
+        d = WeightedDynkinDiagram(labels)
+        e = find_representative(L, d, seed=1)
+        cases.append((L, NilpotentOrbit(d, complete_triple(L, characteristic_element(L, d), e))))
+    return cases
+
+
 def test_the_analyses_form_only_the_brackets_that_fill_a_weight(monkeypatch):
-    # `_analyze_full` takes [g_e, g_e] from `algebra._derived` with no weight
+    # The analyses take [g_e, g_e] from `algebra._derived` with no weight
     # checked: it forms a bracket of weight t only while the span of weight
-    # t falls short of g_e(t), none where g_e has no row, and gives the
-    # public function's subspace, in the ad h grading and the torus grading.
+    # t falls short of g_e(t), none where g_e has no row, and its echelons
+    # read out the public function's subspace, in the ad h grading and the
+    # torus grading.
     import exorb.algebra as algebra
 
     kernel, formed, weight_of = algebra._bracket_supp, [], {}
@@ -263,18 +278,9 @@ def test_the_analyses_form_only_the_brackets_that_fill_a_weight(monkeypatch):
     def span_dim(vectors):
         return rank(RatMatrix([[v.get(k, 0) for k in range(L.dim)] for v in vectors], L.dim))
 
-    cases = []
-    for name in ("G2", "F4", "E6"):
-        L = build_lie_algebra(name)
-        cases += [(L, o) for o in enumerate_orbits(L, seed=1)]
-    L = build_lie_algebra("E7")
-    for labels in E7_ANALYZED:
-        d = WeightedDynkinDiagram(labels)
-        e = find_representative(L, d, seed=1)
-        cases.append((L, NilpotentOrbit(d, complete_triple(L, characteristic_element(L, d), e))))
     monkeypatch.setattr(algebra, "_bracket_supp", recording)
     e7 = Counter()
-    for L, o in cases:
+    for L, o in _analyzed_cases():
         e, labels = o.triple.e, o.diagram.labels
         for torus, weights in enumerate((L.basis_weights(labels), _torus_weights(L, e, labels))):
             grading = algebra._grading(L, weights)
@@ -285,7 +291,7 @@ def test_the_analyses_form_only_the_brackets_that_fill_a_weight(monkeypatch):
             public = derived_subalgebra(L, ge, grading)
             n_public = len(formed)
             formed.clear()
-            private = algebra._derived(ge, graded, grading, ())
+            private = algebra._read_out(L, grading, algebra._derived(ge, graded, grading, ()))
             assert private == public
             assert private.row_weights(grading) == public.row_weights(grading)
             cap, into = Counter(w for _, w in graded), defaultdict(list)
@@ -297,6 +303,69 @@ def test_the_analyses_form_only_the_brackets_that_fill_a_weight(monkeypatch):
             if L.rank == 7 and torus:
                 e7.update(private=len(formed), public=n_public)
     assert e7 == {"private": 664, "public": 1525}
+
+
+def test_analyze_reads_derived_results_off_the_echelons(monkeypatch):
+    # `analyze` takes dim [g_e, g_e], reachability and c_e from the echelons
+    # of `_derived`: it builds g_e's `Subspace` alone and reads no canonical
+    # [g_e, g_e] out.  Its results are those of the canonical subspace that
+    # `_analyze_full` reads out, through the public quotient and membership.
+    import exorb.reach
+
+    cases, expected = _analyzed_cases(), []
+    for L, o in cases:
+        a, ge, derived = _analyze_full(L, o)
+        assert a.dim_derived == derived.dim
+        assert a.reachable == derived.contains(o.triple.e)
+        assert a.strongly_reachable == (derived.dim == ge.dim)
+        assert quotient_with_action(L, ge, derived, o.triple.h) == (a.dim_ce, a.ce_weights)
+        expected.append(a)
+    flags = {(a.reachable, a.strongly_reachable) for a in expected}
+    assert {(False, False), (True, True)} <= flags
+
+    built = []
+    init = Subspace.__init__
+
+    def recording_init(self, *args):
+        init(self, *args)
+        built.append(self)
+
+    def no_read_out(*args):
+        raise AssertionError("[g_e, g_e] read out")
+
+    monkeypatch.setattr(Subspace, "__init__", recording_init)
+    monkeypatch.setattr(exorb.reach, "_read_out", no_read_out)
+    for (L, o), a in zip(cases, expected):
+        built.clear()
+        assert analyze(L, o) == a
+        assert [s.dim for s in built] == [a.dim_ge]
+    assert len(cases) == 4 + 15 + 20 + 7
+
+
+def test_the_containment_of_derived_in_ge_is_checked(monkeypatch):
+    # `_quotient` checks that every row of t lies in s: the public function
+    # on its canonical rows, `analyze` on the rows of `_derived`'s echelons.
+    import exorb.reach
+
+    L, by_diagram = _g2_orbits()
+    o = by_diagram[1, 0]
+    _, ge, derived = _analyze_full(L, o)
+    assert derived.dim < ge.dim
+    with pytest.raises(ValueError, match="t is not contained in s"):
+        quotient_with_action(L, derived, ge, o.triple.h)
+
+    real = exorb.reach._derived
+
+    def with_a_row_outside(ge, graded, grading, checked):
+        acc = real(ge, graded, grading, checked)
+        leads = {p for span in acc.values() for p in span.rows}
+        i = next(i for i in range(L.dim) if i not in leads and not ge._has({i: 1}))
+        acc[grading[i]].store({i: 1})
+        return acc
+
+    monkeypatch.setattr(exorb.reach, "_derived", with_a_row_outside)
+    with pytest.raises(ValueError, match="t is not contained in s"):
+        analyze(L, o)
 
 
 # First 16 hex digits of the sha256 of every orbit's labels, the canonical
