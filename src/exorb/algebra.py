@@ -131,28 +131,21 @@ class LieAlgebra:
         self.dim = 2 * m + rs.rank
         self._hbase = 2 * m
 
-        pos = [r.coeffs for r in rs.positive_roots]
-        signed: list[tuple[int, ...]] = pos + [tuple(-x for x in c) for c in pos]
-        self._root_of_index = signed
-        self._index_of_root = {c: i for i, c in enumerate(signed)}
-        self._root_columns = tuple(zip(*pos))  # the positive roots' coefficients
+        self._root_columns = tuple(zip(*rs.roots[:m]))  # the positive roots' coefficients
 
         adj: list[dict[int, tuple[tuple[int, int], ...]]] = [
             {} for _ in range(self.dim)
         ]
-        for (a, b), n in rs.structconsts.items():
-            total = tuple(x + y for x, y in zip(a, b))
-            adj[self._index_of_root[a]][self._index_of_root[b]] = (
-                (self._index_of_root[total], n),
-            )
-        for i, a in enumerate(signed):
+        for i, j, k, n in rs.products:
+            adj[i][j] = ((k, n),)
+        for i, a in enumerate(rs.roots):
             coroot = rs.coroot_coords(a)
-            adj[i][self._index_of_root[tuple(-x for x in a)]] = tuple(
+            adj[i][(i + m) % self._hbase] = tuple(
                 (self._hbase + j, c) for j, c in enumerate(coroot) if c
             )
         for j in range(rs.rank):
             hj = self._hbase + j
-            for i, a in enumerate(signed):
+            for i, a in enumerate(rs.roots):
                 w = rs.pairing(a, j)
                 if w:
                     adj[hj][i] = ((i, w),)
@@ -171,7 +164,7 @@ class LieAlgebra:
 
     def root_vector(self, root: Root | tuple[int, ...]) -> Element:
         coeffs = root.coeffs if isinstance(root, Root) else tuple(root)
-        return self.basis_element(self._index_of_root[coeffs])
+        return self.basis_element(self.rs.index[coeffs])
 
     def cartan_element(self, i: int) -> Element:
         return self.basis_element(self._hbase + i)
@@ -289,13 +282,15 @@ def _grading(L: LieAlgebra, weights: Sequence[int] | None) -> _Grading:
     weights must grade the product: [g(i), g(j)] lies in g(i + j) for every
     entry of the multiplication table.  In a simple algebra that holds
     exactly when the weights are `L.basis_weights(v)` for v their values at
-    the simple root vectors, a check of cost O(dim * rank).  Such weights
-    vanish on the Cartan part and are linear in the root, so they grade the
-    product.  Conversely, [h_j, x_{alpha_j}] = 2 x_{alpha_j} forces weight
-    0 on h_j; a positive root a that is not simple is b + alpha_i for a
-    positive root b with N_{b,alpha_i} != 0, so by induction on the height
-    x_a has weight sum(m_i v_i) for a = sum(m_i alpha_i); and [x_a, y_a] is
-    a nonzero coroot, of weight 0, so y_a has the opposite weight.
+    the simple root vectors (alpha_i has basis index rank - 1 - i, as the
+    roots of one height are in lexicographic order), a check of cost
+    O(dim * rank).  Such weights vanish on the Cartan part and are linear in
+    the root, so they grade the product.  Conversely, [h_j, x_{alpha_j}] =
+    2 x_{alpha_j} forces weight 0 on h_j; a positive root a that is not
+    simple is b + alpha_i for a positive root b with N_{b,alpha_i} != 0, so
+    by induction on the height x_a has weight sum(m_i v_i) for a =
+    sum(m_i alpha_i); and [x_a, y_a] is a nonzero coroot, of weight 0, so
+    y_a has the opposite weight.
 
     A `_Grading` of L, checked here or built from `L.basis_weights`, is
     returned as it stands, so an analysis that passes one grading to
@@ -307,11 +302,8 @@ def _grading(L: LieAlgebra, weights: Sequence[int] | None) -> _Grading:
         weights = (0,) * L.dim
     elif len(weights) != L.dim:
         raise ValueError("weights have the wrong length")
-    else:
-        simple = [tuple(int(i == j) for j in range(L.rank)) for i in range(L.rank)]
-        values = [weights[L._index_of_root[a]] for a in simple]
-        if tuple(weights) != L.basis_weights(values):
-            raise ValueError("weights do not grade the algebra")
+    elif tuple(weights) != L.basis_weights(weights[: L.rank][::-1]):
+        raise ValueError("weights do not grade the algebra")
     return _Grading(L, weights)
 
 

@@ -13,10 +13,10 @@ out in reduced echelon form (`canonical_rows`).  The pivot of a row is its
 leading column, so every output is canonical: the reduced echelon form of
 a span (`_echelon`), the null space read off it with the columns reversed
 (`_null_space`), and the solution with zeros at the free columns
-(`_solution`).  Results are therefore equal by uniqueness, whatever the
-order in which the rows are fed.  A rank alone (`_rank`, the walk's) takes
-a rank-only mode of the same kernel that leaves the rows unreduced.  No
-floating point enters at any stage.
+(`_back_substitute`).  Results are therefore equal by uniqueness, whatever
+the order in which the rows are fed.  A rank alone (`_rank`, the walk's)
+takes a rank-only mode of the same kernel that leaves the rows unreduced.
+No floating point enters at any stage.
 
 `RatMatrix` is an immutable dense matrix of Fractions.  The public
 functions on it (`rref`, `rank`, `kernel`, `solve`, `intersect`,
@@ -283,12 +283,6 @@ def _null_space(rows: Iterable[Mapping[int, int]], cols: int) -> list[dict[int, 
     return list(null.values())
 
 
-def _solution(rows: Iterable[dict[int, int]], cols: int) -> dict[int, Fraction] | None:
-    """`_back_substitute` on the echelon of integer rows, reduced in place."""
-    sol = _back_substitute(_echelon(rows), cols)
-    return None if sol is None else {p: Fraction(y, sol[1]) for p, y in sol[0].items()}
-
-
 def _back_substitute(echelon: _Echelon, cols: int) -> tuple[dict[int, int], int] | None:
     """A solution x = y / den of augmented rows in either mode, as (y, den).
 
@@ -350,10 +344,12 @@ def solve(m: RatMatrix, rhs: Sequence[Fraction | int]) -> tuple[Fraction, ...] |
     """
     if len(rhs) != m.rows:
         raise ValueError("right-hand side has wrong length")
-    x = _solution(
-        [_scaled_support((*row, _exact(b)))[0] for row, b in zip(m.data, rhs)], m.cols
-    )
-    return None if x is None else tuple(Fraction(x.get(c, 0)) for c in range(m.cols))
+    rows = [_scaled_support((*row, _exact(b)))[0] for row, b in zip(m.data, rhs)]
+    sol = _back_substitute(_echelon(rows), m.cols)
+    if sol is None:
+        return None
+    y, den = sol
+    return tuple(Fraction(y.get(c, 0), den) for c in range(m.cols))
 
 
 def intersect(a: RatMatrix, b: RatMatrix) -> RatMatrix:

@@ -152,7 +152,7 @@ def _cartan_inverse(L: LieAlgebra) -> tuple[np.ndarray, int]:
 @lru_cache(maxsize=None)
 def _positive_roots(L: LieAlgebra) -> np.ndarray:
     """The simple-root coordinates of the positive roots, one column each."""
-    return np.array(L._root_of_index[: L.npos], dtype=np.int64).T
+    return np.array(L.rs.roots[: L.npos], dtype=np.int64).T
 
 
 def _graded(L: LieAlgebra, labels: np.ndarray | Sequence[Sequence[int]]) -> np.ndarray:
@@ -462,7 +462,7 @@ def _represent(
         covered: set[int] = set()
         reached = 0
         for q in order:
-            v = span.reduce({c: x for c, x in enumerate(L._root_of_index[g2[q]]) if x})
+            v = span.reduce({c: x for c, x in enumerate(L.rs.roots[g2[q]]) if x})
             if not v:
                 continue
             candidate = dict(total)

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Mapping, Sequence
 
 from .algebra import (
@@ -70,12 +69,6 @@ class OrbitAnalysis:
     ce_weights: tuple[int, ...]
 
 
-@lru_cache(maxsize=None)
-def _highest_root(L: LieAlgebra) -> tuple[int, ...]:
-    """The highest root's coefficients: the largest of each over the positive roots."""
-    return tuple(max(column) for column in L._root_columns)
-
-
 def _torus_weights(
     L: LieAlgebra, e: Element | Mapping[int, int], labels: Sequence[int]
 ) -> _Grading:
@@ -95,12 +88,12 @@ def _torus_weights(
     Such weights grade the product (see `algebra._grading`), unchecked.
     """
     support = e.support() if isinstance(e, Element) else e
-    roots = [dict(enumerate(L._root_of_index[i])) for i in support if i < L._hbase]
+    roots = [dict(enumerate(L.rs.roots[i])) for i in support if i < L._hbase]
     digits = [list(labels)]
     for v in _null_space(roots, L.rank):
         phi = _scaled_support(v)[0]
         digits.append([phi.get(i, 0) for i in range(L.rank)])
-    theta = _highest_root(L)
+    theta = L.rs.roots[L.npos - 1]  # the highest root, last in height order
     base = 4 * max(sum(abs(x) * m for x, m in zip(phi, theta)) for phi in digits) + 1
     values = [0] * L.rank
     for phi in digits:

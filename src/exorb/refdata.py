@@ -141,7 +141,8 @@ def _exception_record(row: dict) -> ExceptionRecord:
 class RefData:
     """Loaded reference tables with diagram-keyed access.
 
-    Every field of every row is checked against docs/refdata.md on loading;
+    Every field of every row is checked against docs/refdata.md on loading,
+    and no two rows of a type may share a diagram, a label or an alt_label;
     a file that breaks the table raises `ValueError` as a whole.
     """
 
@@ -160,7 +161,15 @@ class RefData:
         for tname, rows in types.items():
             tr = TypeRank.from_string(tname)
             records = tuple(_orbit_record(row, tr, tname) for row in rows)
-            for rec in records:
+            seen: set[tuple[str, object]] = set()
+            for row, rec in zip(rows, records):
+                keys = ("diagram", rec.diagram), ("label", rec.label), ("alt_label", rec.alt_label)
+                for key in keys:
+                    if key in seen:
+                        message = f"repeats the {key[0]} {key[1]!r} of an earlier row"
+                        _require(False, row, tname, message)
+                    if key[1] is not None:
+                        seen.add(key)
                 self._by_diagram[(tname, rec.diagram)] = rec
             self._by_type[tname] = records
         self._exceptions = tuple(_exception_record(row) for row in exceptions)

@@ -8,8 +8,7 @@ for the E series the branch node is number 2 and attaches to node 4.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 __all__ = [
     "TypeRank",
@@ -116,11 +115,17 @@ def _symmetrizer(t: TypeRank) -> list[int]:
 
 
 class RootSystem:
-    """Positive roots, Cartan data and the full table of structure constants.
+    """The roots, Cartan data and Chevalley structure constants.
 
     Immutable after construction; instances are safe to share across threads.
-    The positive roots are ordered by ascending height with lexicographic
-    tie-breaking on coefficient tuples, so the simple roots come first.
+    The roots are indexed once, in the basis order of the Lie algebra: the m
+    positive roots by ascending height with lexicographic tie-breaking on
+    coefficient tuples, so the simple roots come first and the highest root
+    last, then their negatives, so the opposite of root i is root
+    (i + m) mod 2m.  `roots` holds the coefficient tuples and `index`
+    inverts it.  `products` holds every nonzero product of two root vectors
+    as (i, j, k, n), meaning [x_i, x_j] = n x_k; `structconsts` is the same
+    table keyed by coefficient tuples, a view built on first read.
     """
 
     def __init__(self, type_rank: TypeRank):
@@ -137,12 +142,11 @@ class RootSystem:
         pos = self._generate_positive_roots()
         pos.sort(key=lambda c: (sum(c), c))
         self.positive_roots: tuple[Root, ...] = tuple(Root(c) for c in pos)
-        self._pos_index = {c: i for i, c in enumerate(pos)}
-        self._rootset = set(pos) | {tuple(-x for x in c) for c in pos}
-        self._norms = {c: self._norm_of(c) for c in pos}
-        self._norms.update({tuple(-x for x in c): self._norms[c] for c in pos})
-        self.structconsts: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
-        self._build_constants()
+        self.roots: tuple[tuple[int, ...], ...] = (*pos, *(tuple(-x for x in c) for c in pos))
+        self.index: dict[tuple[int, ...], int] = {c: i for i, c in enumerate(self.roots)}
+        norms = [self._norm_of(c) for c in pos]
+        self._norms = norms + norms  # (root i, root i), by index
+        self.products = self._build_products()
 
     # -- construction -------------------------------------------------
 
@@ -186,89 +190,69 @@ class RootSystem:
                         total += c[i] * c[j] * self._sym[j] * self.cartan[i][j]
         return total
 
-    def _string_down(self, a: tuple[int, ...], b: tuple[int, ...]) -> int:
-        """Largest k with b - k*a a root."""
-        p = 0
-        cur = b
-        while True:
-            cur = tuple(x - y for x, y in zip(cur, a))
-            if cur in self._rootset:
-                p += 1
-            else:
-                return p
+    def _build_products(self) -> tuple[tuple[int, int, int, int], ...]:
+        """The products of root vectors, by Carter's recursion on root indices.
 
-    def _build_constants(self) -> None:
-        pos = [r.coeffs for r in self.positive_roots]
-        order = {c: i for i, c in enumerate(pos)}
-        norms = self._norms
-        npos: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
+        R. W. Carter, *Simple Groups of Lie Type* (1972), 4.1-4.2.  For
+        each positive root g that is not simple, the summands i + j = g with
+        i < j are taken in index order; the first, (a, b), is the
+        extraspecial pair, and a is simple, as the simple roots come first.
+        N(a, b) = p + 1 for p the largest k with b - k a a root; b - k a
+        stays positive, as a is simple.  N(g, -a) follows by the triple
+        identity, and every other N(i, j) by the quadruple identity on
+        (-a, i, j), whose sum is b.  N(-i, -j) = -N(i, j), and for positive
+        i + j = k, N(i, -k) = N(k, -i) comes from the triple identity too.
+        Every division is checked to be exact; a remainder raises
+        `RuntimeError`.
+        """
+        m, norms = len(self.positive_roots), self._norms
+        roots, index = self.roots, self.index
+        # diff[k][i] = j when the positive roots i + j = k
+        diff: list[dict[int, int]] = [{} for _ in range(m)]
+        for i in range(m):
+            for j in range(i + 1, m):
+                k = index.get(tuple(x + y for x, y in zip(roots[i], roots[j])))
+                if k is not None:
+                    diff[k][i] = j
+                    diff[k][j] = i
+        npos: dict[tuple[int, int], int] = {}  # N(i, j) for positive i, j
 
-        def mixed(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
-            # N(lam, -mu) for distinct positive roots, via the triple identity
-            nu = tuple(x - y for x, y in zip(lam, mu))
-            if nu in self._pos_index:
-                val = Fraction(-norms[nu] * npos[(mu, nu)], norms[lam])
-            else:
-                nu = tuple(-x for x in nu)
-                if nu not in self._pos_index:
-                    return 0
-                val = Fraction(norms[nu] * npos[(nu, lam)], norms[mu])
-            if val.denominator != 1:
-                raise RuntimeError(f"non-integral N({lam}, -{mu})")
-            return int(val)
+        def down(k: int, i: int, j: int) -> int:
+            # N(k, -i) for positive i + j = k, by the triple identity
+            return _divide(-norms[j] * npos[i, j], norms[k], roots[k], roots[i])
 
-        for gamma in pos:
-            if sum(gamma) < 2:
-                continue
-            summands = []
-            for alpha in pos:
-                if order[alpha] >= order[gamma]:
-                    break
-                beta = tuple(x - y for x, y in zip(gamma, alpha))
-                if beta in self._pos_index and order[alpha] < order[beta]:
-                    summands.append((alpha, beta))
-            summands.sort(key=lambda ab: order[ab[0]])
-            a1, b1 = summands[0]  # extraspecial: minimal first member
-            n_extra = self._string_down(a1, b1) + 1
-            npos[(a1, b1)] = n_extra
-            npos[(b1, a1)] = -n_extra
-            n_a1_gamma = -mixed(gamma, a1)  # N(-a1, gamma)
-            if n_a1_gamma == 0:
-                raise RuntimeError(f"zero N(-{a1}, {gamma}) for an extraspecial pair")
-            for alpha, beta in summands[1:]:
-                # quadruple identity on (-a1, alpha, beta) with sum b1
-                term1 = term2 = 0
-                d1 = tuple(x - y for x, y in zip(alpha, a1))
-                if d1 in self._pos_index:
-                    term1 = -mixed(alpha, a1) * npos[(d1, beta)]
-                d2 = tuple(x - y for x, y in zip(beta, a1))
-                if d2 in self._pos_index:
-                    term2 = -mixed(beta, a1) * npos[(alpha, d2)]
-                val = Fraction(term1 + term2, n_a1_gamma)
-                if val.denominator != 1:
-                    raise RuntimeError(f"non-integral N({alpha}, {beta})")
-                npos[(alpha, beta)] = int(val)
-                npos[(beta, alpha)] = -int(val)
-
-        table = self.structconsts
-        for (a, b), n in npos.items():
-            na = tuple(-x for x in a)
-            nb = tuple(-x for x in b)
-            table[(a, b)] = n
-            table[(na, nb)] = -n
-        for lam in pos:
-            for mu in pos:
-                if lam == mu:
-                    continue
-                diff = tuple(x - y for x, y in zip(lam, mu))
-                if diff in self._rootset:
-                    n = mixed(lam, mu)
-                    nlam = tuple(-x for x in lam)
-                    nmu = tuple(-x for x in mu)
-                    table[(lam, nmu)] = n
-                    table[(nmu, lam)] = -n
-                    table[(nlam, mu)] = -n
-                    table[(mu, nlam)] = n
+        products: list[tuple[int, int, int, int]] = []
+        for g in range(self.rank, m):
+            summands = [(i, j) for i, j in diff[g].items() if i < j]
+            a, b = summands[0]
+            p, c = 0, diff[b].get(a)
+            while c is not None:
+                p, c = p + 1, diff[c].get(a)
+            npos[a, b] = p + 1
+            npos[b, a] = -p - 1
+            n_a_g = -down(g, a, b)  # N(-a, g)
+            for i, j in summands[1:]:
+                total = 0
+                d = diff[i].get(a)
+                if d is not None:
+                    total -= down(i, a, d) * npos[d, j]
+                d = diff[j].get(a)
+                if d is not None:
+                    total -= down(j, a, d) * npos[i, d]
+                npos[i, j] = _divide(total, n_a_g, roots[i], roots[j])
+                npos[j, i] = -npos[i, j]
+            for i, j in summands:
+                n = npos[i, j]
+                products += ((i, j, g, n), (i + m, j + m, g + m, -n))
+                products += ((j, i, g, -n), (j + m, i + m, g + m, n))
+        for i in range(m):
+            for k in range(i + 1, m):
+                j = diff[k].get(i)
+                if j is not None:
+                    n = down(k, i, j)  # N(k, -i) = N(i, -k), [x_i, x_-k] = n x_-j
+                    products += ((i, k + m, j + m, n), (k + m, i, j + m, -n))
+                    products += ((i + m, k, j, -n), (k, i + m, j, n))
+        return tuple(products)
 
     # -- queries ------------------------------------------------------
 
@@ -282,17 +266,25 @@ class RootSystem:
 
     def coroot_coords(self, coeffs: tuple[int, ...]) -> tuple[int, ...]:
         """The coroot of a root, written over the simple coroots."""
-        norm = self._norms[coeffs]
-        out = []
-        for i, m in enumerate(coeffs):
-            val = Fraction(2 * m * self._sym[i], norm)
-            if val.denominator != 1:
-                raise RuntimeError(f"non-integral coroot of {coeffs}")
-            out.append(int(val))
-        return tuple(out)
+        norm = self._norms[self.index[coeffs]]
+        return tuple(_divide(2 * m * d, norm, coeffs) for m, d in zip(coeffs, self._sym))
+
+    @cached_property
+    def structconsts(self) -> dict[tuple[tuple[int, ...], tuple[int, ...]], int]:
+        """N(a, b) keyed by the coefficient tuples of a and b: `products`, as a view."""
+        roots = self.roots
+        return {(roots[i], roots[j]): n for i, j, _, n in self.products}
 
     def __repr__(self) -> str:
         return f"RootSystem({self.type_rank}, {self.num_positive} positive roots)"
+
+
+def _divide(num: int, den: int, *about: object) -> int:
+    """num / den, which must be an integer; a remainder raises `RuntimeError`."""
+    q, r = divmod(num, den)
+    if r:
+        raise RuntimeError(f"non-integral structure constant or coroot at {about}")
+    return q
 
 
 @lru_cache(maxsize=None)

@@ -705,7 +705,7 @@ def test_gradings_are_checked():
     h1 = L.dim - L.rank
     with pytest.raises(ValueError):
         centralizer(L, x, weights[:h1] + (1,) + weights[h1 + 1 :])  # nonzero at h_1
-    top = L._index_of_root[L.rs.positive_roots[-1].coeffs]
+    top = L.rs.index[L.rs.positive_roots[-1].coeffs]
     bumped = list(weights)
     bumped[top] += 1
     with pytest.raises(ValueError):

@@ -248,7 +248,7 @@ def test_representatives_are_unit_sums_over_independent_roots(name):
             assert supp and all(weights[i] == 2 for i in supp)
             assert all(e.coeffs[i] == 1 for i in supp)
             assert len(supp) <= L.rank
-            roots = RatMatrix([L._root_of_index[i] for i in supp])
+            roots = RatMatrix([L.rs.roots[i] for i in supp])
             assert rank(roots) == len(supp)
             assert centralizer(L, e).dim == _minimal_centralizer_dim(weights)
 
@@ -461,12 +461,13 @@ def test_sparse_solve_is_linalg_solve(case):
         expected = tuple(x)
     m = RatMatrix([row[:cols] for row in rows], cols)
     assert solve(m, [row[cols] for row in rows]) == expected
-    got = linalg._solution(_sparse_rows(rows), cols)
+    got = linalg._back_substitute(linalg._echelon(_sparse_rows(rows)), cols)
     if expected is None:
         assert got is None
     else:
-        assert got is not None and 0 not in got.values()
-        assert tuple(got.get(c, 0) for c in range(cols)) == expected
+        y, den = got
+        assert 0 not in y.values()
+        assert tuple(Fraction(y.get(c, 0), den) for c in range(cols)) == expected
 
 
 def test_sweep_does_not_read_an_insoluble_representative_as_rejection(monkeypatch):

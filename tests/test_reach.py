@@ -410,7 +410,7 @@ def test_torus_blocks_are_those_of_the_exact_digits(name):
     zero = orbit(L, WeightedDynkinDiagram((0,) * L.rank))
     for o in [zero, *enumerate_orbits(L)]:
         e, labels = o.triple.e, o.diagram.labels
-        support = [dict(enumerate(L._root_of_index[i])) for i in e.support() if i < L._hbase]
+        support = [dict(enumerate(L.rs.roots[i])) for i in e.support() if i < L._hbase]
         phis = [labels]
         for v in _null_space(support, L.rank):
             phi = _scaled_support(v)[0]

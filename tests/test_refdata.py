@@ -111,3 +111,28 @@ def test_env_override_and_schema_check(tmp_path, monkeypatch):
     good.write_text(json.dumps(data))
     monkeypatch.setenv("EXORB_REFDATA", str(good))
     assert len(load_tables().orbits("G2")) == 4
+
+
+@pytest.mark.parametrize(
+    "extra, field",
+    [
+        # the A1 row again with a wrong dim_ce: the last row would win
+        ({"label": "A1x", "alt_label": None, "dim_ce": 5, "ce_weights": [2] * 5}, "diagram"),
+        ({"diagram": [2, 0], "label": "G2(a1)", "alt_label": None}, "label"),
+        ({"diagram": [1, 1], "label": "X", "alt_label": "A1"}, "alt_label"),
+    ],
+    ids=["diagram", "label", "alt_label"],
+)
+def test_repeated_diagram_or_label_is_refused(tmp_path, capsys, extra, field):
+    from exorb.cli import EXIT_USAGE, main
+
+    data = json.loads(resources.files("exorb").joinpath("data/orbit_tables.json").read_text())
+    data["types"]["G2"].insert(0, {**data["types"]["G2"][0], **extra})
+    tables = tmp_path / "dup.json"
+    tables.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match=f"^G2 row .*: repeats the {field} "):
+        load_tables(str(tables))
+    assert main(["verify", "G2", "--refdata", str(tables)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cannot load reference tables" in captured.err

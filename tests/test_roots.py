@@ -4,7 +4,10 @@ import random
 
 import pytest
 
-from exorb.roots import Root, TypeRank, build_root_system
+import exorb.algebra
+import exorb.roots
+from exorb.algebra import LieAlgebra, build_lie_algebra
+from exorb.roots import Root, RootSystem, TypeRank, build_root_system
 
 POSITIVE_COUNTS = {
     "A2": 3,
@@ -164,3 +167,50 @@ def test_structure_constants_are_pinned(name):
     triples = sorted([list(a), list(b), n] for (a, b), n in rs.structconsts.items())
     digest = hashlib.sha256(json.dumps(triples).encode()).hexdigest()[:16]
     assert digest == STRUCTURE_CONSTANT_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(STRUCTURE_CONSTANT_DIGESTS))
+def test_one_root_index_in_basis_order(name, monkeypatch):
+    # Fresh caches, so that no earlier test has read `structconsts`.
+    for module, cached in ((exorb.roots, "_cached_system"), (exorb.algebra, "_cached_algebra")):
+        monkeypatch.setattr(module, cached, getattr(module, cached).__wrapped__)
+    L = build_lie_algebra(name)
+    rs, m = L.rs, L.npos
+    assert "structconsts" not in rs.__dict__
+    assert len(rs.roots) == 2 * m and [r.coeffs for r in rs.positive_roots] == list(rs.roots[:m])
+    for i in range(m):
+        assert rs.roots[i + m] == tuple(-x for x in rs.roots[i])
+    assert rs.index == {c: i for i, c in enumerate(rs.roots)} and len(rs.index) == 2 * m
+    simple = {tuple(int(i == j) for j in range(rs.rank)) for i in range(rs.rank)}
+    assert set(rs.roots[: rs.rank]) == simple
+    assert rs.roots[m - 1] == tuple(max(column) for column in zip(*rs.roots[:m]))
+    # each product [x_i, x_j] = n x_k is listed once, with root k = root i + root j
+    assert len({(i, j) for i, j, _, _ in rs.products}) == len(rs.products)
+    for i, j, k, n in rs.products:
+        assert n and rs.roots[k] == tuple(x + y for x, y in zip(rs.roots[i], rs.roots[j]))
+        assert L._adj[i][j] == ((k, n),)
+    assert "structconsts" not in rs.__dict__
+
+
+@pytest.mark.parametrize(
+    "name, root, norm, where",
+    [
+        # -norm(3,1) N / norm(3,2) = -6/4 in N((3,2), -(0,1))
+        ("G2", (3, 2), 4, "build"),
+        # every constant stays integral, but the coroot is (0, 2/4)
+        ("A2", (0, 1), 4, "coroot"),
+    ],
+)
+def test_a_wrong_norm_fails_an_integrality_certificate(monkeypatch, name, root, norm, where):
+    real = RootSystem._norm_of
+    monkeypatch.setattr(RootSystem, "_norm_of", lambda rs, c: norm if c == root else real(rs, c))
+    t = TypeRank.from_string(name)
+    if where == "build":
+        with pytest.raises(RuntimeError, match="non-integral"):
+            RootSystem(t)
+        return
+    rs = RootSystem(t)
+    with pytest.raises(RuntimeError, match="non-integral"):
+        rs.coroot_coords(root)
+    with pytest.raises(RuntimeError, match="non-integral"):
+        LieAlgebra(rs)
