@@ -25,7 +25,7 @@ from .orbits import (
     enumerate_orbits,
 )
 from .reach import OrbitAnalysis, analyze, rigid_discrepancy_report
-from .refdata import OrbitRecord, ExceptionRecord, load_tables, lookup, exceptions
+from .refdata import OrbitRecord, ExceptionRecord, load_tables
 
 __version__ = "0.1.0"
 
@@ -62,7 +62,5 @@ __all__ = [
     "OrbitRecord",
     "ExceptionRecord",
     "load_tables",
-    "lookup",
-    "exceptions",
     "__version__",
 ]

@@ -195,10 +195,11 @@ class LieAlgebra:
         c = [(j - self._hbase, x) for j, x in elt._supp.items()]
         return tuple(Fraction(sum(x * row[j] for j, x in c), elt._den) for row in self.rs.cartan)
 
-    def basis_weights(self, labels: Sequence[int]) -> tuple[int, ...]:
+    def basis_weights(self, labels: Sequence[int]) -> "_Grading":
         """Eigenvalue of each basis vector under the characteristic of `labels`.
 
         Formed on the positive roots; y_a has the negated weight of x_a.
+        They grade the product, and are returned as a `_Grading`, a tuple.
         """
         if len(labels) != self.rank:
             raise ValueError("label vector has wrong length")
@@ -206,7 +207,7 @@ class LieAlgebra:
         for column, d in zip(self._root_columns, labels):
             if d:
                 out = [w + d * m for w, m in zip(out, column)]
-        return (*out, *[-w for w in out], *(0,) * self.rank)
+        return _Grading(self, (*out, *[-w for w in out], *(0,) * self.rank))
 
     def __repr__(self) -> str:
         return f"LieAlgebra({self.rs.type_rank}, dim={self.dim})"
@@ -265,18 +266,27 @@ def _bracket_supp(
 
 
 class _Grading(tuple):
-    """Basis weights that grade the product of L (unchecked), with their blocks."""
+    """Basis weights that grade the product of L (unchecked), with `blocks`,
+    the basis indices of each weight, built on first read."""
 
     def __new__(cls, L: LieAlgebra, weights: Sequence[int]) -> "_Grading":
         out = super().__new__(cls, weights)
-        out.amb, out.blocks = L, {}
-        for i, w in enumerate(weights):
-            out.blocks.setdefault(w, []).append(i)
+        out.amb = L
+        return out
+
+    def __getnewargs__(self) -> tuple:
+        return self.amb, tuple(self)
+
+    @cached_property
+    def blocks(self) -> dict[int, list[int]]:
+        out: dict[int, list[int]] = {}
+        for i, w in enumerate(self):
+            out.setdefault(w, []).append(i)
         return out
 
 
 def _grading(L: LieAlgebra, weights: Sequence[int] | None) -> _Grading:
-    """The checked weights, with the basis indices of each weight.
+    """The checked weights, as a `_Grading` of L.
 
     `None` is the trivial grading, every basis vector of weight 0.  Other
     weights must grade the product: [g(i), g(j)] lies in g(i + j) for every
@@ -292,19 +302,20 @@ def _grading(L: LieAlgebra, weights: Sequence[int] | None) -> _Grading:
     sum(m_i alpha_i); and [x_a, y_a] is a nonzero coroot, of weight 0, so
     y_a has the opposite weight.
 
-    A `_Grading` of L, checked here or built from `L.basis_weights`, is
-    returned as it stands, so an analysis that passes one grading to
-    several layers checks and blocks it once.
+    A `_Grading` of L, such as `L.basis_weights` returns, is returned as it
+    stands, so an analysis that passes one grading to several layers checks
+    and blocks it once.
     """
     if isinstance(weights, _Grading) and weights.amb is L:
         return weights
     if weights is None:
-        weights = (0,) * L.dim
-    elif len(weights) != L.dim:
+        return _Grading(L, (0,) * L.dim)
+    if len(weights) != L.dim:
         raise ValueError("weights have the wrong length")
-    elif tuple(weights) != L.basis_weights(weights[: L.rank][::-1]):
+    grading = L.basis_weights(weights[: L.rank][::-1])
+    if tuple(weights) != grading:
         raise ValueError("weights do not grade the algebra")
-    return _Grading(L, weights)
+    return grading
 
 
 # -- public types and operations --------------------------------------------
@@ -322,17 +333,16 @@ class Subspace:
     when v equals the sum of v[p] * row_p over the pivots p, so membership
     is an exact identity that needs no elimination.
 
-    The rows are stored sparse, as {index: nonzero entry} dicts keyed by
-    their pivot, with integral entries held as ints.  The basis may be given
-    as such rows or as a `RatMatrix`, converted at the boundary; both run
-    the same check.  Equality and the hash are taken on the rows; the dense
-    `basis` matrix is a view built on first use.
+    The basis is given as sparse rows, {index: nonzero entry} dicts, and
+    stored keyed by pivot, with integral entries held as ints; dense rows
+    go through `from_rows`.  Equality and the hash are taken on the rows;
+    the dense `basis` matrix is a view built on first use.
 
     Each row is also held as its integer support (`_ints`): the row times
     the common denominator of its entries, the same dict when the row is
     integral, as nearly every row of an analysis is.  The layers bracket and
-    reduce these.  A subspace built by a layer that knew each row's weight
-    under a grading (see `_span`) keeps those weights for `row_weights`.
+    reduce these.  No weight is stored beside a row: the rows of a graded
+    subspace are homogeneous (below), so a row's weight is its pivot's.
 
     Block lemma: when the coordinates are split into disjoint blocks (the
     weights of a grading) and a subspace is spanned by vectors each inside
@@ -342,11 +352,7 @@ class Subspace:
     graded.
     """
 
-    def __init__(self, amb: LieAlgebra, basis: RatMatrix | Iterable[Mapping[int, Fraction]]):
-        if isinstance(basis, RatMatrix):
-            if basis.cols != amb.dim:
-                raise ValueError("basis has the wrong number of columns")
-            basis = ({i: c for i, c in enumerate(row) if c} for row in basis.data)
+    def __init__(self, amb: LieAlgebra, basis: Iterable[Mapping[int, Fraction | int]]):
         at: dict[int, dict[int, Fraction | int]] = {}  # pivot -> sparse row
         ints: list[dict[int, int]] = []  # the integer supports, in pivot order
         seen: set[int] = set()  # the indices of the rows so far
@@ -370,7 +376,7 @@ class Subspace:
             last = p
         if seen and max(seen) >= amb.dim:
             raise ValueError("basis is not in reduced row-echelon form")
-        self.__dict__.update(amb=amb, _row_at=at, _ints=tuple(ints), _weights=None)
+        self.__dict__.update(amb=amb, _row_at=at, _ints=tuple(ints))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Subspace is immutable")
@@ -437,12 +443,9 @@ class Subspace:
         """The weight of each canonical basis row under a grading.
 
         Raises ValueError when a row mixes weights, which by the block lemma
-        means the subspace is not graded.  The weights that a layer built
-        the rows with (see `_span`) are returned as they stand.
+        means the subspace is not graded.  Every row is checked; the layers
+        that know their rows are homogeneous read the weight off the pivot.
         """
-        known = self._weights
-        if known is not None and known[0] is weights:
-            return known[1]
         if len(weights) != self.amb.dim:
             raise ValueError("weights have the wrong length")
         out = []
@@ -499,29 +502,32 @@ def centralizer(
         raise ValueError("element is not homogeneous for the grading")
     d = degrees.pop() if degrees else 0
     blocks = grading.blocks
-    adj = L._adj
-    rows: list[tuple[dict[int, Fraction | int], int]] = []
+    rows: list[dict[int, Fraction | int]] = []
     onto: set[int] = set()
     for k in sorted(blocks, reverse=d > 0):
         dom = blocks[k]
         if not (a and k + d in blocks):
-            rows.extend(({j: 1}, k) for j in dom)
+            rows.extend({j: 1} for j in dom)
             continue
         if -k - d in onto:
             continue  # the dual of an onto block is injective
-        # the rows of ad a : g(k) -> g(k + d), as {column: entry}; an entry
-        # where two terms of a cancel stays as an explicit 0, which
-        # `_null_space` drops
-        block: dict[int, dict[int, int]] = defaultdict(dict)
-        for col, j in enumerate(dom):
-            for i, c in a.items():
-                for t, n in adj[i].get(j, ()):
-                    block[t][col] = block[t].get(col, 0) + c * n
-        kernel = _null_space(block.values(), len(dom))
+        kernel = _null_space(_ad_rows(L._adj, a, dom).values(), len(dom))
         if len(dom) - len(kernel) == len(blocks[k + d]):
             onto.add(k)
-        rows.extend(({dom[x]: y for x, y in v.items()}, k) for v in kernel)
-    return _span(L, grading, rows)
+        rows.extend({dom[x]: y for x, y in v.items()} for v in kernel)
+    return _span(L, rows)
+
+
+def _ad_rows(adj: list, a: Mapping[int, int], dom: Sequence[int]) -> dict[int, dict[int, int]]:
+    """The rows of ad a on the basis vectors `dom`: row t maps the column of
+    j to the coefficient of x_t in [a, x_j].  An entry where two terms of a
+    cancel stays as an explicit 0, which `_null_space` and `_echelon` drop."""
+    block: dict[int, dict[int, int]] = defaultdict(dict)
+    for col, j in enumerate(dom):
+        for i, c in a.items():
+            for t, n in adj[i].get(j, ()):
+                block[t][col] = block[t].get(col, 0) + c * n
+    return block
 
 
 def derived_subalgebra(
@@ -546,7 +552,7 @@ def derived_subalgebra(
     graded = list(zip(s._ints, s.row_weights(grading)))
     rows = Counter(w for _, w in graded)
     checked = {t for t, b in grading.blocks.items() if rows[t] < len(b)}  # s(t) != g(t)
-    return _read_out(L, grading, _derived(s, graded, grading, checked))
+    return _read_out(L, _derived(s, graded, grading, checked))
 
 
 def _derived(
@@ -590,17 +596,14 @@ def _derived(
     return acc
 
 
-def _read_out(L: LieAlgebra, grading: _Grading, acc: Mapping[int, _Echelon]) -> Subspace:
-    """The checked subspace spanned by echelons of a grading, keyed by weight."""
-    return _span(L, grading, ((r, t) for t, e in acc.items() for r in e.canonical_rows()))
+def _read_out(L: LieAlgebra, acc: Mapping[int, _Echelon]) -> Subspace:
+    """The checked subspace spanned by echelons, one per weight of a grading."""
+    return _span(L, [r for e in acc.values() for r in e.canonical_rows()])
 
 
-def _span(L: LieAlgebra, grading: _Grading, rows: Iterable[tuple[Mapping, int]]) -> Subspace:
-    """The subspace of canonical rows, each with the weight of its block."""
-    rows = sorted(rows, key=lambda rw: min(rw[0]))
-    s = Subspace(L, [r for r, _ in rows])
-    s.__dict__["_weights"] = (grading, tuple(w for _, w in rows))
-    return s
+def _span(L: LieAlgebra, rows: Iterable[Mapping]) -> Subspace:
+    """The subspace of the blocks' canonical rows of a grading (the block lemma)."""
+    return Subspace(L, sorted(rows, key=min))
 
 
 def subalgebra_closure(
@@ -638,7 +641,7 @@ def subalgebra_closure(
             raise ValueError("generator is not homogeneous for the grading")
         if ws:
             rows.append((v, ws.pop()))
-    return _read_out(L, grading, _closure(L, rows, cap))
+    return _read_out(L, _closure(L, rows, cap))
 
 
 def _closure(

@@ -48,7 +48,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from ._modp import PRIMES, pivot_columns
-from .algebra import Element, LieAlgebra, _bracket_supp
+from .algebra import Element, LieAlgebra, _ad_rows, _bracket_supp
 from .linalg import _Echelon, _back_substitute, _echelon, _rank
 
 __all__ = [
@@ -481,7 +481,7 @@ def _represent(
                 reached = r
                 if reached == n:
                     e = ({g2[t]: 1 for t in kept}, 1)
-                    return _triple(L, layout.g0, layout.neg2, e, h, echelon)
+                    return _triple(L, layout.neg2, e, h, echelon)
                 if len(kept) == L.rank:
                     break
     return None
@@ -493,7 +493,7 @@ def _settle(
     """The triple of the draw e = sum coeffs[t] x_{g2[t]}, or None if it has none."""
     e = (dict(zip(layout.g2, coeffs)), 1)
     try:
-        return _triple(L, layout.g0, layout.neg2, e, _h_support(L, d.labels))
+        return _triple(L, layout.neg2, e, _h_support(L, d.labels))
     except TripleInsolubleError:
         return None
 
@@ -580,27 +580,20 @@ def complete_triple(L: LieAlgebra, h: Element, e: Element) -> Sl2Triple:
         raise ValueError("dimension mismatch")
     if any(weights[i] != 2 for i in e._supp):
         raise ValueError("[h, e] = 2e fails: not a weight-2 vector for h")
-    g0 = [i for i, w in enumerate(weights) if w == 0]
-    neg2 = [j for j, w in enumerate(weights) if w == -2]
-    return _triple(L, g0, neg2, (e._supp, e._den), (h._supp, h._den))
+    return _triple(L, weights.blocks.get(-2, []), (e._supp, e._den), (h._supp, h._den))
 
 
 def _triple(
-    L: LieAlgebra,
-    g0: list[int],
-    neg2: list[int],
-    e: _Scaled,
-    h: _Scaled,
-    echelon: _Echelon | None = None,
+    L: LieAlgebra, neg2: list[int], e: _Scaled, h: _Scaled, echelon: _Echelon | None = None
 ) -> Sl2Triple:
-    """`complete_triple` for e in g(2), given the indices of g(0) and g(-2).
+    """`complete_triple` for e in g(2), given the indices of g(-2).
 
     e and h are given as (integer support, denominator), the form of
     `linalg._scaled_support` in which an `Element` holds them.  e has ad
-    h-weight 2, so [e, g(-2)] lies in g(0) and only the g(0) rows of the
-    system can be nonzero.  They are built from the integer structure
-    constants as sparse rows, each entry from one root k of e (for x_j in
-    g(-2) and x_i in g(0), at most one k has x_i in [x_k, x_j]; see
+    h-weight 2, so [e, g(-2)] lies in g(0), as h does.  The rows of the
+    system are those of ad e on g(-2) (`algebra._ad_rows`), built from the
+    integer structure constants, each entry from one root k of e (for x_j
+    in g(-2) and x_i in g(0), at most one k has x_i in [x_k, x_j]; see
     `_down_table`); `_echelon` eliminates them unless the walk gives their
     `echelon`, `_back_substitute` solves it, and the check is in integers.
     """
@@ -610,14 +603,9 @@ def _triple(
     if echelon is None:
         # [scale * e, x] = scale * hden * h as sparse integer augmented rows,
         # the right-hand side in column `cols`; f = x / hden
-        rows: dict[int, dict[int, int]] = {i: {} for i in g0}
+        rows = _ad_rows(L._adj, supp, neg2)
         for i, c in hsupp.items():
-            rows[i][cols] = scale * c
-        for k, c in supp.items():
-            adj = L._adj[k]
-            for col, j in enumerate(neg2):
-                for i, n in adj.get(j, ()):
-                    rows[i][col] = c * n
+            rows.setdefault(i, {})[cols] = scale * c
         echelon = _echelon(rows.values())
     sol = _back_substitute(echelon, cols)
     if sol is None:

@@ -34,7 +34,6 @@ from .algebra import (
     Subspace,
     _closure,
     _derived,
-    _Grading,
     _quotient,
     _read_out,
     centralizer,
@@ -71,7 +70,7 @@ class OrbitAnalysis:
 
 def _torus_weights(
     L: LieAlgebra, e: Element | Mapping[int, int], labels: Sequence[int]
-) -> _Grading:
+) -> tuple[int, ...]:
     """The grading by ad h and the subtorus that fixes e, e or its support.
 
     phi_1..phi_m are the integer annihilator of the support roots of e (the
@@ -85,7 +84,8 @@ def _torus_weights(
     on |phi(alpha)|, without forming the weights of each phi.  Each root of
     e in g(2) has weight 2 * base^m.  For e = 0 this is the full root
     grading; when the support spans the root lattice, the ad h grading.
-    Such weights grade the product (see `algebra._grading`), unchecked.
+    It is `L.basis_weights` of those values, so it grades the product (see
+    `algebra._grading`).
     """
     support = e.support() if isinstance(e, Element) else e
     roots = [dict(enumerate(L.rs.roots[i])) for i in support if i < L._hbase]
@@ -98,7 +98,7 @@ def _torus_weights(
     values = [0] * L.rank
     for phi in digits:
         values = [base * v + x for v, x in zip(values, phi)]
-    return _Grading(L, L.basis_weights(values))
+    return L.basis_weights(values)
 
 
 def _triple_supports(L: LieAlgebra, o: NilpotentOrbit) -> tuple[dict[int, int], tuple[int, ...]]:
@@ -148,15 +148,15 @@ def _check_centralizer_sizes(
 
 def _analysis(
     L: LieAlgebra, o: NilpotentOrbit
-) -> tuple[OrbitAnalysis, Subspace, _Grading, dict[int, _Echelon]]:
-    """The analysis, g_e, the torus grading and [g_e, g_e] by torus weight.
+) -> tuple[OrbitAnalysis, Subspace, dict[int, _Echelon]]:
+    """The analysis, g_e and [g_e, g_e] by torus weight.
 
     Each layer works weight by weight in the grading of `_torus_weights`
-    (see `centralizer`), and hands its rows on with their integer supports
-    and their weights in it.  By the block lemma the canonical rows of g_e
-    are homogeneous in it, hence in the coarser ad h grading too, so each
-    row's ad h weight is that of its pivot: g(>=1)_e and g_e(1) are read off
-    the rows as they stand.  [g_e, g_e] is formed from the brackets that
+    (see `centralizer`), and hands its rows on with their integer supports.
+    By the block lemma the canonical rows of g_e are homogeneous in it,
+    hence in the coarser ad h grading too, so each row's torus and ad h
+    weights are those of its pivot: g(>=1)_e and g_e(1) are read off the
+    rows as they stand.  [g_e, g_e] is formed from the brackets that
     fill a weight alone (`algebra._derived`): ad e is a derivation (the
     exhaustive Jacobi test of the pinned constants), so g_e is closed.
     Its echelons, one per torus weight, are read as they stand: their rows
@@ -171,9 +171,9 @@ def _analysis(
     se, ad_h = _triple_supports(L, o)
     grading = _torus_weights(L, se, o.diagram.labels)
     ge = centralizer(L, se, grading)
-    ge_h = [ad_h[p] for p in ge._row_at]
+    graded = [(r, grading[p], ad_h[p]) for p, r in zip(ge._row_at, ge._ints)]
+    ge_h = [k for _, _, k in graded]
     _check_centralizer_sizes(ad_h, ge_h, o.diagram)
-    graded = list(zip(ge._ints, ge.row_weights(grading), ge_h))
     derived = _derived(ge, graded, grading, ())
     dim_derived = sum(span.dim for span in derived.values())
     reachable = not se or not derived.get(grading[min(se)], _Echelon()).reduce(dict(se))
@@ -194,7 +194,7 @@ def _analysis(
         dim_ce=dim_ce,
         ce_weights=ce_weights,
     )
-    return analysis, ge, grading, derived
+    return analysis, ge, derived
 
 
 def _analyze_full(
@@ -206,8 +206,8 @@ def _analyze_full(
     canonical `Subspace` (`algebra._read_out`).  Every canonical basis is
     the one that the ad h grading alone gives (the block lemma).
     """
-    analysis, ge, grading, derived = _analysis(L, o)
-    return analysis, ge, _read_out(L, grading, derived)
+    analysis, ge, derived = _analysis(L, o)
+    return analysis, ge, _read_out(L, derived)
 
 
 def analyze(L: LieAlgebra, o: NilpotentOrbit) -> OrbitAnalysis:

@@ -20,8 +20,6 @@ __all__ = [
     "ExceptionRecord",
     "RefData",
     "load_tables",
-    "lookup",
-    "exceptions",
     "REFDATA_ENV",
 ]
 
@@ -142,8 +140,9 @@ class RefData:
     """Loaded reference tables with diagram-keyed access.
 
     Every field of every row is checked against docs/refdata.md on loading,
-    and no two rows of a type may share a diagram, a label or an alt_label;
-    a file that breaks the table raises `ValueError` as a whole.
+    no two rows of a type may share a diagram, a label or an alt_label, and
+    no two exception rows may share a type and a diagram or a type and a
+    label; a file that breaks the table raises `ValueError` as a whole.
     """
 
     def __init__(self, doc: dict):
@@ -173,6 +172,13 @@ class RefData:
                 self._by_diagram[(tname, rec.diagram)] = rec
             self._by_type[tname] = records
         self._exceptions = tuple(_exception_record(row) for row in exceptions)
+        seen = set()
+        for row, rec in zip(exceptions, self._exceptions):
+            for key in ("diagram", rec.diagram), ("label", rec.label):
+                if (rec.type_rank, *key) in seen:
+                    message = f"repeats the type and {key[0]} {key[1]!r} of an earlier row"
+                    _require(False, row, "exception", message)
+                seen.add((rec.type_rank, *key))
 
     def orbits(self, t: TypeRank | str) -> tuple[OrbitRecord, ...]:
         name = str(t) if isinstance(t, TypeRank) else t
@@ -224,11 +230,3 @@ def _load_cached(path: str | None) -> RefData:
 def load_tables(path: str | None = None) -> RefData:
     """Load reference tables from `path`, $EXORB_REFDATA, or the bundled file."""
     return _load_cached(path if path is not None else _default_path())
-
-
-def lookup(t: TypeRank | str, diagram: tuple[int, ...]) -> OrbitRecord:
-    return load_tables().lookup(t, diagram)
-
-
-def exceptions() -> tuple[ExceptionRecord, ...]:
-    return load_tables().exceptions()

@@ -453,17 +453,22 @@ def test_contains_reduces_against_the_canonical_basis(monkeypatch):
 
 
 def test_subspace_rejects_a_basis_that_is_not_canonical():
+    # Sparse rows are checked as given; dense rows go through `from_rows`,
+    # which reduces the same spans to their canonical basis.
     L = build_lie_algebra("A2")
     x, y = sorted(
         (L.root_vector((1, 0)).coeffs, L.root_vector((0, 1)).coeffs), reverse=True
     )  # x has the smaller pivot
-    with pytest.raises(ValueError):
-        Subspace(L, RatMatrix([y, x], L.dim))  # pivots out of order
-    with pytest.raises(ValueError):
-        Subspace(L, RatMatrix([[2 * c for c in x]], L.dim))  # pivot entry 2
-    with pytest.raises(ValueError):
-        Subspace(L, RatMatrix([[a + b for a, b in zip(x, y)], y], L.dim))
-    assert Subspace(L, RatMatrix([x, y], L.dim)).dim == 2
+    canonical = Subspace(L, [_sparse(x), _sparse(y)])
+    for rows in (
+        [y, x],  # pivots out of order
+        [[2 * c for c in x], y],  # pivot entry 2
+        [[a + b for a, b in zip(x, y)], y],  # x + y is not 0 at y's pivot
+    ):
+        with pytest.raises(ValueError):
+            Subspace(L, [_sparse(r) for r in rows])
+        assert Subspace.from_rows(L, rows) == canonical
+    assert canonical.dim == 2
 
 
 def _sparse(coeffs):
@@ -556,15 +561,15 @@ def test_sparse_and_matrix_bases_agree():
     e = L.root_vector(L.rs.positive_roots[-1])
     c = centralizer(L, e, L.basis_weights((1, 0, 0, 0)))
     rows = [_sparse(row) for row in c.basis.data]
-    sparse, dense = Subspace(L, rows), Subspace(L, RatMatrix(c.basis.data, L.dim))
+    sparse, dense = Subspace(L, rows), Subspace.from_rows(L, c.basis.data)
     assert sparse == dense == c
     assert hash(sparse) == hash(dense) == hash(c)
     assert sparse.basis == dense.basis and sparse.dim == dense.dim
     assert sparse != Subspace(L, rows[1:])
     assert sparse != Subspace(build_lie_algebra("E6"), rows)
-    eye = RatMatrix([[int(i == j) for j in range(L.dim)] for i in range(L.dim)])
-    assert Subspace.full(L) == Subspace(L, eye)
-    assert Subspace.zero(L) == Subspace(L, RatMatrix([], L.dim))
+    eye = [[int(i == j) for j in range(L.dim)] for i in range(L.dim)]
+    assert Subspace.full(L) == Subspace.from_rows(L, eye) == Subspace(L, map(_sparse, eye))
+    assert Subspace.zero(L) == Subspace.from_rows(L, []) == Subspace(L, [])
     with pytest.raises(AttributeError):
         sparse.amb = build_lie_algebra("E6")
 

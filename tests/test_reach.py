@@ -291,7 +291,7 @@ def test_the_analyses_form_only_the_brackets_that_fill_a_weight(monkeypatch):
             public = derived_subalgebra(L, ge, grading)
             n_public = len(formed)
             formed.clear()
-            private = algebra._read_out(L, grading, algebra._derived(ge, graded, grading, ()))
+            private = algebra._read_out(L, algebra._derived(ge, graded, grading, ()))
             assert private == public
             assert private.row_weights(grading) == public.row_weights(grading)
             cap, into = Counter(w for _, w in graded), defaultdict(list)
@@ -493,12 +493,9 @@ def test_analyze_reads_each_piece_of_data_once(monkeypatch):
     row_weights = Subspace.row_weights
 
     def counting_row_weights(self, weights):
-        out = row_weights(self, weights)
-        known = self.__dict__.get("_weights")  # the weights its builder handed on
-        if not (known and known[0] is weights):
-            for row in self._row_at.values():
-                formed[frozenset(row.items()), id(weights)] += 1
-        return out
+        for row in self._row_at.values():
+            formed[frozenset(row.items()), id(weights)] += 1
+        return row_weights(self, weights)
 
     bw = exorb.algebra.LieAlgebra.basis_weights
 
@@ -551,6 +548,29 @@ def test_analyze_reads_each_piece_of_data_once(monkeypatch):
     assert odd > 0
 
 
+def test_analyze_weighs_no_row_and_no_subspace_stores_weights(monkeypatch):
+    # Each canonical row is homogeneous, so `analyze` reads its torus and ad
+    # h weights off its pivot and never calls `row_weights`; and no layer
+    # stores weights beside the rows of the subspace it returns.
+    cases = []
+    for name in ("G2", "F4", "E6"):
+        L = build_lie_algebra(name)
+        cases += [(L, o) for o in enumerate_orbits(L, seed=1)]
+    expected = [analyze(L, o) for L, o in cases]
+    for L, o in cases[::7]:
+        weights = _torus_weights(L, o.triple.e, o.diagram.labels)
+        ge, derived, upper, closure = _layers(L, o, weights)
+        for s in (ge, derived, closure, *_analyze_full(L, o)[1:]):
+            assert not hasattr(s, "_weights")
+
+    def refuse(self, weights):
+        raise AssertionError("a row was weighed")
+
+    monkeypatch.setattr(Subspace, "row_weights", refuse)
+    assert [analyze(L, o) for L, o in cases] == expected
+    assert len(cases) == 4 + 15 + 20
+
+
 def test_centralizer_with_a_row_dropped_fails_the_graded_sizes(monkeypatch):
     # g_e must have dim g(k) - dim g(k+2) rows of ad h weight k for every
     # k >= 0 and none of negative weight; a g_e short of one row is an
@@ -583,7 +603,7 @@ def test_elements_triples_orbits_and_analyses_survive_pickle_and_deepcopy():
     a = analyze(L, o)
     x = Fraction(1, 3) * o.triple.f - o.triple.h
     x.coeffs  # a dense view already built travels with the element
-    for obj in (x, L.zero(), o.triple.e, o.triple, o, a):
+    for obj in (x, L.zero(), o.triple.e, o.triple, o, a, L.basis_weights((1, 0))):
         for out in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj)):
             assert out == obj and hash(out) == hash(obj)
     y = pickle.loads(pickle.dumps(x))

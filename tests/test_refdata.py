@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from exorb.refdata import exceptions, load_tables, lookup
+from exorb.refdata import load_tables
 
 COUNTS = {"G2": 4, "F4": 15, "E6": 20, "E7": 44, "E8": 69}
 REACHABLE_COUNTS = {"G2": 1, "F4": 4, "E6": 6, "E7": 8, "E8": 16}
@@ -39,16 +39,17 @@ def test_internal_consistency():
 
 
 def test_lookup_examples():
-    rec = lookup("F4", (0, 2, 0, 0))
+    tables = load_tables()
+    rec = tables.lookup("F4", (0, 2, 0, 0))
     assert rec.label == "F4(a3)" and rec.dim_ce == 6
     assert rec.ce_weights == (2,) * 6
-    rec = lookup("E8", (0, 0, 0, 0, 2, 0, 0, 0))
+    rec = tables.lookup("E8", (0, 0, 0, 0, 2, 0, 0, 0))
     assert rec.label == "E8(a7)" and rec.dim_ce == 10
     assert rec.ce_weights == (2,) * 10
     with pytest.raises(ValueError):
-        lookup("E6", (1, 1, 1, 1, 1, 1))
+        tables.lookup("E6", (1, 1, 1, 1, 1, 1))
     with pytest.raises(ValueError):
-        load_tables().orbits("B9")
+        tables.orbits("B9")
 
 
 def test_lookup_by_label_and_g2_alternates():
@@ -63,7 +64,8 @@ def test_lookup_by_label_and_g2_alternates():
 
 
 def test_exception_records():
-    rows = exceptions()
+    tables = load_tables()
+    rows = tables.exceptions()
     assert len(rows) == 6
     as_tuples = {(str(r.type_rank), r.label, r.sheet_rank, r.dim_ce) for r in rows}
     assert as_tuples == {
@@ -74,7 +76,6 @@ def test_exception_records():
         ("E8", "E7(a2)", 3, 4),
         ("F4", "C3(a1)", 1, 3),
     }
-    tables = load_tables()
     for r in rows:
         assert r.sheet_rank != r.dim_ce
         rec = tables.lookup(r.type_rank, r.diagram)
@@ -133,6 +134,30 @@ def test_repeated_diagram_or_label_is_refused(tmp_path, capsys, extra, field):
     with pytest.raises(ValueError, match=f"^G2 row .*: repeats the {field} "):
         load_tables(str(tables))
     assert main(["verify", "G2", "--refdata", str(tables)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cannot load reference tables" in captured.err
+
+
+@pytest.mark.parametrize(
+    "change, field",
+    [({"sheet_rank": 2}, "diagram"), ({"diagram": [1, 1, 1, 1]}, "label")],
+    ids=["diagram", "label"],
+)
+def test_repeated_exception_row_is_refused(tmp_path, capsys, change, field):
+    # A second exception row for F4's C3(a1), with another sheet rank or
+    # another diagram, would give one orbit two sheet ranks.
+    from exorb.cli import EXIT_USAGE, main
+
+    data = json.loads(resources.files("exorb").joinpath("data/orbit_tables.json").read_text())
+    row = next(r for r in data["exceptions"] if (r["type"], r["label"]) == ("F4", "C3(a1)"))
+    data["exceptions"].append({**row, **change})
+    tables = tmp_path / "dup.json"
+    tables.write_text(json.dumps(data))
+    message = rf"^exception row 'C3\(a1\)': repeats the type and {field} "
+    with pytest.raises(ValueError, match=message):
+        load_tables(str(tables))
+    assert main(["verify", "F4", "--refdata", str(tables)]) == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "cannot load reference tables" in captured.err
