@@ -479,42 +479,40 @@ def centralizer(
     each computed from the integer structure constants.  By the block lemma
     (see `Subspace`) the union of the blocks' canonical kernels is the
     canonical basis of the whole kernel, so the result does not depend on
-    the grading; a finer grading only makes the blocks smaller.
-
-    The weights are linear in the root, so the Killing form pairs g(k) with
-    g(-k); it makes ad a skew, so the block on g(k) is the dual of the block
-    on g(-k-d), up to sign, and has its rank.  The blocks are visited onto
-    side first (descending k for d > 0, ascending otherwise), and a block
-    whose dual was computed onto is injective: it is skipped, on that
-    computed rank, without elimination.
+    the grading; a finer grading only makes the blocks smaller.  A block
+    with no target is its own kernel; every other block is eliminated (the
+    analyses' `_centralizer` skips those that sl2 theory makes injective).
     """
-    if isinstance(a, Element):
-        if a.dim != L.dim:
-            raise ValueError("dimension mismatch")
-        a = a._supp
-    elif not all(0 <= i < L.dim for i in a):
-        raise ValueError("basis index out of range")
-    else:
-        a = _exact_support(a)[0]
-    grading = _grading(L, weights)
+    if not isinstance(a, Element):
+        a = L.element(a)
+    if a.dim != L.dim:
+        raise ValueError("dimension mismatch")
+    return _centralizer(L, a._supp, _grading(L, weights))
+
+
+def _centralizer(L: LieAlgebra, a: Mapping, grading: _Grading, sl2: bool = False) -> Subspace:
+    """`centralizer` of an integer support a, homogeneous in `grading`.
+
+    With `sl2`, a is the e of a checked sl2-triple whose h and f the
+    grading's subtorus fixes (`reach._analysis`).  Each subtorus weight
+    space is then an sl2-module whose ad h weight spaces are blocks, and ad
+    e maps a block of ad h weight k >= -1 onto its target and one of weight
+    k <= -1 into it (Collingwood-McGovern, Ch. 3).  So a block has a kernel
+    exactly when it is larger than its target, and only those are eliminated.
+    """
     degrees = {grading[i] for i in a}
     if len(degrees) > 1:
         raise ValueError("element is not homogeneous for the grading")
     d = degrees.pop() if degrees else 0
     blocks = grading.blocks
     rows: list[dict[int, Fraction | int]] = []
-    onto: set[int] = set()
-    for k in sorted(blocks, reverse=d > 0):
-        dom = blocks[k]
-        if not (a and k + d in blocks):
+    for k, dom in blocks.items():
+        target = len(blocks.get(k + d, ())) if a else 0
+        if not target:
             rows.extend({j: 1} for j in dom)
-            continue
-        if -k - d in onto:
-            continue  # the dual of an onto block is injective
-        kernel = _null_space(_ad_rows(L._adj, a, dom).values(), len(dom))
-        if len(dom) - len(kernel) == len(blocks[k + d]):
-            onto.add(k)
-        rows.extend({dom[x]: y for x, y in v.items()} for v in kernel)
+        elif len(dom) > target or not sl2:
+            kernel = _null_space(_ad_rows(L._adj, a, dom).values(), len(dom))
+            rows.extend({dom[x]: y for x, y in v.items()} for v in kernel)
     return _span(L, rows)
 
 

@@ -580,7 +580,8 @@ def complete_triple(L: LieAlgebra, h: Element, e: Element) -> Sl2Triple:
         raise ValueError("dimension mismatch")
     if any(weights[i] != 2 for i in e._supp):
         raise ValueError("[h, e] = 2e fails: not a weight-2 vector for h")
-    return _triple(L, weights.blocks.get(-2, []), (e._supp, e._den), (h._supp, h._den))
+    neg2 = [i for i, w in enumerate(weights) if w == -2]
+    return _triple(L, neg2, (e._supp, e._den), (h._supp, h._den))
 
 
 def _triple(

@@ -32,11 +32,11 @@ from .algebra import (
     Element,
     LieAlgebra,
     Subspace,
+    _centralizer,
     _closure,
     _derived,
     _quotient,
     _read_out,
-    centralizer,
 )
 from .linalg import _Echelon, _null_space, _scaled_support
 from .orbits import (
@@ -135,9 +135,8 @@ def _check_centralizer_sizes(
     highest weight k meets g(k) but not g(k+2), so dim g(k) - dim g(k+2)
     modules have highest weight k, and g_e has no negative weight.  This
     checks the centralizer kernel against the graded sizes alone, and with
-    it the dimension dim g(0) + dim g(1) that `classify` reports.  Most
-    negative-weight kernels are skipped by `centralizer`, certified empty
-    by the dual onto blocks, whose kernels of weight k >= 0 this checks.
+    it the dimension dim g(0) + dim g(1) that `classify` reports.  A block
+    that `algebra._centralizer` skipped but had a kernel leaves it short.
     """
     sizes, found = Counter(ad_h), Counter(ge_h)
     if min(found, default=0) < 0 or any(
@@ -162,15 +161,15 @@ def _analysis(
     Its echelons, one per torus weight, are read as they stand: their rows
     lead at distinct indices (`_Echelon.store`), so their dims sum to its
     dimension, a row's ad h weight is that of its leading index, and e,
-    homogeneous (or `centralizer` refuses it), lies in it exactly when its
+    homogeneous (or `_centralizer` refuses it), lies in it exactly when its
     support reduces to zero in the echelon of its weight.  The checks are
-    the exact kernel, the graded sizes (`_check_centralizer_sizes`) and
-    `_quotient`'s: every echelon row lies in g_e, and c_e has no negative
-    multiplicity.
+    the exact block kernels, the graded sizes (`_check_centralizer_sizes`)
+    and `_quotient`'s: every echelon row lies in g_e, and c_e has no
+    negative multiplicity.
     """
     se, ad_h = _triple_supports(L, o)
     grading = _torus_weights(L, se, o.diagram.labels)
-    ge = centralizer(L, se, grading)
+    ge = _centralizer(L, se, grading, sl2=True)
     graded = [(r, grading[p], ad_h[p]) for p, r in zip(ge._row_at, ge._ints)]
     ge_h = [k for _, _, k in graded]
     _check_centralizer_sizes(ad_h, ge_h, o.diagram)

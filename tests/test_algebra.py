@@ -624,11 +624,34 @@ def test_graded_layers_agree_with_the_trivial_grading():
     assert checked == 4 + 15 + 4
 
 
-def test_centralizer_skips_no_block_where_neither_dual_is_onto():
-    # The trivial grading is one block, so nothing is skipped.  Cartan
-    # elements and x_a + y_a (a of weight 0) have weight d = 0 and blocks
-    # where neither dual is onto; the f of a triple has d < 0, so its blocks
-    # are visited in ascending order.
+def test_centralizer_skips_no_block_where_neither_dual_is_onto(monkeypatch):
+    # The public function is valid for any homogeneous a, so it eliminates
+    # every block that has a target, and its kernel is that of the trivial
+    # grading, one block.  Cartan elements and x_a + y_a (a of weight 0)
+    # have weight d = 0; the e (d > 0) and f (d < 0) of a triple, in its
+    # torus grading, have blocks that sl2 theory would leave unreduced.
+    import exorb.algebra
+    from exorb.reach import _torus_weights
+
+    eliminated = []
+    real = exorb.algebra._ad_rows
+
+    def recording(adj, a, dom):
+        eliminated.append(tuple(dom))
+        return real(adj, a, dom)
+
+    monkeypatch.setattr(exorb.algebra, "_ad_rows", recording)
+
+    def check(L, a, weights):
+        d = weights[a.support()[0]]
+        blocks = defaultdict(list)
+        for j, w in enumerate(weights):
+            blocks[w].append(j)
+        eliminated.clear()
+        assert centralizer(L, a, weights) == centralizer(L, a)
+        assert eliminated[:-1] == [tuple(b) for k, b in blocks.items() if k + d in blocks]
+        assert eliminated[-1] == tuple(range(L.dim))  # the trivial grading
+
     for name in ("G2", "F4", "E6"):
         L = build_lie_algebra(name)
         fine = L.basis_weights(tuple(10**i for i in range(L.rank)))
@@ -636,66 +659,21 @@ def test_centralizer_skips_no_block_where_neither_dual_is_onto():
         generic = characteristic_element(L, WeightedDynkinDiagram((2,) * L.rank))
         for weights in (fine, L.basis_weights((1,) + (0,) * (L.rank - 1))):
             for a in [L.cartan_element(i) for i in range(L.rank)] + [generic]:
-                assert centralizer(L, a, weights) == centralizer(L, a)
+                check(L, a, weights)
         for i in range(L.rank):
             alpha = tuple(int(i == j) for j in range(L.rank))
             a = L.root_vector(alpha) + L.root_vector(tuple(-x for x in alpha))
-            weights = L.basis_weights(tuple(0 if j == i else j + 1 for j in range(L.rank)))
-            assert centralizer(L, a, weights) == centralizer(L, a)
-    from exorb.reach import _torus_weights
-
+            check(L, a, L.basis_weights(tuple(0 if j == i else j + 1 for j in range(L.rank))))
     checked = 0
     for L, o in _triple_orbits():
         if L.rank > 4:
             continue
-        f, labels = o.triple.f, o.diagram.labels
-        for weights in (L.basis_weights(labels), _torus_weights(L, o.triple.e, labels)):
-            assert centralizer(L, f, weights) == centralizer(L, f)
+        labels = o.diagram.labels
+        for a in (o.triple.e, o.triple.f):
+            for weights in (L.basis_weights(labels), _torus_weights(L, o.triple.e, labels)):
+                check(L, a, weights)
         checked += 1
     assert checked == 4 + 15
-
-
-def test_centralizer_eliminates_no_block_whose_dual_was_found_onto(monkeypatch):
-    # For each F4 orbit's e (d > 0, descending) and f (d < 0, ascending) in
-    # the torus grading, the blocks that reach `_null_space` are those of an
-    # independent oracle, in the visit order, less each block whose dual
-    # -k-d was found onto before it; the ranks are the oracle's too.
-    import exorb.algebra
-    from exorb.orbits import enumerate_orbits
-    from exorb.reach import _torus_weights
-
-    calls = []
-    real = exorb.algebra._null_space
-
-    def recording(rows, cols):
-        rows = list(rows)
-        dense = [[r.get(c, 0) for c in range(cols)] for r in rows]
-        calls.append((cols, len(gauss_jordan(dense, cols)[1])))
-        return real(rows, cols)
-
-    monkeypatch.setattr(exorb.algebra, "_null_space", recording)
-    L = build_lie_algebra("F4")
-    for o in enumerate_orbits(L):
-        weights = _torus_weights(L, o.triple.e, o.diagram.labels)
-        for a in (o.triple.e, o.triple.f):
-            d = weights[a.support()[0]]
-            ks = [k for k in sorted(set(weights), reverse=d > 0) if k + d in weights]
-            expected, onto = [], set()
-            for k in ks:
-                if -k - d in onto:
-                    continue
-                dom = [j for j, w in enumerate(weights) if w == k]
-                tgt = [t for t, w in enumerate(weights) if w == k + d]
-                images = [bracket(L, a, L.basis_element(j)).coeffs for j in dom]
-                block = [[image[t] for image in images] for t in tgt]
-                r = len(gauss_jordan(block, len(dom))[1])
-                expected.append((len(dom), r))
-                if r == len(tgt):
-                    onto.add(k)
-            calls.clear()
-            centralizer(L, a, weights)
-            assert calls == expected
-            assert len(calls) < len(ks)  # the call count falls
 
 
 def test_gradings_are_checked():

@@ -121,6 +121,62 @@ def test_types_b_c_d_match_partition_classification(name):
     _check_partition_oracle(name)
 
 
+def test_type_a_abelianizations_and_reachability_follow_the_partition():
+    """dim c_e and reachability of all 86 nonzero orbits of A2-A8.
+
+    For e of partition lambda in sl(n + 1), c_e = g_e / [g_e, g_e] has
+    dimension lambda_1 - 1: in gl(n + 1) it has dimension lambda_1
+    (Yakimova, "On the derived algebra of a centraliser", Bull. Sci. Math.
+    134, 2010), and sl(n + 1)_e drops the identity, which is central and
+    outside every derived algebra.  e is reachable exactly when
+    lambda_i - lambda_{i+1} <= 1 for every i, lambda padded by a 0
+    (Panyushev, "On reachable elements and the boundary of nilpotent cone",
+    J. Algebra 320, 2008).  Neither figure is in the bundled tables.
+    """
+    checked = 0
+    for n in range(2, 9):
+        L = build_lie_algebra(f"A{n}")
+        by_diagram = {o.diagram.labels: o for o in enumerate_orbits(L)}
+        for parts in _partitions(n + 1):
+            if parts[0] == 1:
+                continue
+            a = analyze(L, by_diagram.pop(_diagram_of_partition(parts)))
+            padded = (*parts, 0)
+            assert a.dim_ce == parts[0] - 1, parts
+            assert a.reachable == all(x - y <= 1 for x, y in zip(padded, padded[1:])), parts
+            checked += 1
+        assert not by_diagram
+    assert checked == 86
+
+
+def _exponents(L):
+    """The exponents of L, read off the root heights alone.
+
+    With n_j positive roots of height j, the exponent j occurs n_j - n_{j+1}
+    times: the partition of the positive roots by height is dual to that of
+    the exponents (Kostant, Amer. J. Math. 81, 1959).
+    """
+    heights = Counter(sum(r.coeffs) for r in L.rs.positive_roots)
+    return [j for j in sorted(heights) for _ in range(heights[j] - heights[j + 1])]
+
+
+@pytest.mark.parametrize("name", ["G2", "F4", "E6", "E7", "E8", "A5", "B4", "C4", "D5", "D6"])
+def test_principal_centralizer_is_abelian_with_twice_the_exponents(name):
+    """The principal orbit (every label 2), outside the bundled tables.
+
+    Kostant ("The principal three-dimensional subgroup and the Betti numbers
+    of a complex simple Lie group", Amer. J. Math. 81, 1959): the principal
+    g_e is abelian, of dimension the rank, and its ad h weights are twice
+    the exponents.  So [g_e, g_e] = 0, e is not reachable and c_e = g_e.
+    """
+    L = build_lie_algebra(name)
+    a = analyze(L, orbit(L, WeightedDynkinDiagram((2,) * L.rank)))
+    twice = tuple(2 * m for m in _exponents(L))
+    assert len(twice) == L.rank
+    assert (a.dim_ge, a.dim_derived, a.reachable) == (L.rank, 0, False)
+    assert (a.dim_ce, a.ce_weights) == (L.rank, twice)
+
+
 def test_diagram_validation_and_parsing():
     with pytest.raises(ValueError):
         WeightedDynkinDiagram((0, 3))

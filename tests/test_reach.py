@@ -9,6 +9,7 @@ from exorb import orbits as orbits_module
 from exorb.algebra import (
     Element,
     Subspace,
+    bracket,
     build_lie_algebra,
     centralizer,
     derived_subalgebra,
@@ -32,6 +33,7 @@ from exorb.reach import (
     rigid_discrepancy_report,
 )
 from exorb.refdata import load_tables
+from gauss_jordan import gauss_jordan
 
 # diagram -> (dim_ge, dim_derived, reachable, strong, dim_ce, weights)
 G2_EXPECTED = {
@@ -252,7 +254,13 @@ def _analyzed_cases():
     for name in ("G2", "F4", "E6"):
         L = build_lie_algebra(name)
         cases += [(L, o) for o in enumerate_orbits(L, seed=1)]
+    return cases + _e7_analyzed_cases()
+
+
+def _e7_analyzed_cases():
+    """The seven `E7_ANALYZED` orbits, their triples built as the benchmark does."""
     L = build_lie_algebra("E7")
+    cases = []
     for labels in E7_ANALYZED:
         d = WeightedDynkinDiagram(labels)
         e = find_representative(L, d, seed=1)
@@ -578,19 +586,108 @@ def test_centralizer_with_a_row_dropped_fails_the_graded_sizes(monkeypatch):
     import exorb.reach
     from exorb import cli
 
-    real = exorb.reach.centralizer
+    real = exorb.reach._centralizer
 
-    def short(L, *args):
-        ge = real(L, *args)
+    def short(L, *args, **kwargs):
+        ge = real(L, *args, **kwargs)
         return Subspace(L, list(ge._row_at.values())[:-1])
 
     L, by_diagram = _g2_orbits()
     assert analyze(L, by_diagram[1, 0]).dim_ge == 6
-    monkeypatch.setattr(exorb.reach, "centralizer", short)
+    monkeypatch.setattr(exorb.reach, "_centralizer", short)
     for o in by_diagram.values():
         with pytest.raises(RuntimeError, match=f"wrong graded dimensions .* {o.diagram}"):
             analyze(L, o)
     assert cli.main(["analyze", "G2", "--orbit", "1,0"]) == 3
+
+
+def _sl2_blocks(L, o):
+    """The blocks of e's torus grading larger than their target, with ranks.
+
+    The independent oracle: each block's rank by `gauss_jordan` of the
+    brackets [e, x_j].  sl2 theory (Collingwood-McGovern, Ch. 3) makes ad e
+    injective on every block no larger than its target; that is checked
+    here too, so every skipped block has an empty kernel.
+    """
+    e = o.triple.e
+    weights = _torus_weights(L, e, o.diagram.labels)
+    d = weights[e.support()[0]]
+    blocks = defaultdict(list)
+    for j, w in enumerate(weights):
+        blocks[w].append(j)
+    out = []
+    for k, dom in blocks.items():
+        target = blocks.get(k + d, [])
+        if not target:
+            continue
+        images = [bracket(L, e, L.basis_element(j)).coeffs for j in dom]
+        r = len(gauss_jordan([[image[t] for image in images] for t in target], len(dom))[1])
+        if len(dom) > len(target):
+            out.append((tuple(dom), r))
+        else:
+            assert r == len(dom)  # injective: no kernel to find
+    return out
+
+
+def test_the_analyses_eliminate_exactly_the_blocks_larger_than_their_target(monkeypatch):
+    # On every F4 orbit and the seven `E7_ANALYZED` ones, the blocks that
+    # reach `_null_space` are those with |dom| > |target| > 0, each
+    # eliminated once, and the ranks are the oracle's.  The `analyze-e7`
+    # round makes 53 eliminations; 176 of its blocks have a target.
+    import exorb.algebra
+
+    F4 = build_lie_algebra("F4")
+    cases = [(F4, o) for o in enumerate_orbits(F4)]
+    e7 = _e7_analyzed_cases()
+    calls = []  # [dom, rank] per elimination
+    ad_rows, null_space = exorb.algebra._ad_rows, exorb.algebra._null_space
+
+    def rows(adj, a, dom):
+        calls.append([tuple(dom)])
+        return ad_rows(adj, a, dom)
+
+    def kernel(rows, cols):
+        out = null_space(rows, cols)
+        calls[-1].append(cols - len(out))
+        return out
+
+    monkeypatch.setattr(exorb.algebra, "_ad_rows", rows)
+    monkeypatch.setattr(exorb.algebra, "_null_space", kernel)
+    for L, o in cases + e7:
+        calls.clear()
+        analyze(L, o)
+        assert sorted(map(tuple, calls)) == sorted(_sl2_blocks(L, o))
+    calls.clear()
+    for L, o in e7:
+        analyze(L, o)
+    assert len(calls) == 53
+
+
+def test_a_skipped_block_with_a_kernel_fails_the_graded_sizes(monkeypatch):
+    # The sl2 rule is certified at run time: with any one block that has a
+    # kernel skipped (its `_null_space` answering empty), `analyze` raises
+    # from `_check_centralizer_sizes`.
+    import exorb.algebra
+
+    null_space = exorb.algebra._null_space
+    cases = []
+    for name in ("G2", "F4"):
+        L = build_lie_algebra(name)
+        cases += [(L, o) for o in enumerate_orbits(L)]
+    skipped = 0
+    for L, o in cases:
+        for skip in range(len(_sl2_blocks(L, o))):
+            calls = []
+
+            def skipping(rows, cols):
+                calls.append(cols)
+                return [] if len(calls) == skip + 1 else null_space(rows, cols)
+
+            monkeypatch.setattr(exorb.algebra, "_null_space", skipping)
+            with pytest.raises(RuntimeError, match=f"wrong graded dimensions .* {o.diagram}"):
+                analyze(L, o)
+            skipped += 1
+    assert skipped > len(cases)
 
 
 def test_elements_triples_orbits_and_analyses_survive_pickle_and_deepcopy():
