@@ -321,9 +321,6 @@ def _grading(L: LieAlgebra, weights: Sequence[int] | None) -> _Grading:
 # -- public types and operations --------------------------------------------
 
 
-_INT = frozenset((int,))  # the type of every entry of an integral row
-
-
 class Subspace:
     """A subspace of a fixed algebra, held as its canonical basis.
 
@@ -338,11 +335,9 @@ class Subspace:
     go through `from_rows`.  Equality and the hash are taken on the rows;
     the dense `basis` matrix is a view built on first use.
 
-    Each row is also held as its integer support (`_ints`): the row times
-    the common denominator of its entries, the same dict when the row is
-    integral, as nearly every row of an analysis is.  The layers bracket and
-    reduce these.  No weight is stored beside a row: the rows of a graded
-    subspace are homogeneous (below), so a row's weight is its pivot's.
+    The layers work on integer rows, one `_Echelon` per weight (`_echelons`
+    and `_read_out` convert).  No weight is stored beside a row: the rows of
+    a graded subspace are homogeneous (below), so a row's weight is its pivot's.
 
     Block lemma: when the coordinates are split into disjoint blocks (the
     weights of a grading) and a subspace is spanned by vectors each inside
@@ -354,10 +349,11 @@ class Subspace:
 
     def __init__(self, amb: LieAlgebra, basis: Iterable[Mapping[int, Fraction | int]]):
         at: dict[int, dict[int, Fraction | int]] = {}  # pivot -> sparse row
-        ints: list[dict[int, int]] = []  # the integer supports, in pivot order
         seen: set[int] = set()  # the indices of the rows so far
         last = -1
         for row in basis:
+            if not all(type(x) is int for x in row.values()):  # a float is refused first
+                row = {k: _exact(x) for k, x in row.items()}
             # A row has no entry before its pivot, so the rows are 0 at the
             # other rows' pivots exactly when no earlier row is nonzero at
             # this one.  The indices are checked in range once, at the end.
@@ -365,18 +361,11 @@ class Subspace:
             if p <= last or p in seen or row[p] != 1 or not all(row.values()):
                 raise ValueError("basis is not in reduced row-echelon form")
             seen.update(row)
-            if _INT.issuperset(map(type, row.values())):
-                at[p] = r = dict(row)
-            else:  # integral entries as ints, which keeps their arithmetic on ints
-                at[p] = r = {k: x.numerator if x.denominator == 1 else x for k, x in row.items()}
-                den = lcm(*(x.denominator for x in r.values()))
-                if den != 1:
-                    r = {k: x.numerator * (den // x.denominator) for k, x in r.items()}
-            ints.append(r)
+            at[p] = {k: x.numerator if x.denominator == 1 else x for k, x in row.items()}
             last = p
         if seen and max(seen) >= amb.dim:
             raise ValueError("basis is not in reduced row-echelon form")
-        self.__dict__.update(amb=amb, _row_at=at, _ints=tuple(ints))
+        self.__dict__.update(amb=amb, _row_at=at)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Subspace is immutable")
@@ -419,15 +408,12 @@ class Subspace:
         return len(self._row_at)
 
     def contains(self, elt: Element) -> bool:
+        """Membership, by the pivot-coefficient identity."""
         if elt.dim != self.amb.dim:
             raise ValueError("vector has wrong length")
-        return self._has(elt._supp)
-
-    def _has(self, v: Mapping[int, Fraction | int]) -> bool:
-        """Membership of a sparse vector, by the pivot-coefficient identity."""
-        residual = dict(v)
+        residual = dict(elt._supp)
         at = self._row_at
-        for p, c in v.items():
+        for p, c in elt._supp.items():
             row = at.get(p)
             if row is None:
                 continue
@@ -436,8 +422,7 @@ class Subspace:
         return not any(residual.values())
 
     def basis_elements(self) -> list[Element]:
-        # a row's pivot entry is 1, so that of its integer support is its denominator
-        return [Element._of(self.amb.dim, r, r[p]) for p, r in zip(self._row_at, self._ints)]
+        return [Element._of(self.amb.dim, *_scaled_support(r)) for r in self._row_at.values()]
 
     def row_weights(self, weights: Sequence[int]) -> tuple[int, ...]:
         """The weight of each canonical basis row under a grading.
@@ -455,6 +440,13 @@ class Subspace:
                 raise ValueError("subspace is not graded by these weights")
             out.append(ws.pop())
         return tuple(out)
+
+    def _echelons(self, weights: Sequence[int]) -> dict[int, _Echelon]:
+        """The rows' integer supports, in one `_Echelon` per weight (`row_weights`)."""
+        out: dict[int, _Echelon] = defaultdict(_Echelon)
+        for row, w in zip(self._row_at.values(), self.row_weights(weights)):
+            out[w].store(_scaled_support(row)[0])
+        return out
 
 
 def bracket(L: LieAlgebra, a: Element, b: Element) -> Element:
@@ -476,22 +468,25 @@ def centralizer(
     it every basis vector has weight 0.  a must be homogeneous, of weight d
     say (ValueError otherwise).  Then ad a maps g(k) into g(k + d), and the
     kernel is the sum over k of the block kernels ker(ad a : g(k) -> g(k+d)),
-    each computed from the integer structure constants.  By the block lemma
-    (see `Subspace`) the union of the blocks' canonical kernels is the
-    canonical basis of the whole kernel, so the result does not depend on
-    the grading; a finer grading only makes the blocks smaller.  A block
-    with no target is its own kernel; every other block is eliminated (the
-    analyses' `_centralizer` skips those that sl2 theory makes injective).
+    each an echelon of integer rows from the integer structure constants
+    (`_centralizer`), divided by the pivots only when read out here.  By the
+    block lemma (see `Subspace`) the union of the blocks' canonical kernels
+    is the canonical basis of the whole kernel, so the result does not
+    depend on the grading; a finer grading only makes the blocks smaller.
+    A block with no target is its own kernel; every other block is
+    eliminated (the analyses skip those that sl2 theory makes injective).
     """
     if not isinstance(a, Element):
         a = L.element(a)
     if a.dim != L.dim:
         raise ValueError("dimension mismatch")
-    return _centralizer(L, a._supp, _grading(L, weights))
+    return _read_out(L, _centralizer(L, a._supp, _grading(L, weights)))
 
 
-def _centralizer(L: LieAlgebra, a: Mapping, grading: _Grading, sl2: bool = False) -> Subspace:
-    """`centralizer` of an integer support a, homogeneous in `grading`.
+def _centralizer(
+    L: LieAlgebra, a: Mapping, grading: _Grading, sl2: bool = False
+) -> dict[int, _Echelon]:
+    """`centralizer` of an integer support a, homogeneous in `grading`, by weight.
 
     With `sl2`, a is the e of a checked sl2-triple whose h and f the
     grading's subtorus fixes (`reach._analysis`).  Each subtorus weight
@@ -505,15 +500,19 @@ def _centralizer(L: LieAlgebra, a: Mapping, grading: _Grading, sl2: bool = False
         raise ValueError("element is not homogeneous for the grading")
     d = degrees.pop() if degrees else 0
     blocks = grading.blocks
-    rows: list[dict[int, Fraction | int]] = []
+    out: dict[int, _Echelon] = defaultdict(_Echelon)
     for k, dom in blocks.items():
         target = len(blocks.get(k + d, ())) if a else 0
-        if not target:
-            rows.extend({j: 1} for j in dom)
-        elif len(dom) > target or not sl2:
+        if sl2 and target >= len(dom):  # ad e is injective on the block
+            continue
+        if target:
             kernel = _null_space(_ad_rows(L._adj, a, dom).values(), len(dom))
-            rows.extend({dom[x]: y for x, y in v.items()} for v in kernel)
-    return _span(L, rows)
+            rows = ({dom[x]: y for x, y in v.items()} for v in kernel)
+        else:
+            rows = ({j: 1} for j in dom)
+        for v in rows:
+            out[k].store(v)
+    return out
 
 
 def _ad_rows(adj: list, a: Mapping[int, int], dom: Sequence[int]) -> dict[int, dict[int, int]]:
@@ -547,44 +546,44 @@ def derived_subalgebra(
     if s.amb is not L:
         raise ValueError("subspace belongs to a different algebra")
     grading = _grading(L, weights)
-    graded = list(zip(s._ints, s.row_weights(grading)))
-    rows = Counter(w for _, w in graded)
-    checked = {t for t, b in grading.blocks.items() if rows[t] < len(b)}  # s(t) != g(t)
-    return _read_out(L, _derived(s, graded, grading, checked))
+    span = s._echelons(grading)
+    checked = {t for t, b in grading.blocks.items() if t not in span or span[t].dim < len(b)}
+    return _read_out(L, _derived(L, span, checked))
 
 
 def _derived(
-    s: Subspace, graded: Sequence[tuple], grading: _Grading, checked: Collection[int]
+    L: LieAlgebra, s: Mapping[int, _Echelon], checked: Collection[int]
 ) -> dict[int, _Echelon]:
-    """[s, s] from the rows of s, each (integer support, weight, ...), by weight.
+    """[s, s] from the echelons of s, one per weight, by weight.
 
-    A bracket of rows of weights i and j lies in g(t), t = i + j.  While the
-    span of weight t has fewer rows than s(t), it is formed, reduced exactly
-    against that span and a nonzero residual stored.  A weight in `checked`
-    has its brackets formed and checked to lie in s (ValueError otherwise)
+    The pairs of rows of s are visited in pivot order.  A bracket of rows of
+    weights i and j lies in g(t), t = i + j.  While the span of weight t has
+    fewer rows than s(t), it is formed, reduced exactly against that span
+    and a nonzero residual stored.  A weight in `checked` has its brackets
+    formed and checked to reduce to zero in s(t) (ValueError otherwise)
     also once full, or where s has no rows.  With nothing checked, s must be
-    closed, as a centralizer is: ad e is a derivation.  The span of weight
-    t is returned as the `_Echelon` that accumulated it, integer rows at
-    distinct leading indices; `_read_out` gives the canonical `Subspace`.
+    closed, as a centralizer is: ad e is a derivation.  Each weight's span
+    is returned as the `_Echelon` that accumulated it.
     """
-    missing = Counter(r[1] for r in graded)  # rows of s(t) not yet spanned
+    rows = sorted((p, r, w) for w, span in s.items() for p, r in span.rows.items())
+    missing = Counter({t: span.dim for t, span in s.items()})  # rows of s(t) not yet spanned
     live = set(missing).union(checked)  # the weights whose brackets are still formed
     acc: dict[int, _Echelon] = defaultdict(_Echelon)
-    adj, has = s.amb._adj, s._has
-    for i, (ri, wi, *_) in enumerate(graded):
+    adj, empty = L._adj, _Echelon()
+    for i, (_, ri, wi) in enumerate(rows):
         if not live:
             break
-        for rj in graded[i + 1 :]:
-            t = wi + rj[1]
+        for _, rj, wj in rows[i + 1 :]:
+            t = wi + wj
             if t not in live:
                 continue
-            v = _bracket_supp(adj, ri, rj[0])
+            v = _bracket_supp(adj, ri, rj)
             m = missing[t]
             if m:
                 v = acc[t].reduce(v)
             if not v:
                 continue
-            if t in checked and not has(v):
+            if t in checked and s.get(t, empty).reduce(dict(v)):
                 raise ValueError("subspace is not closed under the bracket")
             if m:
                 acc[t].store(v)
@@ -595,13 +594,9 @@ def _derived(
 
 
 def _read_out(L: LieAlgebra, acc: Mapping[int, _Echelon]) -> Subspace:
-    """The checked subspace spanned by echelons, one per weight of a grading."""
-    return _span(L, [r for e in acc.values() for r in e.canonical_rows()])
-
-
-def _span(L: LieAlgebra, rows: Iterable[Mapping]) -> Subspace:
-    """The subspace of the blocks' canonical rows of a grading (the block lemma)."""
-    return Subspace(L, sorted(rows, key=min))
+    """The checked subspace spanned by echelons, one per weight of a grading:
+    their canonical rows, sorted by pivot (the block lemma)."""
+    return Subspace(L, sorted((r for e in acc.values() for r in e.canonical_rows()), key=min))
 
 
 def subalgebra_closure(
@@ -707,27 +702,23 @@ def quotient_with_action(
         raise ValueError("ad h does not act with integer eigenvalues")
     weights = L.basis_weights([v.numerator for v in values])
     try:
-        s_weights, t_weights = s.row_weights(weights), t.row_weights(weights)
+        s_span, t_span = s._echelons(weights), t._echelons(weights)
     except ValueError:
         raise ValueError("subspace is not stable under ad h") from None
-    return _quotient(s, t._ints, s_weights, t_weights)
+    return _quotient(s_span, t_span, weights)
 
 
 def _quotient(
-    s: Subspace,
-    t_rows: Iterable[Mapping[int, int]],
-    s_weights: Iterable[int],
-    t_weights: Iterable[int],
+    s: Mapping[int, _Echelon], t: Mapping[int, _Echelon], ad_h: Sequence[int]
 ) -> tuple[int, tuple[int, ...]]:
-    """`quotient_with_action` from the ad h weights of the rows of s and t.
-
-    t is given by independent homogeneous rows, its canonical rows or those
-    of its echelons; each is checked to lie in s, so t lies in s.
-    """
-    if not all(s._has(row) for row in t_rows):
+    """`quotient_with_action` from the echelons of s and t by weight, in a
+    grading at least as fine as the basis weights `ad_h`, read at the pivots;
+    each row of t is checked to reduce to zero in s's echelon of its weight."""
+    empty = _Echelon()
+    if any(s.get(w, empty).reduce(dict(r)) for w, span in t.items() for r in span.rows.values()):
         raise ValueError("t is not contained in s")
-    mult = Counter(s_weights)
-    mult.subtract(t_weights)
+    mult = Counter(ad_h[p] for span in s.values() for p in span.rows)
+    mult.subtract(ad_h[p] for span in t.values() for p in span.rows)
     if any(m < 0 for m in mult.values()):
         raise ValueError("inconsistent graded dimensions")
     out = tuple(sorted(mult.elements()))

@@ -8,15 +8,15 @@ common denominator (`_scaled_support`), which changes no span; an
 `algebra.Element` is held in that form, with its dense `coeffs` a view built
 on first read, so its support goes to the kernel as it stands.
 `_Echelon` accumulates such rows fraction-free, in the manner of Bareiss
-(Math. Comp. 22, 1968), and no `Fraction` arises until the rows are read
+(Math. Comp. 22, 1968), and a row is divided by its pivot only when read
 out in reduced echelon form (`canonical_rows`).  The pivot of a row is its
 leading column, so every output is canonical: the reduced echelon form of
-a span (`_echelon`), the null space read off it with the columns reversed
-(`_null_space`), and the solution with zeros at the free columns
-(`_back_substitute`).  Results are therefore equal by uniqueness, whatever
-the order in which the rows are fed.  A rank alone (`_rank`, the walk's)
-takes a rank-only mode of the same kernel that leaves the rows unreduced.
-No floating point enters at any stage.
+a span, the null space read off it with the columns reversed, as primitive
+integer rows (`_null_space`), and the solution with zeros at the free
+columns (`_back_substitute`).  Results are therefore equal by uniqueness,
+whatever the order in which the rows are fed.  A rank alone (`_rank`, the
+walk's) takes a rank-only mode of the same kernel.  No floating point
+enters at any stage.
 
 `RatMatrix` is an immutable dense matrix of Fractions.  The public
 functions on it (`rref`, `rank`, `kernel`, `solve`, `intersect`,
@@ -195,14 +195,14 @@ class _Echelon:
             else:
                 _clear(v, row, p)
 
-    def canonical_rows(self) -> list[dict[int, Fraction | int]]:
-        """The rows in reduced echelon form, in increasing pivot order.
+    def reduce_rows(self) -> list[dict[int, int]]:
+        """The rows in integer reduced echelon form, in increasing pivot order.
 
         A stored row is reduced against the rows stored before it but may
         still have entries at later pivots.  Back-substitution from the last
         pivot clears them in integers; each row it subtracts is already
         reduced, so clearing one pivot only scales the row's entries at the
-        others.  Only the emitted rows are divided by their pivot entry.
+        others.  Each row stays primitive with a positive leading entry.
         """
         rows = self.rows
         for p in reversed(self.order):
@@ -213,13 +213,24 @@ class _Echelon:
             row = dict(row)
             for q in hits:
                 _clear(row, rows[q], q)
-            g = gcd(*row.values())
-            rows[p] = {k: x // g for k, x in row.items()}
-        out = []
-        for p in self.order:
-            row, a = rows[p], rows[p][p]
-            out.append(row if a == 1 else {k: Fraction(x, a) for k, x in row.items()})
-        return out
+            rows[p] = _primitive(row)
+        return [rows[p] for p in self.order]
+
+    def canonical_rows(self) -> list[dict[int, Fraction | int]]:
+        """The reduced echelon form: `reduce_rows`, divided by their pivots."""
+        return [_monic(row) for row in self.reduce_rows()]
+
+
+def _primitive(row: dict[int, int]) -> dict[int, int]:
+    """An integer row divided by the gcd of its entries."""
+    g = gcd(*row.values())
+    return row if g == 1 else {k: x // g for k, x in row.items()}
+
+
+def _monic(row: Mapping[int, int]) -> dict[int, Fraction | int]:
+    """An integer row divided by its leading entry."""
+    a = row[min(row)]
+    return row if a == 1 else {k: Fraction(x, a) for k, x in row.items()}
 
 
 def _echelon(rows: Iterable[dict[int, int]], cols: int | None = None) -> _Echelon:
@@ -259,28 +270,31 @@ def _rank(
     return echelon.dim if cols is None else bisect_left(echelon.order, cols)
 
 
-def _null_space(rows: Iterable[Mapping[int, int]], cols: int) -> list[dict[int, Fraction | int]]:
-    """Canonical basis of the null space of integer rows over `cols` columns.
+def _null_space(rows: Iterable[Mapping[int, int]], cols: int) -> list[dict[int, int]]:
+    """The null space of integer rows over `cols` columns, as integer rows.
 
-    The rows are eliminated with the columns in reverse order.  Then each
-    reduced row has entries only at its pivot and at free columns of
-    smaller original index, so the null vector of a free column f has its
-    leading 1 at f and zeros at every other free column: the vectors read
-    off are already the reduced echelon basis, in increasing pivot order.
-    The rows are left unchanged.  Rows of full column rank have none: then
-    elimination stops at the `cols`-th pivot and [] is returned before any
-    row is read out.
+    The rows are eliminated with the columns in reverse order and reduced in
+    integers (`_Echelon.reduce_rows`).  Then each row has entries only at
+    its pivot and at free columns of smaller original index, so the null
+    vector of a free column f leads at f and is 0 at every other free
+    column: over their leads, the vectors are the reduced echelon basis, in
+    pivot order.  Each is scaled by the lcm of the pivot entries and made
+    primitive, with a positive lead.  The rows are left unchanged.  Rows of
+    full column rank have none: [] is returned at the `cols`-th pivot,
+    before any back-substitution.
     """
     last = cols - 1
     echelon = _echelon(({last - c: x for c, x in row.items()} for row in rows), cols)
     if echelon.dim == cols:
         return []
-    null = {t: {last - t: 1} for t in range(last, -1, -1) if t not in echelon.rows}
-    for p, row in zip(echelon.order, echelon.canonical_rows()):
+    reduced = dict(zip(echelon.order, echelon.reduce_rows()))
+    den = lcm(*(row[p] for p, row in reduced.items()))
+    null = {t: {last - t: den} for t in range(last, -1, -1) if t not in reduced}
+    for p, row in reduced.items():
         for t, x in row.items():
             if t != p:
-                null[t][last - p] = -x
-    return list(null.values())
+                null[t][last - p] = -x * den // row[p]
+    return [_primitive(v) for v in null.values()]
 
 
 def _back_substitute(echelon: _Echelon, cols: int) -> tuple[dict[int, int], int] | None:
@@ -334,7 +348,7 @@ def rank(m: RatMatrix) -> int:
 
 def kernel(m: RatMatrix) -> RatMatrix:
     """Canonical basis of the right null space."""
-    return _matrix(_null_space(_rows(m), m.cols), m.cols)
+    return _matrix(map(_monic, _null_space(_rows(m), m.cols)), m.cols)
 
 
 def solve(m: RatMatrix, rhs: Sequence[Fraction | int]) -> tuple[Fraction, ...] | None:
@@ -362,7 +376,7 @@ def intersect(a: RatMatrix, b: RatMatrix) -> RatMatrix:
     if a.cols != b.cols:
         raise ValueError("ambient dimensions differ")
     null = _null_space(_rows(a), a.cols) + _null_space(_rows(b), b.cols)
-    return _matrix(_null_space([_scaled_support(v)[0] for v in null], a.cols), a.cols)
+    return _matrix(map(_monic, _null_space(null, a.cols)), a.cols)
 
 
 def member(v: Sequence[Fraction | int], basis: RatMatrix) -> bool:

@@ -38,7 +38,7 @@ from .algebra import (
     _quotient,
     _read_out,
 )
-from .linalg import _Echelon, _null_space, _scaled_support
+from .linalg import _Echelon, _null_space
 from .orbits import (
     NilpotentOrbit,
     WeightedDynkinDiagram,
@@ -90,8 +90,7 @@ def _torus_weights(
     support = e.support() if isinstance(e, Element) else e
     roots = [dict(enumerate(L.rs.roots[i])) for i in support if i < L._hbase]
     digits = [list(labels)]
-    for v in _null_space(roots, L.rank):
-        phi = _scaled_support(v)[0]
+    for phi in _null_space(roots, L.rank):
         digits.append([phi.get(i, 0) for i in range(L.rank)])
     theta = L.rs.roots[L.npos - 1]  # the highest root, last in height order
     base = 4 * max(sum(abs(x) * m for x, m in zip(phi, theta)) for phi in digits) + 1
@@ -147,33 +146,27 @@ def _check_centralizer_sizes(
 
 def _analysis(
     L: LieAlgebra, o: NilpotentOrbit
-) -> tuple[OrbitAnalysis, Subspace, dict[int, _Echelon]]:
-    """The analysis, g_e and [g_e, g_e] by torus weight.
+) -> tuple[OrbitAnalysis, dict[int, _Echelon], dict[int, _Echelon]]:
+    """The analysis, g_e and [g_e, g_e], each as echelons by torus weight.
 
     Each layer works weight by weight in the grading of `_torus_weights`
-    (see `centralizer`), and hands its rows on with their integer supports.
-    By the block lemma the canonical rows of g_e are homogeneous in it,
-    hence in the coarser ad h grading too, so each row's torus and ad h
-    weights are those of its pivot: g(>=1)_e and g_e(1) are read off the
-    rows as they stand.  [g_e, g_e] is formed from the brackets that
-    fill a weight alone (`algebra._derived`): ad e is a derivation (the
-    exhaustive Jacobi test of the pinned constants), so g_e is closed.
-    Its echelons, one per torus weight, are read as they stand: their rows
-    lead at distinct indices (`_Echelon.store`), so their dims sum to its
-    dimension, a row's ad h weight is that of its leading index, and e,
-    homogeneous (or `_centralizer` refuses it), lies in it exactly when its
-    support reduces to zero in the echelon of its weight.  The checks are
-    the exact block kernels, the graded sizes (`_check_centralizer_sizes`)
-    and `_quotient`'s: every echelon row lies in g_e, and c_e has no
-    negative multiplicity.
+    (see `centralizer`) on primitive integer rows, one `_Echelon` per
+    weight; no `Subspace` is built.  The rows lead at distinct indices
+    (`_Echelon.store`), so the echelons' dims sum to a dimension, and each
+    row's weights are its lead's (the block lemma).  [g_e, g_e] is formed
+    from the brackets that fill a weight alone (`algebra._derived`): ad e
+    is a derivation (the exhaustive Jacobi test), so g_e is closed.  e lies
+    in [g_e, g_e] exactly when it reduces to zero in the echelon of its
+    weight.  The checks are the exact block kernels, the graded sizes
+    (`_check_centralizer_sizes`) and `_quotient`'s: every row of [g_e, g_e]
+    reduces to zero in g_e, and c_e has no negative multiplicity.
     """
     se, ad_h = _triple_supports(L, o)
     grading = _torus_weights(L, se, o.diagram.labels)
     ge = _centralizer(L, se, grading, sl2=True)
-    graded = [(r, grading[p], ad_h[p]) for p, r in zip(ge._row_at, ge._ints)]
-    ge_h = [k for _, _, k in graded]
-    _check_centralizer_sizes(ad_h, ge_h, o.diagram)
-    derived = _derived(ge, graded, grading, ())
+    graded = [(r, w, ad_h[p]) for w, span in ge.items() for p, r in span.rows.items()]
+    _check_centralizer_sizes(ad_h, [k for _, _, k in graded], o.diagram)
+    derived = _derived(L, ge, ())
     dim_derived = sum(span.dim for span in derived.values())
     reachable = not se or not derived.get(grading[min(se)], _Echelon()).reduce(dict(se))
 
@@ -181,14 +174,13 @@ def _analysis(
     closure = _closure(L, [(r, w) for r, w, k in graded if k == 1], cap)
     panyushev = sum(span.dim for span in closure.values()) == sum(cap.values())
 
-    rows = [(r, ad_h[p]) for span in derived.values() for p, r in span.rows.items()]
-    dim_ce, ce_weights = _quotient(ge, [r for r, _ in rows], ge_h, [k for _, k in rows])
+    dim_ce, ce_weights = _quotient(ge, derived, ad_h)
     analysis = OrbitAnalysis(
         orbit=o,
-        dim_ge=ge.dim,
+        dim_ge=len(graded),
         dim_derived=dim_derived,
         reachable=reachable,
-        strongly_reachable=dim_derived == ge.dim,
+        strongly_reachable=dim_derived == len(graded),
         panyushev_generated=panyushev,
         dim_ce=dim_ce,
         ce_weights=ce_weights,
@@ -201,12 +193,12 @@ def _analyze_full(
 ) -> tuple[OrbitAnalysis, Subspace, Subspace]:
     """The analysis, g_e and [g_e, g_e], each subspace in its canonical basis.
 
-    `_analysis`, with [g_e, g_e] read out of its echelons as the checked
-    canonical `Subspace` (`algebra._read_out`).  Every canonical basis is
-    the one that the ad h grading alone gives (the block lemma).
+    `_analysis`, its echelons read out as checked canonical `Subspace`s
+    (`algebra._read_out`), whose rows are divided by their pivots.  Every
+    canonical basis is the one that the ad h grading alone gives.
     """
     analysis, ge, derived = _analysis(L, o)
-    return analysis, ge, _read_out(L, derived)
+    return analysis, _read_out(L, ge), _read_out(L, derived)
 
 
 def analyze(L: LieAlgebra, o: NilpotentOrbit) -> OrbitAnalysis:

@@ -494,6 +494,19 @@ def test_sparse_rows_are_checked_like_the_matrix():
     assert Subspace(L, [x, y]).dim == 2
 
 
+def test_subspace_refuses_a_float_entry_like_from_rows():
+    # A float is refused with the TypeError of `from_rows`, `Element` and
+    # `L.element`, also where it equals the pivot entry 1 or sits beside ints.
+    L = build_lie_algebra("A2")
+    message = "floating point is not allowed; use Fraction or int"
+    for rows in ([{0: 1.0}], [{0: 1, 1: 0.5}], [{0: 2.0}], [{0: 1}, {1: Fraction(1), 2: 0.0}]):
+        with pytest.raises(TypeError, match=message):
+            Subspace(L, rows)
+    with pytest.raises(TypeError, match=message):
+        Subspace.from_rows(L, [[1.0] + [0] * (L.dim - 1)])
+    assert Subspace(L, [{0: 1, 1: Fraction(1, 2)}]).dim == 1
+
+
 def _is_reduced_echelon(rows, dim):
     """Each condition of a reduced row-echelon basis, checked on its own."""
     pivots = [min(r, default=None) for r in rows]
@@ -541,7 +554,7 @@ def _near_echelon_bases(draw, dim=8):
 def test_subspace_accepts_exactly_the_reduced_echelon_bases(rows):
     # One pass per row checks what the definition checks one condition at
     # a time; an accepted basis keeps its rows, integral entries as ints,
-    # and the integer support of each row.
+    # and hands the layers the integer support of each row (`_echelons`).
     L = build_lie_algebra("A2")
     if not _is_reduced_echelon(rows, L.dim):
         with pytest.raises(ValueError, match="reduced row-echelon"):
@@ -549,7 +562,10 @@ def test_subspace_accepts_exactly_the_reduced_echelon_bases(rows):
         return
     s = Subspace(L, rows)
     assert list(s._row_at.values()) == rows
-    for row, ints in zip(s._row_at.values(), s._ints):
+    spans = s._echelons((0,) * L.dim).values()
+    supports = [r for span in spans for r in span.rows.values()]
+    assert len(supports) == len(rows)
+    for row, ints in zip(s._row_at.values(), supports):
         assert all(type(x) is int for x in row.values() if x.denominator == 1)
         den = lcm(*(x.denominator for x in row.values()))
         assert ints == {k: x * den for k, x in row.items()}
@@ -747,9 +763,9 @@ def test_closure_makes_no_echelon_for_a_weight_that_within_lacks(monkeypatch):
     for L, o in _triple_orbits():
         e, labels = o.triple.e, o.diagram.labels
         weights = _torus_weights(L, e, labels)
-        ge = centralizer(L, e, weights)
-        hweights = ge.row_weights(L.basis_weights(labels))
-        graded = list(zip(ge._ints, ge.row_weights(weights), hweights))
+        ge = exorb.algebra._centralizer(L, e._supp, weights, sl2=True)
+        hweights = L.basis_weights(labels)
+        graded = [(r, w, hweights[p]) for w, span in ge.items() for p, r in span.rows.items()]
         cap = Counter(w for _, w, k in graded if k >= 1)  # g(>=1)_e
         made.clear()
         _closure(L, [(r, w) for r, w, k in graded if k == 1], cap)

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -274,12 +275,15 @@ def _summed_blocks(draw):
 @given(_summed_blocks())
 @example(([{0: 0}], 1))
 @example(([{0: 2, 1: 0}, {0: 0, 1: 0, 2: -3}, {}], 3))
+@example(([{0: 1, 1: 2}], 2))  # a pivot entry 2: the null vector's lead is 2
+@example(([{0: 1, 1: 2}, {2: 1, 3: 3}], 4))  # pivots 2 and 3, a content of 3
 @settings(max_examples=300, deadline=None)
 def test_sparse_null_space_is_the_oracle_null_space(case):
-    # The kernel's null space, read off with the columns reversed, is the
-    # reduced echelon form of the null space read off the oracle's reduced
-    # rows; explicit zeros in the rows change nothing, and the rows are
-    # left unchanged.
+    # The kernel's null space, read off with the columns reversed, is made
+    # of primitive integer rows with a positive lead; divided by their
+    # leads, they are the reduced echelon form of the null space read off
+    # the oracle's reduced rows.  Explicit zeros in the rows change nothing,
+    # and the rows are left unchanged.
     rows, cols = case
     copy = [dict(r) for r in rows]
     got = _null_space(rows, cols)
@@ -294,8 +298,12 @@ def test_sparse_null_space_is_the_oracle_null_space(case):
                 v[p] = -row[f]
             null.append(v)
     expected = gauss_jordan(null, cols)[0]
-    assert [[v.get(c, 0) for c in range(cols)] for v in got] == expected
-    assert all(all(v.values()) for v in got)
+    for v in got:
+        lead = v[min(v)]
+        assert all(type(x) is int and x for x in v.values())
+        assert lead > 0 and gcd(*v.values()) == 1
+    monic = [[Fraction(v.get(c, 0), v[min(v)]) for c in range(cols)] for v in got]
+    assert monic == expected
 
 
 @given(_summed_blocks())
@@ -327,15 +335,19 @@ def test_null_space_is_empty_exactly_at_full_column_rank(case):
 
 
 def test_full_column_rank_reads_no_row_out(monkeypatch):
-    # A full-rank block returns [] before its rows are read out in reduced
-    # echelon form; a block with a null vector still reads them.
+    # A full-rank block returns [] before its rows are back-substituted; a
+    # block with a null vector still back-substitutes them, and divides none
+    # by its pivot.
     def no_read_out(self):
         raise AssertionError("rows read out")
 
-    monkeypatch.setattr(linalg._Echelon, "canonical_rows", no_read_out)
+    monkeypatch.setattr(linalg._Echelon, "reduce_rows", no_read_out)
     assert _null_space([{0: 2, 1: 1}, {1: 3}, {0: 1}], 2) == []
     with pytest.raises(AssertionError, match="rows read out"):
         _null_space([{0: 2, 1: 1}], 2)
+    monkeypatch.undo()
+    monkeypatch.setattr(linalg._Echelon, "canonical_rows", no_read_out)
+    assert _null_space([{0: 1, 1: 2}], 2) == [{0: 2, 1: -1}]
 
 
 @given(_summed_blocks())

@@ -269,18 +269,18 @@ def _e7_analyzed_cases():
 
 
 def test_the_analyses_form_only_the_brackets_that_fill_a_weight(monkeypatch):
-    # The analyses take [g_e, g_e] from `algebra._derived` with no weight
-    # checked: it forms a bracket of weight t only while the span of weight
-    # t falls short of g_e(t), none where g_e has no row, and its echelons
-    # read out the public function's subspace, in the ad h grading and the
-    # torus grading.
+    # The analyses take [g_e, g_e] from `algebra._derived` on the echelons
+    # of `algebra._centralizer`, with no weight checked: it forms a bracket
+    # of weight t only while the span of weight t falls short of g_e(t),
+    # none where g_e has no row, and its echelons read out the public
+    # function's subspace, in the ad h grading and the torus grading.
     import exorb.algebra as algebra
 
-    kernel, formed, weight_of = algebra._bracket_supp, [], {}
+    kernel, formed = algebra._bracket_supp, []
 
     def recording(adj, a, b):
         v = kernel(adj, a, b)
-        formed.append((weight_of[id(a)] + weight_of[id(b)], v))
+        formed.append((grading[min(a)] + grading[min(b)], v))
         return v
 
     def span_dim(vectors):
@@ -293,16 +293,16 @@ def test_the_analyses_form_only_the_brackets_that_fill_a_weight(monkeypatch):
         for torus, weights in enumerate((L.basis_weights(labels), _torus_weights(L, e, labels))):
             grading = algebra._grading(L, weights)
             ge = centralizer(L, e, grading)
-            graded = list(zip(ge._ints, ge.row_weights(grading)))
-            weight_of.update((id(r), w) for r, w in graded)
             formed.clear()
             public = derived_subalgebra(L, ge, grading)
             n_public = len(formed)
+            span = algebra._centralizer(L, e._supp, grading, sl2=True)
+            assert algebra._read_out(L, span) == ge
             formed.clear()
-            private = algebra._read_out(L, algebra._derived(ge, graded, grading, ()))
+            private = algebra._read_out(L, algebra._derived(L, span, ()))
             assert private == public
             assert private.row_weights(grading) == public.row_weights(grading)
-            cap, into = Counter(w for _, w in graded), defaultdict(list)
+            cap, into = Counter(ge.row_weights(grading)), defaultdict(list)
             for t, v in formed:
                 into[t].append(v)
             for t, images in into.items():
@@ -315,8 +315,8 @@ def test_the_analyses_form_only_the_brackets_that_fill_a_weight(monkeypatch):
 
 def test_analyze_reads_derived_results_off_the_echelons(monkeypatch):
     # `analyze` takes dim [g_e, g_e], reachability and c_e from the echelons
-    # of `_derived`: it builds g_e's `Subspace` alone and reads no canonical
-    # [g_e, g_e] out.  Its results are those of the canonical subspace that
+    # of `_derived`: it builds no `Subspace` and reads no canonical g_e or
+    # [g_e, g_e] out.  Its results are those of the canonical subspaces that
     # `_analyze_full` reads out, through the public quotient and membership.
     import exorb.reach
 
@@ -346,8 +346,44 @@ def test_analyze_reads_derived_results_off_the_echelons(monkeypatch):
     for (L, o), a in zip(cases, expected):
         built.clear()
         assert analyze(L, o) == a
-        assert [s.dim for s in built] == [a.dim_ge]
+        assert built == []
     assert len(cases) == 4 + 15 + 20 + 7
+
+
+def test_analyze_makes_no_fraction_and_builds_no_subspace(monkeypatch):
+    # Every layer of an analysis works on primitive integer rows, and none
+    # is divided by its pivot: on every F4 orbit and the seven
+    # `E7_ANALYZED` ones, `analyze` constructs no `Fraction` and no
+    # `Subspace`.  The count sees both when they are made.
+    from fractions import Fraction
+
+    F4 = build_lie_algebra("F4")
+    cases = [(F4, o) for o in enumerate_orbits(F4)] + _e7_analyzed_cases()
+    expected = [analyze(L, o) for L, o in cases]
+    made = []
+    new, init = Fraction.__new__, Subspace.__init__
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(cls)
+        return new(cls, *args, **kwargs)
+
+    def counting_init(self, *args):
+        made.append(type(self))
+        init(self, *args)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    if hasattr(Fraction, "_from_coprime_ints"):  # where Python 3.12+ makes arithmetic results
+        coprime = Fraction._from_coprime_ints.__func__
+        monkeypatch.setattr(
+            Fraction, "_from_coprime_ints", classmethod(lambda *a: made.append(a[0]) or coprime(*a))
+        )
+    monkeypatch.setattr(Subspace, "__init__", counting_init)
+    Fraction(1, 2) + 1
+    Subspace.zero(F4)
+    assert made == [Fraction, Fraction, Subspace]
+    made.clear()
+    assert [analyze(L, o) for L, o in cases] == expected
+    assert made == [] and len(cases) == 15 + 7
 
 
 def test_the_containment_of_derived_in_ge_is_checked(monkeypatch):
@@ -363,11 +399,16 @@ def test_the_containment_of_derived_in_ge_is_checked(monkeypatch):
         quotient_with_action(L, derived, ge, o.triple.h)
 
     real = exorb.reach._derived
+    grading = _torus_weights(L, o.triple.e, o.diagram.labels)
 
-    def with_a_row_outside(ge, graded, grading, checked):
-        acc = real(ge, graded, grading, checked)
+    def with_a_row_outside(L, s, checked):
+        acc = real(L, s, checked)
         leads = {p for span in acc.values() for p in span.rows}
-        i = next(i for i in range(L.dim) if i not in leads and not ge._has({i: 1}))
+        i = next(
+            i
+            for i in range(L.dim)
+            if i not in leads and not ge.contains(L.basis_element(i)) and grading[i] in s
+        )
         acc[grading[i]].store({i: 1})
         return acc
 
@@ -411,7 +452,7 @@ def test_torus_blocks_are_those_of_the_exact_digits(name):
     # ..., phi_m) are, and a sum of two weights is a weight exactly when
     # the sum of their digits is some basis vector's digits: the blocks
     # that a base above 4 times the exact largest digit gives.
-    from exorb.linalg import _null_space, _scaled_support
+    from exorb.linalg import _null_space
     from exorb.orbits import orbit
 
     L = build_lie_algebra(name)
@@ -420,8 +461,7 @@ def test_torus_blocks_are_those_of_the_exact_digits(name):
         e, labels = o.triple.e, o.diagram.labels
         support = [dict(enumerate(L.rs.roots[i])) for i in e.support() if i < L._hbase]
         phis = [labels]
-        for v in _null_space(support, L.rank):
-            phi = _scaled_support(v)[0]
+        for phi in _null_space(support, L.rank):
             phis.append([phi.get(i, 0) for i in range(L.rank)])
         digits = list(zip(*(L.basis_weights(phi) for phi in phis)))
         weights = _torus_weights(L, e, labels)
@@ -528,7 +568,7 @@ def test_analyze_reads_each_piece_of_data_once(monkeypatch):
     monkeypatch.setattr(Subspace, "__init__", recording_init)
     monkeypatch.setattr(Subspace, "row_weights", counting_row_weights)
     monkeypatch.setattr(exorb.algebra.LieAlgebra, "basis_weights", counting_basis_weights)
-    for module in (exorb.algebra, exorb.reach):
+    for module in (exorb.algebra, exorb.linalg):
         monkeypatch.setattr(module, "_scaled_support", recording_scaled(module._scaled_support))
 
     L = build_lie_algebra("E6")
@@ -588,9 +628,12 @@ def test_centralizer_with_a_row_dropped_fails_the_graded_sizes(monkeypatch):
 
     real = exorb.reach._centralizer
 
-    def short(L, *args, **kwargs):
-        ge = real(L, *args, **kwargs)
-        return Subspace(L, list(ge._row_at.values())[:-1])
+    def short(*args, **kwargs):
+        ge = real(*args, **kwargs)
+        p, w = max((p, w) for w, span in ge.items() for p in span.rows)
+        del ge[w].rows[p]
+        ge[w].order.remove(p)
+        return ge
 
     L, by_diagram = _g2_orbits()
     assert analyze(L, by_diagram[1, 0]).dim_ge == 6
@@ -724,7 +767,7 @@ def test_the_pipeline_builds_no_dense_vector(monkeypatch, capsys):
     views, dense = [], []
     build = Element.coeffs.func
     monkeypatch.setattr(Element, "coeffs", property(lambda x: views.append(x) or build(x)))
-    for module in (exorb.linalg, exorb.algebra, exorb.reach):
+    for module in (exorb.linalg, exorb.algebra):
 
         def recording(coeffs, kernel=module._scaled_support):
             if not isinstance(coeffs, Mapping):
