@@ -158,7 +158,7 @@ class LieAlgebra:
         return Element._of(self.dim, {})
 
     def basis_element(self, i: int) -> Element:
-        if not 0 <= i < self.dim:
+        if type(i) is not int or not 0 <= i < self.dim:
             raise ValueError("basis index out of range")
         return Element._of(self.dim, {i: 1})
 
@@ -176,7 +176,7 @@ class LieAlgebra:
 
     def element(self, entries: Mapping[int, Fraction | int] | Sequence[Fraction | int]) -> Element:
         if isinstance(entries, Mapping):
-            if not all(0 <= i < self.dim for i in entries):
+            if not all(type(i) is int and 0 <= i < self.dim for i in entries):
                 raise ValueError("basis index out of range")
             return Element._of(self.dim, *_exact_support(entries))
         if len(entries) != self.dim:
@@ -207,7 +207,7 @@ class LieAlgebra:
         for column, d in zip(self._root_columns, labels):
             if d:
                 out = [w + d * m for w, m in zip(out, column)]
-        return _Grading(self, (*out, *[-w for w in out], *(0,) * self.rank))
+        return _Grading((*out, *[-w for w in out], *(0,) * self.rank))
 
     def __repr__(self) -> str:
         return f"LieAlgebra({self.rs.type_rank}, dim={self.dim})"
@@ -269,14 +269,6 @@ class _Grading(tuple):
     """Basis weights that grade the product of L (unchecked), with `blocks`,
     the basis indices of each weight, built on first read."""
 
-    def __new__(cls, L: LieAlgebra, weights: Sequence[int]) -> "_Grading":
-        out = super().__new__(cls, weights)
-        out.amb = L
-        return out
-
-    def __getnewargs__(self) -> tuple:
-        return self.amb, tuple(self)
-
     @cached_property
     def blocks(self) -> dict[int, list[int]]:
         out: dict[int, list[int]] = {}
@@ -285,37 +277,46 @@ class _Grading(tuple):
         return out
 
 
-def _grading(L: LieAlgebra, weights: Sequence[int] | None) -> _Grading:
-    """The checked weights, as a `_Grading` of L.
+def _torus_grading(L: LieAlgebra, rows: Iterable[Collection[int]]) -> _Grading:
+    """The finest grading by a subtorus of T in which every row is homogeneous.
 
-    `None` is the trivial grading, every basis vector of weight 0.  Other
-    weights must grade the product: [g(i), g(j)] lies in g(i + j) for every
-    entry of the multiplication table.  In a simple algebra that holds
-    exactly when the weights are `L.basis_weights(v)` for v their values at
-    the simple root vectors (alpha_i has basis index rank - 1 - i, as the
-    roots of one height are in lexicographic order), a check of cost
-    O(dim * rank).  Such weights vanish on the Cartan part and are linear in
-    the root, so they grade the product.  Conversely, [h_j, x_{alpha_j}] =
-    2 x_{alpha_j} forces weight 0 on h_j; a positive root a that is not
-    simple is b + alpha_i for a positive root b with N_{b,alpha_i} != 0, so
-    by induction on the height x_a has weight sum(m_i v_i) for a =
-    sum(m_i alpha_i); and [x_a, y_a] is a nonzero coroot, of weight 0, so
-    y_a has the opposite weight.
+    A row is given by its basis indices, such as the keys of an integer
+    support.  A cocharacter phi of T, an integer linear form on the root
+    lattice, grades L with x_a of weight phi(a) and the Cartan part of
+    weight 0.  A row is homogeneous for phi exactly when phi vanishes on
+    the differences of its roots, and also on its roots when it has a
+    Cartan entry.  So the integer null space phi_1..phi_m of those vectors
+    gives the finest such grading: each simple root gets the digits (phi_1,
+    ..., phi_m) folded in one base.  Any base above 4 times the largest
+    absolute digit over the roots makes two weights, or two sums of two
+    weights, equal exactly when their digits are, so every such base gives
+    the same blocks.  A root is +-sum(m_i alpha_i) with 0 <= m_i <= theta_i,
+    for theta the highest root, so the base is taken above 4 times the bound
+    sum(|phi_i| theta_i) on |phi(alpha)|.  The weights are `L.basis_weights`
+    of those values: linear in the root and 0 on the Cartan part, so they
+    grade the product.
 
-    A `_Grading` of L, such as `L.basis_weights` returns, is returned as it
-    stands, so an analysis that passes one grading to several layers checks
-    and blocks it once.
+    For the e of an sl2-triple, whose roots all have ad h weight 2, the
+    labels vanish on the differences, so this refines ad h, and its blocks
+    are those of the digits (labels, annihilator of e's roots).  With no
+    constraint (e = 0) it is the full root grading; with the roots of a
+    Cartan-bearing row spanning the root lattice, the trivial grading.
     """
-    if isinstance(weights, _Grading) and weights.amb is L:
-        return weights
-    if weights is None:
-        return _Grading(L, (0,) * L.dim)
-    if len(weights) != L.dim:
-        raise ValueError("weights have the wrong length")
-    grading = L.basis_weights(weights[: L.rank][::-1])
-    if tuple(weights) != grading:
-        raise ValueError("weights do not grade the algebra")
-    return grading
+    roots, vectors = L.rs.roots, set()
+    for row in rows:
+        rs = [roots[i] for i in row if i < L._hbase]
+        if len(rs) < len(row):  # a Cartan entry, of weight 0: so are the roots
+            vectors.update(rs)
+        else:
+            vectors.update(tuple(x - y for x, y in zip(r, rs[0])) for r in rs[1:])
+    null = _null_space([{k: x for k, x in enumerate(v) if x} for v in vectors], L.rank)
+    digits = [[phi.get(i, 0) for i in range(L.rank)] for phi in null]
+    theta = roots[L.npos - 1]  # the highest root, last in height order
+    base = 4 * max((sum(abs(x) * m for x, m in zip(phi, theta)) for phi in digits), default=0) + 1
+    values = [0] * L.rank
+    for phi in digits:
+        values = [base * v + x for v, x in zip(values, phi)]
+    return L.basis_weights(values)
 
 
 # -- public types and operations --------------------------------------------
@@ -356,8 +357,10 @@ class Subspace:
                 row = {k: _exact(x) for k, x in row.items()}
             # A row has no entry before its pivot, so the rows are 0 at the
             # other rows' pivots exactly when no earlier row is nonzero at
-            # this one.  The indices are checked in range once, at the end.
-            p = min(row) if row else -1
+            # this one.  An empty row, or one with an index that is not an
+            # int, gets pivot -1 and is refused; the indices are checked in
+            # range once, at the end.
+            p = min(row) if row and all(type(k) is int for k in row) else -1
             if p <= last or p in seen or row[p] != 1 or not all(row.values()):
                 raise ValueError("basis is not in reduced row-echelon form")
             seen.update(row)
@@ -456,23 +459,20 @@ def bracket(L: LieAlgebra, a: Element, b: Element) -> Element:
     return Element._of(L.dim, _bracket_supp(L._adj, a._supp, b._supp), a._den * b._den)
 
 
-def centralizer(
-    L: LieAlgebra, a: Element | Mapping[int, Fraction | int], weights: Sequence[int] | None = None
-) -> Subspace:
+def centralizer(L: LieAlgebra, a: Element | Mapping[int, Fraction | int]) -> Subspace:
     """The kernel of ad a, as a subspace of L.
 
     a is an element or a sparse row {index: int or Fraction entry}, such as
     its integer support, which has the same kernel; the row is read like an
-    element's entries (zeros dropped, a float refused with TypeError).
-    `weights` is a grading of L, such as `L.basis_weights(labels)`; without
-    it every basis vector has weight 0.  a must be homogeneous, of weight d
-    say (ValueError otherwise).  Then ad a maps g(k) into g(k + d), and the
-    kernel is the sum over k of the block kernels ker(ad a : g(k) -> g(k+d)),
-    each an echelon of integer rows from the integer structure constants
-    (`_centralizer`), divided by the pivots only when read out here.  By the
-    block lemma (see `Subspace`) the union of the blocks' canonical kernels
-    is the canonical basis of the whole kernel, so the result does not
-    depend on the grading; a finer grading only makes the blocks smaller.
+    element's entries (zeros dropped, a float refused with TypeError, an
+    index that is not an int in range with ValueError).  a is homogeneous,
+    of weight d say, in its own torus grading (`_torus_grading` of [a]).
+    Then ad a maps g(k) into g(k + d), and the kernel is the sum over k of
+    the block kernels ker(ad a : g(k) -> g(k+d)), each an echelon of integer
+    rows from the integer structure constants (`_centralizer`), divided by
+    the pivots only when read out here.  By the block lemma (see `Subspace`)
+    the union of the blocks' canonical kernels is the canonical basis of the
+    whole kernel, so the result is that of the trivial grading, one block.
     A block with no target is its own kernel; every other block is
     eliminated (the analyses skip those that sl2 theory makes injective).
     """
@@ -480,7 +480,7 @@ def centralizer(
         a = L.element(a)
     if a.dim != L.dim:
         raise ValueError("dimension mismatch")
-    return _read_out(L, _centralizer(L, a._supp, _grading(L, weights)))
+    return _read_out(L, _centralizer(L, a._supp, _torus_grading(L, [a._supp])))
 
 
 def _centralizer(
@@ -495,10 +495,7 @@ def _centralizer(
     k <= -1 into it (Collingwood-McGovern, Ch. 3).  So a block has a kernel
     exactly when it is larger than its target, and only those are eliminated.
     """
-    degrees = {grading[i] for i in a}
-    if len(degrees) > 1:
-        raise ValueError("element is not homogeneous for the grading")
-    d = degrees.pop() if degrees else 0
+    d = grading[min(a)] if a else 0
     blocks = grading.blocks
     out: dict[int, _Echelon] = defaultdict(_Echelon)
     for k, dom in blocks.items():
@@ -527,25 +524,23 @@ def _ad_rows(adj: list, a: Mapping[int, int], dom: Sequence[int]) -> dict[int, d
     return block
 
 
-def derived_subalgebra(
-    L: LieAlgebra, s: Subspace, weights: Sequence[int] | None = None
-) -> Subspace:
+def derived_subalgebra(L: LieAlgebra, s: Subspace) -> Subspace:
     """Span of all pairwise brackets of a subalgebra's basis.
 
     Raises ValueError when some bracket of basis vectors falls outside s,
     i.e. when s is not actually closed under the product.
 
-    `weights` is a grading of L (see `centralizer`); s must be graded by it,
-    that is, its canonical rows homogeneous (ValueError otherwise).  Where
-    s(t) = g(t), every bracket of weight t lies in s, so checking it proves
-    nothing: those brackets are formed only while the span of weight t
-    fills, and are not checked.  Every other bracket that can be nonzero is
-    formed and checked to lie in s, also when s has no rows of weight t.
-    So the result is the same canonical basis for every grading.
+    Computed weight by weight in the torus grading of s's canonical rows
+    (`_torus_grading`), which grades s.  Where s(t) = g(t), every bracket
+    of weight t lies in s, so checking it proves nothing: those brackets
+    are formed only while the span of weight t fills, and are not checked.
+    Every other bracket that can be nonzero is formed and checked to lie in
+    s, also when s has no rows of weight t.  So the result is the canonical
+    basis that every grading of s gives.
     """
     if s.amb is not L:
         raise ValueError("subspace belongs to a different algebra")
-    grading = _grading(L, weights)
+    grading = _torus_grading(L, s._row_at.values())
     span = s._echelons(grading)
     checked = {t for t, b in grading.blocks.items() if t not in span or span[t].dim < len(b)}
     return _read_out(L, _derived(L, span, checked))
@@ -600,10 +595,7 @@ def _read_out(L: LieAlgebra, acc: Mapping[int, _Echelon]) -> Subspace:
 
 
 def subalgebra_closure(
-    L: LieAlgebra,
-    gens: Sequence[Element],
-    within: Subspace | None = None,
-    weights: Sequence[int] | None = None,
+    L: LieAlgebra, gens: Sequence[Element], within: Subspace | None = None
 ) -> Subspace:
     """Smallest bracket-closed subspace containing the generators.
 
@@ -612,29 +604,25 @@ def subalgebra_closure(
     the caller's contract); it then bounds the iteration, which stops as
     soon as the accumulated span fills it.
 
-    `weights` is a grading of L (see `centralizer`); the generators must be
-    homogeneous and `within` graded (ValueError otherwise).  See `_closure`.
+    Computed weight by weight in the torus grading of the generators and
+    the canonical rows of `within` (`_torus_grading`), in which each
+    generator is homogeneous and `within` graded.  See `_closure`.
     """
     if within is not None and within.amb is not L:
         raise ValueError("subspace belongs to a different algebra")
-    grading = _grading(L, weights)
-    if within is None:
-        cap = {w: len(idx) for w, idx in grading.blocks.items()}
-    else:
-        cap = Counter(within.row_weights(grading))
-    rows = []
     for g in gens:
         if g.dim != L.dim:
             raise ValueError("dimension mismatch")
         if within is not None and not within.contains(g):
             raise ValueError("generator lies outside the enclosing subspace")
-        v = g._supp
-        ws = {grading[k] for k in v}
-        if len(ws) > 1:
-            raise ValueError("generator is not homogeneous for the grading")
-        if ws:
-            rows.append((v, ws.pop()))
-    return _read_out(L, _closure(L, rows, cap))
+    rows = [g._supp for g in gens if g._supp]
+    if within is None:
+        grading = _torus_grading(L, rows)
+        cap = {w: len(idx) for w, idx in grading.blocks.items()}
+    else:
+        grading = _torus_grading(L, [*rows, *within._row_at.values()])
+        cap = Counter(grading[p] for p in within._row_at)
+    return _read_out(L, _closure(L, [(v, grading[min(v)]) for v in rows], cap))
 
 
 def _closure(

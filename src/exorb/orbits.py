@@ -84,9 +84,12 @@ class WeightedDynkinDiagram:
 
     @classmethod
     def from_string(cls, text: str) -> "WeightedDynkinDiagram":
+        """Labels separated by commas or spaces ("2,2", "2 2"), or one digit each ("22")."""
         parts = text.replace(" ", "").split(",")
         if len(parts) == 1:
-            parts = list(text.strip())
+            parts = text.split()
+            if len(parts) == 1:
+                parts = list(parts[0])
         return cls(tuple(int(p) for p in parts))
 
     def is_zero(self) -> bool:

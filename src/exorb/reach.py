@@ -6,20 +6,21 @@ whether the two coincide (strongly reachable), whether g(1)_e generates the
 nonnegative-weight part g(>=1)_e, and the dimension and h-weights of the
 quotient g_e/[g_e, g_e].
 
-All of these are graded by ad h, and by a finer grading too.  Let
-phi_1..phi_m be integer linear forms on the root lattice spanning those
-that vanish on the roots in the support of e.  They are cocharacters of
-the subtorus S of the maximal torus T on which those roots are trivial,
-and S fixes e and h: the Cartan elements h_k with alpha(h_k) = phi_k(alpha)
-commute with h and kill e, so each ad h_k preserves g_e, [g_e, g_e] and
-the closure of g(1)_e.  Each of these spaces is therefore graded by
-(alpha(h), phi_1(alpha), ..., phi_m(alpha)), which is linear in the root
-alpha, so folded into one integer it is a grading of L (see
-`_torus_weights`).  Every layer is passed these basis weights and works
-weight by weight on small blocks.  No bracket that the grading forces to
-zero is formed, nor one that would only re-check that g_e is closed.  The
-results are the same canonical bases as without a grading (the block
-lemma, see `algebra.Subspace`).
+All of these are graded by ad h, and by a finer grading too: that of the
+subtorus S of the maximal torus T that acts on e by scalars, the finest
+grading by a subtorus in which e is homogeneous (`algebra._torus_grading`
+of [e]).  Its cocharacters are the integer linear forms phi on the root
+lattice that take one value on the roots of e.  The labels are one of them,
+since every root of e has ad h weight 2, so the grading refines ad h; with
+them, the forms that vanish on e's roots span the rest, so its blocks are
+those of the subtorus that fixes e and of ad h together.  The Cartan
+element h_phi with alpha(h_phi) = phi(alpha) commutes with h and maps e to
+a multiple of itself, so ad h_phi, a derivation, preserves g_e, [g_e, g_e]
+and the closure of g(1)_e, and each of these spaces is graded by S.  Every
+layer is passed these basis weights and works weight by weight on small
+blocks.  No bracket that the grading forces to zero is formed, nor one that
+would only re-check that g_e is closed.  The results are the same canonical
+bases as without a grading (the block lemma, see `algebra.Subspace`).
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .algebra import (
-    Element,
     LieAlgebra,
     Subspace,
     _centralizer,
@@ -37,8 +37,9 @@ from .algebra import (
     _derived,
     _quotient,
     _read_out,
+    _torus_grading,
 )
-from .linalg import _Echelon, _null_space
+from .linalg import _Echelon
 from .orbits import (
     NilpotentOrbit,
     WeightedDynkinDiagram,
@@ -66,38 +67,6 @@ class OrbitAnalysis:
     panyushev_generated: bool
     dim_ce: int
     ce_weights: tuple[int, ...]
-
-
-def _torus_weights(
-    L: LieAlgebra, e: Element | Mapping[int, int], labels: Sequence[int]
-) -> tuple[int, ...]:
-    """The grading by ad h and the subtorus that fixes e, e or its support.
-
-    phi_1..phi_m are the integer annihilator of the support roots of e (the
-    Cartan part of e, of weight 0 under every grading, imposes nothing).
-    Each simple root gets the digits (labels, phi_1, ..., phi_m) folded in
-    one base.  Any base above 4 times the largest absolute digit over the
-    roots makes two weights, or two sums of two weights, equal exactly when
-    their digits are, so every such base gives the same blocks.  A root is
-    +-sum(m_i alpha_i) with 0 <= m_i <= theta_i, for theta the highest
-    root, so the base is taken above 4 times the bound sum(|phi_i| theta_i)
-    on |phi(alpha)|, without forming the weights of each phi.  Each root of
-    e in g(2) has weight 2 * base^m.  For e = 0 this is the full root
-    grading; when the support spans the root lattice, the ad h grading.
-    It is `L.basis_weights` of those values, so it grades the product (see
-    `algebra._grading`).
-    """
-    support = e.support() if isinstance(e, Element) else e
-    roots = [dict(enumerate(L.rs.roots[i])) for i in support if i < L._hbase]
-    digits = [list(labels)]
-    for phi in _null_space(roots, L.rank):
-        digits.append([phi.get(i, 0) for i in range(L.rank)])
-    theta = L.rs.roots[L.npos - 1]  # the highest root, last in height order
-    base = 4 * max(sum(abs(x) * m for x, m in zip(phi, theta)) for phi in digits) + 1
-    values = [0] * L.rank
-    for phi in digits:
-        values = [base * v + x for v, x in zip(values, phi)]
-    return L.basis_weights(values)
 
 
 def _triple_supports(L: LieAlgebra, o: NilpotentOrbit) -> tuple[dict[int, int], tuple[int, ...]]:
@@ -149,11 +118,11 @@ def _analysis(
 ) -> tuple[OrbitAnalysis, dict[int, _Echelon], dict[int, _Echelon]]:
     """The analysis, g_e and [g_e, g_e], each as echelons by torus weight.
 
-    Each layer works weight by weight in the grading of `_torus_weights`
-    (see `centralizer`) on primitive integer rows, one `_Echelon` per
-    weight; no `Subspace` is built.  The rows lead at distinct indices
-    (`_Echelon.store`), so the echelons' dims sum to a dimension, and each
-    row's weights are its lead's (the block lemma).  [g_e, g_e] is formed
+    Each layer works weight by weight in the torus grading of e
+    (`algebra._torus_grading`, see `centralizer`) on primitive integer
+    rows, one `_Echelon` per weight; no `Subspace` is built.  The rows lead
+    at distinct indices (`_Echelon.store`), so the echelons' dims sum to a
+    dimension, and each row's weights are its lead's (the block lemma).  [g_e, g_e] is formed
     from the brackets that fill a weight alone (`algebra._derived`): ad e
     is a derivation (the exhaustive Jacobi test), so g_e is closed.  e lies
     in [g_e, g_e] exactly when it reduces to zero in the echelon of its
@@ -162,7 +131,7 @@ def _analysis(
     reduces to zero in g_e, and c_e has no negative multiplicity.
     """
     se, ad_h = _triple_supports(L, o)
-    grading = _torus_weights(L, se, o.diagram.labels)
+    grading = _torus_grading(L, [se])
     ge = _centralizer(L, se, grading, sl2=True)
     graded = [(r, w, ad_h[p]) for w, span in ge.items() for p, r in span.rows.items()]
     _check_centralizer_sizes(ad_h, [k for _, _, k in graded], o.diagram)

@@ -58,9 +58,6 @@ class Root:
 
     coeffs: tuple[int, ...]
 
-    def __neg__(self) -> "Root":
-        return Root(tuple(-c for c in self.coeffs))
-
     def __str__(self) -> str:
         return "(" + ",".join(str(c) for c in self.coeffs) + ")"
 

@@ -12,7 +12,7 @@ from exorb.algebra import (
     Subspace,
     _bracket_supp,
     _closure,
-    _grading,
+    _torus_grading,
     bracket,
     build_lie_algebra,
     centralizer,
@@ -23,6 +23,7 @@ from exorb.algebra import (
 from exorb.linalg import RatMatrix, _Echelon, member, rank, rref
 from exorb.orbits import characteristic_element, WeightedDynkinDiagram
 from gauss_jordan import gauss_jordan
+from in_grading import centralizer_in, closure_in, derived_in
 
 DIMS = {"G2": 14, "F4": 52, "E6": 78, "E7": 133, "E8": 248}
 
@@ -96,9 +97,10 @@ def test_jacobi_certificate_fails_on_one_flipped_constant():
     assert _ad_homomorphism_failures(adj)
 
 
-@pytest.mark.parametrize("index", [-1, 14])
+@pytest.mark.parametrize("index", [-1, 14, 0.5, 1.0, "3"])
 def test_element_refuses_a_basis_index_out_of_range(index):
-    # -1 would wrap round to the last Cartan vector of G2 (dim 14)
+    # -1 would wrap round to the last Cartan vector of G2 (dim 14); an index
+    # that is not an int, even 1.0, which equals one, is no basis index.
     L = build_lie_algebra("G2")
     with pytest.raises(ValueError, match="basis index out of range"):
         L.element({index: 1})
@@ -121,7 +123,7 @@ def test_opposite_root_vectors_give_coroot():
     L = build_lie_algebra("G2")
     for r in L.rs.positive_roots:
         x = L.root_vector(r)
-        y = L.root_vector((-r))
+        y = L.root_vector(tuple(-c for c in r.coeffs))
         h = bracket(L, x, y)
         assert h == L.coroot_element(r)
         assert bracket(L, h, x) == 2 * x  # <r, r^vee> = 2
@@ -207,7 +209,9 @@ def test_derived_subalgebra_checks_brackets_into_full_weights():
     assert {weights[i] for i in escape.support()} == {1}
     assert not s.contains(escape)
     with pytest.raises(ValueError, match="not closed"):
-        derived_subalgebra(L, s, weights)
+        derived_in(L, s, weights)
+    with pytest.raises(ValueError, match="not closed"):
+        derived_subalgebra(L, s)
 
 
 def test_derived_subalgebra_checks_brackets_into_weights_that_s_lacks():
@@ -221,17 +225,19 @@ def test_derived_subalgebra_checks_brackets_into_weights_that_s_lacks():
     )
     assert s.row_weights(weights) == (1, 1) and 2 in weights
     with pytest.raises(ValueError, match="not closed"):
-        derived_subalgebra(L, s, weights)
+        derived_in(L, s, weights)
+    with pytest.raises(ValueError, match="not closed"):
+        derived_subalgebra(L, s)
 
 
 def test_derived_subalgebra_brackets_every_pair_that_can_be_nonzero(monkeypatch):
-    # In the ad h grading and in the finer torus grading of the analyses, a
-    # pair of weight sum t is skipped exactly when t is no weight of L, or
-    # when s(t) = g(t) and the brackets formed into t already span s(t).
-    # Every pair into a weight with s(t) != g(t) is formed, also where s has
-    # no row of weight t.
+    # In the ad h grading, in the finer torus grading of the analyses and in
+    # the grading of g_e's own rows, which the public function uses, a pair
+    # of weight sum t is skipped exactly when t is no weight of L, or when
+    # s(t) = g(t) and the brackets formed into t already span s(t).  Every
+    # pair into a weight with s(t) != g(t) is formed, also where s has no
+    # row of weight t.
     import exorb.algebra
-    from exorb.reach import _torus_weights
 
     kernel = exorb.algebra._bracket_supp
     formed = {}
@@ -248,15 +254,19 @@ def test_derived_subalgebra_brackets_every_pair_that_can_be_nonzero(monkeypatch)
     skipped = whole_skipped = 0
     for L, o in _triple_orbits():
         e, labels = o.triple.e, o.diagram.labels
-        for weights in (L.basis_weights(labels), _torus_weights(L, e, labels)):
-            ge = centralizer(L, e, weights)
+        ge = centralizer(L, e)
+        own = _torus_grading(L, ge._row_at.values())
+        for weights in (L.basis_weights(labels), _torus_grading(L, [e._supp]), own):
             row_w = ge.row_weights(weights)
             cap, size = Counter(row_w), Counter(weights)
             into = defaultdict(list)  # t -> the pairs of weight sum t, in loop order
             for (p, a), (q, b) in combinations(zip(ge._row_at, row_w), 2):
                 into[a + b].append((p, q))
             formed.clear()
-            derived_subalgebra(L, ge, weights)
+            if weights is own:
+                derived_subalgebra(L, ge)
+            else:
+                derived_in(L, ge, weights)
             for t, pairs in into.items():
                 made = [pair for pair in pairs if pair in formed]
                 if t not in size:
@@ -318,7 +328,7 @@ def test_simple_root_vectors_generate_everything():
     for i in range(L.rank):
         simple = L.rs.positive_roots[:2][i]
         gens.append(L.root_vector(simple))
-        gens.append(L.root_vector(-simple))
+        gens.append(L.root_vector(tuple(-c for c in simple.coeffs)))
     assert subalgebra_closure(L, gens).dim == L.dim
 
 
@@ -337,8 +347,8 @@ def test_centralizer_of_a_sparse_row_is_that_of_the_element():
     e = L.root_vector(L.rs.positive_roots[-1]) + L.root_vector(L.rs.positive_roots[-2])
     weights = L.basis_weights((0, 0, 0, 1))
     row = {i: 3 for i in e.support()}  # an integer multiple of e
-    assert centralizer(L, row, weights) == centralizer(L, e, weights) == centralizer(L, e)
-    for bad in ({-1: 1}, {L.dim: 1}):
+    assert centralizer(L, row) == centralizer(L, e) == centralizer_in(L, e, weights)
+    for bad in ({-1: 1}, {L.dim: 1}, {0.5: 1}, {1.0: 2}, {"3": 1}):
         with pytest.raises(ValueError, match="basis index out of range"):
             centralizer(L, bad)
 
@@ -491,6 +501,9 @@ def test_sparse_rows_are_checked_like_the_matrix():
         Subspace(L, [{**x, L.dim: Fraction(1)}])  # index outside the algebra
     with pytest.raises(ValueError):
         Subspace(L, [{**x, min(y): Fraction(0)}])  # a stored zero entry
+    for row in ({0.5: 1}, {1.0: 1}, {"3": 1}, {**x, "3": 1}):  # an index that is not an int
+        with pytest.raises(ValueError, match="reduced row-echelon"):
+            Subspace(L, [row])
     assert Subspace(L, [x, y]).dim == 2
 
 
@@ -575,7 +588,7 @@ def test_subspace_accepts_exactly_the_reduced_echelon_bases(rows):
 def test_sparse_and_matrix_bases_agree():
     L = build_lie_algebra("F4")
     e = L.root_vector(L.rs.positive_roots[-1])
-    c = centralizer(L, e, L.basis_weights((1, 0, 0, 0)))
+    c = centralizer(L, e)
     rows = [_sparse(row) for row in c.basis.data]
     sparse, dense = Subspace(L, rows), Subspace.from_rows(L, c.basis.data)
     assert sparse == dense == c
@@ -613,14 +626,17 @@ def _triple_orbits():
 
 
 def test_graded_layers_agree_with_the_trivial_grading():
+    # The layers in the ad h grading and in the trivial one (one block) equal
+    # the public functions, each in the grading of its own input.
     checked = 0
     for L, o in _triple_orbits():
         e, h = o.triple.e, o.triple.h
         weights = L.basis_weights(o.diagram.labels)
-        ge = centralizer(L, e, weights)
-        assert ge.basis == centralizer(L, e).basis
-        derived = derived_subalgebra(L, ge, weights)
-        assert derived.basis == derived_subalgebra(L, ge).basis
+        trivial = L.basis_weights((0,) * L.rank)
+        ge = centralizer(L, e)
+        assert ge.basis == centralizer_in(L, e, weights).basis == centralizer_in(L, e, trivial).basis
+        derived = derived_subalgebra(L, ge)
+        assert derived.basis == derived_in(L, ge, weights).basis == derived_in(L, ge, trivial).basis
         if L.rank <= 4:  # independent oracle: rref of every pairwise bracket
             basis = ge.basis_elements()
             images = [L.zero().coeffs] + [
@@ -630,24 +646,24 @@ def test_graded_layers_agree_with_the_trivial_grading():
         graded = list(zip(ge.basis.data, ge.row_weights(weights)))
         upper = Subspace.from_rows(L, [r for r, w in graded if w >= 1] or [L.zero().coeffs])
         gens = [Element(r) for r, w in graded if w == 1]
-        closure = subalgebra_closure(L, gens, within=upper, weights=weights)
-        assert closure.dim == subalgebra_closure(L, gens, within=upper).dim
-        assert closure.dim == subalgebra_closure(L, gens).dim
+        closure = subalgebra_closure(L, gens, within=upper)
+        assert closure == closure_in(L, gens, upper, weights) == closure_in(L, gens, None, trivial)
+        assert closure == subalgebra_closure(L, gens) == closure_in(L, gens, upper, trivial)
         assert quotient_with_action(L, ge, derived, h) == quotient_with_action(
-            L, centralizer(L, e), derived_subalgebra(L, ge), h
+            L, centralizer_in(L, e, trivial), derived_in(L, ge, trivial), h
         )
         checked += 1
     assert checked == 4 + 15 + 4
 
 
 def test_centralizer_skips_no_block_where_neither_dual_is_onto(monkeypatch):
-    # The public function is valid for any homogeneous a, so it eliminates
-    # every block that has a target, and its kernel is that of the trivial
-    # grading, one block.  Cartan elements and x_a + y_a (a of weight 0)
-    # have weight d = 0; the e (d > 0) and f (d < 0) of a triple, in its
-    # torus grading, have blocks that sl2 theory would leave unreduced.
+    # Without `sl2`, `_centralizer` is valid for any homogeneous a, so it
+    # eliminates every block that has a target, in a given grading and in
+    # the public function's, a's own torus grading; the kernels are equal.
+    # Cartan elements and x_a + y_a (a of weight 0) have weight d = 0; the
+    # e (d > 0) and f (d < 0) of a triple, in its torus grading, have blocks
+    # that sl2 theory would leave unreduced.
     import exorb.algebra
-    from exorb.reach import _torus_weights
 
     eliminated = []
     real = exorb.algebra._ad_rows
@@ -658,15 +674,18 @@ def test_centralizer_skips_no_block_where_neither_dual_is_onto(monkeypatch):
 
     monkeypatch.setattr(exorb.algebra, "_ad_rows", recording)
 
-    def check(L, a, weights):
+    def with_a_target(a, weights):
         d = weights[a.support()[0]]
         blocks = defaultdict(list)
         for j, w in enumerate(weights):
             blocks[w].append(j)
+        return [tuple(b) for k, b in blocks.items() if k + d in blocks]
+
+    def check(L, a, weights):
         eliminated.clear()
-        assert centralizer(L, a, weights) == centralizer(L, a)
-        assert eliminated[:-1] == [tuple(b) for k, b in blocks.items() if k + d in blocks]
-        assert eliminated[-1] == tuple(range(L.dim))  # the trivial grading
+        assert centralizer_in(L, a, weights) == centralizer(L, a)
+        own = _torus_grading(L, [a._supp])
+        assert eliminated == with_a_target(a, weights) + with_a_target(a, own)
 
     for name in ("G2", "F4", "E6"):
         L = build_lie_algebra(name)
@@ -686,7 +705,7 @@ def test_centralizer_skips_no_block_where_neither_dual_is_onto(monkeypatch):
             continue
         labels = o.diagram.labels
         for a in (o.triple.e, o.triple.f):
-            for weights in (L.basis_weights(labels), _torus_weights(L, o.triple.e, labels)):
+            for weights in (L.basis_weights(labels), _torus_grading(L, [o.triple.e._supp])):
                 check(L, a, weights)
         checked += 1
     assert checked == 4 + 15
@@ -697,27 +716,79 @@ def test_gradings_are_checked():
     weights = L.basis_weights((1, 0))
     x = L.root_vector((1, 0))
     y = L.root_vector((0, 1))
-    with pytest.raises(ValueError):
-        centralizer(L, x, weights[:-1])  # wrong length
-    with pytest.raises(ValueError):
-        centralizer(L, x, (1,) + weights[1:])  # not a grading of the product
-    h1 = L.dim - L.rank
-    with pytest.raises(ValueError):
-        centralizer(L, x, weights[:h1] + (1,) + weights[h1 + 1 :])  # nonzero at h_1
-    top = L.rs.index[L.rs.positive_roots[-1].coeffs]
-    bumped = list(weights)
-    bumped[top] += 1
-    with pytest.raises(ValueError):
-        centralizer(L, x, bumped)  # changed at a root that is not simple
-    with pytest.raises(ValueError):
-        centralizer(L, x + L.root_vector((-1, 0)), weights)  # mixes weights
     mixed = Subspace.from_rows(L, [(x + y).coeffs])
-    with pytest.raises(ValueError):
-        derived_subalgebra(L, mixed, weights)  # s is not graded
-    with pytest.raises(ValueError):
-        subalgebra_closure(L, [x + y], weights=weights)  # generator mixes
-    assert subalgebra_closure(L, [x, y], weights=weights).dim == 6  # n+ of G2
-    assert centralizer(L, L.zero(), weights).dim == L.dim
+    with pytest.raises(ValueError, match="wrong length"):
+        mixed.row_weights(weights[:-1])
+    with pytest.raises(ValueError, match="not graded"):
+        mixed.row_weights(weights)  # s is not graded
+    assert subalgebra_closure(L, [x, y]).dim == 6  # n+ of G2
+    assert centralizer(L, L.zero()).dim == L.dim
+
+
+def _span(L, vectors):
+    """The canonical basis of the span of elements, by `gauss_jordan`."""
+    return [tuple(r) for r in gauss_jordan([v.coeffs for v in vectors], L.dim)[0]]
+
+
+def _kernel(L, a):
+    """The canonical basis of ker ad a, by `gauss_jordan` of the matrix of ad a."""
+    images = [bracket(L, a, L.basis_element(j)).coeffs for j in range(L.dim)]
+    reduced, pivots = gauss_jordan([[x[t] for x in images] for t in range(L.dim)], L.dim)
+    null = []
+    for f in sorted(set(range(L.dim)) - set(pivots)):
+        v = [Fraction(int(j == f)) for j in range(L.dim)]
+        for row, p in zip(reduced, pivots):
+            v[p] = -row[f]
+        null.append(Element(v))
+    return _span(L, null)
+
+
+def _brackets(L, basis):
+    return [bracket(L, Element(a), Element(b)) for a, b in combinations(basis, 2)]
+
+
+def _closed(L, vectors):
+    """The canonical basis of the closure of elements: the span with the
+    brackets of its basis added until it stops growing."""
+    basis = _span(L, vectors)
+    while True:
+        grown = _span(L, [*map(Element, basis), *_brackets(L, basis)])
+        if len(grown) == len(basis):
+            return basis
+        basis = grown
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_the_public_layers_on_elements_that_mix_weights_are_the_oracle(data):
+    # Elements with terms of several weights (x + y in G2, a root vector
+    # plus a Cartan element), which a caller-given grading used to refuse:
+    # each public layer grades the call by its own input, and its canonical
+    # basis is the `gauss_jordan` oracle's.
+    L = build_lie_algebra(data.draw(st.sampled_from(["A2", "G2"])))
+    terms = st.dictionaries(st.integers(0, L.dim - 1), st.integers(-3, 3).filter(bool), max_size=3)
+    a = L.element(data.draw(terms))
+    ge = centralizer(L, a)
+    assert ge.basis.data == tuple(_kernel(L, a))
+    assert derived_subalgebra(L, ge).basis.data == tuple(_span(L, _brackets(L, ge.basis.data)))
+
+    vs = [L.element(t) for t in data.draw(st.lists(terms, max_size=3))]
+    s = Subspace(L, [_sparse(r) for r in _span(L, vs)])
+    images = _brackets(L, s.basis.data)
+    if len(_span(L, [*map(Element, s.basis.data), *images])) > s.dim:
+        with pytest.raises(ValueError, match="not closed"):
+            derived_subalgebra(L, s)
+    else:
+        assert derived_subalgebra(L, s).basis.data == tuple(_span(L, images))
+
+    within = Subspace(L, [_sparse(r) for r in _closed(L, vs)])
+    for bound in (None, within, Subspace.full(L)):
+        assert subalgebra_closure(L, vs, bound) == within
+
+    # a generator in g_e, the sum of some of its rows, and g_e as `within`
+    rows = data.draw(st.lists(st.sampled_from(ge.basis.data), max_size=2)) if ge.dim else []
+    g = sum(map(Element, rows), L.zero())
+    assert subalgebra_closure(L, [g], ge).basis.data == tuple(_closed(L, [g]))
 
 
 @given(st.data())
@@ -747,7 +818,6 @@ def test_closure_makes_no_echelon_for_a_weight_that_within_lacks(monkeypatch):
     # A bracket whose weight is no weight of `within` lies in no row of it,
     # so it is skipped before any span of that weight is made.
     import exorb.algebra
-    from exorb.reach import _torus_weights
 
     made = []
 
@@ -762,7 +832,7 @@ def test_closure_makes_no_echelon_for_a_weight_that_within_lacks(monkeypatch):
     lacking = 0
     for L, o in _triple_orbits():
         e, labels = o.triple.e, o.diagram.labels
-        weights = _torus_weights(L, e, labels)
+        weights = _torus_grading(L, [e._supp])
         ge = exorb.algebra._centralizer(L, e._supp, weights, sl2=True)
         hweights = L.basis_weights(labels)
         graded = [(r, w, hweights[p]) for w, span in ge.items() for p, r in span.rows.items()]
@@ -782,13 +852,13 @@ def test_centralizer_scales_a_fraction_row_like_an_element():
 
 
 def test_centralizer_drops_the_explicit_zeros_of_a_row():
-    # x_0 is homogeneous; a zero entry at a basis vector of another weight
-    # is no term of the row.
+    # A zero entry at a basis vector of another root is no term of the row,
+    # and does not coarsen the row's grading.
     L = build_lie_algebra("G2")
-    weights = L.basis_weights((1, 0))
-    assert weights[0] != weights[1]
-    expected = centralizer(L, L.basis_element(0), weights)
-    assert centralizer(L, {0: 1, 1: 0}, weights) == expected
+    assert L.element({0: 1, 1: 0}) == L.basis_element(0)
+    assert _torus_grading(L, [L.element({0: 1, 1: 0})._supp]) == _torus_grading(L, [{0: 1}])
+    expected = centralizer(L, L.basis_element(0))
+    assert centralizer(L, {0: 1, 1: 0}) == expected
     assert centralizer(L, {0: 0}) == centralizer(L, L.zero()) == Subspace.full(L)
 
 

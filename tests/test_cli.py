@@ -105,6 +105,14 @@ def test_analyze_rejects_bad_orbits():
         assert main(["analyze", "G2", "--orbit", selector]) == EXIT_USAGE
 
 
+def test_analyze_reads_a_diagram_separated_by_spaces():
+    expected = run(_cfg("analyze", orbit="2,2", format="json"))
+    assert expected[0] == EXIT_OK
+    for selector in ("2 2", "22"):
+        assert run(_cfg("analyze", orbit=selector, format="json")) == expected
+    assert main(["analyze", "F4", "--orbit", "0 1 0 0"]) == EXIT_OK
+
+
 def test_usage_errors():
     assert main(["frobnicate", "G2"]) == EXIT_USAGE
     assert main(["classify", "Z9"]) == EXIT_USAGE

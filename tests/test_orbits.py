@@ -183,6 +183,11 @@ def test_diagram_validation_and_parsing():
     d = WeightedDynkinDiagram.from_string("0,1,0,2")
     assert d.labels == (0, 1, 0, 2)
     assert WeightedDynkinDiagram.from_string("102").labels == (1, 0, 2)
+    for text in ("2 2", " 2  2 ", "22", "2,2", "2, 2"):
+        assert WeightedDynkinDiagram.from_string(text).labels == (2, 2)
+    assert WeightedDynkinDiagram.from_string("0 1 0 0").labels == (0, 1, 0, 0)
+    with pytest.raises(ValueError):
+        WeightedDynkinDiagram.from_string("12 0")  # a label 12, not the labels 1, 2
     assert str(d) == "0,1,0,2"
 
 
