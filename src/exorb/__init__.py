@@ -1,6 +1,6 @@
 """Exact Chevalley-basis Lie algebras and nilpotent orbit analysis."""
 
-from .roots import TypeRank, Root, RootSystem, build_root_system
+from .roots import TypeRank, RootSystem, build_root_system
 from .linalg import RatMatrix, rank, kernel, intersect
 from .algebra import (
     LieAlgebra,
@@ -31,7 +31,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "TypeRank",
-    "Root",
     "RootSystem",
     "build_root_system",
     "RatMatrix",

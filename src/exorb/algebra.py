@@ -17,7 +17,7 @@ from math import gcd, lcm
 from typing import Collection, Iterable, Mapping, Sequence
 
 from .linalg import RatMatrix, _Echelon, _echelon, _exact, _null_space, _scaled_support
-from .roots import Root, RootSystem, TypeRank, build_root_system
+from .roots import RootSystem, TypeRank, build_root_system
 
 __all__ = [
     "LieAlgebra",
@@ -162,16 +162,16 @@ class LieAlgebra:
             raise ValueError("basis index out of range")
         return Element._of(self.dim, {i: 1})
 
-    def root_vector(self, root: Root | tuple[int, ...]) -> Element:
-        coeffs = root.coeffs if isinstance(root, Root) else tuple(root)
-        return self.basis_element(self.rs.index[coeffs])
+    def root_vector(self, root: tuple[int, ...]) -> Element:
+        """x_a for the root a, given by its coefficients over the simple roots."""
+        return self.basis_element(self.rs.index[root])
 
     def cartan_element(self, i: int) -> Element:
         return self.basis_element(self._hbase + i)
 
-    def coroot_element(self, root: Root | tuple[int, ...]) -> Element:
-        coeffs = root.coeffs if isinstance(root, Root) else tuple(root)
-        coroot = self.rs.coroot_coords(coeffs)
+    def coroot_element(self, root: tuple[int, ...]) -> Element:
+        """The coroot of a root given by its coefficients over the simple roots."""
+        coroot = self.rs.coroot_coords(root)
         return Element._of(self.dim, {self._hbase + j: c for j, c in enumerate(coroot) if c})
 
     def element(self, entries: Mapping[int, Fraction | int] | Sequence[Fraction | int]) -> Element:
@@ -459,14 +459,11 @@ def bracket(L: LieAlgebra, a: Element, b: Element) -> Element:
     return Element._of(L.dim, _bracket_supp(L._adj, a._supp, b._supp), a._den * b._den)
 
 
-def centralizer(L: LieAlgebra, a: Element | Mapping[int, Fraction | int]) -> Subspace:
+def centralizer(L: LieAlgebra, a: Element) -> Subspace:
     """The kernel of ad a, as a subspace of L.
 
-    a is an element or a sparse row {index: int or Fraction entry}, such as
-    its integer support, which has the same kernel; the row is read like an
-    element's entries (zeros dropped, a float refused with TypeError, an
-    index that is not an int in range with ValueError).  a is homogeneous,
-    of weight d say, in its own torus grading (`_torus_grading` of [a]).
+    a is homogeneous, of weight d say, in its own torus grading
+    (`_torus_grading` of its integer support, a multiple of a).
     Then ad a maps g(k) into g(k + d), and the kernel is the sum over k of
     the block kernels ker(ad a : g(k) -> g(k+d)), each an echelon of integer
     rows from the integer structure constants (`_centralizer`), divided by
@@ -476,8 +473,6 @@ def centralizer(L: LieAlgebra, a: Element | Mapping[int, Fraction | int]) -> Sub
     A block with no target is its own kernel; every other block is
     eliminated (the analyses skip those that sl2 theory makes injective).
     """
-    if not isinstance(a, Element):
-        a = L.element(a)
     if a.dim != L.dim:
         raise ValueError("dimension mismatch")
     return _read_out(L, _centralizer(L, a._supp, _torus_grading(L, [a._supp])))

@@ -23,6 +23,7 @@ certificate is the sl2-triple with the characteristic h of the labels:
   exactly over Q (`linalg._Echelon`, rank-only), with h in one more column
   once they touch every column; the echelon that reaches rank dim g(2) in
   A's columns gives f by back-substitution.  Only the draws work mod p.
+  e, h and f are `Element`s, and `bracket` checks [e, f] = h.
 
 A solved triple gives dim g_e = dim g(0) + dim g(1) by sl2 theory, so the
 triple certifies the representative too.  Representatives are sums of root
@@ -42,13 +43,13 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from math import gcd, lcm
+from math import lcm
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from ._modp import PRIMES, pivot_columns
-from .algebra import Element, LieAlgebra, _ad_rows, _bracket_supp
+from .algebra import Element, LieAlgebra, _ad_rows, bracket
 from .linalg import _Echelon, _back_substitute, _echelon, _rank
 
 __all__ = [
@@ -67,9 +68,6 @@ __all__ = [
 DEFAULT_TRIALS = 25
 TRIAL_COEFF_MAX = 10_000
 RESTART_BUDGET = 50
-
-# A rational vector as (integer support, denominator), like `Element` holds it.
-_Scaled = tuple[dict[int, int], int]
 
 
 @dataclass(frozen=True)
@@ -117,24 +115,16 @@ class NilpotentOrbit:
 
 
 def characteristic_element(L: LieAlgebra, d: WeightedDynkinDiagram) -> Element:
-    """The Cartan element h with alpha_i(h) = labels[i]."""
-    if len(d.labels) != L.rank:
-        raise ValueError("diagram rank mismatch")
-    return Element._of(L.dim, *_h_support(L, d.labels))
-
-
-def _h_support(L: LieAlgebra, labels: Sequence[int]) -> _Scaled:
-    """h as (integer support, denominator), like `linalg._scaled_support`.
+    """The Cartan element h with alpha_i(h) = labels[i].
 
     h has only its `rank` Cartan coordinates nonzero: the integer rows of
-    `_cartan_inverse` times the labels, over its denominator, which is
-    reduced by the common factor of all of them.
+    `_cartan_inverse` times the labels, over its denominator.
     """
+    if len(d.labels) != L.rank:
+        raise ValueError("diagram rank mismatch")
     rows, den = _cartan_inverse(L)
-    values = (rows @ np.array(labels, dtype=np.int64)).tolist()
-    g = gcd(den, *values)
-    base = 2 * L.npos
-    return {base + j: v // g for j, v in enumerate(values) if v}, den // g
+    values = (rows @ np.array(d.labels, dtype=np.int64)).tolist()
+    return Element._of(L.dim, {2 * L.npos + j: v for j, v in enumerate(values) if v}, den)
 
 
 @lru_cache(maxsize=None)
@@ -443,9 +433,9 @@ def _represent(
     """
     g2 = layout.g2
     n = len(g2)
-    h = _h_support(L, d.labels)
+    h = characteristic_element(L, d)
     # h's entries on the Cartan rows, which end g(0)
-    hcol = {len(layout.g0) - L.rank - 2 * L.npos + i: c for i, c in h[0].items()}
+    hcol = {len(layout.g0) - L.rank - 2 * L.npos + i: c for i, c in h._supp.items()}
     # the entries of A for each root of g2, as {row of g(0): {column: entry}}
     down: list[dict[int, dict[int, int]]] = [{} for _ in g2]
     touched: list[set[int]] = [set() for _ in g2]  # the columns each root touches
@@ -483,7 +473,7 @@ def _represent(
                 covered |= touched[q]
                 reached = r
                 if reached == n:
-                    e = ({g2[t]: 1 for t in kept}, 1)
+                    e = Element._of(L.dim, {g2[t]: 1 for t in kept})
                     return _triple(L, layout.neg2, e, h, echelon)
                 if len(kept) == L.rank:
                     break
@@ -494,9 +484,9 @@ def _settle(
     L: LieAlgebra, d: WeightedDynkinDiagram, layout: _Layout, coeffs: Sequence[int]
 ) -> Sl2Triple | None:
     """The triple of the draw e = sum coeffs[t] x_{g2[t]}, or None if it has none."""
-    e = (dict(zip(layout.g2, coeffs)), 1)
+    e = Element._of(L.dim, dict(zip(layout.g2, coeffs)))
     try:
-        return _triple(L, layout.neg2, e, _h_support(L, d.labels))
+        return _triple(L, layout.neg2, e, characteristic_element(L, d))
     except TripleInsolubleError:
         return None
 
@@ -527,8 +517,7 @@ def orbit(
     if len(d.labels) != L.rank:
         raise ValueError("diagram rank mismatch")
     if d.is_zero():
-        h = characteristic_element(L, d)
-        return NilpotentOrbit(d, complete_triple(L, h, L.zero()))
+        return NilpotentOrbit(d, Sl2Triple(L.zero(), L.zero(), L.zero()))
     layout = _layout(L, d)
     draw = _decide(d, layout, trials, seed) if layout else None
     if draw is None:
@@ -584,49 +573,40 @@ def complete_triple(L: LieAlgebra, h: Element, e: Element) -> Sl2Triple:
     if any(weights[i] != 2 for i in e._supp):
         raise ValueError("[h, e] = 2e fails: not a weight-2 vector for h")
     neg2 = [i for i, w in enumerate(weights) if w == -2]
-    return _triple(L, neg2, (e._supp, e._den), (h._supp, h._den))
+    return _triple(L, neg2, e, h)
 
 
 def _triple(
-    L: LieAlgebra, neg2: list[int], e: _Scaled, h: _Scaled, echelon: _Echelon | None = None
+    L: LieAlgebra, neg2: list[int], e: Element, h: Element, echelon: _Echelon | None = None
 ) -> Sl2Triple:
     """`complete_triple` for e in g(2), given the indices of g(-2).
 
-    e and h are given as (integer support, denominator), the form of
-    `linalg._scaled_support` in which an `Element` holds them.  e has ad
-    h-weight 2, so [e, g(-2)] lies in g(0), as h does.  The rows of the
-    system are those of ad e on g(-2) (`algebra._ad_rows`), built from the
-    integer structure constants, each entry from one root k of e (for x_j
-    in g(-2) and x_i in g(0), at most one k has x_i in [x_k, x_j]; see
-    `_down_table`); `_echelon` eliminates them unless the walk gives their
-    `echelon`, `_back_substitute` solves it, and the check is in integers.
+    e has ad h-weight 2, so [e, g(-2)] lies in g(0), as h does.  The rows of
+    the system are those of ad e on g(-2) (`algebra._ad_rows`), built from
+    e's integer support and the integer structure constants, each entry
+    from one root k of e (for x_j in g(-2) and x_i in g(0), at most one k
+    has x_i in [x_k, x_j]; see `_down_table`); `_echelon` eliminates them
+    unless the walk gives their `echelon`, `_back_substitute` solves it,
+    and `bracket` checks [e, f] = h.
     """
-    supp, scale = e
-    hsupp, hden = h
     cols = len(neg2)
     if echelon is None:
-        # [scale * e, x] = scale * hden * h as sparse integer augmented rows,
-        # the right-hand side in column `cols`; f = x / hden
-        rows = _ad_rows(L._adj, supp, neg2)
-        for i, c in hsupp.items():
-            rows.setdefault(i, {})[cols] = scale * c
+        # [de * e, x] = de * dh * h as sparse integer augmented rows, for de
+        # and dh the denominators of e and h, the right-hand side in column
+        # `cols`; f = x / dh
+        rows = _ad_rows(L._adj, e._supp, neg2)
+        for i, c in h._supp.items():
+            rows.setdefault(i, {})[cols] = e._den * c
         echelon = _echelon(rows.values())
     sol = _back_substitute(echelon, cols)
     if sol is None:
         raise TripleInsolubleError("no completion to a triple: invalid representative")
     xs, xden = sol
-    f = Element._of(L.dim, {neg2[col]: x for col, x in xs.items()}, xden * hden)
+    f = Element._of(L.dim, {neg2[col]: x for col, x in xs.items()}, xden * h._den)
     # [h, f] = -2f holds by construction: f is supported on g(-2).
-    if not _brackets_to(L, e, (f._supp, f._den), h):
+    if bracket(L, e, f) != h:
         raise RuntimeError("triple relations failed verification")
-    return Sl2Triple(e=Element._of(L.dim, supp, scale), h=Element._of(L.dim, hsupp, hden), f=f)
-
-
-def _brackets_to(L: LieAlgebra, e: _Scaled, f: _Scaled, h: _Scaled) -> bool:
-    """Whether [e, f] = h, in integers: [de * e, df * f] * dh = de * df * (dh * h)."""
-    (se, de), (sf, df), (sh, dh) = e, f, h
-    lhs = {k: v * dh for k, v in _bracket_supp(L._adj, se, sf).items()}
-    return lhs == {k: x * de * df for k, x in sh.items()}
+    return Sl2Triple(e=e, h=h, f=f)
 
 
 def enumerate_orbits(

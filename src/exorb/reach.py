@@ -20,7 +20,8 @@ and the closure of g(1)_e, and each of these spaces is graded by S.  Every
 layer is passed these basis weights and works weight by weight on small
 blocks.  No bracket that the grading forces to zero is formed, nor one that
 would only re-check that g_e is closed.  The results are the same canonical
-bases as without a grading (the block lemma, see `algebra.Subspace`).
+bases as without a grading (the block lemma, see `algebra.Subspace`); the
+analyses and `rigid_discrepancy_report` read them off the echelons alone.
 """
 
 from __future__ import annotations
@@ -31,20 +32,18 @@ from typing import Mapping, Sequence
 
 from .algebra import (
     LieAlgebra,
-    Subspace,
     _centralizer,
     _closure,
     _derived,
     _quotient,
-    _read_out,
     _torus_grading,
+    bracket,
 )
 from .linalg import _Echelon
 from .orbits import (
     NilpotentOrbit,
     WeightedDynkinDiagram,
-    _brackets_to,
-    _h_support,
+    characteristic_element,
     enumerate_orbits,
 )
 
@@ -72,25 +71,24 @@ class OrbitAnalysis:
 def _triple_supports(L: LieAlgebra, o: NilpotentOrbit) -> tuple[dict[int, int], tuple[int, ...]]:
     """e's integer support and the ad h weights, once (e, h, f) is checked.
 
-    Each of e, h and f is read once, as (integer support, denominator).  h
-    must be the diagram's characteristic, e a vector of g(2), nonzero unless
-    the diagram is, f one of g(-2), and [e, f] = h (ValueError otherwise).
+    h must be the diagram's characteristic, e a vector of g(2), nonzero
+    unless the diagram is, f one of g(-2), and [e, f] = h, the check of
+    `orbits._triple` (ValueError otherwise).
     """
     e, h, f = o.triple.e, o.triple.h, o.triple.f
     if not e.dim == h.dim == f.dim == L.dim:
         raise ValueError("dimension mismatch")
     ad_h = L.basis_weights(o.diagram.labels)
-    e, h, f = ((x._supp, x._den) for x in (e, h, f))
-    if h != _h_support(L, o.diagram.labels):
+    if h != characteristic_element(L, o.diagram):
         raise ValueError(f"h does not realize the diagram {o.diagram}")
     if (
-        any(ad_h[i] != 2 for i in e[0])
-        or not (e[0] or o.diagram.is_zero())
-        or any(ad_h[i] != -2 for i in f[0])
-        or not _brackets_to(L, e, f, h)
+        any(ad_h[i] != 2 for i in e._supp)
+        or not (e._supp or o.diagram.is_zero())
+        or any(ad_h[i] != -2 for i in f._supp)
+        or bracket(L, e, f) != h
     ):
         raise ValueError(f"(e, h, f) is not an sl2-triple for the diagram {o.diagram}")
-    return e[0], ad_h
+    return e._supp, ad_h
 
 
 def _check_centralizer_sizes(
@@ -157,19 +155,6 @@ def _analysis(
     return analysis, ge, derived
 
 
-def _analyze_full(
-    L: LieAlgebra, o: NilpotentOrbit
-) -> tuple[OrbitAnalysis, Subspace, Subspace]:
-    """The analysis, g_e and [g_e, g_e], each subspace in its canonical basis.
-
-    `_analysis`, its echelons read out as checked canonical `Subspace`s
-    (`algebra._read_out`), whose rows are divided by their pivots.  Every
-    canonical basis is the one that the ad h grading alone gives.
-    """
-    analysis, ge, derived = _analysis(L, o)
-    return analysis, _read_out(L, ge), _read_out(L, derived)
-
-
 def analyze(L: LieAlgebra, o: NilpotentOrbit) -> OrbitAnalysis:
     """Full exact report for one orbit, computed in its torus grading.
 
@@ -188,7 +173,10 @@ def rigid_discrepancy_report(
     For each reported orbit the derived subalgebra has codimension exactly 1
     in g_e and the representative spans the quotient; both facts are checked
     here and violations raise.  With codimension 1, e spans the quotient
-    exactly when it lies in g_e but not in [g_e, g_e].
+    exactly when it lies in g_e but not in [g_e, g_e].  Both memberships are
+    read off the echelons of `_analysis`: e lies outside [g_e, g_e] when the
+    orbit is not reachable, and in g_e when it reduces to zero in g_e's
+    echelon of its torus weight.
     """
     out = []
     for o in enumerate_orbits(L, seed=seed):
@@ -196,12 +184,14 @@ def rigid_discrepancy_report(
             raise ValueError(f"missing rigid flag for diagram {o.diagram}")
         if not rigid_flags[o.diagram.labels]:
             continue
-        a, ge, derived = _analyze_full(L, o)
+        a, ge, _ = _analysis(L, o)
         if a.strongly_reachable:
             continue
         if a.dim_ge - a.dim_derived != 1:
             raise ValueError(f"codimension is not 1 for diagram {o.diagram}")
-        if derived.contains(o.triple.e) or not ge.contains(o.triple.e):
+        se = o.triple.e._supp
+        weight = _torus_grading(L, [se])[min(se)]
+        if a.reachable or ge.get(weight, _Echelon()).reduce(dict(se)):
             raise ValueError(
                 f"representative does not span the quotient for {o.diagram}"
             )

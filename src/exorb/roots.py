@@ -12,7 +12,6 @@ from functools import cached_property, lru_cache
 
 __all__ = [
     "TypeRank",
-    "Root",
     "RootSystem",
     "build_root_system",
 ]
@@ -50,16 +49,6 @@ class TypeRank:
 
     def __str__(self) -> str:
         return f"{self.letter}{self.rank}"
-
-
-@dataclass(frozen=True)
-class Root:
-    """A root written in coordinates over the simple roots."""
-
-    coeffs: tuple[int, ...]
-
-    def __str__(self) -> str:
-        return "(" + ",".join(str(c) for c in self.coeffs) + ")"
 
 
 def _cartan_matrix(t: TypeRank) -> list[list[int]]:
@@ -138,7 +127,6 @@ class RootSystem:
 
         pos = self._generate_positive_roots()
         pos.sort(key=lambda c: (sum(c), c))
-        self.positive_roots: tuple[Root, ...] = tuple(Root(c) for c in pos)
         self.roots: tuple[tuple[int, ...], ...] = (*pos, *(tuple(-x for x in c) for c in pos))
         self.index: dict[tuple[int, ...], int] = {c: i for i, c in enumerate(self.roots)}
         norms = [self._norm_of(c) for c in pos]
@@ -202,7 +190,7 @@ class RootSystem:
         Every division is checked to be exact; a remainder raises
         `RuntimeError`.
         """
-        m, norms = len(self.positive_roots), self._norms
+        m, norms = self.num_positive, self._norms
         roots, index = self.roots, self.index
         # diff[k][i] = j when the positive roots i + j = k
         diff: list[dict[int, int]] = [{} for _ in range(m)]
@@ -255,7 +243,7 @@ class RootSystem:
 
     @property
     def num_positive(self) -> int:
-        return len(self.positive_roots)
+        return len(self.roots) // 2
 
     def pairing(self, coeffs: tuple[int, ...], i: int) -> int:
         """<beta, coroot of alpha_i>."""

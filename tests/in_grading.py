@@ -4,11 +4,13 @@ The public functions grade each call by its own input
 (`algebra._torus_grading`).  These run the same private cores in any
 grading of L, such as `L.basis_weights(labels)` or the trivial one, so that
 a test can compare gradings and count the work done in each.
+`analyze_full` reads an analysis's echelons out as canonical subspaces.
 """
 
 from collections import Counter
 
 from exorb.algebra import _centralizer, _closure, _derived, _read_out
+from exorb.reach import _analysis
 
 
 def _weight(grading, v):
@@ -38,3 +40,10 @@ def closure_in(L, gens, within, grading):
         cap = Counter(within.row_weights(grading))
     rows = [(g._supp, _weight(grading, g._supp)) for g in gens if g._supp]
     return _read_out(L, _closure(L, rows, cap))
+
+
+def analyze_full(L, o):
+    """The analysis, g_e and [g_e, g_e]: `reach._analysis`, its echelons read
+    out as checked canonical subspaces (`algebra._read_out`)."""
+    analysis, ge, derived = _analysis(L, o)
+    return analysis, _read_out(L, ge), _read_out(L, derived)

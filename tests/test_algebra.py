@@ -113,17 +113,17 @@ def test_cartan_acts_by_weights():
     rs = L.rs
     for i in range(rs.rank):
         h = L.cartan_element(i)
-        for r in rs.positive_roots[:8]:
+        for r in rs.roots[:8]:
             x = L.root_vector(r)
             out = bracket(L, h, x)
-            assert out == rs.pairing(r.coeffs, i) * x
+            assert out == rs.pairing(r, i) * x
 
 
 def test_opposite_root_vectors_give_coroot():
     L = build_lie_algebra("G2")
-    for r in L.rs.positive_roots:
+    for r in L.rs.roots[: L.npos]:
         x = L.root_vector(r)
-        y = L.root_vector(tuple(-c for c in r.coeffs))
+        y = L.root_vector(tuple(-c for c in r))
         h = bracket(L, x, y)
         assert h == L.coroot_element(r)
         assert bracket(L, h, x) == 2 * x  # <r, r^vee> = 2
@@ -326,9 +326,9 @@ def test_simple_root_vectors_generate_everything():
     L = build_lie_algebra("G2")
     gens = []
     for i in range(L.rank):
-        simple = L.rs.positive_roots[:2][i]
+        simple = L.rs.roots[i]
         gens.append(L.root_vector(simple))
-        gens.append(L.root_vector(tuple(-c for c in simple.coeffs)))
+        gens.append(L.root_vector(tuple(-c for c in simple)))
     assert subalgebra_closure(L, gens).dim == L.dim
 
 
@@ -344,19 +344,18 @@ def test_closure_respects_within_bound():
 
 def test_centralizer_of_a_sparse_row_is_that_of_the_element():
     L = build_lie_algebra("F4")
-    e = L.root_vector(L.rs.positive_roots[-1]) + L.root_vector(L.rs.positive_roots[-2])
+    # `L.element` refuses the bad indices of a row
+    # (`test_element_refuses_a_basis_index_out_of_range`).
+    e = L.root_vector(L.rs.roots[L.npos - 1]) + L.root_vector(L.rs.roots[L.npos - 2])
     weights = L.basis_weights((0, 0, 0, 1))
     row = {i: 3 for i in e.support()}  # an integer multiple of e
-    assert centralizer(L, row) == centralizer(L, e) == centralizer_in(L, e, weights)
-    for bad in ({-1: 1}, {L.dim: 1}, {0.5: 1}, {1.0: 2}, {"3": 1}):
-        with pytest.raises(ValueError, match="basis index out of range"):
-            centralizer(L, bad)
+    assert centralizer(L, L.element(row)) == centralizer(L, e) == centralizer_in(L, e, weights)
 
 
 def test_closure_refuses_a_within_from_another_algebra():
     # B2 and C2 both have dimension 10, so no length check can catch it.
     B2, C2 = build_lie_algebra("B2"), build_lie_algebra("C2")
-    gens = [B2.root_vector(B2.rs.positive_roots[0])]
+    gens = [B2.root_vector(B2.rs.roots[0])]
     with pytest.raises(ValueError, match="subspace belongs to a different algebra"):
         subalgebra_closure(B2, gens, within=Subspace.full(C2))
     assert subalgebra_closure(B2, gens, within=Subspace.full(B2)).dim == 1
@@ -407,7 +406,7 @@ def test_cartan_values_are_the_fraction_sums(name):
         )
     assert L.cartan_values(L.zero()) == (0,) * L.rank
     with pytest.raises(ValueError, match="not in the Cartan subalgebra"):
-        L.cartan_values(L.cartan_element(0) + L.root_vector(L.rs.positive_roots[0]))
+        L.cartan_values(L.cartan_element(0) + L.root_vector(L.rs.roots[0]))
 
 
 def test_cartan_values_refuse_an_element_of_the_wrong_length():
@@ -442,7 +441,7 @@ def test_contains_reduces_against_the_canonical_basis(monkeypatch):
 
     L = build_lie_algebra("F4")
     rng = random.Random(11)
-    e = L.root_vector(L.rs.positive_roots[-1])
+    e = L.root_vector(L.rs.roots[L.npos - 1])
     s = centralizer(L, e)
     inside = []
     for _ in range(10):
@@ -587,7 +586,7 @@ def test_subspace_accepts_exactly_the_reduced_echelon_bases(rows):
 
 def test_sparse_and_matrix_bases_agree():
     L = build_lie_algebra("F4")
-    e = L.root_vector(L.rs.positive_roots[-1])
+    e = L.root_vector(L.rs.roots[L.npos - 1])
     c = centralizer(L, e)
     rows = [_sparse(row) for row in c.basis.data]
     sparse, dense = Subspace(L, rows), Subspace.from_rows(L, c.basis.data)
@@ -847,8 +846,9 @@ def test_closure_makes_no_echelon_for_a_weight_that_within_lacks(monkeypatch):
 
 def test_centralizer_scales_a_fraction_row_like_an_element():
     L = build_lie_algebra("G2")
-    assert centralizer(L, {0: Fraction(1, 2)}) == centralizer(L, L.basis_element(0))
-    assert centralizer(L, {0: Fraction(2, 3), 5: -1}) == centralizer(L, {0: 2, 5: -3})
+    half, row = L.element({0: Fraction(1, 2)}), L.element({0: Fraction(2, 3), 5: -1})
+    assert centralizer(L, half) == centralizer(L, L.basis_element(0))
+    assert centralizer(L, row) == centralizer(L, L.element({0: 2, 5: -3}))
 
 
 def test_centralizer_drops_the_explicit_zeros_of_a_row():
@@ -858,15 +858,8 @@ def test_centralizer_drops_the_explicit_zeros_of_a_row():
     assert L.element({0: 1, 1: 0}) == L.basis_element(0)
     assert _torus_grading(L, [L.element({0: 1, 1: 0})._supp]) == _torus_grading(L, [{0: 1}])
     expected = centralizer(L, L.basis_element(0))
-    assert centralizer(L, {0: 1, 1: 0}) == expected
-    assert centralizer(L, {0: 0}) == centralizer(L, L.zero()) == Subspace.full(L)
-
-
-def test_centralizer_refuses_a_float_row_like_an_element():
-    L = build_lie_algebra("G2")
-    for row in ({0: 0.5}, {0: 1, 1: 0.0}):
-        with pytest.raises(TypeError, match="floating point is not allowed"):
-            centralizer(L, row)
+    assert centralizer(L, L.element({0: 1, 1: 0})) == expected
+    assert centralizer(L, L.element({0: 0})) == centralizer(L, L.zero()) == Subspace.full(L)
 
 
 _ENTRIES = st.sampled_from([Fraction(0)] * 3) | st.builds(
@@ -933,6 +926,9 @@ def test_an_element_refuses_floats_and_stays_immutable():
         Element((0.5, 0))
     with pytest.raises(TypeError, match="floating point is not allowed"):
         Fraction(1, 2) * L.basis_element(0) + L.element([0.0] * L.dim)
+    for row in ({0: 0.5}, {0: 1, 1: 0.0}):  # a sparse row, also a zero beside an int
+        with pytest.raises(TypeError, match="floating point is not allowed"):
+            L.element(row)
     x = L.basis_element(3)
     for name in ("coeffs", "dim", "_supp", "_den"):
         with pytest.raises(AttributeError, match="immutable"):

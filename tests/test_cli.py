@@ -546,3 +546,17 @@ def test_a_usage_error_between_two_runs_changes_nothing(capsys):
     assert main(argv) == EXIT_OK
     assert capsys.readouterr() == first
     assert cli._build_parser() is cli._build_parser()
+
+
+def test_no_cli_path_calls_complete_triple(monkeypatch):
+    # The sweep solves its triples itself and the zero orbit's triple is
+    # three zeros; `complete_triple` stays only for the benchmark.
+    expected = [run(_cfg("verify", format="json")), run(_cfg("analyze", orbit="0,0"))]
+
+    def refuse(*args):
+        raise AssertionError("complete_triple was called")
+
+    monkeypatch.setattr(exorb.orbits, "complete_triple", refuse)
+    monkeypatch.setattr(exorb, "complete_triple", refuse)
+    got = [run(_cfg("verify", format="json")), run(_cfg("analyze", orbit="0,0"))]
+    assert got == expected and all(status == EXIT_OK for status, _ in got)

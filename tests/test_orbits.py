@@ -156,7 +156,7 @@ def _exponents(L):
     times: the partition of the positive roots by height is dual to that of
     the exponents (Kostant, Amer. J. Math. 81, 1959).
     """
-    heights = Counter(sum(r.coeffs) for r in L.rs.positive_roots)
+    heights = Counter(sum(r) for r in L.rs.roots[: L.npos])
     return [j for j in sorted(heights) for _ in range(heights[j] - heights[j + 1])]
 
 
@@ -399,7 +399,7 @@ def test_complete_triple_raises_on_failed_verification(monkeypatch):
     d = WeightedDynkinDiagram((2, 2))
     e = find_representative(L, d)
     h = characteristic_element(L, d)
-    monkeypatch.setattr(orbits, "_bracket_supp", lambda adj, a, b: {})
+    monkeypatch.setattr(orbits, "bracket", lambda L, a, b: L.zero())
     with pytest.raises(RuntimeError) as info:
         complete_triple(L, h, e)
     assert not isinstance(info.value, TripleInsolubleError)
@@ -407,7 +407,7 @@ def test_complete_triple_raises_on_failed_verification(monkeypatch):
 
 def test_dynkin_test_does_not_read_failed_verification_as_rejection(monkeypatch):
     L = build_lie_algebra("G2")
-    monkeypatch.setattr(orbits, "_bracket_supp", lambda adj, a, b: {})
+    monkeypatch.setattr(orbits, "bracket", lambda L, a, b: L.zero())
     with pytest.raises(RuntimeError):
         dynkin_test(L, WeightedDynkinDiagram((2, 2)))
 
@@ -416,8 +416,8 @@ def test_dynkin_test_does_not_read_failed_verification_as_rejection(monkeypatch)
     "name, labels", [("G2", (2, 2)), ("F4", (0, 1, 0, 1)), ("E6", (2, 2, 2, 2, 2, 2))]
 )
 def test_integer_triple_check_rejects_a_wrong_f(name, labels, monkeypatch):
-    # [e, f] = h is checked on integer supports; a solve that returns a
-    # wrong f is an internal error, not a rejection of the diagram.
+    # [e, f] = h is checked by `bracket`; a solve that returns a wrong f is
+    # an internal error, not a rejection of the diagram.
     L = build_lie_algebra(name)
     d = WeightedDynkinDiagram(labels)
     e = find_representative(L, d)
@@ -1000,8 +1000,8 @@ def test_characteristic_element_is_the_cartan_solve(name):
         h = characteristic_element(L, WeightedDynkinDiagram(labels))
         assert h.coeffs[2 * L.npos :] == coords
         assert not any(h.coeffs[: 2 * L.npos])
-        # the triple's integer h, read off the Cartan rows alone
-        assert orbits._h_support(L, labels) == _scaled_support(h.coeffs)
+        # h's integer support, read off the Cartan rows alone, is canonical
+        assert (h._supp, h._den) == _scaled_support(h.coeffs)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

@@ -17,7 +17,7 @@ from exorb.algebra import (
     derived_subalgebra,
     quotient_with_action,
 )
-from exorb.linalg import RatMatrix, rank
+from exorb.linalg import RatMatrix, _Echelon, _echelon, rank
 from exorb.orbits import (
     NilpotentOrbit,
     WeightedDynkinDiagram,
@@ -28,13 +28,12 @@ from exorb.orbits import (
 )
 from exorb.reach import (
     OrbitAnalysis,
-    _analyze_full,
     analyze,
     rigid_discrepancy_report,
 )
 from exorb.refdata import load_tables
 from gauss_jordan import gauss_jordan
-from in_grading import centralizer_in, closure_in, derived_in
+from in_grading import analyze_full, centralizer_in, closure_in, derived_in
 
 # diagram -> (dim_ge, dim_derived, reachable, strong, dim_ce, weights)
 G2_EXPECTED = {
@@ -82,6 +81,78 @@ def test_rigid_discrepancy_reports():
     assert [(d.labels, ge, der) for d, ge, der in report] == [
         ((0, 1, 0, 1), 16, 15)
     ]
+
+
+@pytest.mark.parametrize(
+    "name, expected",
+    [
+        ("E7", [((1, 0, 0, 1, 0, 0, 0), 41, 40)]),
+        (
+            "E8",
+            [
+                ((0, 0, 0, 0, 0, 1, 0, 1), 84, 83),
+                ((0, 0, 1, 0, 0, 1, 0, 1), 46, 45),
+                ((1, 0, 0, 1, 0, 0, 0, 1), 46, 45),
+            ],
+        ),
+    ],
+)
+def test_rigid_discrepancy_reports_of_e7_and_e8(name, expected):
+    L = build_lie_algebra(name)
+    report = rigid_discrepancy_report(L, load_tables().rigid_flags(name))
+    assert [(d.labels, ge, der) for d, ge, der in report] == expected
+
+
+def _g2_minimal_rigid():
+    """G2, its minimal orbit (1, 0), the report's one orbit, flagged alone, and
+    the torus weight of e."""
+    L, by_diagram = _g2_orbits()
+    o = by_diagram[1, 0]
+    flags = {labels: labels == (1, 0) for labels in load_tables().rigid_flags("G2")}
+    se = o.triple.e._supp
+    return L, flags, se, _torus_grading(L, [se])[min(se)]
+
+
+def test_the_rigid_report_refuses_e_in_the_derived_echelon(monkeypatch):
+    # `_derived` gives echelons in which e lies in [g_e, g_e] and another row
+    # is missing, so that the codimension stays 1; `_analysis` reads the orbit
+    # as reachable off them, and the report refuses it.
+    import exorb.reach
+
+    L, flags, se, w = _g2_minimal_rigid()
+    assert [(d.labels, ge, der) for d, ge, der in rigid_discrepancy_report(L, flags)] == [
+        ((1, 0), 6, 5)
+    ]
+    real = exorb.reach._derived
+
+    def with_e(L, s, checked):
+        acc = real(L, s, checked)
+        acc[w].store(acc[w].reduce(dict(se)))
+        t = next(t for t, span in acc.items() if t != w and span.dim)
+        acc[t] = _echelon(list(acc[t].rows.values())[1:])
+        return acc
+
+    monkeypatch.setattr(exorb.reach, "_derived", with_e)
+    with pytest.raises(ValueError, match="representative does not span the quotient"):
+        rigid_discrepancy_report(L, flags)
+
+
+def test_the_rigid_report_refuses_e_outside_the_centralizer_echelon(monkeypatch):
+    # g_e's echelon of e's weight is replaced by that of [g_e, g_e], which
+    # lacks e: the report reads e outside g_e and refuses the orbit.
+    import exorb.reach
+
+    L, flags, se, w = _g2_minimal_rigid()
+    real = exorb.reach._analysis
+
+    def without_e(L, o):
+        a, ge, derived = real(L, o)
+        assert not ge[w].reduce(dict(se)) and derived[w].reduce(dict(se))
+        return a, {**ge, w: derived.get(w, _Echelon())}, derived
+
+    monkeypatch.setattr(exorb.reach, "_analysis", without_e)
+    with pytest.raises(ValueError, match="representative does not span the quotient"):
+        rigid_discrepancy_report(L, flags)
 
 
 def test_rigid_report_requires_complete_flags():
@@ -175,7 +246,7 @@ def _layers(L, o, weights):
 
 
 def _assert_torus_grading_changes_nothing(L, o):
-    """The layers and `_analyze_full` in the torus grading equal the ad h ones."""
+    """The layers and `analyze_full` in the torus grading equal the ad h ones."""
     torus = _torus_grading(L, [o.triple.e._supp])
     adh = L.basis_weights(o.diagram.labels)
     ge, derived, upper, closure = layers = _layers(L, o, adh)
@@ -191,7 +262,7 @@ def _assert_torus_grading_changes_nothing(L, o):
         dim_ce=dim_ce,
         ce_weights=ce_weights,
     )
-    assert _analyze_full(L, o) == (analysis, ge, derived)
+    assert analyze_full(L, o) == (analysis, ge, derived)
     return torus, adh
 
 
@@ -288,9 +359,11 @@ def test_the_analyses_form_only_the_brackets_that_fill_a_weight(monkeypatch):
     def span_dim(vectors):
         return rank(RatMatrix([[v.get(k, 0) for k in range(L.dim)] for v in vectors], L.dim))
 
+    # the cases first: their triples are checked by `bracket`, which calls the kernel
+    cases = _analyzed_cases()
     monkeypatch.setattr(algebra, "_bracket_supp", recording)
     e7 = Counter()
-    for L, o in _analyzed_cases():
+    for L, o in cases:
         e, labels = o.triple.e, o.diagram.labels
         ge = centralizer(L, e)
         for torus, grading in enumerate((L.basis_weights(labels), _torus_grading(L, [e._supp]))):
@@ -319,12 +392,12 @@ def test_analyze_reads_derived_results_off_the_echelons(monkeypatch):
     # `analyze` takes dim [g_e, g_e], reachability and c_e from the echelons
     # of `_derived`: it builds no `Subspace` and reads no canonical g_e or
     # [g_e, g_e] out.  Its results are those of the canonical subspaces that
-    # `_analyze_full` reads out, through the public quotient and membership.
-    import exorb.reach
+    # `analyze_full` reads out, through the public quotient and membership.
+    import exorb.algebra
 
     cases, expected = _analyzed_cases(), []
     for L, o in cases:
-        a, ge, derived = _analyze_full(L, o)
+        a, ge, derived = analyze_full(L, o)
         assert a.dim_derived == derived.dim
         assert a.reachable == derived.contains(o.triple.e)
         assert a.strongly_reachable == (derived.dim == ge.dim)
@@ -344,7 +417,7 @@ def test_analyze_reads_derived_results_off_the_echelons(monkeypatch):
         raise AssertionError("[g_e, g_e] read out")
 
     monkeypatch.setattr(Subspace, "__init__", recording_init)
-    monkeypatch.setattr(exorb.reach, "_read_out", no_read_out)
+    monkeypatch.setattr(exorb.algebra, "_read_out", no_read_out)
     for (L, o), a in zip(cases, expected):
         built.clear()
         assert analyze(L, o) == a
@@ -395,7 +468,7 @@ def test_the_containment_of_derived_in_ge_is_checked(monkeypatch):
 
     L, by_diagram = _g2_orbits()
     o = by_diagram[1, 0]
-    _, ge, derived = _analyze_full(L, o)
+    _, ge, derived = analyze_full(L, o)
     assert derived.dim < ge.dim
     with pytest.raises(ValueError, match="t is not contained in s"):
         quotient_with_action(L, derived, ge, o.triple.h)
@@ -440,7 +513,7 @@ def test_analysis_output_is_pinned(name, seed):
     L = build_lie_algebra(name)
     out = []
     for o in enumerate_orbits(L, seed=seed):
-        a, ge, derived = _analyze_full(L, o)
+        a, ge, derived = analyze_full(L, o)
         flags = [a.dim_ge, a.dim_derived, a.reachable, a.strongly_reachable]
         flags += [a.panyushev_generated, a.dim_ce, list(a.ce_weights)]
         out.append([list(o.diagram.labels), rows(ge), rows(derived), flags])
@@ -504,7 +577,7 @@ def test_torus_blocks_are_those_of_the_exact_digits(name):
 def test_quotient_with_action_is_the_analysis_quotient(name):
     L = build_lie_algebra(name)
     for o in enumerate_orbits(L):
-        a, ge, derived = _analyze_full(L, o)
+        a, ge, derived = analyze_full(L, o)
         assert quotient_with_action(L, ge, derived, o.triple.h) == (a.dim_ce, a.ce_weights)
 
 
@@ -634,7 +707,7 @@ def test_analyze_weighs_no_row_and_no_subspace_stores_weights(monkeypatch):
     for L, o in cases[::7]:
         weights = _torus_grading(L, [o.triple.e._supp])
         ge, derived, upper, closure = _layers(L, o, weights)
-        for s in (ge, derived, closure, *_analyze_full(L, o)[1:]):
+        for s in (ge, derived, closure, *analyze_full(L, o)[1:]):
             assert not hasattr(s, "_weights")
 
     def refuse(self, weights):

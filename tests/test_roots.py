@@ -7,7 +7,7 @@ import pytest
 import exorb.algebra
 import exorb.roots
 from exorb.algebra import LieAlgebra, build_lie_algebra
-from exorb.roots import Root, RootSystem, TypeRank, build_root_system
+from exorb.roots import RootSystem, TypeRank, build_root_system
 
 POSITIVE_COUNTS = {
     "A2": 3,
@@ -27,7 +27,7 @@ ALGEBRA_DIMS = {"G2": 14, "F4": 52, "E6": 78, "E7": 133, "E8": 248}
 
 def _roots(rs):
     """Every root's coefficients, the positive roots and their negatives."""
-    pos = {r.coeffs for r in rs.positive_roots}
+    pos = set(rs.roots[: rs.num_positive])
     return pos | {tuple(-x for x in c) for c in pos}
 
 
@@ -51,22 +51,22 @@ def test_inadmissible_types_rejected(bad):
 
 def test_simple_roots_come_first_and_order_is_deterministic():
     rs = build_root_system("F4")
-    simple = {r.coeffs for r in rs.positive_roots[:4]}
+    simple = set(rs.roots[:4])
     assert simple == {
         (1, 0, 0, 0),
         (0, 1, 0, 0),
         (0, 0, 1, 0),
         (0, 0, 0, 1),
     }
-    heights = [sum(r.coeffs) for r in rs.positive_roots]
+    heights = [sum(c) for c in rs.roots[: rs.num_positive]]
     assert heights == sorted(heights)
-    again = [r.coeffs for r in build_root_system("F4").positive_roots]
-    assert again == [r.coeffs for r in rs.positive_roots]
+    again = RootSystem(TypeRank("F", 4))
+    assert again is not rs and again.roots == rs.roots
 
 
 def test_closed_under_root_addition():
     rs = build_root_system("G2")
-    pos = {r.coeffs for r in rs.positive_roots}
+    pos = set(rs.roots[: rs.num_positive])
     roots = _roots(rs)
     for a in pos:
         for b in pos:
@@ -129,12 +129,14 @@ def test_structure_constant_zero_when_sum_not_root():
 
 
 def test_root_negation_and_height():
-    r = Root((1, 2, 0))
-    with pytest.raises(TypeError):  # no negation: a caller negates the coefficients
-        -r
-    assert sum(r.coeffs) == 3
     rs = build_root_system("A3")
-    assert all(sum(r.coeffs) == 1 for r in rs.positive_roots[:3])
+    r = (1, 1, 0)
+    with pytest.raises(TypeError):  # a root is its coefficient tuple: the caller negates them
+        -r
+    m = rs.num_positive
+    assert rs.index[tuple(-x for x in r)] == rs.index[r] + m
+    assert sum(rs.roots[rs.index[r]]) == 2
+    assert all(sum(c) == 1 for c in rs.roots[:3])
 
 
 def test_cartan_matrix_values():
@@ -178,7 +180,8 @@ def test_one_root_index_in_basis_order(name, monkeypatch):
     L = build_lie_algebra(name)
     rs, m = L.rs, L.npos
     assert "structconsts" not in rs.__dict__
-    assert len(rs.roots) == 2 * m and [r.coeffs for r in rs.positive_roots] == list(rs.roots[:m])
+    assert len(rs.roots) == 2 * m and rs.num_positive == m
+    assert not hasattr(rs, "positive_roots")  # the roots are held once, in `roots`
     for i in range(m):
         assert rs.roots[i + m] == tuple(-x for x in rs.roots[i])
     assert rs.index == {c: i for i, c in enumerate(rs.roots)} and len(rs.index) == 2 * m
